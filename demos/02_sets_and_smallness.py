@@ -4,7 +4,8 @@ Every definable subset of the line is a finite set of points plus
 finitely many pieces of the form (a, b) intersected with finitely many
 cosets of Q (small pieces) or the complement of finitely many cosets
 (large pieces).  The decomposition is canonical: any two formulas
-defining the same set produce the same value.
+defining the same set produce the same value.  Its pieces are the
+near-interior of the set and its points the near-frontier.
 """
 
 from densepairs import (
@@ -12,7 +13,6 @@ from densepairs import (
     generic_type_contains,
     hvar,
     is_small,
-    near_interior,
     parse,
     qvar,
 )
@@ -31,11 +31,10 @@ def main():
     x = hvar(1)
     for text in SETS:
         d = decompose(parse(text), x)
-        interior, frontier = near_interior(d)
         print(f"  {text}")
         for line in str(d).splitlines():
             print(f"    {line}")
-        print(f"    small: {is_small(d)}   frontier: {[str(m) for m in frontier]}")
+        print(f"    small: {is_small(d)}   frontier: {[str(m) for m in d.points]}")
         print()
 
     print("-- generic type membership over the quotient sort --")

@@ -1,9 +1,10 @@
 """Canonical codes for definable sets and piecewise-linear functions.
 
-Unary sets are coded by near-frontier plus interior pieces; equality of
-codes is equality of sets.  Functional graphs are coded by their slope
-and intercept inventory with coset-pattern domains plus finitely many
-exceptional points, and the function can be reconstructed from the code.
+A unary set is coded by its canonical decomposition, near-frontier
+points plus near-interior pieces; equality of codes is equality of
+sets.  Functional graphs are coded by their slope and intercept
+inventory with coset-pattern domains plus finitely many exceptional
+points, and the function can be reconstructed from the code.
 """
 
 import json
@@ -17,6 +18,7 @@ from densepairs import (
     parse,
     parse_element,
 )
+from densepairs.coding import set_code_json
 
 
 def main():
@@ -25,7 +27,7 @@ def main():
     a = code_unary_set(parse("0 < x1 & x1 < 1 & Q(x1)"), x)
     b = code_unary_set(parse("0 < x1 & x1 < 1 & pi(x1) = 0"), x)
     print("two formulations of the same set share one code:", codes_equal(a, b))
-    print(json.dumps(a.to_json(), indent=2))
+    print(json.dumps(set_code_json(a), indent=2))
 
     print()
     print("-- a function that follows one line on Q and another off it --")

@@ -3,59 +3,19 @@
 The symbolic eliminator rewrites a single-quantifier formula to a
 quantifier-free one; the model oracle searches for an actual witness by
 density arguments.  They were built separately and must always agree;
-this harness hammers them with random instances (also available as
-`densepairs oracle-check` on the command line).
+this harness hammers them with random instances through
+`densepairs.selfcheck`, the same loop as `densepairs oracle-check` on
+the command line.
 """
 
-import random
-
-from densepairs import (
-    Model,
-    Sort,
-    TheoryMode,
-    eliminate_exists_home,
-    eliminate_exists_quotient,
-    eval_formula,
-    hvar,
-    oracle_exists_home,
-    oracle_exists_quotient,
-    qvar,
-    render,
-)
-from densepairs.randgen import random_assignment, random_conjunction
+from densepairs import Model, TheoryMode
+from densepairs.selfcheck import selfcheck
 
 
 def main(seed: int = 2026, instances: int = 200) -> None:
-    rng = random.Random(seed)
-    model = Model(3)
-    checks = disagreements = 0
-    shown = 0
-    for _ in range(instances):
-        home_bound = rng.random() < 0.6
-        bound = hvar(0) if home_bound else qvar(0)
-        context = [hvar(1), hvar(2), qvar(1)]
-        conj = random_conjunction(rng, bound, context, model, TheoryMode.POVS)
-        if home_bound:
-            eliminated = eliminate_exists_home(conj, bound, TheoryMode.POVS)
-        else:
-            eliminated = eliminate_exists_quotient(conj, bound, TheoryMode.POVS)
-        if shown < 3:
-            shown += 1
-            body = " & ".join(render(l) for l in conj)
-            print(f"  E {bound.name}. {body}")
-            print(f"    ==> {render(eliminated)}")
-        for _ in range(10):
-            sigma = random_assignment(rng, context, model)
-            symbolic = eval_formula(eliminated, sigma)
-            if home_bound:
-                concrete, _ = oracle_exists_home(conj, bound, sigma)
-            else:
-                concrete, _ = oracle_exists_quotient(conj, bound, sigma)
-            checks += 1
-            disagreements += symbolic != concrete
-    print()
-    print(f"checks: {checks}, disagreements: {disagreements}")
-    if disagreements:
+    report = selfcheck(seed, instances, TheoryMode.POVS, Model(3))
+    print(f"checks: {report['checks']}, disagreements: {report['disagreements']}")
+    if report["disagreements"]:
         raise SystemExit("eliminator and oracle disagree; this is a bug")
 
 

@@ -8,11 +8,12 @@ a quotient sort:
   of primes) with evaluation and witness-search oracles,
 - quantifier elimination and sentence decision, including the ordered
   expansion of the quotient sort,
-- canonical decomposition of unary definable sets into points and
-  coset-pattern pieces, with smallness and generic-type classification,
+- canonical decomposition of unary definable sets into points (the
+  near-frontier) and coset-pattern pieces (the near-interior), with
+  smallness and generic-type classification,
 - exact evaluation of the canonical finitely additive measure,
-- canonical codes for unary definable sets and piecewise-linear
-  definable functions.
+- canonical codes for unary definable sets (their decompositions) and
+  piecewise-linear definable functions.
 """
 
 from .decomposition import (
@@ -23,7 +24,6 @@ from .decomposition import (
     decompose,
     generic_type_contains,
     is_small,
-    near_interior,
 )
 from .coding import (
     FunctionCode,
@@ -113,7 +113,6 @@ __all__ = [
     "make_not",
     "make_or",
     "measure",
-    "near_interior",
     "oracle_exists_home",
     "oracle_exists_quotient",
     "parse",

@@ -2,18 +2,18 @@
 
 One command per invocation, formula on the command line or standard
 input, text or JSON output.  Exit codes: 0 success, 2 parse/sort/mode
-error, 3 precondition violation, 4 breached internal invariant (which
-includes any disagreement found by the self-check harness).
+error or input nested too deeply, 3 precondition violation, 4 breached
+internal invariant (which includes any disagreement found by the
+self-check harness).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .coding import code_function, code_unary_set
+from .coding import code_function, code_unary_set, set_code_json
 from .decomposition import decompose, generic_type_contains, is_small
 from .errors import (
     ArityError,
@@ -21,14 +21,12 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .evaluate import eval_formula
 from .formulas import Atom, Formula, TheoryMode, free_variables
 from .measure import measure
 from .model import Model
-from .oracles import oracle_exists_home, oracle_exists_quotient
 from .parser import parse, render
 from .qe import decide_sentence, qe, split_atom
-from .randgen import random_assignment, random_conjunction
+from .selfcheck import selfcheck
 from .terms import Sort, Variable
 
 _MODES = {"ovs": TheoryMode.OVS, "povs": TheoryMode.POVS, "povs-prec": TheoryMode.POVS_PREC}
@@ -166,7 +164,8 @@ def _cmd_code_set(args, mode, model):
     f = _read_formula(args, mode, model)
     v = _single_free_variable(f, Sort.HOME)
     code = code_unary_set(f, v)
-    _emit(args, json.dumps(code.to_json(), sort_keys=True), code.to_json())
+    data = set_code_json(code)
+    _emit(args, json.dumps(data, sort_keys=True), data)
     return 0
 
 
@@ -199,47 +198,13 @@ def _cmd_split(args, mode, model):
 
 
 def _cmd_oracle_check(args, mode, model):
-    rng = random.Random(args.seed)
-    checks = agreements = 0
-    assignments_per_instance = 10
-    for _ in range(args.count):
-        bound_sort = Sort.HOME if (mode is TheoryMode.OVS or rng.random() < 0.6) else Sort.QUOTIENT
-        bound = Variable(bound_sort, 0)
-        context = [Variable(Sort.HOME, 1), Variable(Sort.HOME, 2)]
-        if mode is not TheoryMode.OVS:
-            context.append(Variable(Sort.QUOTIENT, 1))
-        literals = random_conjunction(rng, bound, context, model, mode)
-        from .qe import eliminate_exists_home, eliminate_exists_quotient
-
-        if bound_sort is Sort.HOME:
-            eliminated = eliminate_exists_home(literals, bound, mode)
-        else:
-            eliminated = eliminate_exists_quotient(literals, bound, mode)
-        for _ in range(assignments_per_instance):
-            sigma = random_assignment(rng, context, model)
-            symbolic = eval_formula(eliminated, sigma)
-            if bound_sort is Sort.HOME:
-                concrete = oracle_exists_home(literals, bound, sigma)[0]
-            else:
-                concrete = oracle_exists_quotient(
-                    literals, bound, sigma, ordered=(mode is TheoryMode.POVS_PREC)
-                )[0]
-            checks += 1
-            agreements += symbolic == concrete
-    disagreements = checks - agreements
-    report = {
-        "seed": args.seed,
-        "count": args.count,
-        "checks": checks,
-        "agreements": agreements,
-        "disagreements": disagreements,
-    }
+    report = selfcheck(args.seed, args.count, mode, model)
     text = (
-        f"instances: {args.count}\nchecks: {checks}\n"
-        f"agreements: {agreements}\ndisagreements: {disagreements}"
+        f"instances: {args.count}\nchecks: {report['checks']}\n"
+        f"agreements: {report['agreements']}\ndisagreements: {report['disagreements']}"
     )
     _emit(args, text, report)
-    return 0 if disagreements == 0 else 4
+    return 0 if report["disagreements"] == 0 else 4
 
 
 _HANDLERS = {
@@ -273,6 +238,9 @@ def run(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

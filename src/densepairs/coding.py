@@ -1,10 +1,10 @@
 """Canonical codes for definable unary sets and piecewise-linear functions.
 
-A unary set is coded by its near-frontier together with its interior
-pieces, each piece carrying its endpoints and a lexicographically
-sorted list of coset representatives.  Because the decomposition is
-canonical, structural equality of codes coincides with extensional
-equality of the coded sets, which strengthens the usual
+A unary set is coded by its canonical decomposition: the points are its
+near-frontier and the pieces, each carrying its endpoints and a finite
+or cofinite set of cosets, are its near-interior.  Because the
+decomposition is canonical, structural equality of codes coincides with
+extensional equality of the coded sets, which strengthens the usual
 finitely-many-codes notion to a single canonical datum.
 
 A definable partial function with a piecewise-linear graph is coded by
@@ -19,19 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .decomposition import (
-    CosetSet,
-    Decomposition,
-    Endpoint,
-    decompose,
-    near_interior,
-)
+from .decomposition import Decomposition, NearInterval, decompose
 from .errors import (
     ArityError,
     InfiniteResidualError,
     InternalError,
     NotFunctionalError,
-    NotGroundError,
 )
 from .evaluate import Assignment, eval_formula
 from .formulas import (
@@ -39,84 +32,57 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Not,
     TheoryMode,
     all_atoms,
     bound_variables,
     dnf_clauses,
     free_variables,
+    ground,
     home_eq,
+    literal_parts,
     make_and,
     make_not,
     make_or,
     substitute,
 )
-from .model import ModelElement, QuotientElement, compare
+from .model import ModelElement, compare
 from .qe import decide_sentence, qe
-from .terms import HomeTerm, QuotientTerm, Sort, Variable
+from .terms import HomeTerm, Sort, Variable
 
 
-@dataclass(frozen=True)
-class CodePiece:
-    lo: Endpoint
-    hi: Endpoint
-    cofinite: bool
-    cosets: tuple[QuotientElement, ...]  # sorted lexicographically
-
-    def to_json(self):
-        return {
-            "a": self.lo.to_json(),
-            "b": self.hi.to_json(),
-            "polarity": "cofinite" if self.cofinite else "finite",
-            "cosets": [w.to_json() for w in self.cosets],
-        }
-
-
-@dataclass(frozen=True)
-class UnarySetCode:
-    """Canonical code of a definable unary set; equal codes, equal sets."""
-
-    frontier: tuple[ModelElement, ...]
-    pieces: tuple[CodePiece, ...]
-
-    def to_json(self):
-        return {
-            "frontier": [p.to_json() for p in self.frontier],
-            "pieces": [p.to_json() for p in self.pieces],
-        }
-
-
-def _code_of_decomposition(d: Decomposition) -> UnarySetCode:
-    interior, frontier = near_interior(d)
-    pieces = tuple(
-        CodePiece(p.lo, p.hi, p.cosets.cofinite, p.sorted_cosets())
-        for p in interior.pieces
-    )
-    return UnarySetCode(tuple(frontier), pieces)
+UnarySetCode = Decomposition  # a set code is its canonical decomposition
 
 
 def code_unary_set(
     f: Formula, v: Variable, assignment: Assignment | None = None
-) -> UnarySetCode:
-    return _code_of_decomposition(decompose(f, v, assignment))
+) -> Decomposition:
+    """The canonical code of a unary set: its canonical decomposition, whose
+    points are the near-frontier and whose pieces are the near-interior."""
+    return decompose(f, v, assignment)
 
 
-def codes_equal(c1: UnarySetCode, c2: UnarySetCode) -> bool:
+def codes_equal(c1: Decomposition, c2: Decomposition) -> bool:
     """Structural equality; by canonicality this is extensional equality."""
     return c1 == c2
+
+
+def set_code_json(code: Decomposition) -> dict:
+    """A set code in JSON, with its points listed as the "frontier"."""
+    data = code.to_json()
+    return {"frontier": data["points"], "pieces": data["pieces"]}
 
 
 @dataclass(frozen=True)
 class FunctionPiece:
     slope: Fraction
     intercept: ModelElement
-    domain: UnarySetCode
+    domain: Decomposition
 
     def to_json(self):
         return {
             "slope": str(self.slope),
             "intercept": self.intercept.to_json(),
-            "domain": self.domain.to_json(),
+            "domain": set_code_json(self.domain),
         }
 
 
@@ -139,22 +105,9 @@ class FunctionCode:
             if a == x:
                 return b
         for piece in self.pieces:
-            if _code_contains(piece.domain, x):
+            if piece.domain.contains(x):
                 return x.scale(piece.slope) + piece.intercept
         return None
-
-
-def _code_contains(code: UnarySetCode, m: ModelElement) -> bool:
-    from .model import project
-
-    if m in code.frontier:
-        return True
-    e = Endpoint.at(m)
-    for piece in code.pieces:
-        if piece.lo.compare(e) < 0 and e.compare(piece.hi) < 0:
-            if (project(m) in piece.cosets) != piece.cofinite:
-                return True
-    return False
 
 
 def _check_functional(g: Formula, x: Variable, y: Variable) -> None:
@@ -180,11 +133,9 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
     seen = set()
     for clause in dnf_clauses(g):
         for lit in clause:
-            if isinstance(lit, Not):
-                continue  # a disequation pins nothing
-            atom = lit
-            if atom.kind is not AtomKind.HOME_EQ:
-                continue
+            atom, positive = literal_parts(lit)
+            if not positive or atom.kind is not AtomKind.HOME_EQ:
+                continue  # only an equation pins y; a disequation pins nothing
             b = atom.payload.coeff(y)
             if b == 0:
                 continue
@@ -198,21 +149,6 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
                 candidates.append(key)
     candidates.sort(key=lambda sc: (sc[0], tuple(sorted(sc[1].coeffs.items()))))
     return candidates
-
-
-def _strip_points(formula: Formula, v: Variable) -> Decomposition:
-    """Decompose and drop listed points until only open-pattern pieces remain."""
-    current = formula
-    for _ in range(5):
-        d = decompose(current, v)
-        if not d.points:
-            return d
-        if not d.pieces:
-            return Decomposition((), ())
-        x = HomeTerm.from_variable(v)
-        holes = [make_not(home_eq(x - HomeTerm.from_element(p))) for p in d.points]
-        current = make_and([make_or([p.formula(v) for p in d.pieces])] + holes)
-    raise InternalError("point stripping did not converge")
 
 
 def code_function(
@@ -233,18 +169,7 @@ def code_function(
         raise ArityError("function coding needs two home-sort variables")
     if x == y:
         raise ArityError("argument and value variables must differ")
-    assignment = assignment or {}
-    g = f
-    for var in sorted(free_variables(f) - {x, y}, key=lambda w: w.sort_key()):
-        if var not in assignment:
-            raise NotGroundError(f"{var} is not bound by the assignment")
-        value = assignment[var]
-        term = (
-            HomeTerm.from_element(value)
-            if var.sort is Sort.HOME
-            else QuotientTerm.from_element(value)
-        )
-        g = substitute(g, var, term)
+    g = ground(f, {x, y}, assignment)
     for atom in all_atoms(g):
         if atom.kind is AtomKind.QUOT_PREC:
             raise ArityError("function coding lives in the unordered pair theory")
@@ -261,14 +186,13 @@ def code_function(
         d = decompose(on_line, x)
         if not d.pieces:
             continue
-        open_part = _strip_points(make_or([p.formula(x) for p in d.pieces]), x)
-        if open_part.is_empty():
-            continue
-        code = _code_of_decomposition(open_part)
-        pieces.append(FunctionPiece(slope, intercept, code))
-        domain_formulas.append(open_part.formula(x))
+        # the pieces are open and no piece holds another's endpoint, so
+        # dropping the listed points leaves a canonical decomposition
+        domain = Decomposition((), d.pieces)
+        pieces.append(FunctionPiece(slope, intercept, domain))
+        domain_formulas.append(domain.formula(x))
 
-    _check_disjoint(pieces, x)
+    _check_disjoint(pieces)
 
     covered = make_or(domain_formulas) if domain_formulas else None
     residual = (
@@ -308,12 +232,13 @@ def _function_value(
     raise InternalError(f"no candidate line passes through the graph at {at}")
 
 
-def _check_disjoint(pieces: list[FunctionPiece], v: Variable) -> None:
+def _check_disjoint(pieces: list[FunctionPiece]) -> None:
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             a, b = pieces[i], pieces[j]
             overlap = any(
-                _intervals_overlap(pa, pb) and _patterns_meet(pa, pb)
+                _intervals_overlap(pa, pb)
+                and not pa.cosets.intersection(pb.cosets).is_empty()
                 for pa in a.domain.pieces
                 for pb in b.domain.pieces
             )
@@ -321,18 +246,7 @@ def _check_disjoint(pieces: list[FunctionPiece], v: Variable) -> None:
                 raise InternalError("function piece domains overlap")
 
 
-def _intervals_overlap(a: CodePiece, b: CodePiece) -> bool:
+def _intervals_overlap(a: NearInterval, b: NearInterval) -> bool:
     lo = a.lo if a.lo.compare(b.lo) >= 0 else b.lo
     hi = a.hi if a.hi.compare(b.hi) <= 0 else b.hi
     return lo.compare(hi) < 0
-
-
-def _patterns_meet(a: CodePiece, b: CodePiece) -> bool:
-    sa = CosetSet(a.cofinite, frozenset(a.cosets))
-    sb = CosetSet(b.cofinite, frozenset(b.cosets))
-    if not sa.cofinite and not sb.cofinite:
-        return bool(sa.members & sb.members)
-    if sa.cofinite and sb.cofinite:
-        return True  # both miss only finitely many of infinitely many cosets
-    fin, cof = (sa, sb) if sb.cofinite else (sb, sa)
-    return any(w not in cof.members for w in fin.members)

@@ -20,22 +20,23 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import ArityError, ModeError, NotGroundError
+from .errors import ArityError, ModeError
 from .evaluate import Assignment, eval_formula
 from .formulas import (
     FALSE,
     Atom,
     AtomKind,
     Formula,
-    Not,
     TheoryMode,
     all_atoms,
     bound_variables,
     dnf_clauses,
     free_variables,
+    ground,
     home_eq,
     home_lt,
     is_quantifier_free,
+    literal_parts,
     make_and,
     make_not,
     make_or,
@@ -144,6 +145,9 @@ class CosetSet:
     def complement(self) -> "CosetSet":
         return CosetSet(not self.cofinite, self.members)
 
+    def intersection(self, other: "CosetSet") -> "CosetSet":
+        return self.complement().union(other.complement()).complement()
+
     def sorted_members(self) -> tuple[QuotientElement, ...]:
         return tuple(sorted(self.members, key=cmp_to_key(lex_compare)))
 
@@ -216,7 +220,13 @@ class NearInterval:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A finite point set plus disjoint pieces, jointly denoting the set."""
+    """A finite point set plus disjoint pieces, jointly denoting the set.
+
+    In canonical form the pieces are the near-interior and the points the
+    near-frontier: around any point of a piece the set looks like the
+    piece's own pattern, while each listed point is isolated, sits between
+    two different patterns, or fills a hole of the surrounding pattern.
+    """
 
     points: tuple[ModelElement, ...]
     pieces: tuple[NearInterval, ...]
@@ -247,23 +257,6 @@ class Decomposition:
             bits.append("points: " + ", ".join(str(p) for p in self.points))
         bits.extend(str(p) for p in self.pieces)
         return "\n".join(bits) if bits else "(empty set)"
-
-
-def _ground(f: Formula, v: Variable, assignment: Assignment | None) -> Formula:
-    assignment = assignment or {}
-    for var in sorted(free_variables(f), key=lambda w: w.sort_key()):
-        if var == v:
-            continue
-        if var not in assignment:
-            raise NotGroundError(f"{var} is not bound by the assignment")
-        value = assignment[var]
-        term = (
-            HomeTerm.from_element(value)
-            if var.sort is Sort.HOME
-            else QuotientTerm.from_element(value)
-        )
-        f = substitute(f, var, term)
-    return f
 
 
 @dataclass(frozen=True)
@@ -305,12 +298,7 @@ def decompose(
     """The canonical decomposition of the set defined by f in the variable v."""
     if v.sort is not Sort.HOME:
         raise ArityError(f"{v} is not a home-sort variable")
-    g = _ground(f, v, assignment)
-    free = free_variables(g)
-    if free - {v}:
-        raise NotGroundError(
-            "unbound variables: " + ", ".join(sorted(x.name for x in free - {v}))
-        )
+    g = ground(f, {v}, assignment)
     for atom in all_atoms(g):
         if atom.kind is AtomKind.QUOT_PREC:
             raise ModeError("sets with quotient-order atoms do not decompose into near-intervals")
@@ -335,9 +323,7 @@ def decompose(
         required: list[QuotientElement] = []
         excluded: list[QuotientElement] = []
         for lit in clause:
-            atom = lit.sub if isinstance(lit, Not) else lit
-            positive = not isinstance(lit, Not)
-            assert isinstance(atom, Atom)
+            atom, positive = literal_parts(lit)
             coeff = atom.payload.coeff(v)
             if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
                 order_lits.append(lit)
@@ -420,19 +406,6 @@ def _canonicalize(
     return Decomposition(tuple(ordered_points), tuple(merged))
 
 
-def near_interior(d: Decomposition) -> tuple[Decomposition, list[ModelElement]]:
-    """The sub-decomposition where the set is locally a near-interval, and
-    the finite near-frontier.
-
-    In canonical form the pieces are exactly the near-interior: around
-    any point of a piece the set looks like the piece's own pattern,
-    while each listed point is either isolated, sits between two
-    different patterns, or fills a hole of the surrounding pattern --
-    never a near-interval locally.
-    """
-    return Decomposition((), d.pieces), list(d.points)
-
-
 def is_small(d: Decomposition) -> bool:
     """True when the set is covered by finitely many cosets of the rational
     line (points are always coverable; a cofinite piece never is)."""
@@ -449,7 +422,7 @@ def generic_type_contains(
     for atom in all_atoms(f):
         if atom.kind is AtomKind.QUOT_PREC:
             raise ModeError("the generic type lives in the unordered quotient")
-    g = _ground(f, v, assignment)
+    g = ground(f, {v}, assignment)
     home_indices = [
         x.index
         for x in free_variables(g) | bound_variables(g)

@@ -4,20 +4,12 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .errors import QuantifiedInputError, SortError
+from .errors import QuantifiedInputError
 from .formulas import And, Atom, AtomKind, BoolConst, Exists, Forall, Formula, Not, Or
 from .model import ModelElement, QuotientElement
-from .terms import Sort, Variable
+from .terms import Variable
 
 Assignment = Mapping[Variable, Union[ModelElement, QuotientElement]]
-
-
-def check_assignment(assignment: Assignment) -> None:
-    for v, value in assignment.items():
-        if v.sort is Sort.HOME and not isinstance(value, ModelElement):
-            raise SortError(f"{v} needs a home-sort value, got {type(value).__name__}")
-        if v.sort is Sort.QUOTIENT and not isinstance(value, QuotientElement):
-            raise SortError(f"{v} needs a quotient-sort value, got {type(value).__name__}")
 
 
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:

@@ -15,15 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     CaptureError,
     ModeError,
+    NotConjunctionError,
+    NotGroundError,
     QuantifiedInputError,
     SortError,
 )
 from .terms import HomeTerm, QuotientTerm, Sort, Term, Variable, term_sort
+
+if TYPE_CHECKING:
+    from .evaluate import Assignment
 
 
 class TheoryMode(Enum):
@@ -401,6 +406,26 @@ def substitute(f: Formula, v: Variable, t: Term) -> Formula:
     return walk(f)
 
 
+def ground(
+    f: Formula, keep: Collection[Variable], assignment: Assignment | None
+) -> Formula:
+    """Substitute the assigned value of every free variable outside keep."""
+    assignment = assignment or {}
+    for var in sorted(free_variables(f), key=lambda w: w.sort_key()):
+        if var in keep:
+            continue
+        if var not in assignment:
+            raise NotGroundError(f"{var} is not bound by the assignment")
+        value = assignment[var]
+        term = (
+            HomeTerm.from_element(value)
+            if var.sort is Sort.HOME
+            else QuotientTerm.from_element(value)
+        )
+        f = substitute(f, var, term)
+    return f
+
+
 def _substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
     payload = a.payload
     if isinstance(payload, HomeTerm):
@@ -496,6 +521,15 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
 
 def is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.sub, Atom))
+
+
+def literal_parts(lit: Formula) -> tuple[Atom, bool]:
+    """The atom of a literal and whether it occurs unnegated."""
+    if isinstance(lit, Atom):
+        return lit, True
+    if isinstance(lit, Not) and isinstance(lit.sub, Atom):
+        return lit.sub, False
+    raise NotConjunctionError(f"not a literal: {lit}")
 
 
 def sort_key(f: Formula) -> str:

@@ -16,21 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import (
-    InternalError,
-    ModeError,
-    NotConjunctionError,
-    NotGroundError,
-    SortError,
-)
+from .errors import InternalError, ModeError, SortError
 from .evaluate import Assignment, eval_formula
-from .formulas import (
-    Atom,
-    AtomKind,
-    Formula,
-    Not,
-    make_and,
-)
+from .formulas import Atom, AtomKind, Formula, Not, ground, literal_parts
 from .model import (
     ModelElement,
     QuotientElement,
@@ -42,46 +30,7 @@ from .model import (
     rational_between,
     section,
 )
-from .terms import HomeTerm, QuotientTerm, Sort, Variable
-
-
-def _split_literal(lit: Formula) -> tuple[Atom, bool]:
-    if isinstance(lit, Atom):
-        return lit, True
-    if isinstance(lit, Not) and isinstance(lit.sub, Atom):
-        return lit.sub, False
-    raise NotConjunctionError(f"not a literal: {lit}")
-
-
-def _ground_literals(
-    literals: Sequence[Formula], v: Variable, assignment: Assignment
-) -> list[Formula]:
-    """Substitute the assignment into every literal, leaving only v free."""
-    from .formulas import substitute  # local import to keep module load cheap
-
-    out = []
-    for lit in literals:
-        _split_literal(lit)  # validates shape
-        g = lit
-        for var in sorted(_literal_variables(lit), key=lambda w: w.sort_key()):
-            if var == v:
-                continue
-            if var not in assignment:
-                raise NotGroundError(f"{var} is not bound by the assignment")
-            value = assignment[var]
-            term = (
-                HomeTerm.from_element(value)
-                if var.sort is Sort.HOME
-                else QuotientTerm.from_element(value)
-            )
-            g = substitute(g, var, term)
-        out.append(g)
-    return out
-
-
-def _literal_variables(lit: Formula) -> frozenset[Variable]:
-    atom, _ = _split_literal(lit)
-    return atom.payload.variables()
+from .terms import QuotientTerm, Sort, Variable
 
 
 class _Bound:
@@ -155,7 +104,7 @@ def _solve_quotient(
     residue: list[Formula] = []
     vlits: list[tuple[Atom, bool, Fraction]] = []
     for lit in literals:
-        atom, positive = _split_literal(lit)
+        atom, positive = literal_parts(lit)
         if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q):
             residue.append(lit)  # ground after substitution; v cannot occur
             continue
@@ -228,7 +177,10 @@ def oracle_exists_quotient(
     """
     if v.sort is not Sort.QUOTIENT:
         raise SortError(f"{v} is not a quotient-sort variable")
-    grounded = _ground_literals(literals, v, assignment or {})
+    grounded = []
+    for lit in literals:
+        literal_parts(lit)  # reject anything that is not a literal
+        grounded.append(ground(lit, {v}, assignment))
     return _solve_quotient(grounded, v, ordered)
 
 
@@ -268,7 +220,7 @@ def _solve_home(
     residue: list[Formula] = []
     vlits: list[tuple[Atom, bool, Fraction]] = []
     for lit in literals:
-        atom, positive = _split_literal(lit)
+        atom, positive = literal_parts(lit)
         coeff = atom.payload.coeff(v)
         if coeff == 0:
             residue.append(lit)
@@ -365,10 +317,8 @@ def oracle_exists_home(
     """
     if v.sort is not Sort.HOME:
         raise SortError(f"{v} is not a home-sort variable")
-    grounded = _ground_literals(literals, v, assignment or {})
+    grounded = []
+    for lit in literals:
+        literal_parts(lit)  # reject anything that is not a literal
+        grounded.append(ground(lit, {v}, assignment))
     return _solve_home(grounded, v)
-
-
-def conjunction_holds(literals: Sequence[Formula], assignment: Assignment) -> bool:
-    """Evaluate a literal conjunction; convenience for cross-checking."""
-    return eval_formula(make_and(literals), assignment)

@@ -46,6 +46,7 @@ from .formulas import (
     dnf_clauses,
     free_variables,
     home_lt,
+    literal_parts,
     make_and,
     make_not,
     make_or,
@@ -58,23 +59,15 @@ from .formulas import (
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 
-def _literal_parts(lit: Formula) -> tuple[Atom, bool]:
-    if isinstance(lit, Atom):
-        return lit, True
-    if isinstance(lit, Not) and isinstance(lit.sub, Atom):
-        return lit.sub, False
-    raise NotConjunctionError(f"not a literal: {lit}")
-
-
 def _contains(lit: Formula, v: Variable) -> bool:
-    atom, _ = _literal_parts(lit)
+    atom, _ = literal_parts(lit)
     return atom.payload.coeff(v) != 0
 
 
 def _fresh_quotient_var(literals: Sequence[Formula]) -> Variable:
     top = -1
     for lit in literals:
-        atom, _ = _literal_parts(lit)
+        atom, _ = literal_parts(lit)
         for var in atom.payload.variables():
             if var.sort is Sort.QUOTIENT:
                 top = max(top, var.index)
@@ -89,7 +82,7 @@ def _eliminate_home_clause(
     vlits = [lit for lit in literals if _contains(lit, v)]
 
     for lit in vlits:
-        atom, positive = _literal_parts(lit)
+        atom, positive = literal_parts(lit)
         if atom.kind is AtomKind.HOME_EQ and positive:
             coeff = atom.payload.coeff(v)
             witness = atom.payload.without(v).scale(-1 / coeff)
@@ -102,7 +95,7 @@ def _eliminate_home_clause(
     wlits: list[Formula] = []
     w = _fresh_quotient_var(literals)
     for lit in vlits:
-        atom, positive = _literal_parts(lit)
+        atom, positive = literal_parts(lit)
         coeff = atom.payload.coeff(v)
         if atom.kind is AtomKind.HOME_EQ:
             continue  # a disequation excludes one point of a dense set
@@ -140,7 +133,7 @@ def _eliminate_quotient_clause(
     vlits = [lit for lit in literals if _contains(lit, v)]
 
     for lit in vlits:
-        atom, positive = _literal_parts(lit)
+        atom, positive = literal_parts(lit)
         if atom.kind is AtomKind.QUOT_EQ and positive:
             coeff = atom.payload.coeff(v)
             witness = atom.payload.without(v).scale(-1 / coeff)
@@ -151,7 +144,7 @@ def _eliminate_quotient_clause(
     lowers: list[QuotientTerm] = []
     uppers: list[QuotientTerm] = []
     for lit in vlits:
-        atom, positive = _literal_parts(lit)
+        atom, positive = literal_parts(lit)
         if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q):
             raise SortError(f"home-sort literal mentions quotient variable: {lit}")
         if atom.kind is AtomKind.QUOT_EQ:
@@ -170,16 +163,10 @@ def _eliminate_quotient_clause(
     return make_and(keep + pairs)
 
 
-def _validate_conjunction(literals: Sequence[Formula]) -> None:
-    for lit in literals:
-        _literal_parts(lit)
-
-
-def _eliminate(literals: Sequence[Formula], v: Variable, mode: TheoryMode) -> Formula:
-    """Normalize to strict clauses and eliminate v from each."""
-    _validate_conjunction(literals)
+def _eliminate(f: Formula, v: Variable, mode: TheoryMode) -> Formula:
+    """Eliminate an existential v from f, one DNF clause at a time."""
     results = []
-    for clause in dnf_clauses(make_and(literals)):
+    for clause in dnf_clauses(f):
         if v.sort is Sort.HOME:
             results.append(_eliminate_home_clause(clause, v, mode))
         else:
@@ -193,7 +180,9 @@ def eliminate_exists_home(
     """A quantifier-free equivalent of 'exists v. (and of literals)', v home-sort."""
     if v.sort is not Sort.HOME:
         raise SortError(f"{v} is not a home-sort variable")
-    return _eliminate(literals, v, mode)
+    for lit in literals:
+        literal_parts(lit)  # reject anything that is not a literal
+    return _eliminate(make_and(literals), v, mode)
 
 
 def eliminate_exists_quotient(
@@ -202,7 +191,9 @@ def eliminate_exists_quotient(
     """A quantifier-free equivalent of 'exists v. (and of literals)', v quotient-sort."""
     if v.sort is not Sort.QUOTIENT:
         raise SortError(f"{v} is not a quotient-sort variable")
-    return _eliminate(literals, v, mode)
+    for lit in literals:
+        literal_parts(lit)  # reject anything that is not a literal
+    return _eliminate(make_and(literals), v, mode)
 
 
 def _qe(f: Formula, mode: TheoryMode) -> Formula:
@@ -217,15 +208,7 @@ def _qe(f: Formula, mode: TheoryMode) -> Formula:
     if isinstance(f, Forall):
         return make_not(_qe(Exists(f.var, make_not(f.body)), mode))
     assert isinstance(f, Exists)
-    body = _qe(f.body, mode)
-    v = f.var
-    results = []
-    for clause in dnf_clauses(simplify(body)):
-        if v.sort is Sort.HOME:
-            results.append(_eliminate_home_clause(clause, v, mode))
-        else:
-            results.append(_eliminate_quotient_clause(clause, v, mode))
-    return simplify(make_or(results))
+    return _eliminate(simplify(_qe(f.body, mode)), f.var, mode)
 
 
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:

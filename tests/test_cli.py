@@ -1,6 +1,10 @@
 """Command-line front end: outputs, exit codes, schemas, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -178,3 +182,151 @@ def test_every_command_json_output_validates(capsys):
         code, out, _ = invoke(capsys, argv[0], "--format", "json", *argv[1:])
         assert code == 0, argv
         jsonschema.validate(json.loads(out), schema)
+
+
+# Exact outputs pinned at the commit before set codes became decompositions:
+# the schemas alone would let a key rename or a reordering pass.
+GOLDEN_DECOMPOSE = {
+    "Q(x1) | x1 = r2": (
+        '{"pieces": [{"a": "-inf", "b": "+inf", "cosets": [{}], "polarity": "finite"}], "points": [{"2": "1"}]}\n'
+    ),
+    "x1 = 1 | (!Q(x1) & x1 > 0)": (
+        '{"pieces": [{"a": {}, "b": "+inf", "cosets": [{}], "polarity": "cofinite"}], "points": [{"0": "1"}]}\n'
+    ),
+    "0 < x1 & x1 < 1 & Q(x1)": (
+        '{"pieces": [{"a": {}, "b": {"0": "1"}, "cosets": [{}], "polarity": "finite"}], "points": []}\n'
+    ),
+    "!Q(x1) & x1 != r2": (
+        '{"pieces": [{"a": "-inf", "b": {"2": "1"}, "cosets": [{}], "polarity": "cofinite"}, {"a": {"2": "1"}, "b": "+inf", "cosets": [{}], "polarity": "cofinite"}], "points": []}\n'
+    ),
+    "E x2. (x1 < x2 & x2 < x1 + 1 & Q(x2 - x1))": (
+        '{"pieces": [{"a": "-inf", "b": "+inf", "cosets": [], "polarity": "cofinite"}], "points": []}\n'
+    ),
+    "(0 < x1 & x1 < 1 & pi(x1) = pi(r2)) | x1 = 3": (
+        '{"pieces": [{"a": {}, "b": {"0": "1"}, "cosets": [{"2": "1"}], "polarity": "finite"}], "points": [{"0": "3"}]}\n'
+    ),
+    "x1 < 0 | (x1 > 1 & !Q(x1 - r3))": (
+        '{"pieces": [{"a": "-inf", "b": {}, "cosets": [], "polarity": "cofinite"}, {"a": {"0": "1"}, "b": "+inf", "cosets": [{"3": "1"}], "polarity": "cofinite"}], "points": []}\n'
+    ),
+    "(Q(x1) & x1 != 0) | x1 = r2": (
+        '{"pieces": [{"a": "-inf", "b": {}, "cosets": [{}], "polarity": "finite"}, {"a": {}, "b": "+inf", "cosets": [{}], "polarity": "finite"}], "points": [{"2": "1"}]}\n'
+    ),
+}
+
+GOLDEN_CODE_SET = {
+    "Q(x1) | x1 = r2": (
+        '{"frontier": [{"2": "1"}], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [{}], "polarity": "finite"}]}\n'
+    ),
+    "x1 = 1 | (!Q(x1) & x1 > 0)": (
+        '{"frontier": [{"0": "1"}], "pieces": [{"a": {}, "b": "+inf", "cosets": [{}], "polarity": "cofinite"}]}\n'
+    ),
+    "0 < x1 & x1 < 1 & Q(x1)": (
+        '{"frontier": [], "pieces": [{"a": {}, "b": {"0": "1"}, "cosets": [{}], "polarity": "finite"}]}\n'
+    ),
+    "!Q(x1) & x1 != r2": (
+        '{"frontier": [], "pieces": [{"a": "-inf", "b": {"2": "1"}, "cosets": [{}], "polarity": "cofinite"}, {"a": {"2": "1"}, "b": "+inf", "cosets": [{}], "polarity": "cofinite"}]}\n'
+    ),
+    "E x2. (x1 < x2 & x2 < x1 + 1 & Q(x2 - x1))": (
+        '{"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [], "polarity": "cofinite"}]}\n'
+    ),
+    "(0 < x1 & x1 < 1 & pi(x1) = pi(r2)) | x1 = 3": (
+        '{"frontier": [{"0": "3"}], "pieces": [{"a": {}, "b": {"0": "1"}, "cosets": [{"2": "1"}], "polarity": "finite"}]}\n'
+    ),
+    "x1 < 0 | (x1 > 1 & !Q(x1 - r3))": (
+        '{"frontier": [], "pieces": [{"a": "-inf", "b": {}, "cosets": [], "polarity": "cofinite"}, {"a": {"0": "1"}, "b": "+inf", "cosets": [{"3": "1"}], "polarity": "cofinite"}]}\n'
+    ),
+    "(Q(x1) & x1 != 0) | x1 = r2": (
+        '{"frontier": [{"2": "1"}], "pieces": [{"a": "-inf", "b": {}, "cosets": [{}], "polarity": "finite"}, {"a": {}, "b": "+inf", "cosets": [{}], "polarity": "finite"}]}\n'
+    ),
+}
+
+GOLDEN_CODE_FN = {
+    "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)": (
+        '{"exceptional": [], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [{}], "polarity": "cofinite"}]}, "intercept": {}, "slope": "1"}, {"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [{}], "polarity": "finite"}]}, "intercept": {}, "slope": "2"}]}\n'
+    ),
+    "(0 < x1 & x1 < 1 & x2 = 3*x1 + 1) | (x1 = 2 & x2 = 0)": (
+        '{"exceptional": [[{"0": "2"}, {}]], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": {}, "b": {"0": "1"}, "cosets": [], "polarity": "cofinite"}]}, "intercept": {"0": "1"}, "slope": "3"}]}\n'
+    ),
+    "(x1 < 0 & x2 = -x1) | (x1 >= 0 & x2 = x1)": (
+        '{"exceptional": [[{}, {}]], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": {}, "cosets": [], "polarity": "cofinite"}]}, "intercept": {}, "slope": "-1"}, {"domain": {"frontier": [], "pieces": [{"a": {}, "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {}, "slope": "1"}]}\n'
+    ),
+    "(x1 < 1 & x2 = 2*x1) | (x1 >= 1 & x2 = x1 + 1)": (
+        '{"exceptional": [[{"0": "1"}, {"0": "2"}]], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": {"0": "1"}, "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {"0": "1"}, "slope": "1"}, {"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": {"0": "1"}, "cosets": [], "polarity": "cofinite"}]}, "intercept": {}, "slope": "2"}]}\n'
+    ),
+    "x2 = 3*x1 - r2": (
+        '{"exceptional": [], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {"2": "-1"}, "slope": "3"}]}\n'
+    ),
+    "(Q(x1 - r2) & x2 = x1) | (!Q(x1 - r2) & x2 = 0)": (
+        '{"exceptional": [], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [{"2": "1"}], "polarity": "cofinite"}]}, "intercept": {}, "slope": "0"}, {"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [{"2": "1"}], "polarity": "finite"}]}, "intercept": {}, "slope": "1"}]}\n'
+    ),
+    "(0 < x1 & x2 = 1) | (x1 = 0 & x2 = 5) | (x1 < 0 & pi(x1) = pi(r3) & x2 = x1)": (
+        '{"exceptional": [[{}, {"0": "5"}]], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": {}, "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {"0": "1"}, "slope": "0"}, {"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": {}, "cosets": [{"3": "1"}], "polarity": "finite"}]}, "intercept": {}, "slope": "1"}]}\n'
+    ),
+    "(x1 = r2 & x2 = 1) | (x1 = 3 & x2 = r3)": (
+        '{"exceptional": [[{"2": "1"}, {"0": "1"}], [{"0": "3"}, {"3": "1"}]], "pieces": []}\n'
+    ),
+}
+
+GOLDEN_QE = {
+    ("povs", "E x1. (0 < x1 & x1 < x2 & Q(x1))"): "0 < x2\n",
+    ("povs", "E x1. (pi(x1) = u1 & pi(x1) != u2)"): "u1 != u2\n",
+    ("povs-prec", "E u1. (pi(x1) prec u1 & u1 prec pi(x2))"): "pi(x1) prec pi(x2)\n",
+    ("ovs", "E x1. (x1 < x2 & x3 < x1 & 2*x1 = x4 + 1)"): "1/2*x4 + 1/2 < x2 & x3 < 1/2*x4 + 1/2\n",
+    ("povs", "E x1. E x2. (x1 < x2 & x2 < x3 & Q(x1) & !Q(x2) & pi(x1 - x2) = u1)"): "u1 != 0\n",
+    ("povs", "E x1. (x2 < x1 & x1 < x3 & pi(x1 - x4) = u1 & !Q(x1 - x5))"): "x2 < x3 & u1 + pi(x4) != pi(x5)\n",
+    ("povs", "A x1. (x2 < x1 & x1 < x3 -> Q(x1 - x4) | x1 = x5)"): "!(x2 < x3)\n",
+    ("povs-prec", "E u1. (u2 prec u1 & u1 prec pi(x2) & u1 != u3 & u3 prec u1)"): "u2 prec pi(x2) & u3 prec pi(x2)\n",
+    ("povs", "E u1. (pi(x1) = 2*u1 + u2 & u1 != pi(x3))"): "u2 + pi(2*x3) != pi(x1)\n",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_DECOMPOSE))
+def test_decompose_json_is_byte_identical(capsys, text):
+    assert invoke(capsys, "decompose", "--format", "json", text)[:2] == (
+        0,
+        GOLDEN_DECOMPOSE[text],
+    )
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_CODE_SET))
+def test_code_set_json_is_byte_identical(capsys, text):
+    assert invoke(capsys, "code-set", "--format", "json", text)[:2] == (
+        0,
+        GOLDEN_CODE_SET[text],
+    )
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_CODE_FN))
+def test_code_fn_json_is_byte_identical(capsys, text):
+    assert invoke(capsys, "code-fn", "--format", "json", text)[:2] == (
+        0,
+        GOLDEN_CODE_FN[text],
+    )
+
+
+@pytest.mark.parametrize("theory,text", sorted(GOLDEN_QE))
+def test_qe_render_is_byte_identical(capsys, theory, text):
+    assert invoke(capsys, "qe", "--theory", theory, text)[:2] == (
+        0,
+        GOLDEN_QE[(theory, text)],
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "Q(1)" + ")" * 3000, "!" * 5000 + "Q(1)"],
+    ids=["3000-parentheses", "5000-negations"],
+)
+def test_deeply_nested_input_exits_2_without_traceback(text):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "densepairs.cli", "decide", text],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error: formula nested too deeply" in done.stderr

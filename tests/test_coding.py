@@ -60,15 +60,15 @@ def shuffle_boolean_structure(f: Formula, rng: random.Random) -> Formula:
 
 def test_code_examples():
     c = code_unary_set(parse("Q(x1)"), X)
-    assert c.frontier == ()
+    assert c.points == ()
     assert len(c.pieces) == 1
-    assert not c.pieces[0].cofinite
+    assert not c.pieces[0].is_large()
 
     same = code_unary_set(parse("Q(x1) | (Q(x1) & x1 = x1)"), X)
     assert codes_equal(c, same)
 
     point = code_unary_set(parse("x1 = 0"), X)
-    assert point.frontier == (ModelElement(),)
+    assert point.points == (ModelElement(),)
     assert point.pieces == ()
 
 
@@ -137,8 +137,8 @@ def test_function_code_piecewise_example():
         ("2", "0"),
     ]
     by_slope = {p.slope: p for p in fc.pieces}
-    assert not by_slope[Fraction(2)].domain.pieces[0].cofinite  # the subspace
-    assert by_slope[Fraction(1)].domain.pieces[0].cofinite  # its complement
+    assert not by_slope[Fraction(2)].domain.pieces[0].is_large()  # the subspace
+    assert by_slope[Fraction(1)].domain.pieces[0].is_large()  # its complement
 
 
 def test_function_code_identity_and_finite_graph():
@@ -229,8 +229,8 @@ def test_function_piece_domains_are_disjoint():
                         pa.lo.compare(pb.hi) < 0
                         and pb.lo.compare(pa.hi) < 0
                     )
-                    if overlap and not pa.cofinite and not pb.cofinite:
-                        assert not (set(pa.cosets) & set(pb.cosets))
+                    if overlap and not pa.is_large() and not pb.is_large():
+                        assert not (pa.cosets.members & pb.cosets.members)
 
 
 def test_json_shape():

@@ -14,7 +14,6 @@ from densepairs.decomposition import (
     decompose,
     generic_type_contains,
     is_small,
-    near_interior,
 )
 from densepairs.errors import ArityError, ModeError, NotGroundError
 from densepairs.evaluate import eval_formula
@@ -196,16 +195,17 @@ def test_intersection_consistency():
 
 
 def test_near_interior_examples():
-    interior, frontier = near_interior(decompose(parse("Q(x1)"), X))
-    assert frontier == [] and len(interior.pieces) == 1
+    # the near-interior is the pieces and the near-frontier the points
+    d = decompose(parse("Q(x1)"), X)
+    assert d.points == () and len(d.pieces) == 1
 
-    interior2, frontier2 = near_interior(decompose(parse("x1 = 0"), X))
-    assert interior2.is_empty() and frontier2 == [ModelElement()]
+    d2 = decompose(parse("x1 = 0"), X)
+    assert d2.pieces == () and d2.points == (ModelElement(),)
 
-    interior3, frontier3 = near_interior(decompose(parse("Q(x1) | x1 = r2"), X))
-    assert frontier3 == [parse_element("r2")]
-    assert len(interior3.pieces) == 1
-    assert interior3.pieces[0].cosets == CosetSet.just(QuotientElement())
+    d3 = decompose(parse("Q(x1) | x1 = r2"), X)
+    assert d3.points == (parse_element("r2"),)
+    assert len(d3.pieces) == 1
+    assert d3.pieces[0].cosets == CosetSet.just(QuotientElement())
 
 
 def test_near_frontier_points_fail_the_window_test():
@@ -213,9 +213,8 @@ def test_near_frontier_points_fail_the_window_test():
     # not a pure coset pattern; cross-check with evaluation probes
     f = parse("Q(x1) | x1 = r2")
     d = decompose(f, X)
-    _, frontier = near_interior(d)
     eps = Fraction(1, 1000)
-    for m in frontier:
+    for m in d.points:
         window_lo = m - ModelElement.from_rational(eps)
         window_hi = m + ModelElement.from_rational(eps)
         inside = ModelElement.from_rational(rational_between(window_lo, m))

@@ -13,6 +13,7 @@ from densepairs.model import Model, ModelElement, QuotientElement, compare, lex_
 from densepairs.oracles import oracle_exists_home, oracle_exists_quotient
 from densepairs.parser import parse, parse_element
 from densepairs.randgen import random_assignment, random_conjunction, random_element
+from densepairs.selfcheck import selfcheck
 from densepairs.terms import hvar, qvar
 
 MODEL = Model(3)
@@ -201,3 +202,15 @@ def test_quotient_order_is_dense_without_endpoints():
             lits("u0 prec pi(x1)", mode=TheoryMode.POVS_PREC), qvar(0), sigma, ordered=True
         )
         assert above[0] and below[0]
+
+
+@pytest.mark.parametrize("mode", list(TheoryMode))
+def test_selfcheck_counts_every_check_and_finds_no_disagreement(mode):
+    report = selfcheck(3, 20, mode, MODEL)
+    assert report == {
+        "seed": 3,
+        "count": 20,
+        "checks": 200,
+        "agreements": 200,
+        "disagreements": 0,
+    }
