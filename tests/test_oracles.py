@@ -1,6 +1,8 @@
 """Witness-search oracles: constructed witnesses, stability of refusals,
 and the density axioms the engine relies on."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,10 +13,10 @@ from densepairs.evaluate import eval_formula
 from densepairs.formulas import TheoryMode, make_and
 from densepairs.model import Model, ModelElement, QuotientElement, compare, lex_compare
 from densepairs.oracles import oracle_exists_home, oracle_exists_quotient
-from densepairs.parser import parse, parse_element
+from densepairs.parser import parse, parse_element, parse_quotient_element
 from densepairs.randgen import random_assignment, random_conjunction, random_element
 from densepairs.selfcheck import selfcheck
-from densepairs.terms import hvar, qvar
+from densepairs.terms import Sort, hvar, qvar
 
 MODEL = Model(3)
 
@@ -214,3 +216,106 @@ def test_selfcheck_counts_every_check_and_finds_no_disagreement(mode):
         "agreements": 200,
         "disagreements": 0,
     }
+
+
+def test_bound_variable_named_like_the_coset_stand_in():
+    # the home oracle searches for pi(v) under its own name; a caller's u0
+    # must stay a parameter of the literals, not that unknown
+    sigma = {qvar(0): QuotientElement({2: Fraction(1)})}
+    literals = lits("pi(x1) = u0", "0 < x1", "x1 < 1")
+    ok, w = oracle_exists_home(literals, hvar(1), sigma)
+    assert ok and eval_formula(make_and(literals), {**sigma, hvar(1): w})
+    assert oracle_exists_home(lits("pi(x1) = u0", "Q(x1)"), hvar(1), sigma) == (False, None)
+
+
+# Oracle outputs pinned at the commit before the two witness searches became
+# one.  Witnesses compare by value (`to_json()`, sorted keys): a witness's
+# coefficient dict may be built in another order and still be the same element.
+GOLDEN_ORACLE_CASES = [
+    # (theory, bound, literals, assignment, verdict, witness)
+    ("ovs", "x1", ["x1 = 2*x2 + 1", "x1 < 3"],
+     {"x2": "r2"}, False, None),
+    ("ovs", "x1", ["x2 < x1", "x1 < x3", "x1 != x2 + 1"],
+     {"x2": "1/2*r3", "x3": "2 + r2"}, True, {"0": "9191743189/4294967296"}),
+    ("ovs", "x1", ["3*x1 < x2", "x2 < 3*x1"],
+     {"x2": "r5"}, False, None),
+    ("povs", "x1", ["!(x1 < x2)", "!(x2 < x1)", "!Q(x1)"],
+     {"x2": "r3 - 1"}, True, {"0": "-1", "3": "1"}),
+    ("povs", "x1", ["Q(x1 - x2)", "0 < x1", "x1 < 1", "x1 != x2 + 1/2"],
+     {"x2": "1/3 + r2"}, True, {"0": "-7853034703/8589934592", "2": "1"}),
+    ("povs", "x1", ["pi(2*x1) = u1", "x2 < x1", "x1 < x2 + 1"],
+     {"x2": "r3", "u1": "pi(r2)"}, True, {"0": "26198338887/17179869184", "2": "1/2"}),
+    ("povs", "x1", ["pi(x1) != u0", "!Q(x1)", "x1 < x2"],
+     {"x2": "0", "u0": "pi(r2)"}, True, {"0": "-4", "2": "2"}),
+    ("povs", "u1", ["u1 != pi(x1)", "u1 != 0", "2*u1 != u2"],
+     {"x1": "r2", "u2": "pi(r3)"}, True, {"2": "2"}),
+    ("povs", "u1", ["3*u1 = pi(x1) + u2", "x2 < 0"],
+     {"x1": "r2", "x2": "-1", "u2": "pi(r3)"}, True, {"2": "1/3", "3": "1/3"}),
+    ("povs-prec", "u1", ["pi(x1) prec u1", "u1 prec u2", "u1 != pi(x1 + x2)"],
+     {"x1": "r3", "x2": "r3", "u2": "pi(r2)"}, True, {"2": "1/2", "3": "1/2"}),
+    ("povs-prec", "u1", ["!(u1 prec u2)", "!(u2 prec u1)"],
+     {"u2": "pi(r2 - r3)"}, True, {"2": "1", "3": "-1"}),
+    ("povs-prec", "u1", ["u2 prec -2*u1"],
+     {"u2": "pi(r5)"}, True, {"2": "-1", "5": "-1/2"}),
+    ("povs-prec", "x1", ["pi(x1) prec u1", "u1 prec pi(x1 - x2)", "0 < x1"],
+     {"x2": "r2", "u1": "pi(r3)"}, False, None),
+    ("povs-prec", "x1", ["u1 prec pi(x1)", "pi(x1) prec u2", "x1 < 0", "x1 != -1"],
+     {"u1": "pi(r3)", "u2": "pi(r2)"}, True, {"0": "-3", "2": "1/2", "3": "1/2"}),
+]
+
+
+def _var(name):
+    return (hvar if name[0] == "x" else qvar)(int(name[1:]))
+
+
+def _element(name, text):
+    return parse_element(text) if name[0] == "x" else parse_quotient_element(text)
+
+
+def _witness_text(w):
+    return "null" if w is None else json.dumps(w.to_json(), sort_keys=True)
+
+
+def _call_oracle(literals, bound, sigma, mode):
+    if bound.sort is Sort.HOME:
+        return oracle_exists_home(literals, bound, sigma)
+    return oracle_exists_quotient(literals, bound, sigma, mode is TheoryMode.POVS_PREC)
+
+
+def oracle_corpus_text(seed=2024, instances=250, assignments=4):
+    """One line per oracle call on a seeded corpus of random conjunctions.
+
+    Every theory, both bound sorts (home only in ovs) and several
+    assignments per instance; home-bound instances take u0 as a parameter.
+    """
+    rng = random.Random(seed)
+    lines = []
+    for i in range(instances):
+        mode = list(TheoryMode)[i % 3]
+        home = mode is TheoryMode.OVS or i % 2 == 0
+        bound = hvar(0) if home else qvar(0)
+        context = [hvar(1), hvar(2), qvar(1)] + ([qvar(0)] if home else [])
+        literals = random_conjunction(rng, bound, context, MODEL, mode)
+        for j in range(assignments):
+            sigma = random_assignment(rng, context, MODEL)
+            ok, w = _call_oracle(literals, bound, sigma, mode)
+            lines.append(f"{i}.{j} {mode.value} {bound} {ok} {_witness_text(w)}")
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_ORACLE_CORPUS_SHA256 = "84719c6e37d4817b4ab8b79d18c0e633e2a19c90b79ce4c3eac910375e8bca9c"
+
+
+@pytest.mark.parametrize("case", GOLDEN_ORACLE_CASES, ids=lambda c: " & ".join(c[2]))
+def test_golden_oracle_cases(case):
+    theory, bound, texts, sigma_texts, verdict, witness = case
+    mode = TheoryMode(theory)
+    sigma = {_var(name): _element(name, value) for name, value in sigma_texts.items()}
+    ok, w = _call_oracle(lits(*texts, mode=mode), _var(bound), sigma, mode)
+    assert (ok, None if w is None else w.to_json()) == (verdict, witness)
+
+
+def test_golden_oracle_corpus():
+    text = oracle_corpus_text()
+    assert text.count("\n") == 1000
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ORACLE_CORPUS_SHA256
