@@ -21,7 +21,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .formulas import Atom, Formula, TheoryMode, free_variables
+from .formulas import Atom, Formula, TheoryMode, all_atoms, free_variables
 from .measure import measure
 from .model import Model
 from .parser import parse, render
@@ -82,18 +82,12 @@ def _read_formula(args, mode: TheoryMode, model: Model) -> Formula:
 
 
 def _check_constants(f: Formula, model: Model) -> None:
-    from .formulas import all_atoms
-
     for atom in all_atoms(f):
-        payload = atom.payload
-        constants = [payload.constant]
-        if hasattr(payload, "pushed"):
-            constants.append(payload.pushed.constant)
-        for c in constants:
-            if not model.contains(c):
-                raise InputError(
-                    f"constant {c} uses radicands outside the dimension-{model.dim} model"
-                )
+        c = atom.payload.constant
+        if not model.contains(c):
+            raise InputError(
+                f"constant {c} uses radicands outside the dimension-{model.dim} model"
+            )
 
 
 def _single_free_variable(f: Formula, sort: Sort) -> Variable:

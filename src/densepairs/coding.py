@@ -178,9 +178,10 @@ def code_function(
 
     domain_formula = qe(Exists(y, g), TheoryMode.POVS)
 
+    lines = _line_candidates(g, x, y)
     pieces: list[FunctionPiece] = []
     domain_formulas: list[Formula] = []
-    for slope, intercept in _line_candidates(g, x, y):
+    for slope, intercept in lines:
         line = HomeTerm.from_variable(x).scale(slope) + HomeTerm.from_element(intercept)
         on_line = substitute(g, y, line)
         d = decompose(on_line, x)
@@ -203,32 +204,21 @@ def code_function(
         raise InfiniteResidualError(
             "candidate lines leave an infinite part of the domain uncovered"
         )
-    exceptional = []
-    for e in rd.points:
-        value = _function_value(g, x, y, e, pieces)
-        exceptional.append((e, value))
+    exceptional = [(e, _function_value(g, x, y, e, lines)) for e in rd.points]
     exceptional.sort(key=cmp_to_key(lambda p, q: compare(p[0], q[0])))
 
     return FunctionCode(tuple(exceptional), tuple(pieces))
 
 
 def _function_value(
-    g: Formula, x: Variable, y: Variable, at: ModelElement, pieces
+    g: Formula, x: Variable, y: Variable, at: ModelElement, lines
 ) -> ModelElement:
-    tried = set()
-    for piece in pieces:
-        candidate = at.scale(piece.slope) + piece.intercept
-        if candidate not in tried:
-            tried.add(candidate)
-            if eval_formula(g, {x: at, y: candidate}):
-                return candidate
-    # fall back to every line the eliminated form mentions
-    for slope, intercept in _line_candidates(g, x, y):
+    """The graph's value at a point, read off the first line through it;
+    the graph is functional, so no other line can give another value."""
+    for slope, intercept in lines:
         candidate = at.scale(slope) + intercept
-        if candidate not in tried:
-            tried.add(candidate)
-            if eval_formula(g, {x: at, y: candidate}):
-                return candidate
+        if eval_formula(g, {x: at, y: candidate}):
+            return candidate
     raise InternalError(f"no candidate line passes through the graph at {at}")
 
 

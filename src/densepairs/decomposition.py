@@ -283,13 +283,8 @@ class _CellConjunct:
 
 def _coset_of_literal(atom: Atom, v: Variable) -> QuotientElement:
     """The coset that a membership/quotient literal pins pi(v) to."""
-    if atom.kind is AtomKind.IN_Q:
-        coeff = atom.payload.coeff(v)
-        rest = atom.payload.without(v).evaluate({})
-        return project(rest).scale(-1 / coeff)
-    coeff = atom.payload.coeff(v)
-    rest = atom.payload.without(v).evaluate({})
-    return rest.scale(-1 / coeff)
+    point = atom.payload.without(v).evaluate({}).scale(-1 / atom.payload.coeff(v))
+    return project(point) if atom.kind is AtomKind.IN_Q else point
 
 
 def decompose(

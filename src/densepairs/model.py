@@ -57,7 +57,7 @@ def sqrt_enclosure(radicand: int, bits: int) -> tuple[Fraction, Fraction]:
 
 def _clean(coeffs: Coeffs) -> dict[int, Fraction]:
     out = {}
-    for k, v in (coeffs.items() if isinstance(coeffs, Mapping) else coeffs):
+    for k, v in dict(coeffs).items():
         q = Fraction(v)
         if q != 0:
             out[int(k)] = q
@@ -270,11 +270,6 @@ def project(a: ModelElement) -> QuotientElement:
 def section(w: QuotientElement) -> ModelElement:
     """Canonical right inverse of `project`: the representative with zero rational part."""
     return ModelElement(w._coeffs)
-
-
-ZERO = ModelElement()
-ONE = ModelElement.from_rational(1)
-QZERO = QuotientElement()
 
 
 def render_combination(items: list[tuple[Fraction, str | None]]) -> str:

@@ -1,14 +1,18 @@
 """Witness-search satisfiability oracles over the reference model.
 
 These decide single-variable conjunctions by direct construction and are
-the package's independent check on the symbolic eliminator: equalities
-are solved by substitution, order literals cut the line (or the ordered
-quotient) down to an open interval, and membership literals pin or
-exclude finitely many cosets.  Density does the rest -- the rational
-line and every one of its cosets is dense in the model, and only
-finitely many points or cosets are ever excluded, so a witness can be
-found whenever one exists.  Every returned witness is re-checked by
-evaluation before it is handed back.
+the package's independent check on the symbolic eliminator.  Each
+literal on v is read as ``coeff * v + rest`` with the rest evaluated
+under the assignment, so it names one point: an equation pins v there, a
+disequation excludes it, and order literals cut the line (or the ordered
+quotient) down to an open interval.  For a home-sort v, membership and
+quotient literals constrain only the coset of v; they become ground
+literals on a stand-in for pi(v), which the same search solves first.
+Density does the rest -- the rational line and every one of its cosets
+is dense in the model, and only finitely many points are ever excluded,
+so a witness can be found whenever one exists.  Every returned witness
+is re-checked by evaluating the caller's literals before it is handed
+back.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import InternalError, ModeError, SortError
+from .errors import InternalError, ModeError, NotGroundError, SortError
 from .evaluate import Assignment, eval_formula
-from .formulas import Atom, AtomKind, Formula, Not, ground, literal_parts
+from .formulas import AtomKind, Formula, Not, literal_parts, quot_eq, quot_prec
 from .model import (
     ModelElement,
     QuotientElement,
@@ -43,31 +47,19 @@ class _Bound:
         self.strict = strict
 
 
-def _tighten_lower(current: _Bound | None, new: _Bound, cmp) -> _Bound:
+def _tighten(current: _Bound | None, new: _Bound, cmp, side: int) -> _Bound:
+    """The tighter of two bounds on one side: +1 for upper, -1 for lower."""
     if current is None:
         return new
-    c = cmp(new.value, current.value)
-    if c > 0 or (c == 0 and new.strict and not current.strict):
-        return new
-    return current
-
-
-def _tighten_upper(current: _Bound | None, new: _Bound, cmp) -> _Bound:
-    if current is None:
-        return new
-    c = cmp(new.value, current.value)
+    c = cmp(new.value, current.value) * side
     if c < 0 or (c == 0 and new.strict and not current.strict):
         return new
     return current
 
 
-def _verify(literals: Sequence[Formula], binding: Assignment) -> bool:
+def _holds(literals: Sequence[Formula], binding: Assignment) -> bool:
     return all(eval_formula(lit, binding) for lit in literals)
 
-
-# ---------------------------------------------------------------------------
-# Quotient-sort search
-# ---------------------------------------------------------------------------
 
 _QUNIT = QuotientElement({2: Fraction(1)})
 
@@ -97,98 +89,6 @@ def _quotient_candidates(
             yield _QUNIT.scale(k)
 
 
-def _solve_quotient(
-    literals: Sequence[Formula], v: Variable, ordered: bool
-) -> tuple[bool, QuotientElement | None]:
-    """Search for a quotient value of v satisfying ground unary literals."""
-    residue: list[Formula] = []
-    vlits: list[tuple[Atom, bool, Fraction]] = []
-    for lit in literals:
-        atom, positive = literal_parts(lit)
-        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q):
-            residue.append(lit)  # ground after substitution; v cannot occur
-            continue
-        if atom.kind is AtomKind.QUOT_PREC and not ordered:
-            raise ModeError("prec literals require the ordered quotient oracle")
-        coeff = atom.payload.coeff(v)
-        if coeff == 0:
-            residue.append(lit)
-        else:
-            vlits.append((atom, positive, coeff))
-
-    if not _verify(residue, {}):
-        return False, None
-
-    # an equation pins the value
-    for atom, positive, coeff in vlits:
-        if atom.kind is AtomKind.QUOT_EQ and positive:
-            rest = atom.payload.without(v)
-            value = rest.evaluate({}).scale(-1 / coeff)
-            ok = _verify(literals, {v: value})
-            return (True, value) if ok else (False, None)
-
-    lower: _Bound | None = None
-    upper: _Bound | None = None
-    excluded: set[QuotientElement] = set()
-    for atom, positive, coeff in vlits:
-        point = atom.payload.without(v).evaluate({}).scale(-1 / coeff)
-        if atom.kind is AtomKind.QUOT_EQ:
-            excluded.add(point)  # negated equation
-        elif positive:  # coeff * v + rest prec 0
-            if coeff > 0:
-                upper = _tighten_upper(upper, _Bound(point, True), lex_compare)
-            else:
-                lower = _tighten_lower(lower, _Bound(point, True), lex_compare)
-        else:  # not (coeff * v + rest prec 0)  <=>  weak bound the other way
-            if coeff > 0:
-                lower = _tighten_lower(lower, _Bound(point, False), lex_compare)
-            else:
-                upper = _tighten_upper(upper, _Bound(point, False), lex_compare)
-
-    if lower is not None and upper is not None:
-        c = lex_compare(lower.value, upper.value)
-        if c > 0:
-            return False, None
-        if c == 0:
-            if lower.strict or upper.strict:
-                return False, None
-            value = lower.value
-            return (True, value) if _verify(literals, {v: value}) else (False, None)
-
-    for candidate in _quotient_candidates(lower, upper, len(excluded) + 1):
-        if candidate not in excluded:
-            if not _verify(literals, {v: candidate}):
-                raise InternalError("quotient witness failed re-evaluation")
-            return True, candidate
-    raise InternalError("quotient candidate enumeration exhausted")
-
-
-def oracle_exists_quotient(
-    literals: Sequence[Formula],
-    v: Variable,
-    assignment: Assignment | None = None,
-    ordered: bool = False,
-) -> tuple[bool, QuotientElement | None]:
-    """Decide whether some quotient value of v satisfies all literals.
-
-    In unordered mode any finite set of disequations is satisfiable in
-    the infinite quotient space; ordered mode additionally intersects
-    the strict/weak bounds of the dense quotient order.
-    """
-    if v.sort is not Sort.QUOTIENT:
-        raise SortError(f"{v} is not a quotient-sort variable")
-    grounded = []
-    for lit in literals:
-        literal_parts(lit)  # reject anything that is not a literal
-        grounded.append(ground(lit, {v}, assignment))
-    return _solve_quotient(grounded, v, ordered)
-
-
-# ---------------------------------------------------------------------------
-# Home-sort search
-# ---------------------------------------------------------------------------
-
-
 def _home_candidates(
     lower: _Bound | None, upper: _Bound | None, base: ModelElement, count: int
 ) -> Iterator[ModelElement]:
@@ -214,93 +114,111 @@ def _home_candidates(
             yield base + ModelElement.from_rational(k)
 
 
-def _solve_home(
-    literals: Sequence[Formula], v: Variable
-) -> tuple[bool, ModelElement | None]:
-    residue: list[Formula] = []
-    vlits: list[tuple[Atom, bool, Fraction]] = []
+# the unknown coset pi(v) of a home-sort search; its literals are ground
+_COSET = Variable(Sort.QUOTIENT, 0)
+
+
+def _solve(
+    literals: Sequence[Formula], v: Variable, assignment: Assignment
+) -> tuple[bool, ModelElement | QuotientElement | None]:
+    """Search for a value of v satisfying literals whose parameters are bound."""
+    home = v.sort is Sort.HOME
+    eq_kind, order_kind, cmp = (
+        (AtomKind.HOME_EQ, AtomKind.HOME_LT, compare)
+        if home
+        else (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, lex_compare)
+    )
+    pinned = None
+    bounds: dict[int, _Bound | None] = {-1: None, 1: None}
+    excluded = set()
+    coset_literals: list[Formula] = []
     for lit in literals:
         atom, positive = literal_parts(lit)
         coeff = atom.payload.coeff(v)
         if coeff == 0:
-            residue.append(lit)
+            if not eval_formula(lit, assignment):
+                return False, None
+            continue
+        rest = atom.payload.without(v).evaluate(assignment)
+        if atom.kind is eq_kind:
+            point = rest.scale(-1 / coeff)
+            if not positive:
+                excluded.add(point)
+            elif pinned is None:
+                pinned = point
+        elif atom.kind is order_kind:
+            # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0;
+            # its negation bounds v weakly from the other side
+            side = 1 if (coeff > 0) == positive else -1
+            new = _Bound(rest.scale(-1 / coeff), positive)
+            bounds[side] = _tighten(bounds[side], new, cmp, side)
         else:
-            vlits.append((atom, positive, coeff))
+            # a membership or quotient literal on v: a literal on its coset
+            if atom.kind is AtomKind.IN_Q:
+                rest = project(rest)
+            factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
+            watom = factory(QuotientTerm({_COSET: coeff}, None, rest))
+            coset_literals.append(watom if positive else Not(watom))
 
-    if not _verify(residue, {}):
-        return False, None
-
-    for atom, positive, coeff in vlits:
-        if atom.kind is AtomKind.HOME_EQ and positive:
-            rest = atom.payload.without(v)
-            value = rest.evaluate({}).scale(-1 / coeff)
-            ok = _verify(literals, {v: value})
-            return (True, value) if ok else (False, None)
-
-    lower: _Bound | None = None
-    upper: _Bound | None = None
-    excluded_points: set[ModelElement] = set()
-    # constraints on the coset of v, phrased over a stand-in quotient variable
-    w = Variable(Sort.QUOTIENT, 0)
-    wlits: list[Formula] = []
-    ordered = False
-    for atom, positive, coeff in vlits:
-        if atom.kind is AtomKind.HOME_EQ:
-            excluded_points.add(atom.payload.without(v).evaluate({}).scale(-1 / coeff))
-        elif atom.kind is AtomKind.HOME_LT:
-            point = atom.payload.without(v).evaluate({}).scale(-1 / coeff)
-            if positive:
-                if coeff > 0:
-                    upper = _tighten_upper(upper, _Bound(point, True), compare)
-                else:
-                    lower = _tighten_lower(lower, _Bound(point, True), compare)
-            else:
-                if coeff > 0:
-                    lower = _tighten_lower(lower, _Bound(point, False), compare)
-                else:
-                    upper = _tighten_upper(upper, _Bound(point, False), compare)
-        else:
-            # membership/coset literal: rewrite over the stand-in w = pi(v)
-            watom = _coset_literal_over(atom, v, coeff, w)
-            if atom.kind is AtomKind.QUOT_PREC:
-                ordered = True
-            wlits.append(watom if positive else Not(watom))
-
-    if lower is not None and upper is not None:
-        c = compare(lower.value, upper.value)
-        if c > 0:
+    lower, upper = bounds[-1], bounds[1]
+    if pinned is None and lower is not None and upper is not None:
+        c = cmp(lower.value, upper.value)
+        if c > 0 or (c == 0 and (lower.strict or upper.strict)):
             return False, None
         if c == 0:
-            if lower.strict or upper.strict:
-                return False, None
-            value = lower.value
-            return (True, value) if _verify(literals, {v: value}) else (False, None)
+            pinned = lower.value
+    if pinned is not None:
+        ok = _holds(literals, {**assignment, v: pinned})
+        return (True, pinned) if ok else (False, None)
 
-    ok, wvalue = _solve_quotient(wlits, w, ordered) if wlits else (True, QuotientElement())
-    if not ok:
-        return False, None
-    base = section(wvalue)
-
-    bad_in_coset = {p for p in excluded_points if project(p) == wvalue}
-    for candidate in _home_candidates(lower, upper, base, len(bad_in_coset) + 1):
-        if candidate not in bad_in_coset:
-            if not _verify(literals, {v: candidate}):
-                raise InternalError("home witness failed re-evaluation")
+    if home:
+        ok, coset = _solve(coset_literals, _COSET, {})
+        if not ok:
+            return False, None
+        excluded = {p for p in excluded if project(p) == coset}
+        candidates = _home_candidates(lower, upper, section(coset), len(excluded) + 1)
+    else:
+        candidates = _quotient_candidates(lower, upper, len(excluded) + 1)
+    for candidate in candidates:
+        if candidate not in excluded:
+            if not _holds(literals, {**assignment, v: candidate}):
+                raise InternalError(f"{v.sort.value} witness failed re-evaluation")
             return True, candidate
-    raise InternalError("home candidate enumeration exhausted")
+    raise InternalError(f"{v.sort.value} candidate enumeration exhausted")
 
 
-def _coset_literal_over(atom: Atom, v: Variable, coeff: Fraction, w: Variable) -> Atom:
-    """Rewrite a membership/quotient literal on v as a literal on w = pi(v)."""
-    from .formulas import quot_eq, quot_prec
+def _check_literals(
+    literals: Sequence[Formula], v: Variable, assignment: Assignment
+) -> None:
+    """Reject a non-literal or a parameter the assignment leaves unbound."""
+    for lit in literals:
+        atom, _ = literal_parts(lit)
+        for var in sorted(atom.payload.variables() - {v}, key=Variable.sort_key):
+            if var not in assignment:
+                raise NotGroundError(f"{var} is not bound by the assignment")
 
-    if atom.kind is AtomKind.IN_Q:
-        rest = atom.payload.without(v)  # coeff*v + rest in Q  <=>  coeff*w + pi(rest) = 0
-        s = QuotientTerm({w: coeff}) + QuotientTerm.project_term(rest)
-        return quot_eq(s)
-    rest_term = atom.payload.without(v)
-    s = QuotientTerm({w: coeff}) + rest_term
-    return quot_eq(s) if atom.kind is AtomKind.QUOT_EQ else quot_prec(s)
+
+def oracle_exists_quotient(
+    literals: Sequence[Formula],
+    v: Variable,
+    assignment: Assignment | None = None,
+    ordered: bool = False,
+) -> tuple[bool, QuotientElement | None]:
+    """Decide whether some quotient value of v satisfies all literals.
+
+    In unordered mode any finite set of disequations is satisfiable in
+    the infinite quotient space; ordered mode additionally intersects
+    the strict/weak bounds of the dense quotient order.
+    """
+    if v.sort is not Sort.QUOTIENT:
+        raise SortError(f"{v} is not a quotient-sort variable")
+    assignment = assignment or {}
+    _check_literals(literals, v, assignment)
+    if not ordered and any(
+        literal_parts(lit)[0].kind is AtomKind.QUOT_PREC for lit in literals
+    ):
+        raise ModeError("prec literals require the ordered quotient oracle")
+    return _solve(literals, v, assignment)
 
 
 def oracle_exists_home(
@@ -317,8 +235,6 @@ def oracle_exists_home(
     """
     if v.sort is not Sort.HOME:
         raise SortError(f"{v} is not a home-sort variable")
-    grounded = []
-    for lit in literals:
-        literal_parts(lit)  # reject anything that is not a literal
-        grounded.append(ground(lit, {v}, assignment))
-    return _solve_home(grounded, v)
+    assignment = assignment or {}
+    _check_literals(literals, v, assignment)
+    return _solve(literals, v, assignment)

@@ -58,7 +58,7 @@ def qvar(index: int) -> Variable:
 
 def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
     out = {}
-    for v, q in (coeffs.items() if isinstance(coeffs, Mapping) else coeffs):
+    for v, q in dict(coeffs).items():
         if v.sort is not sort:
             raise SortError(f"variable {v} is not of sort {sort.value}")
         q = Fraction(q)
@@ -106,10 +106,6 @@ class HomeTerm:
 
     def is_zero(self) -> bool:
         return not self._coeffs and self._constant.is_zero()
-
-    def is_symbolic(self) -> bool:
-        """True when the constant part is a plain rational multiple of 1."""
-        return self._constant.in_q()
 
     def without(self, v: Variable) -> "HomeTerm":
         return HomeTerm({w: q for w, q in self._coeffs.items() if w != v}, self._constant)
