@@ -5,24 +5,11 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .errors import QuantifiedInputError
-from .formulas import And, Atom, AtomKind, BoolConst, Exists, Forall, Formula, Not, Or
+from .formulas import And, Atom, BoolConst, Exists, Forall, Formula, Not, Or, eval_atom
 from .model import ModelElement, QuotientElement
 from .terms import Variable
 
 Assignment = Mapping[Variable, Union[ModelElement, QuotientElement]]
-
-
-def eval_atom(atom: Atom, assignment: Assignment) -> bool:
-    value = atom.payload.evaluate(assignment)
-    if atom.kind is AtomKind.HOME_EQ:
-        return value.is_zero()
-    if atom.kind is AtomKind.HOME_LT:
-        return value.sign() < 0
-    if atom.kind is AtomKind.IN_Q:
-        return value.in_q()
-    if atom.kind is AtomKind.QUOT_EQ:
-        return value.is_zero()
-    return value.lex_sign() < 0
 
 
 def eval_formula(f: Formula, assignment: Assignment) -> bool:

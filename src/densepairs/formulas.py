@@ -25,7 +25,7 @@ from .errors import (
     QuantifiedInputError,
     SortError,
 )
-from .terms import HomeTerm, QuotientTerm, Sort, Term, Variable, term_sort
+from .terms import TERM_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
 
 if TYPE_CHECKING:
     from .evaluate import Assignment
@@ -175,44 +175,16 @@ def _wrap(f: Formula, need: int) -> str:
 
 def _atom_sides(t: Term) -> tuple[str, str]:
     """Split a one-sided payload into positive/negative halves for display."""
-    if isinstance(t, HomeTerm):
-        pos = HomeTerm(
-            {v: q for v, q in t.coeffs.items() if q > 0},
-            type(t.constant)({k: q for k, q in t.constant.items() if q > 0}),
-        )
-        neg = HomeTerm(
-            {v: -q for v, q in t.coeffs.items() if q < 0},
-            type(t.constant)({k: -q for k, q in t.constant.items() if q < 0}),
-        )
-        return str(pos), str(neg)
-    pos = QuotientTerm(
-        {v: q for v, q in t.coeffs.items() if q > 0},
-        HomeTerm({v: q for v, q in t.pushed.coeffs.items() if q > 0}),
-        type(t.constant)({k: q for k, q in t.constant.items() if q > 0}),
-    )
-    neg = QuotientTerm(
-        {v: -q for v, q in t.coeffs.items() if q < 0},
-        HomeTerm({v: -q for v, q in t.pushed.coeffs.items() if q < 0}),
-        type(t.constant)({k: -q for k, q in t.constant.items() if q < 0}),
-    )
+    pos, neg = t.halves()
     return str(pos), str(neg)
 
 
 def _lead_coeff(t: Term) -> Fraction | None:
-    """First nonzero coefficient by variable order, else by radicand order."""
-    if isinstance(t, HomeTerm):
-        if t.coeffs:
-            v = min(t.coeffs, key=lambda w: w.index)
-            return t.coeffs[v]
-        for _, q in t.constant.items():
-            return q
-        return None
-    if t.coeffs:
-        v = min(t.coeffs, key=lambda w: w.index)
-        return t.coeffs[v]
-    if t.pushed.coeffs:
-        v = min(t.pushed.coeffs, key=lambda w: w.index)
-        return t.pushed.coeffs[v]
+    """First nonzero coefficient: quotient variables by index, then home
+    variables by index, then the constant by radicand."""
+    variables = t.variables()
+    if variables:
+        return t.coeff(min(variables, key=lambda w: (w.sort is Sort.HOME, w.index)))
     for _, q in t.constant.items():
         return q
     return None
@@ -249,6 +221,29 @@ def quot_eq(s: QuotientTerm) -> Atom:
 
 def quot_prec(s: QuotientTerm) -> Atom:
     return Atom(AtomKind.QUOT_PREC, _normalize(s, sign_free=False))
+
+
+_ATOM_FACTORY = {
+    AtomKind.HOME_EQ: home_eq,
+    AtomKind.HOME_LT: home_lt,
+    AtomKind.IN_Q: in_q,
+    AtomKind.QUOT_EQ: quot_eq,
+    AtomKind.QUOT_PREC: quot_prec,
+}
+
+
+def eval_atom(atom: Atom, assignment: Assignment) -> bool:
+    """Truth of an atom under an assignment; `simplify` folds ground atoms with it."""
+    value = atom.payload.evaluate(assignment)
+    if atom.kind is AtomKind.HOME_EQ:
+        return value.is_zero()
+    if atom.kind is AtomKind.HOME_LT:
+        return value.sign() < 0
+    if atom.kind is AtomKind.IN_Q:
+        return value.in_q()
+    if atom.kind is AtomKind.QUOT_EQ:
+        return value.is_zero()
+    return value.lex_sign() < 0
 
 
 def make_not(f: Formula) -> Formula:
@@ -380,8 +375,8 @@ def check_mode(f: Formula, mode: TheoryMode) -> None:
 
 def substitute(f: Formula, v: Variable, t: Term) -> Formula:
     """Replace every free occurrence of v by t, renormalizing all terms."""
-    if v.sort is not term_sort(t):
-        raise SortError(f"cannot substitute {term_sort(t).value} term for {v}")
+    if v.sort is not t.sort:
+        raise SortError(f"cannot substitute {t.sort.value} term for {v}")
     t_vars = t.variables()
     captured = bound_variables(f) & t_vars
     if captured:
@@ -416,46 +411,18 @@ def ground(
             continue
         if var not in assignment:
             raise NotGroundError(f"{var} is not bound by the assignment")
-        value = assignment[var]
-        term = (
-            HomeTerm.from_element(value)
-            if var.sort is Sort.HOME
-            else QuotientTerm.from_element(value)
-        )
-        f = substitute(f, var, term)
+        f = substitute(f, var, TERM_CLASS[var.sort].from_element(assignment[var]))
     return f
 
 
 def _substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
-    payload = a.payload
-    if isinstance(payload, HomeTerm):
-        if v.sort is not Sort.HOME or payload.coeff(v) == 0:
-            return a
-        new = payload.substitute(v, t)  # type: ignore[arg-type]
-    else:
-        if v.sort is Sort.HOME:
-            new = payload.substitute_home(v, t)  # type: ignore[arg-type]
-        else:
-            new = payload.substitute_quotient(v, t)  # type: ignore[arg-type]
-        if new == payload:
-            return a
-    factory = {
-        AtomKind.HOME_EQ: home_eq,
-        AtomKind.HOME_LT: home_lt,
-        AtomKind.IN_Q: in_q,
-        AtomKind.QUOT_EQ: quot_eq,
-        AtomKind.QUOT_PREC: quot_prec,
-    }[a.kind]
-    return factory(new)
+    if a.payload.coeff(v) == 0:
+        return a
+    return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t))
 
 
 def rename_variable(f: Formula, old: Variable, new: Variable) -> Formula:
-    term: Term
-    if old.sort is Sort.HOME:
-        term = HomeTerm.from_variable(new)
-    else:
-        term = QuotientTerm.from_variable(new)
-    return substitute(f, old, term)
+    return substitute(f, old, TERM_CLASS[old.sort].from_variable(new))
 
 
 def standardize(f: Formula) -> Formula:
@@ -638,17 +605,6 @@ def simplify(f: Formula) -> Formula:
 
 
 def _fold_ground(a: Atom) -> Formula:
-    t = a.payload
-    if not t.is_ground():
+    if not a.payload.is_ground():
         return a
-    if isinstance(t, HomeTerm):
-        value = t.constant
-        if a.kind is AtomKind.HOME_EQ:
-            return TRUE if value.is_zero() else FALSE
-        if a.kind is AtomKind.HOME_LT:
-            return TRUE if value.sign() < 0 else FALSE
-        return TRUE if value.in_q() else FALSE
-    value = t.constant
-    if a.kind is AtomKind.QUOT_EQ:
-        return TRUE if value.is_zero() else FALSE
-    return TRUE if value.lex_sign() < 0 else FALSE
+    return TRUE if eval_atom(a, {}) else FALSE

@@ -19,14 +19,13 @@ suite checks rather than assumes).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Fraction
 Coeffs = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
-
-_enclosure_cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
 
 def nth_primes(n: int) -> list[int]:
@@ -44,15 +43,11 @@ def is_prime(k: int) -> bool:
     return k >= 2 and all(k % p for p in range(2, math.isqrt(k) + 1))
 
 
+@functools.lru_cache(maxsize=1024)
 def sqrt_enclosure(radicand: int, bits: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width 2**-bits containing sqrt(radicand)."""
-    key = (radicand, bits)
-    got = _enclosure_cache.get(key)
-    if got is None:
-        r = math.isqrt(radicand << (2 * bits))
-        got = (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))
-        _enclosure_cache[key] = got
-    return got
+    r = math.isqrt(radicand << (2 * bits))
+    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
 def _clean(coeffs: Coeffs) -> dict[int, Fraction]:
@@ -202,6 +197,8 @@ class ModelElement(_SpanElement):
 
     def decimal_str(self, digits: int = 12) -> str:
         """Decimal approximation, rounded to `digits` places."""
+        if digits < 0:
+            raise ValueError(f"number of decimal digits must be nonnegative, got {digits}")
         bits = 4 * (digits + 3) + 16
         lo, hi = self.enclosure(bits)
         mid = (lo + hi) / 2
@@ -316,12 +313,16 @@ def rational_above(a: ModelElement) -> Fraction:
     return Fraction(-((-hi).numerator // hi.denominator) + 1)
 
 
+MAX_DIM = 1000
+
+
 class Model:
     """A concrete reference structure of home-sort dimension dim >= 2.
 
     The basis is 1 together with the square roots of the first dim - 1
     primes; dim >= 2 keeps the rational line a proper subspace, so the
-    density axioms of the pair hold.
+    density axioms of the pair hold.  dim is capped at MAX_DIM because the
+    prime table is built by trial division.
     """
 
     __slots__ = ("dim", "primes")
@@ -329,6 +330,8 @@ class Model:
     def __init__(self, dim: int = 3):
         if dim < 2:
             raise ValueError("model dimension must be at least 2")
+        if dim > MAX_DIM:
+            raise ValueError(f"model dimension must be at most {MAX_DIM}")
         self.dim = dim
         self.primes = tuple(nth_primes(dim - 1))
 

@@ -1,13 +1,14 @@
 """Linear terms over the two sorts, kept in normal form.
 
-A home term is a rational coefficient map over home variables plus a
-constant element of the model; a quotient term is a coefficient map over
-quotient variables, a single aggregated application of the quotient map
-to a home combination, and a quotient constant.  Every constructor
-normalizes, so two terms denote the same affine function exactly when
-they are structurally equal.  The quotient map is linear, which is what
-justifies folding nested/multiple applications into one and splitting
-the constant out of the pushed part.
+A term is one rational coefficient map over variables plus a constant.
+A home term maps home variables and has a home constant.  A quotient term
+maps quotient variables and, in the same map, home variables read under
+the quotient map pi: since pi is linear, ``u1 + pi(2*x1) + pi(x2 + r3)``
+is the form ``u1 + 2*pi(x1) + pi(x2)`` plus the quotient constant
+``pi(r3)``, so nested and repeated applications fold into one.  Every
+constructor normalizes, so two terms denote the same affine function
+exactly when they are structurally equal.  Both sorts share one
+implementation of the linear operations and of `substitute`.
 """
 
 from __future__ import annotations
@@ -67,32 +68,35 @@ def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
     return out
 
 
-class HomeTerm:
-    """An affine combination a1*x_{i1} + ... + an*x_{in} + c over the home sort."""
+class _Term:
+    """A linear form: one coefficient map over variables plus a constant.
+
+    Subclasses fix the sort of the value and of the constant.  Operations
+    build results with `_make`, which trusts its map to be clean already:
+    variables of the right sorts mapped to nonzero Fractions.
+    """
 
     __slots__ = ("_coeffs", "_constant", "_hash")
-
-    def __init__(self, coeffs=(), constant: ModelElement | Fraction | int = 0):
-        self._coeffs = _clean_varmap(coeffs, Sort.HOME)
-        if not isinstance(constant, ModelElement):
-            constant = ModelElement.from_rational(Fraction(constant))
-        self._constant = constant
-        self._hash = None
+    sort: Sort
 
     @classmethod
-    def from_variable(cls, v: Variable) -> "HomeTerm":
+    def _make(cls, coeffs: dict[Variable, Fraction], constant):
+        t = object.__new__(cls)
+        t._coeffs = coeffs
+        t._constant = constant
+        t._hash = None
+        return t
+
+    @classmethod
+    def from_variable(cls, v: Variable):
         return cls({v: Fraction(1)})
-
-    @classmethod
-    def from_element(cls, a: ModelElement) -> "HomeTerm":
-        return cls((), a)
 
     @property
     def coeffs(self) -> dict[Variable, Fraction]:
-        return dict(self._coeffs)
+        return {v: q for v, q in self._coeffs.items() if v.sort is self.sort}
 
     @property
-    def constant(self) -> ModelElement:
+    def constant(self):
         return self._constant
 
     def coeff(self, v: Variable) -> Fraction:
@@ -107,10 +111,12 @@ class HomeTerm:
     def is_zero(self) -> bool:
         return not self._coeffs and self._constant.is_zero()
 
-    def without(self, v: Variable) -> "HomeTerm":
-        return HomeTerm({w: q for w, q in self._coeffs.items() if w != v}, self._constant)
+    def without(self, v: Variable):
+        return self._make({w: q for w, q in self._coeffs.items() if w != v}, self._constant)
 
-    def __add__(self, other: "HomeTerm") -> "HomeTerm":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         out = dict(self._coeffs)
         for v, q in other._coeffs.items():
             w = out.get(v, 0) + q
@@ -118,23 +124,72 @@ class HomeTerm:
                 out[v] = w
             else:
                 out.pop(v, None)
-        return HomeTerm(out, self._constant + other._constant)
+        return self._make(out, self._constant + other._constant)
 
-    def __sub__(self, other: "HomeTerm") -> "HomeTerm":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "HomeTerm":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, q) -> "HomeTerm":
+    def scale(self, q):
         q = Fraction(q)
-        return HomeTerm({v: q * c for v, c in self._coeffs.items()}, self._constant.scale(q))
+        coeffs = {v: q * c for v, c in self._coeffs.items()} if q else {}
+        return self._make(coeffs, self._constant.scale(q))
 
-    def substitute(self, v: Variable, t: "HomeTerm") -> "HomeTerm":
-        a = self.coeff(v)
-        if a == 0:
+    def substitute(self, v: Variable, t: "_Term"):
+        """Replace v by a term of its sort; a home term goes under pi in a quotient term."""
+        if t.sort is not v.sort:
+            raise TypeError(f"cannot substitute {type(t).__name__} for {v}")
+        a = self._coeffs.get(v)
+        if a is None:
             return self
+        if t.sort is not self.sort:
+            t = QuotientTerm.project_term(t)
         return self.without(v) + t.scale(a)
+
+    def halves(self):
+        """The positive and the negated negative part: self == pos - neg."""
+        c = self._constant
+        pos = self._make(
+            {v: q for v, q in self._coeffs.items() if q > 0},
+            type(c)({k: q for k, q in c.items() if q > 0}),
+        )
+        neg = self._make(
+            {v: -q for v, q in self._coeffs.items() if q < 0},
+            type(c)({k: -q for k, q in c.items() if q < 0}),
+        )
+        return pos, neg
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._coeffs == other._coeffs
+            and self._constant == other._constant
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.sort, frozenset(self._coeffs.items()), self._constant))
+        return self._hash
+
+
+class HomeTerm(_Term):
+    """An affine combination a1*x_{i1} + ... + an*x_{in} + c over the home sort."""
+
+    __slots__ = ()
+    sort = Sort.HOME
+
+    def __init__(self, coeffs=(), constant: ModelElement | Fraction | int = 0):
+        self._coeffs = _clean_varmap(coeffs, Sort.HOME)
+        if not isinstance(constant, ModelElement):
+            constant = ModelElement.from_rational(Fraction(constant))
+        self._constant = constant
+        self._hash = None
+
+    @classmethod
+    def from_element(cls, a: ModelElement) -> "HomeTerm":
+        return cls((), a)
 
     def evaluate(self, assignment: Mapping[Variable, ModelElement]) -> ModelElement:
         value = self._constant
@@ -144,19 +199,6 @@ class HomeTerm:
             except KeyError:
                 raise UnboundVariableError(f"{v} is unbound") from None
         return value
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomeTerm)
-            and self._coeffs == other._coeffs
-            and self._constant == other._constant
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            items = tuple(sorted(self._coeffs.items(), key=lambda kv: kv[0].index))
-            self._hash = hash(("HomeTerm", items, self._constant))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"HomeTerm({self._coeffs!r}, {self._constant!r})"
@@ -170,14 +212,16 @@ class HomeTerm:
         return render_combination(items)
 
 
-class QuotientTerm:
-    """b1*u_{j1} + ... + bm*u_{jm} + pi(home combination) + quotient constant.
+class QuotientTerm(_Term):
+    """b1*u_{j1} + ... + bm*u_{jm} + pi(a1*x_{i1} + ... + an*x_{in}) + quotient constant.
 
-    The pushed home part carries no constant: the quotient map kills
+    The home variables sit in the same coefficient map as the quotient
+    ones, read under pi.  The home part carries no constant: pi kills
     rational constants and moves the rest into the quotient constant.
     """
 
-    __slots__ = ("_coeffs", "_pushed", "_constant", "_hash")
+    __slots__ = ()
+    sort = Sort.QUOTIENT
 
     def __init__(
         self,
@@ -188,13 +232,9 @@ class QuotientTerm:
         self._coeffs = _clean_varmap(coeffs, Sort.QUOTIENT)
         pushed = pushed if pushed is not None else HomeTerm()
         constant = constant if constant is not None else QuotientElement()
+        self._coeffs.update(_clean_varmap(pushed.coeffs, Sort.HOME))
         self._constant = constant + project(pushed.constant)
-        self._pushed = HomeTerm(pushed.coeffs)
         self._hash = None
-
-    @classmethod
-    def from_variable(cls, v: Variable) -> "QuotientTerm":
-        return cls({v: Fraction(1)})
 
     @classmethod
     def from_element(cls, w: QuotientElement) -> "QuotientTerm":
@@ -203,111 +243,41 @@ class QuotientTerm:
     @classmethod
     def project_term(cls, t: HomeTerm) -> "QuotientTerm":
         """The image of a home term under the quotient map."""
-        return cls((), t)
-
-    @property
-    def coeffs(self) -> dict[Variable, Fraction]:
-        return dict(self._coeffs)
+        return cls._make(dict(t._coeffs), project(t.constant))
 
     @property
     def pushed(self) -> HomeTerm:
-        return self._pushed
-
-    @property
-    def constant(self) -> QuotientElement:
-        return self._constant
-
-    def coeff(self, v: Variable) -> Fraction:
-        if v.sort is Sort.QUOTIENT:
-            return self._coeffs.get(v, Fraction(0))
-        return self._pushed.coeff(v)
-
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(self._coeffs) | self._pushed.variables()
-
-    def is_ground(self) -> bool:
-        return not self._coeffs and self._pushed.is_ground()
-
-    def is_zero(self) -> bool:
-        return not self._coeffs and self._pushed.is_zero() and self._constant.is_zero()
-
-    def without(self, v: Variable) -> "QuotientTerm":
-        if v.sort is Sort.QUOTIENT:
-            return QuotientTerm(
-                {w: q for w, q in self._coeffs.items() if w != v},
-                self._pushed,
-                self._constant,
-            )
-        return QuotientTerm(self._coeffs, self._pushed.without(v), self._constant)
-
-    def __add__(self, other: "QuotientTerm") -> "QuotientTerm":
-        out = dict(self._coeffs)
-        for v, q in other._coeffs.items():
-            w = out.get(v, 0) + q
-            if w:
-                out[v] = w
-            else:
-                out.pop(v, None)
-        return QuotientTerm(out, self._pushed + other._pushed, self._constant + other._constant)
-
-    def __sub__(self, other: "QuotientTerm") -> "QuotientTerm":
-        return self + (-other)
-
-    def __neg__(self) -> "QuotientTerm":
-        return self.scale(-1)
-
-    def scale(self, q) -> "QuotientTerm":
-        q = Fraction(q)
-        return QuotientTerm(
-            {v: q * c for v, c in self._coeffs.items()},
-            self._pushed.scale(q),
-            self._constant.scale(q),
-        )
-
-    def substitute_home(self, v: Variable, t: HomeTerm) -> "QuotientTerm":
-        a = self._pushed.coeff(v)
-        if a == 0:
-            return self
-        return QuotientTerm(self._coeffs, self._pushed.without(v) + t.scale(a), self._constant)
-
-    def substitute_quotient(self, v: Variable, t: "QuotientTerm") -> "QuotientTerm":
-        a = self._coeffs.get(v, 0)
-        if a == 0:
-            return self
-        return self.without(v) + t.scale(a)
+        """The home variables under pi, as a home term with zero constant."""
+        home = {v: q for v, q in self._coeffs.items() if v.sort is Sort.HOME}
+        return HomeTerm._make(home, ModelElement())
 
     def evaluate(self, assignment) -> QuotientElement:
-        value = self._constant + project(self._pushed.evaluate(assignment))
+        # pi is linear, so each home variable is projected on its own; an
+        # unbound home variable is reported before an unbound quotient one
+        value = self._constant
+        unbound = None
         for v, q in self._coeffs.items():
             try:
-                value = value + assignment[v].scale(q)
+                x = assignment[v].scale(q)
             except KeyError:
-                raise UnboundVariableError(f"{v} is unbound") from None
+                if v.sort is Sort.HOME:
+                    raise UnboundVariableError(f"{v} is unbound") from None
+                unbound = unbound or v
+                continue
+            value = value + (project(x) if v.sort is Sort.HOME else x)
+        if unbound is not None:
+            raise UnboundVariableError(f"{unbound} is unbound")
         return value
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuotientTerm)
-            and self._coeffs == other._coeffs
-            and self._pushed == other._pushed
-            and self._constant == other._constant
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            items = tuple(sorted(self._coeffs.items(), key=lambda kv: kv[0].index))
-            self._hash = hash(("QuotientTerm", items, self._pushed, self._constant))
-        return self._hash
-
     def __repr__(self) -> str:
-        return f"QuotientTerm({self._coeffs!r}, {self._pushed!r}, {self._constant!r})"
+        return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self._constant!r})"
 
     def __str__(self) -> str:
         items: list[tuple[Fraction, str | None]] = [
             (q, v.name)
-            for v, q in sorted(self._coeffs.items(), key=lambda kv: kv[0].index)
+            for v, q in sorted(self.coeffs.items(), key=lambda kv: kv[0].index)
         ]
-        inner = self._pushed + HomeTerm.from_element(section(self._constant))
+        inner = self.pushed + HomeTerm.from_element(section(self._constant))
         if not inner.is_zero():
             items.append((Fraction(1), f"pi({inner})"))
         return render_combination(items)
@@ -315,6 +285,4 @@ class QuotientTerm:
 
 Term = Union[HomeTerm, QuotientTerm]
 
-
-def term_sort(t: Term) -> Sort:
-    return Sort.HOME if isinstance(t, HomeTerm) else Sort.QUOTIENT
+TERM_CLASS: dict[Sort, type[_Term]] = {Sort.HOME: HomeTerm, Sort.QUOTIENT: QuotientTerm}

@@ -318,15 +318,36 @@ def test_qe_render_is_byte_identical(capsys, theory, text):
     ids=["3000-parentheses", "5000-negations"],
 )
 def test_deeply_nested_input_exits_2_without_traceback(text):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "densepairs.cli", "decide", text],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    done = run_cli("decide", text)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "error: formula nested too deeply" in done.stderr
+
+
+def run_cli(*argv, timeout=120):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "densepairs.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--precision", "-3", "Q(x1)"], "error: number of decimal digits"),
+        (["measure", "--precision", "-1", "0 < x1 & x1 < r2"], "error: number of decimal digits"),
+        (["decide", "--model-dim", "100000", "1 < 2"], "error: model dimension must be at most 1000"),
+    ],
+    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000"],
+)
+def test_out_of_range_flags_exit_2_without_traceback(argv, message):
+    # the model-dim case used to build a 100,000-prime table before failing
+    done = run_cli(*argv, timeout=30)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(message)

@@ -1,5 +1,6 @@
 """Boolean structure: normal forms, substitution, simplification."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from densepairs.formulas import (
     bound_variables,
     dnf_clauses,
     free_variables,
+    ground,
     home_eq,
     home_lt,
     in_q,
@@ -34,7 +36,7 @@ from densepairs.formulas import (
     substitute,
     to_dnf,
 )
-from densepairs.model import Model, ModelElement
+from densepairs.model import Model, ModelElement, QuotientElement
 from densepairs.parser import parse
 from densepairs.randgen import random_assignment, random_qf_formula
 from densepairs.terms import HomeTerm, QuotientTerm, hvar, qvar
@@ -177,3 +179,82 @@ def test_no_nested_quotient_applications_representable():
         if isinstance(payload, QuotientTerm):
             assert all(v.sort.value == "home" for v in payload.pushed.variables())
             assert payload.pushed.constant.is_zero()
+
+
+# Term and formula outputs pinned at the commit before the two term classes
+# shared one coefficient map.  Each case is (theory, input, operation, output);
+# the operations are the ones of `_formula_outputs`.
+GOLDEN_FORMULA_CASES = [
+    ("povs", "2*x1 - x3 + 3/2 + r2 < 0", "str", "x1 + 3/4 + 1/2*r2 < 1/2*x3"),
+    ("povs", "2*u1 - u2 + pi(x1 + r2) = 0", "str", "u1 + pi(1/2*x1 + 1/2*r2) = 1/2*u2"),
+    ("povs", "pi(x2 + 3*x1) = u1", "str", "u1 = pi(3*x1 + x2)"),
+    ("povs", "pi(1) = 0", "str", "pi(0) = 0"),
+    ("povs-prec", "!(2*u1 prec pi(x1 - 2*x2 + r3))", "dnf",
+     "pi(1/2*x1 + 1/2*r3) prec u1 + pi(x2) | u1 + pi(x2) = pi(1/2*x1 + 1/2*r3)"),
+    ("povs", "x1 < x2 & (Q(x1) | x1 = 2*x2)", "dnf",
+     "Q(x1) & x1 < x2 | x1 < x2 & x1 = 2*x2"),
+    ("povs", "pi(x1) = u1 & Q(x1 - x2)", "sub_home", "u1 = pi(x3 + 1/2*r2) & Q(x2 - x3 - 1/2*r2)"),
+    ("povs", "2*u1 + pi(x1) = 0 | u1 != pi(r2)", "sub_quot",
+     "u2 + pi(1/2*x1 + 1/2*x2) = 0 | u2 + pi(1/2*x2) != pi(r2)"),
+    ("povs-prec", "u1 prec pi(x1 + x2) & Q(x2)", "ground",
+     "pi(r2) prec pi(x1 + r3) & Q(1 + r3)"),
+    ("povs", "Q(x1 + r2) & pi(x2) = u1", "ground", "Q(x1 + r2) & pi(r2) = pi(r3)"),
+]
+
+
+def _formula_outputs(f, mode):
+    """The outputs of every term- and formula-level operation on f, as text.
+
+    Substitutions replace x1 by x3 + 1/2*r2 and u1 by u2 + pi(1/2*x2);
+    grounding keeps x1 and sends x2 to 1 + r3, x3 to r2, u1 to pi(r2)
+    and u2 to pi(r3 - r5).
+    """
+    home = HomeTerm({hvar(3): 1}, ModelElement({2: Fraction(1, 2)}))
+    quot = QuotientTerm({qvar(2): 1}, HomeTerm({hvar(2): Fraction(1, 2)}))
+    sigma = {
+        hvar(2): ModelElement({0: 1, 3: 1}),
+        hvar(3): ModelElement({2: 1}),
+        qvar(1): QuotientElement({2: 1}),
+        qvar(2): QuotientElement({3: 1, 5: -1}),
+    }
+    clauses = dnf_clauses(f)
+    out = {
+        "str": str(f),
+        "parse": str(parse(str(f), mode)),
+        "dnf": " | ".join(" & ".join(str(l) for l in c) for c in clauses) or "false",
+        "simplify": str(simplify(f)),
+        "sub_home": str(substitute(f, hvar(1), home)),
+        "ground": str(ground(f, {hvar(1)}, sigma)),
+    }
+    if mode is not TheoryMode.OVS:
+        out["sub_quot"] = str(substitute(f, qvar(1), quot))
+    return out
+
+
+def formula_corpus_text(seed=4114, formulas=150):
+    """One line per output on a seeded corpus of random formulas."""
+    rng = random.Random(seed)
+    variables = [hvar(1), hvar(2), hvar(3), qvar(1), qvar(2)]
+    lines = []
+    for i in range(formulas):
+        mode = list(TheoryMode)[i % 3]
+        f = random_qf_formula(rng, variables, MODEL, mode, depth=2)
+        for op, text in _formula_outputs(f, mode).items():
+            lines.append(f"{i} {mode.value} {op} {text}")
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_FORMULA_CORPUS_SHA256 = "c42f2346a22ce907bfe2dd49bb81c3cfbd31f1c8287f325c45a6c64b1b004d2f"
+
+
+@pytest.mark.parametrize("case", GOLDEN_FORMULA_CASES, ids=lambda c: f"{c[2]}: {c[1]}")
+def test_golden_formula_cases(case):
+    theory, text, op, expected = case
+    mode = TheoryMode(theory)
+    assert _formula_outputs(parse(text, mode), mode)[op] == expected
+
+
+def test_golden_formula_corpus():
+    text = formula_corpus_text()
+    assert text.count("\n") == 1000
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FORMULA_CORPUS_SHA256

@@ -45,6 +45,9 @@ def test_primes_and_basis():
     assert is_prime(7) and not is_prime(9) and not is_prime(1)
     with pytest.raises(ValueError):
         Model(1)
+    assert Model(1000).dim == 1000
+    with pytest.raises(ValueError, match="at most 1000"):
+        Model(1001)
 
 
 def test_sqrt_enclosure_brackets_value():
@@ -173,6 +176,9 @@ def test_decimal_rendering():
     assert mel(rat=-1).decimal_str(2) == "-1.00"
     two_minus_r2 = mel(rat=2, r2=-1)
     assert two_minus_r2.decimal_str(12) == "0.585786437627"
+    assert two_minus_r2.decimal_str(0) == "1"
+    with pytest.raises(ValueError, match="nonnegative"):
+        two_minus_r2.decimal_str(-3)
 
 
 def test_text_rendering():

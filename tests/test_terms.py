@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from densepairs.errors import SortError, UnboundVariableError
+from densepairs.formulas import _lead_coeff
 from densepairs.model import ModelElement, QuotientElement, project
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, Variable, hvar, qvar
 
@@ -81,17 +82,17 @@ def test_quotient_term_evaluation():
 def test_quotient_substitution_distributes_into_pushed():
     s = QuotientTerm((), HomeTerm({hvar(1): Fraction(1)}))
     t = HomeTerm({hvar(3): Fraction(2)})
-    out = s.substitute_home(hvar(1), t)
+    out = s.substitute(hvar(1), t)
     assert out.pushed == HomeTerm({hvar(3): Fraction(2)})
 
     u = QuotientTerm({qvar(1): Fraction(1)})
     w = QuotientTerm((), HomeTerm({hvar(2): Fraction(1)}))
-    assert u.substitute_quotient(qvar(1), w).pushed.coeff(hvar(2)) == 1
+    assert u.substitute(qvar(1), w).pushed.coeff(hvar(2)) == 1
 
 
 def test_quotient_substitution_by_constant_lands_in_constant():
     s = QuotientTerm((), HomeTerm({hvar(1): Fraction(2)}))
-    out = s.substitute_home(hvar(1), HomeTerm.from_element(ModelElement({2: Fraction(1)})))
+    out = s.substitute(hvar(1), HomeTerm.from_element(ModelElement({2: Fraction(1)})))
     assert out.pushed.is_zero()
     assert out.constant == QuotientElement({2: Fraction(2)})
 
@@ -106,3 +107,63 @@ def test_rendering():
     )
     assert str(s) == "2*u1 - u2 + pi(x1 + r2)"
     assert str(QuotientTerm()) == "0"
+
+
+def test_quotient_term_keeps_its_public_views():
+    s = QuotientTerm(
+        {qvar(2): Fraction(2), qvar(1): Fraction(-1, 3)},
+        HomeTerm({hvar(3): 1, hvar(1): 2}, ModelElement({0: 5, 3: 1})),
+        QuotientElement({2: 1}),
+    )
+    assert s.coeffs == {qvar(2): 2, qvar(1): Fraction(-1, 3)}
+    assert s.pushed == HomeTerm({hvar(3): 1, hvar(1): 2})
+    assert s.coeff(qvar(1)) == Fraction(-1, 3) and s.coeff(hvar(1)) == 2
+    assert s.coeff(hvar(2)) == 0
+    assert s.variables() == {qvar(1), qvar(2), hvar(1), hvar(3)}
+    assert s.constant == QuotientElement({2: 1, 3: 1})
+    assert repr(s) == (
+        "QuotientTerm({Variable(sort=<Sort.QUOTIENT: 'quotient'>, index=2): Fraction(2, 1), "
+        "Variable(sort=<Sort.QUOTIENT: 'quotient'>, index=1): Fraction(-1, 3)}, "
+        "HomeTerm({Variable(sort=<Sort.HOME: 'home'>, index=3): Fraction(1, 1), "
+        "Variable(sort=<Sort.HOME: 'home'>, index=1): Fraction(2, 1)}, ModelElement({})), "
+        "QuotientElement({2: Fraction(1, 1), 3: Fraction(1, 1)}))"
+    )
+    assert repr(QuotientTerm()) == "QuotientTerm({}, HomeTerm({}, ModelElement({})), QuotientElement({}))"
+    assert s != HomeTerm() and QuotientTerm() != HomeTerm()
+
+
+def test_lead_coefficient_order_across_sorts():
+    # quotient variables by index, then home variables by index, then radicands
+    s = QuotientTerm(
+        {qvar(2): Fraction(2), qvar(1): Fraction(-1, 3)},
+        HomeTerm({hvar(1): 5}),
+    )
+    assert _lead_coeff(s) == Fraction(-1, 3)
+    pushed_only = QuotientTerm.project_term(
+        HomeTerm({hvar(3): 4, hvar(2): Fraction(-2, 3)}, ModelElement({2: 7}))
+    )
+    assert _lead_coeff(pushed_only) == Fraction(-2, 3)
+    assert _lead_coeff(QuotientTerm.from_element(QuotientElement({3: -2, 5: 1}))) == -2
+    assert _lead_coeff(QuotientTerm()) is None
+
+
+def test_mixing_sorts_is_a_type_error():
+    h = HomeTerm({hvar(1): 1})
+    s = QuotientTerm({qvar(1): 1})
+    with pytest.raises(TypeError):
+        s + h
+    with pytest.raises(TypeError):
+        h + s
+    with pytest.raises(TypeError):
+        s.substitute(qvar(1), h)
+    with pytest.raises(TypeError):
+        h.substitute(hvar(1), s)
+
+
+def test_unbound_home_variable_is_reported_first():
+    s = QuotientTerm({qvar(1): 1}, HomeTerm({hvar(2): 1, hvar(1): 3}))
+    assert str(s) == "u1 + pi(3*x1 + x2)"
+    with pytest.raises(UnboundVariableError, match="x2 is unbound"):
+        s.evaluate({})
+    with pytest.raises(UnboundVariableError, match="u1 is unbound"):
+        s.evaluate({hvar(1): ModelElement(), hvar(2): ModelElement()})
