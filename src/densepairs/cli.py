@@ -1,16 +1,17 @@
 """Batch command-line front end.
 
 One command per invocation, formula on the command line or standard
-input, text or JSON output.  Exit codes: 0 success, 2 parse/sort/mode
-error or input nested too deeply, 3 precondition violation, 4 breached
-internal invariant (which includes any disagreement found by the
-self-check harness).
+input, text or JSON output.  Exit codes: 0 success, 1 the reader closed
+the output pipe, 2 parse/sort/mode error or input nested too deeply,
+3 precondition violation, 4 breached internal invariant (which includes
+any disagreement found by the self-check harness).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coding import code_function, code_unary_set, set_code_json
@@ -239,7 +240,17 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        # flush inside the try, so a closed pipe surfaces here and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the interpreter's own flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -84,6 +84,12 @@ class Atom(Formula):
         want_home = self.kind in _HOME_KINDS
         if want_home != isinstance(self.payload, HomeTerm):
             raise SortError(f"{self.kind.value} atom with {type(self.payload).__name__} payload")
+        # hashed once: set and dict lookups during DNF would otherwise
+        # rehash the kind (a Python-level Enum.__hash__) every time
+        object.__setattr__(self, "_hash", hash((self.kind, self.payload)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         pos, neg = _atom_sides(self.payload)
@@ -499,8 +505,13 @@ def literal_parts(lit: Formula) -> tuple[Atom, bool]:
     raise NotConjunctionError(f"not a literal: {lit}")
 
 
-def sort_key(f: Formula) -> str:
-    return str(f)
+def _absorb(clauses: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The clauses that contain no other clause, shortest first."""
+    kept: list[frozenset[int]] = []
+    for clause in sorted(clauses, key=len):
+        if not any(other <= clause for other in kept):
+            kept.append(clause)
+    return kept
 
 
 def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
@@ -510,6 +521,10 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
     pruned and clauses absorbed by a subset clause are dropped.
     Distribution works over interned literal ids, so the set algebra
     runs on integers rather than on structural formula comparisons.
+    Absorbing after every conjunct gives the same final clauses as
+    absorbing once at the end: if a is a subset of a' and a' | b is
+    consistent, so is a | b, and it is a subset of a' | b.  Literals
+    and clauses are ordered by their text, each literal rendered once.
     """
     g = nnf(f)
     ids: dict[Formula, int] = {}
@@ -557,22 +572,19 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
                         if any(negation[i] in u for i in b if negation[i] >= 0):
                             continue
                         merged.add(u)
-                acc = list(merged)
+                acc = _absorb(merged)
                 if not acc:
                     return []
             return acc
         raise QuantifiedInputError("disjunctive normal form requires a quantifier-free formula")
 
-    clauses = walk(g)
-    # absorption: drop any clause containing another clause
-    kept: list[frozenset[int]] = []
-    for clause in sorted(clauses, key=len):
-        if not any(other <= clause for other in kept):
-            kept.append(clause)
-    named = [
-        tuple(sorted((literals[i] for i in clause), key=sort_key)) for clause in kept
-    ]
-    return sorted(named, key=lambda c: [sort_key(l) for l in c])
+    kept = _absorb(walk(g))
+    text = [str(lit) for lit in literals]
+    ordered = sorted(
+        (sorted(clause, key=text.__getitem__) for clause in kept),
+        key=lambda clause: [text[i] for i in clause],
+    )
+    return [tuple(literals[i] for i in clause) for clause in ordered]
 
 
 def clauses_to_formula(clauses: Sequence[Sequence[Formula]]) -> Formula:

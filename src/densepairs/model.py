@@ -144,6 +144,11 @@ class _SpanElement:
         return cls({int(k): Fraction(v) for k, v in data.items()})
 
 
+# CPython refuses to convert integers of more than 4300 digits to text
+# (sys.int_info.default_max_str_digits), so decimal_str stops there.
+MAX_DIGITS = 4300
+
+
 class ModelElement(_SpanElement):
     """A home-sort value: a rational combination of 1 and sqrt(p)'s."""
 
@@ -199,6 +204,8 @@ class ModelElement(_SpanElement):
         """Decimal approximation, rounded to `digits` places."""
         if digits < 0:
             raise ValueError(f"number of decimal digits must be nonnegative, got {digits}")
+        if digits > MAX_DIGITS:
+            raise ValueError(f"number of decimal digits must be at most {MAX_DIGITS}")
         bits = 4 * (digits + 3) + 16
         lo, hi = self.enclosure(bits)
         mid = (lo + hi) / 2

@@ -324,16 +324,15 @@ def test_deeply_nested_input_exits_2_without_traceback(text):
     assert "error: formula nested too deeply" in done.stderr
 
 
-def run_cli(*argv, timeout=120):
+def cli_command(*argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run(
-        [sys.executable, "-m", "densepairs.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    return [sys.executable, "-m", "densepairs.cli", *argv], env
+
+
+def run_cli(*argv, timeout=120):
+    command, env = cli_command(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize(
@@ -342,8 +341,12 @@ def run_cli(*argv, timeout=120):
         (["measure", "--precision", "-3", "Q(x1)"], "error: number of decimal digits"),
         (["measure", "--precision", "-1", "0 < x1 & x1 < r2"], "error: number of decimal digits"),
         (["decide", "--model-dim", "100000", "1 < 2"], "error: model dimension must be at most 1000"),
+        (
+            ["measure", "--precision", "20000", "x1 > r2 - 1 & x1 < 1"],
+            "error: number of decimal digits must be at most 4300",
+        ),
     ],
-    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000"],
+    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000", "precision-20000"],
 )
 def test_out_of_range_flags_exit_2_without_traceback(argv, message):
     # the model-dim case used to build a 100,000-prime table before failing
@@ -351,3 +354,22 @@ def test_out_of_range_flags_exit_2_without_traceback(argv, message):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(message)
+
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    # like `densepairs measure --precision 4300 ... | head -c 300`, with the
+    # reader gone before the first write: the write fails with EPIPE
+    command, env = cli_command("measure", "--precision", "4300", "x1 > r2 - 1 & x1 < 1")
+    proc = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert returncode == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""

@@ -31,6 +31,7 @@ from densepairs.formulas import (
     make_and,
     make_not,
     make_or,
+    nnf,
     simplify,
     standardize,
     substitute,
@@ -258,3 +259,62 @@ def test_golden_formula_corpus():
     text = formula_corpus_text()
     assert text.count("\n") == 1000
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FORMULA_CORPUS_SHA256
+
+
+def naive_dnf_clauses(f):
+    """Reference DNF: the full cross product, contradictions pruned,
+    absorption once at the end, literals and clauses ordered by text."""
+
+    def walk(h):
+        if h == TRUE:
+            return [frozenset()]
+        if h == FALSE:
+            return []
+        if is_literal(h):
+            return [frozenset([h])]
+        if isinstance(h, Or):
+            return [clause for c in h.children for clause in walk(c)]
+        acc = [frozenset()]
+        for c in h.children:
+            acc = [a | b for a in acc for b in walk(c)]
+            acc = [u for u in acc if not any(make_not(lit) in u for lit in u)]
+        return acc
+
+    clauses = set(walk(nnf(f)))
+    minimal = [c for c in clauses if not any(other < c for other in clauses)]
+    named = [tuple(sorted(c, key=str)) for c in minimal]
+    return sorted(named, key=lambda c: [str(lit) for lit in c])
+
+
+def _family_bodies(n):
+    """Matrices of the chain and alternation families and their negations."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    chain = " & ".join(
+        ["x91 < x1"]
+        + [f"{xs[i]} < {xs[i + 1]}" for i in range(n - 1)]
+        + [f"{xs[-1]} < x92"]
+        + [f"(Q({x} - r2) | {x} = 2 + 2*r3)" for x in xs]
+    )
+    conj = [f"(x1 < x{90 + i} | x2 > x{93 + i} | Q(x1 - x2 + x{96 + i}))" for i in range(1, n + 1)]
+    alt = f"x2 < x1 | ({' & '.join(conj)})"
+    bodies = [parse(chain, TheoryMode.POVS), parse(alt, TheoryMode.POVS)]
+    return bodies + [make_not(b) for b in bodies]
+
+
+def _dnf_reference_inputs():
+    rng = random.Random(5150)
+    variables = [hvar(1), hvar(2), hvar(3), qvar(1), qvar(2)]
+    for i in range(240):
+        yield random_qf_formula(rng, variables, MODEL, list(TheoryMode)[i % 3], depth=3)
+    for n in (1, 2, 3):
+        yield from _family_bodies(n)
+
+
+def test_dnf_clauses_match_naive_reference():
+    for f in _dnf_reference_inputs():
+        clauses = dnf_clauses(f)
+        assert clauses == naive_dnf_clauses(f), str(f)
+        sets = [frozenset(c) for c in clauses]
+        for i, c in enumerate(sets):
+            assert not any(make_not(lit) in c for lit in c)
+            assert not any(other <= c for j, other in enumerate(sets) if j != i)

@@ -179,6 +179,9 @@ def test_decimal_rendering():
     assert two_minus_r2.decimal_str(0) == "1"
     with pytest.raises(ValueError, match="nonnegative"):
         two_minus_r2.decimal_str(-3)
+    assert len(two_minus_r2.decimal_str(4300)) == 4302
+    with pytest.raises(ValueError, match="at most 4300"):
+        two_minus_r2.decimal_str(4301)
 
 
 def test_text_rendering():
