@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .errors import QuantifiedInputError
-from .formulas import And, Atom, BoolConst, Exists, Forall, Formula, Not, Or, eval_atom
+from .formulas import And, Atom, BoolConst, Exists, Forall, Formula, Not, Or, eval_atom, traverse
 from .model import ModelElement, QuotientElement
 from .terms import Variable
 
@@ -14,16 +14,27 @@ Assignment = Mapping[Variable, Union[ModelElement, QuotientElement]]
 
 def eval_formula(f: Formula, assignment: Assignment) -> bool:
     """Truth of a quantifier-free formula under a sort-respecting assignment."""
-    if isinstance(f, BoolConst):
-        return f.value
-    if isinstance(f, Atom):
-        return eval_atom(f, assignment)
-    if isinstance(f, Not):
-        return not eval_formula(f.sub, assignment)
-    if isinstance(f, And):
-        return all(eval_formula(c, assignment) for c in f.children)
-    if isinstance(f, Or):
-        return any(eval_formula(c, assignment) for c in f.children)
-    if isinstance(f, (Exists, Forall)):
+
+    def step(g):
+        if isinstance(g, Atom):
+            return eval_atom(g, assignment)
+        if isinstance(g, BoolConst):
+            return g.value
+        return _connective(g)
+
+    return traverse(step, f)
+
+
+def _connective(g: Formula):
+    """A connective's truth from its children's, left to right up to the first that decides it."""
+    if isinstance(g, Not):
+        return not (yield g.sub)
+    if isinstance(g, (And, Or)):
+        decisive = isinstance(g, Or)
+        for c in g.children:
+            if bool((yield c)) is decisive:
+                return decisive
+        return not decisive
+    if isinstance(g, (Exists, Forall)):
         raise QuantifiedInputError("eval_formula requires a quantifier-free formula")
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a formula: {g!r}")

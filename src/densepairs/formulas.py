@@ -12,10 +12,11 @@ passes consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator, Sequence
 
 from .errors import (
     CaptureError,
@@ -49,9 +50,30 @@ _HOME_KINDS = {AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q}
 
 
 class Formula:
-    """Base class; concrete nodes are the dataclasses below."""
+    """Base class of the frozen dataclass nodes below.  A node hashes once,
+    at construction, from its fields, a child by the hash it stored; so a
+    hash costs one step per node however deep the tree is."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), self._fields())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and other._hash == self._hash
+            and other._fields() == self._fields()
+        )
+
+    def __str__(self) -> str:
+        return render(self)
 
     def __and__(self, other: "Formula") -> "Formula":
         return make_and([self, other])
@@ -63,126 +85,167 @@ class Formula:
         return make_not(self)
 
 
-@dataclass(frozen=True)
+_node = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_node
 class BoolConst(Formula):
     value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     kind: AtomKind
     payload: Term
+    _sides: tuple[str, str] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         want_home = self.kind in _HOME_KINDS
         if want_home != isinstance(self.payload, HomeTerm):
             raise SortError(f"{self.kind.value} atom with {type(self.payload).__name__} payload")
-        # hashed once: set and dict lookups during DNF would otherwise
-        # rehash the kind (a Python-level Enum.__hash__) every time
-        object.__setattr__(self, "_hash", hash((self.kind, self.payload)))
+        Formula.__post_init__(self)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        pos, neg = _atom_sides(self.payload)
-        if self.kind is AtomKind.QUOT_EQ:
-            # the all-zero payload would render as the home-sort "0 = 0"
-            if self.payload.is_zero():
-                return "pi(0) = 0"
-            return f"{pos} = {neg}"
-        if self.kind is AtomKind.HOME_EQ:
-            return f"{pos} = {neg}"
-        if self.kind is AtomKind.HOME_LT:
-            return f"{pos} < {neg}"
-        if self.kind is AtomKind.QUOT_PREC:
-            return f"{pos} prec {neg}"
-        return f"Q({self.payload})"
+    def text(self, positive: bool = True) -> str:
+        """The atom or its negation as `parser.parse` reads it; the texts
+        either side of the relation (for Q, of the payload) are made once."""
+        if self._sides is None:
+            if self.kind is AtomKind.IN_Q:
+                sides = str(self.payload), ""
+            elif self.kind is AtomKind.QUOT_EQ and self.payload.is_zero():
+                sides = "pi(0)", "0"  # the home-sort "0 = 0" would not read back
+            else:
+                pos, neg = self.payload.halves()
+                sides = str(pos), str(neg)
+            object.__setattr__(self, "_sides", sides)
+        pos, neg = self._sides
+        if self.kind is AtomKind.IN_Q:
+            return f"{'' if positive else '!'}Q({pos})"
+        rel = {AtomKind.HOME_LT: "<", AtomKind.QUOT_PREC: "prec"}.get(self.kind)
+        return f"{pos} {rel or ('=' if positive else '!=')} {neg}"
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
-    def __str__(self) -> str:
-        if isinstance(self.sub, Atom):
-            if self.sub.kind is AtomKind.QUOT_EQ:
-                if self.sub.payload.is_zero():
-                    return "pi(0) != 0"
-                pos, neg = _atom_sides(self.sub.payload)
-                return f"{pos} != {neg}"
-            if self.sub.kind is AtomKind.IN_Q:
-                return f"!Q({self.sub.payload})"
-            return f"!({self.sub})"
-        return f"!({self.sub})"
 
-
-@dataclass(frozen=True)
-class And(Formula):
+@_node
+class _Junction(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self):
-        assert len(self.children) >= 2, "And requires at least two children"
-
-    def __str__(self) -> str:
-        return " & ".join(_wrap(c, 2) for c in self.children)
+        assert len(self.children) >= 2, f"{type(self).__name__} requires at least two children"
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    children: tuple[Formula, ...]
-
-    def __post_init__(self):
-        assert len(self.children) >= 2, "Or requires at least two children"
-
-    def __str__(self) -> str:
-        return " | ".join(_wrap(c, 1) for c in self.children)
+class And(_Junction):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Or(_Junction):
+    __slots__ = ()
+
+
+@_node
 class Exists(Formula):
     var: Variable
     body: Formula
 
-    def __str__(self) -> str:
-        return f"E {self.var}. {self.body}"
 
-
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: Variable
     body: Formula
 
-    def __str__(self) -> str:
-        return f"A {self.var}. {self.body}"
+
+def traverse(step: Callable[[Any], Any], root: Any) -> Any:
+    """Run a walk over a formula on an explicit stack; nothing recurses.
+
+    `step(item)` returns the value of `item`, or a generator that yields
+    each item whose value it needs (usually a subformula), is sent that
+    value back, and returns the value of `item` (or a generator to take
+    over).  Code around a yield runs on the way down and back up, so a
+    walk can carry state down and stop early."""
+    stack: list[Generator] = []
+    value = step(root)
+    while True:
+        if isinstance(value, GeneratorType):
+            stack.append(value)
+            value = None
+        elif not stack:
+            return value
+        try:
+            item = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            value = step(item)
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, (Exists, Forall)):
-        return 0
-    if isinstance(f, Or):
-        return 1
-    if isinstance(f, And):
-        return 2
-    return 3
+def rebuild(g: Formula) -> Generator:
+    """Rebuild g from the walked values of its subformulas, for a step to
+    return; leaves come back unchanged.  A conjunction stops at the first
+    false child and a disjunction at the first true one."""
+    if isinstance(g, Not):
+        return make_not((yield g.sub))
+    if isinstance(g, (And, Or)):
+        make, stop = (make_and, FALSE) if isinstance(g, And) else (make_or, TRUE)
+        values = []
+        for c in g.children:
+            value = yield c
+            if isinstance(value, BoolConst) and value == stop:
+                return stop
+            values.append(value)
+        return make(values)
+    if isinstance(g, (Exists, Forall)):
+        return type(g)(g.var, (yield g.body))
+    return g
 
 
-def _wrap(f: Formula, need: int) -> str:
-    text = str(f)
-    return f"({text})" if _level(f) < need else text
+# how tightly each connective binds (others: 3); looser children get parentheses
+_BINDING = {Exists: 0, Forall: 0, Or: 1, And: 2}
+# the negated atoms with a text of their own; others render as !(...)
+_NEGATED_TEXT = (AtomKind.QUOT_EQ, AtomKind.IN_Q)
 
 
-def _atom_sides(t: Term) -> tuple[str, str]:
-    """Split a one-sided payload into positive/negative halves for display."""
-    pos, neg = t.halves()
-    return str(pos), str(neg)
+def render(f: Formula) -> str:
+    """The text of a formula, in the grammar `parser.parse` reads."""
+    out: list[str] = []
+
+    def connective(g):
+        if isinstance(g, (And, Or)):
+            need, sep = (2, " & ") if isinstance(g, And) else (1, " | ")
+            for i, c in enumerate(g.children):
+                wrap = _BINDING.get(type(c), 3) < need
+                out.append((sep if i else "") + ("(" if wrap else ""))
+                yield c
+                if wrap:
+                    out.append(")")
+        elif isinstance(g, (Exists, Forall)):
+            out.append(f"{'E' if isinstance(g, Exists) else 'A'} {g.var}. ")
+            yield g.body
+        else:
+            out.append("!(")
+            yield g.sub
+            out.append(")")
+
+    def step(g):
+        if isinstance(g, BoolConst):
+            out.append("true" if g.value else "false")
+        elif isinstance(g, Atom):
+            out.append(g.text())
+        elif isinstance(g, Not) and isinstance(g.sub, Atom) and g.sub.kind in _NEGATED_TEXT:
+            out.append(g.sub.text(positive=False))
+        else:
+            return connective(g)
+
+    traverse(step, f)
+    return "".join(out)
 
 
 def _lead_coeff(t: Term) -> Fraction | None:
@@ -253,115 +316,87 @@ def eval_atom(atom: Atom, assignment: Assignment) -> bool:
 
 
 def make_not(f: Formula) -> Formula:
-    if f is TRUE:
-        return FALSE
-    if f is FALSE:
-        return TRUE
+    if isinstance(f, BoolConst):
+        return FALSE if f.value else TRUE
     if isinstance(f, Not):
         return f.sub
     return Not(f)
 
 
-def make_and(children: Iterable[Formula]) -> Formula:
+def _junction(cls: type, children: Iterable[Formula], absorbing: BoolConst) -> Formula:
+    """The flattened And or Or of children without repeats or the neutral
+    constant; `absorbing` (false for And) if it or a complementary pair occurs."""
     flat: list[Formula] = []
     seen = set()
     for c in children:
-        if isinstance(c, And):
-            items = c.children
-        else:
-            items = (c,)
-        for item in items:
-            if item is FALSE or item == FALSE:
-                return FALSE
-            if item is TRUE or item == TRUE:
+        for item in c.children if isinstance(c, cls) else (c,):
+            if isinstance(item, BoolConst):
+                if item.value is absorbing.value:
+                    return absorbing
                 continue
             if item not in seen:
                 seen.add(item)
                 flat.append(item)
-    for item in flat:
-        if make_not(item) in seen:
-            return FALSE
+    # a complementary pair always has a member Not(g) with g in seen
+    if any(isinstance(item, Not) and item.sub in seen for item in flat):
+        return absorbing
     if not flat:
-        return TRUE
+        return make_not(absorbing)
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return cls(tuple(flat))
+
+
+def make_and(children: Iterable[Formula]) -> Formula:
+    return _junction(And, children, FALSE)
 
 
 def make_or(children: Iterable[Formula]) -> Formula:
-    flat: list[Formula] = []
-    seen = set()
-    for c in children:
-        if isinstance(c, Or):
-            items = c.children
+    return _junction(Or, children, TRUE)
+
+
+def _scan(f: Formula) -> tuple[list[Formula], set[Variable], list[Variable]]:
+    """The nodes of f in pre-order, its free variables and each binder's variable."""
+    nodes: list[Formula] = []
+    free: set[Variable] = set()
+    bound: list[Variable] = []
+    in_scope: dict[Variable, int] = {}  # how many binders of each variable enclose the node
+
+    def parts(g):
+        if isinstance(g, (Exists, Forall)):
+            bound.append(g.var)
+            in_scope[g.var] = in_scope.get(g.var, 0) + 1
+            yield g.body
+            in_scope[g.var] -= 1
         else:
-            items = (c,)
-        for item in items:
-            if item is TRUE or item == TRUE:
-                return TRUE
-            if item is FALSE or item == FALSE:
-                continue
-            if item not in seen:
-                seen.add(item)
-                flat.append(item)
-    for item in flat:
-        if make_not(item) in seen:
-            return TRUE
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+            for c in g.children if isinstance(g, (And, Or)) else (g.sub,):
+                yield c
+
+    def step(g):
+        nodes.append(g)
+        if isinstance(g, Atom):
+            free.update(v for v in g.payload.variables() if not in_scope.get(v))
+        elif not isinstance(g, BoolConst):
+            return parts(g)
+
+    traverse(step, f)
+    return nodes, free, bound
 
 
 def free_variables(f: Formula) -> frozenset[Variable]:
-    if isinstance(f, BoolConst):
-        return frozenset()
-    if isinstance(f, Atom):
-        return f.payload.variables()
-    if isinstance(f, Not):
-        return free_variables(f.sub)
-    if isinstance(f, (And, Or)):
-        out: frozenset[Variable] = frozenset()
-        for c in f.children:
-            out |= free_variables(c)
-        return out
-    return free_variables(f.body) - {f.var}
+    return frozenset(_scan(f)[1])
 
 
 def bound_variables(f: Formula) -> frozenset[Variable]:
-    if isinstance(f, (BoolConst, Atom)):
-        return frozenset()
-    if isinstance(f, Not):
-        return bound_variables(f.sub)
-    if isinstance(f, (And, Or)):
-        out: frozenset[Variable] = frozenset()
-        for c in f.children:
-            out |= bound_variables(c)
-        return out
-    return bound_variables(f.body) | {f.var}
+    return frozenset(_scan(f)[2])
 
 
 def all_atoms(f: Formula) -> Iterator[Atom]:
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Not):
-        yield from all_atoms(f.sub)
-    elif isinstance(f, (And, Or)):
-        for c in f.children:
-            yield from all_atoms(c)
-    elif isinstance(f, (Exists, Forall)):
-        yield from all_atoms(f.body)
+    return (g for g in _scan(f)[0] if isinstance(g, Atom))
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return False
-    if isinstance(f, Not):
-        return is_quantifier_free(f.sub)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(c) for c in f.children)
-    return True
+    return not _scan(f)[2]
 
 
 def check_mode(f: Formula, mode: TheoryMode) -> None:
@@ -379,32 +414,30 @@ def check_mode(f: Formula, mode: TheoryMode) -> None:
                 raise ModeError("prec atoms require theory mode povs-prec")
 
 
+def rewrite(f: Formula, atom: Callable, quantifier: Callable) -> Formula:
+    """Rebuild f bottom-up: an atom by `atom`, a quantifier node by the step
+    `quantifier`, any other node by `rebuild`."""
+
+    def step(g):
+        if isinstance(g, Atom):
+            return atom(g)
+        return quantifier(g) if isinstance(g, (Exists, Forall)) else rebuild(g)
+
+    return traverse(step, f)
+
+
 def substitute(f: Formula, v: Variable, t: Term) -> Formula:
     """Replace every free occurrence of v by t, renormalizing all terms."""
     if v.sort is not t.sort:
         raise SortError(f"cannot substitute {t.sort.value} term for {v}")
-    t_vars = t.variables()
-    captured = bound_variables(f) & t_vars
+    captured = bound_variables(f) & t.variables()
     if captured:
         raise CaptureError(f"substitution would capture {sorted(x.name for x in captured)}")
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, BoolConst):
-            return g
-        if isinstance(g, Atom):
-            return _substitute_atom(g, v, t)
-        if isinstance(g, Not):
-            return make_not(walk(g.sub))
-        if isinstance(g, And):
-            return make_and(walk(c) for c in g.children)
-        if isinstance(g, Or):
-            return make_or(walk(c) for c in g.children)
-        if g.var == v:
-            return g
-        body = walk(g.body)
-        return type(g)(g.var, body)
+    def atom(a):
+        return a if a.payload.coeff(v) == 0 else _ATOM_FACTORY[a.kind](a.payload.substitute(v, t))
 
-    return walk(f)
+    return rewrite(f, atom, lambda g: g if g.var == v else rebuild(g))
 
 
 def ground(
@@ -421,48 +454,38 @@ def ground(
     return f
 
 
-def _substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
-    if a.payload.coeff(v) == 0:
-        return a
-    return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t))
-
-
-def rename_variable(f: Formula, old: Variable, new: Variable) -> Formula:
-    return substitute(f, old, TERM_CLASS[old.sort].from_variable(new))
-
-
 def standardize(f: Formula) -> Formula:
-    """Rename bound variables so they are distinct from each other and from free ones."""
-    used = {v for v in free_variables(f)}
+    """Rename bound variables so they are distinct from each other and from free ones.
+
+    A binder whose variable is taken gets the next untaken index of its
+    sort; atoms read each bound variable's name from its innermost binder.
+    """
+    _, used, binders = _scan(f)
+    if len(set(binders)) == len(binders) and used.isdisjoint(binders):
+        return f  # nothing to rename
     next_index = {
-        Sort.HOME: max((v.index for v in used if v.sort is Sort.HOME), default=-1) + 1,
-        Sort.QUOTIENT: max((v.index for v in used if v.sort is Sort.QUOTIENT), default=-1) + 1,
+        sort: max((v.index for v in used if v.sort is sort), default=-1) + 1 for sort in Sort
     }
+    names: dict[Variable, Variable] = {}
 
-    def fresh(sort: Sort) -> Variable:
-        v = Variable(sort, next_index[sort])
-        next_index[sort] += 1
-        return v
+    def rename(a):
+        if all(names.get(w, w) == w for w in a.payload.variables()):
+            return a
+        return _ATOM_FACTORY[a.kind](a.payload.rename(names))
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (BoolConst, Atom)):
-            return g
-        if isinstance(g, Not):
-            return make_not(walk(g.sub))
-        if isinstance(g, And):
-            return make_and(walk(c) for c in g.children)
-        if isinstance(g, Or):
-            return make_or(walk(c) for c in g.children)
-        var, body = g.var, g.body
-        if var in used:
-            new = fresh(var.sort)
-            body = rename_variable(body, var, new)
-            var = new
-        used.add(var)
-        body = walk(body)
-        return type(g)(var, body)
+    def binder(g):
+        var = new = g.var
+        while new in used:
+            new = Variable(var.sort, next_index[var.sort])
+            next_index[var.sort] += 1
+        used.add(new)
+        outer = names.get(var, var)
+        names[var] = new
+        body = yield g.body
+        names[var] = outer
+        return type(g)(new, body)
 
-    return walk(f)
+    return rewrite(f, rename, binder)
 
 
 def nnf(f: Formula, positive: bool = True) -> Formula:
@@ -471,25 +494,32 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
     Negated order atoms are expanded into positive disjunctions; negated
     equations and membership atoms stay as negative literals.
     """
-    if isinstance(f, BoolConst):
-        return f if positive else make_not(f)
-    if isinstance(f, Atom):
+
+    def connective(g, positive):
+        if isinstance(g, Not):
+            return (yield g.sub, not positive)
+        if isinstance(g, (And, Or)):
+            parts = []
+            for c in g.children:
+                parts.append((yield c, positive))
+            return make_and(parts) if isinstance(g, And) == positive else make_or(parts)
+        raise QuantifiedInputError("negation normal form requires a quantifier-free formula")
+
+    def step(item):
+        g, positive = item
+        if isinstance(g, BoolConst):
+            return g if positive else make_not(g)
+        if not isinstance(g, Atom):
+            return connective(g, positive)
         if positive:
-            return f
-        if f.kind is AtomKind.HOME_LT:
-            return make_or([home_lt(-f.payload), home_eq(f.payload)])
-        if f.kind is AtomKind.QUOT_PREC:
-            return make_or([quot_prec(-f.payload), quot_eq(f.payload)])
-        return Not(f)
-    if isinstance(f, Not):
-        return nnf(f.sub, not positive)
-    if isinstance(f, And):
-        parts = [nnf(c, positive) for c in f.children]
-        return make_and(parts) if positive else make_or(parts)
-    if isinstance(f, Or):
-        parts = [nnf(c, positive) for c in f.children]
-        return make_or(parts) if positive else make_and(parts)
-    raise QuantifiedInputError("negation normal form requires a quantifier-free formula")
+            return g
+        if g.kind is AtomKind.HOME_LT:
+            return make_or([home_lt(-g.payload), home_eq(g.payload)])
+        if g.kind is AtomKind.QUOT_PREC:
+            return make_or([quot_prec(-g.payload), quot_eq(g.payload)])
+        return Not(g)
+
+    return traverse(step, (f, positive))
 
 
 def is_literal(f: Formula) -> bool:
@@ -543,26 +573,16 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
                 negation[partner] = got
         return got
 
-    def walk(h: Formula) -> list[frozenset[int]]:
-        if h == TRUE:
-            return [frozenset()]
-        if h == FALSE:
-            return []
-        if is_literal(h):
-            return [frozenset([intern(h)])]
+    def connective(h):
         if isinstance(h, Or):
-            out = []
-            seen_here = set()
+            out: dict[frozenset[int], None] = {}  # the children's clauses, first copies only
             for c in h.children:
-                for clause in walk(c):
-                    if clause not in seen_here:
-                        seen_here.add(clause)
-                        out.append(clause)
-            return out
+                out.update(dict.fromkeys((yield c)))
+            return list(out)
         if isinstance(h, And):
             acc: list[frozenset[int]] = [frozenset()]
             for c in h.children:
-                branch = walk(c)
+                branch = yield c
                 merged = set()
                 for a in acc:
                     for b in branch:
@@ -578,7 +598,14 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
             return acc
         raise QuantifiedInputError("disjunctive normal form requires a quantifier-free formula")
 
-    kept = _absorb(walk(g))
+    def step(h):
+        if isinstance(h, BoolConst):
+            return [frozenset()] if h.value else []
+        if is_literal(h):
+            return [frozenset([intern(h)])]
+        return connective(h)
+
+    kept = _absorb(traverse(step, g))
     text = [str(lit) for lit in literals]
     ordered = sorted(
         (sorted(clause, key=text.__getitem__) for clause in kept),
@@ -600,20 +627,12 @@ def to_dnf(f: Formula) -> Formula:
 
 def simplify(f: Formula) -> Formula:
     """Fold ground atoms, flatten connectives, and prune duplicates."""
-    if isinstance(f, BoolConst):
-        return f
-    if isinstance(f, Atom):
-        return _fold_ground(f)
-    if isinstance(f, Not):
-        return make_not(simplify(f.sub))
-    if isinstance(f, And):
-        return make_and(simplify(c) for c in f.children)
-    if isinstance(f, Or):
-        return make_or(simplify(c) for c in f.children)
-    body = simplify(f.body)
-    if isinstance(body, BoolConst):
-        return body
-    return type(f)(f.var, body)
+
+    def binder(g):
+        body = yield g.body
+        return body if isinstance(body, BoolConst) else type(g)(g.var, body)
+
+    return rewrite(f, _fold_ground, binder)
 
 
 def _fold_ground(a: Atom) -> Formula:

@@ -22,7 +22,7 @@ the zero of either sort.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 from fractions import Fraction
 
 from .errors import ModeError, ParseError, SortError
@@ -33,7 +33,6 @@ from .formulas import (
     Forall,
     Formula,
     TheoryMode,
-    check_mode,
     home_eq,
     home_lt,
     in_q,
@@ -42,19 +41,21 @@ from .formulas import (
     make_or,
     quot_eq,
     quot_prec,
+    render,  # parser.render, the inverse of parse up to normalization
     standardize,
 )
-from .model import ModelElement, QuotientElement, is_prime
+from .model import ModelElement, QuotientElement, is_prime, project
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)"
-    r"|(?P<op>->|<=|>=|!=|[=<>!&|().+\-*/]))"
+    r"|(?P<op>->|<=|>=|!=|[=<>!&|().+\-*/])|(?P<bad>\S))"
 )
+_VARIABLE_RE = re.compile(r"([xu])(\d+)")
+_BASIS_RE = re.compile(r"r(\d+)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     pos: int
@@ -62,79 +63,84 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(at, f"unexpected character {stripped[0]!r}")
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            got = m.group(kind)
-            if got is not None:
-                tokens.append(_Token(kind, got, m.start(kind)))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(m.start(kind), f"unexpected character {m.group(kind)!r}")
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
-class _RawTerm:
-    """A parsed signed sum before its sort is resolved."""
+# the atoms each relation between two terms stands for; the weak ones are
+# desugared to strict-or-equal
+_HOME_RELATIONS = {
+    "=": home_eq,
+    "!=": lambda t: make_not(home_eq(t)),
+    "<": home_lt,
+    ">": lambda t: home_lt(-t),
+    "<=": lambda t: make_or([home_lt(t), home_eq(t)]),
+    ">=": lambda t: make_or([home_lt(-t), home_eq(t)]),
+}
+_QUOTIENT_RELATIONS = {
+    "=": quot_eq,
+    "!=": lambda s: make_not(quot_eq(s)),
+    "prec": quot_prec,
+    "preceq": lambda s: make_or([quot_prec(s), quot_eq(s)]),
+}
+# how tightly each infix connective binds; '->' groups to the right
+_BINARY = {"&": 3, "|": 2, "->": 1}
 
-    def __init__(self):
-        self.hcoeffs: dict[Variable, Fraction] = {}
-        self.qcoeffs: dict[Variable, Fraction] = {}
-        self.const: dict[int, Fraction] = {}
-        self.pushed = HomeTerm()
-        self.saw_quotient = False
 
-    def add_var(self, v: Variable, q: Fraction) -> None:
-        if v.sort is Sort.QUOTIENT:
-            self.saw_quotient = True
-            self.qcoeffs[v] = self.qcoeffs.get(v, Fraction(0)) + q
-        else:
-            self.hcoeffs[v] = self.hcoeffs.get(v, Fraction(0)) + q
+def _reduce(values: list[Formula], ops: list, value: Formula, strength: int) -> Formula:
+    """Apply to `value` the infix connectives on top of `ops` that bind
+    tighter than `strength`; a run of '&' or of '|' becomes one junction."""
+    while ops and _BINARY.get(ops[-1], 0) > strength:
+        op = ops.pop()
+        if op == "->":
+            value = make_or([make_not(values.pop()), value])
+            continue
+        run = [value, values.pop()]
+        while ops and ops[-1] == op:
+            ops.pop()
+            run.append(values.pop())
+        value = (make_and if op == "&" else make_or)(run[::-1])
+    return value
 
-    def add_const(self, radicand: int, q: Fraction) -> None:
-        self.const[radicand] = self.const.get(radicand, Fraction(0)) + q
 
-    def add_pushed(self, inner: HomeTerm, q: Fraction) -> None:
-        self.saw_quotient = True
-        self.pushed = self.pushed + inner.scale(q)
+# A term as it is read: one coefficient map over the variables of both sorts,
+# home variables under pi(...) included, as `terms._Term` keeps it; the
+# constants outside and under pi, by radicand; the sorts met outside
+# constants (Sort.QUOTIENT for a pi); and the position where it starts.
+_ParsedTerm = tuple[dict, dict, dict, set, int]
 
-    def quotient_like(self) -> bool:
-        return self.saw_quotient
 
-    def home_like(self) -> bool:
-        return bool(self.hcoeffs) or any(q != 0 for q in self.const.values())
+def _home_term(term: _ParsedTerm) -> HomeTerm:
+    coeffs, const, _, sorts, pos = term
+    if Sort.QUOTIENT in sorts:
+        raise SortError(f"quotient-sort material in a home-sort term (position {pos})")
+    return HomeTerm._make({v: Fraction(q) for v, q in coeffs.items() if q}, ModelElement(const))
 
-    def as_home(self, pos: int) -> HomeTerm:
-        if self.quotient_like():
-            raise SortError(f"quotient-sort material in a home-sort term (position {pos})")
-        return HomeTerm(self.hcoeffs, ModelElement(self.const))
 
-    def as_quotient(self, pos: int) -> QuotientTerm:
-        if self.hcoeffs:
-            raise SortError(
-                f"home variable outside pi(...) in a quotient-sort term (position {pos})"
-            )
-        if any(q != 0 for q in self.const.values()):
-            raise SortError(
-                f"nonzero home-sort constant in a quotient-sort term (position {pos}); "
-                "wrap it in pi(...)"
-            )
-        return QuotientTerm(self.qcoeffs, self.pushed)
+def _quotient_term(term: _ParsedTerm) -> QuotientTerm:
+    coeffs, const, pi_const, sorts, pos = term
+    if Sort.HOME in sorts:
+        raise SortError(f"home variable outside pi(...) in a quotient-sort term (position {pos})")
+    if any(const.values()):
+        raise SortError(
+            f"nonzero home-sort constant in a quotient-sort term (position {pos}); "
+            "wrap it in pi(...)"
+        )
+    coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
+    return QuotientTerm._make(coeffs, project(ModelElement(pi_const)))
 
 
 class _Parser:
     def __init__(self, text: str, mode: TheoryMode):
-        self.text = text
         self.mode = mode
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.quantified = False  # whether any E or A was read
 
     # -- token plumbing ------------------------------------------------
 
@@ -153,159 +159,159 @@ class _Parser:
             raise ParseError(tok.pos, f"expected {text!r}, found {tok.text or 'end of input'!r}")
         return tok
 
+    def expect_end(self) -> None:
+        tail = self.peek()
+        if tail.kind != "end":
+            raise ParseError(tail.pos, f"unexpected trailing input {tail.text!r}")
+
     def at_op(self, *texts: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text in texts
 
-    def at_name(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text in texts
-
     # -- formulas --------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.at_op("->"):
-            self.next()
-            right = self.parse_formula()  # right-associative
-            return make_or([make_not(left), right])
-        return left
+        """Precedence climbing on an explicit operator stack.
 
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.at_op("|"):
-            self.next()
-            parts.append(self.parse_and())
-        return make_or(parts) if len(parts) > 1 else parts[0]
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_unary()]
-        while self.at_op("&"):
-            self.next()
-            parts.append(self.parse_unary())
-        return make_and(parts) if len(parts) > 1 else parts[0]
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "!":
-            self.next()
-            return make_not(self.parse_unary())
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            inner = self.parse_formula()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "name" and tok.text in ("E", "A"):
-            self.next()
-            var = self.parse_quantified_variable()
-            self.expect_op(".")
-            body = self.parse_formula()  # scope extends maximally right
-            return Exists(var, body) if tok.text == "E" else Forall(var, body)
-        if tok.kind == "name" and tok.text == "true":
-            self.next()
-            return TRUE
-        if tok.kind == "name" and tok.text == "false":
-            self.next()
-            return FALSE
-        return self.parse_atom()
+        `ops` holds '!', '(', the infix connectives and the open
+        quantifiers, whose scope extends as far right as it can: only ')'
+        or the end of the input closes them.  `values` holds the left
+        operand of each infix connective in `ops`.
+        """
+        values: list[Formula] = []
+        ops: list = []
+        while True:
+            tok = self.peek()
+            if self.at_op("!", "("):
+                ops.append(self.next().text)
+                continue
+            if tok.kind == "name" and tok.text in ("E", "A"):
+                self.next()
+                self.quantified = True
+                ops.append((tok.text, self.parse_quantified_variable()))
+                self.expect_op(".")
+                continue
+            value = self.parse_literal()
+            while True:  # value is a whole operand: apply '!', then close what ends here
+                while ops and ops[-1] == "!":
+                    ops.pop()
+                    value = make_not(value)
+                tok = self.peek()
+                strength = _BINARY.get(tok.text, 0) if tok.kind == "op" else 0
+                value = _reduce(values, ops, value, strength)
+                if strength:
+                    values.append(value)
+                    ops.append(self.next().text)
+                    break
+                if not ops:
+                    return value
+                top = ops.pop()
+                if top == "(":
+                    self.expect_op(")")
+                else:
+                    value = (Exists if top[0] == "E" else Forall)(top[1], value)
 
     def parse_quantified_variable(self) -> Variable:
         tok = self.next()
-        v = _variable_of(tok)
+        v = self.variable(tok)
         if v is None:
             raise ParseError(tok.pos, f"expected a variable after quantifier, found {tok.text!r}")
-        if v.sort is Sort.QUOTIENT and self.mode is TheoryMode.OVS:
-            raise ModeError("quotient-sort variables require theory mode povs or povs-prec")
         return v
 
-    def parse_atom(self) -> Formula:
+    def parse_literal(self) -> Formula:
         tok = self.peek()
+        if tok.kind == "name" and tok.text in ("true", "false"):
+            self.next()
+            return TRUE if tok.text == "true" else FALSE
         if tok.kind == "name" and tok.text == "Q" and self.tokens[self.idx + 1].text == "(":
             if self.mode is TheoryMode.OVS:
                 raise ModeError("the subspace predicate Q requires theory mode povs or povs-prec")
             self.next()
             self.expect_op("(")
-            raw, pos = self.parse_raw_term()
+            term = self.parse_term()
             self.expect_op(")")
-            return in_q(raw.as_home(pos))
+            return in_q(_home_term(term))
 
-        left, lpos = self.parse_raw_term()
+        left = self.parse_term()
         op = self.next()
         if op.kind != "op" and not (op.kind == "name" and op.text in ("prec", "preceq")):
             raise ParseError(op.pos, f"expected a relation, found {op.text or 'end of input'!r}")
-        right, rpos = self.parse_raw_term()
+        right = self.parse_term()
         rel = op.text
 
-        if rel in ("prec", "preceq"):
-            if self.mode is not TheoryMode.POVS_PREC:
-                raise ModeError(f"{rel} requires theory mode povs-prec")
-            s = left.as_quotient(lpos) - right.as_quotient(rpos)
-            if rel == "prec":
-                return quot_prec(s)
-            return make_or([quot_prec(s), quot_eq(s)])
-
-        quotient_sides = left.quotient_like() or right.quotient_like()
-        if quotient_sides:
-            if self.mode is TheoryMode.OVS:
-                raise ModeError("quotient-sort atoms require theory mode povs or povs-prec")
-            s = left.as_quotient(lpos) - right.as_quotient(rpos)
-            if rel == "=":
-                return quot_eq(s)
-            if rel == "!=":
-                return make_not(quot_eq(s))
-            raise SortError(f"relation {rel!r} does not apply to quotient-sort terms")
-
-        t = left.as_home(lpos) - right.as_home(rpos)
-        if rel == "=":
-            return home_eq(t)
-        if rel == "!=":
-            return make_not(home_eq(t))
-        if rel == "<":
-            return home_lt(t)
-        if rel == ">":
-            return home_lt(-t)
-        if rel == "<=":
-            return make_or([home_lt(t), home_eq(t)])
-        if rel == ">=":
-            return make_or([home_lt(-t), home_eq(t)])
-        raise ParseError(op.pos, f"unknown relation {rel!r}")
+        if rel in ("prec", "preceq") and self.mode is not TheoryMode.POVS_PREC:
+            raise ModeError(f"{rel} requires theory mode povs-prec")
+        if rel in ("prec", "preceq") or Sort.QUOTIENT in left[3] | right[3]:
+            s = _quotient_term(left) - _quotient_term(right)
+            if rel not in _QUOTIENT_RELATIONS:
+                raise SortError(f"relation {rel!r} does not apply to quotient-sort terms")
+            return _QUOTIENT_RELATIONS[rel](s)
+        t = _home_term(left) - _home_term(right)
+        if rel not in _HOME_RELATIONS:
+            raise ParseError(op.pos, f"unknown relation {rel!r}")
+        return _HOME_RELATIONS[rel](t)
 
     # -- terms -----------------------------------------------------------
 
-    def parse_raw_term(self) -> tuple[_RawTerm, int]:
-        raw = _RawTerm()
-        start = self.peek().pos
-        sign = Fraction(1)
-        if self.at_op("-"):
-            self.next()
-            sign = Fraction(-1)
-        elif self.at_op("+"):
-            self.next()
-        self.parse_summand(raw, sign)
-        while self.at_op("+", "-"):
-            sign = Fraction(1) if self.next().text == "+" else Fraction(-1)
-            self.parse_summand(raw, sign)
-        return raw, start
-
-    def parse_summand(self, raw: _RawTerm, sign: Fraction) -> None:
-        tok = self.peek()
-        if tok.kind == "num":
-            q = sign * self.parse_rational()
-            if self.at_op("*"):
+    def parse_term(self) -> _ParsedTerm:
+        """A signed sum; the arguments of pi(...) nest on an explicit stack."""
+        enclosing = []  # (term, scale) of each sum whose pi( is still open
+        term: _ParsedTerm = ({}, {}, {}, set(), self.peek().pos)
+        sign = self.parse_sign()
+        while True:
+            coeffs, const, _, sorts, _ = term
+            tok = self.next()
+            if tok.kind not in ("num", "name"):
+                raise ParseError(tok.pos, f"expected a term, found {tok.text or 'end of input'!r}")
+            q = sign * self.parse_rational(tok) if tok.kind == "num" else sign
+            if tok.kind == "num" and self.at_op("*"):
                 self.next()
-                self.parse_primary(raw, q)
+                tok = self.next()
+                if tok.kind != "name":
+                    raise ParseError(
+                        tok.pos, f"expected a variable or basis symbol, found {tok.text!r}"
+                    )
+            v = self.variable(tok)
+            m = _BASIS_RE.fullmatch(tok.text)
+            if tok.kind == "num":
+                const[0] = const.get(0, 0) + q
+            elif tok.text == "pi":
+                if self.mode is TheoryMode.OVS:
+                    raise ModeError("pi requires theory mode povs or povs-prec")
+                self.expect_op("(")
+                enclosing.append((term, q))
+                term = ({}, {}, {}, set(), self.peek().pos)
+                sign = self.parse_sign()
+                continue
+            elif v is not None:
+                sorts.add(v.sort)
+                coeffs[v] = coeffs.get(v, 0) + q
+            elif m is None:
+                raise ParseError(tok.pos, f"unknown symbol {tok.text!r}")
+            elif not is_prime(int(m.group(1))):
+                raise ParseError(tok.pos, f"r{m.group(1)} is not a square root of a prime")
             else:
-                raw.add_const(0, q)
-            return
-        if tok.kind == "name":
-            self.parse_primary(raw, sign)
-            return
-        raise ParseError(tok.pos, f"expected a term, found {tok.text or 'end of input'!r}")
+                const[int(m.group(1))] = const.get(int(m.group(1)), 0) + q
+            while not self.at_op("+", "-"):  # the sum ends: close the pi( it is in
+                if not enclosing:
+                    return term
+                self.expect_op(")")
+                inner = _home_term(term)
+                term, q = enclosing.pop()
+                coeffs, _, pi_const, sorts, _ = term
+                sorts.add(Sort.QUOTIENT)
+                for v, c in inner.coeffs.items():
+                    coeffs[v] = coeffs.get(v, 0) + q * c
+                for k, c in inner.constant.items():
+                    pi_const[k] = pi_const.get(k, 0) + q * c
+            sign = 1 if self.next().text == "+" else -1
 
-    def parse_rational(self) -> Fraction:
-        tok = self.next()
-        if tok.kind != "num":
-            raise ParseError(tok.pos, f"expected a number, found {tok.text!r}")
+    def parse_sign(self) -> int:
+        if self.at_op("+", "-"):
+            return 1 if self.next().text == "+" else -1
+        return 1
+
+    def parse_rational(self, tok: _Token) -> int | Fraction:
         numerator = int(tok.text)
         if self.at_op("/"):
             self.next()
@@ -315,82 +321,43 @@ class _Parser:
             if int(den.text) == 0:
                 raise ParseError(den.pos, "zero denominator")
             return Fraction(numerator, int(den.text))
-        return Fraction(numerator)
+        return numerator
 
-    def parse_primary(self, raw: _RawTerm, q: Fraction) -> None:
-        tok = self.next()
-        if tok.kind != "name":
-            raise ParseError(tok.pos, f"expected a variable or basis symbol, found {tok.text!r}")
-        if tok.text == "pi":
-            if self.mode is TheoryMode.OVS:
-                raise ModeError("pi requires theory mode povs or povs-prec")
-            self.expect_op("(")
-            inner, ipos = self.parse_raw_term()
-            self.expect_op(")")
-            raw.add_pushed(inner.as_home(ipos), q)
-            return
-        v = _variable_of(tok)
-        if v is not None:
-            if v.sort is Sort.QUOTIENT and self.mode is TheoryMode.OVS:
-                raise ModeError("quotient-sort variables require theory mode povs or povs-prec")
-            raw.add_var(v, q)
-            return
-        m = re.fullmatch(r"r(\d+)", tok.text)
-        if m:
-            radicand = int(m.group(1))
-            if not is_prime(radicand):
-                raise ParseError(tok.pos, f"r{radicand} is not a square root of a prime")
-            raw.add_const(radicand, q)
-            return
-        raise ParseError(tok.pos, f"unknown symbol {tok.text!r}")
-
-
-def _variable_of(tok: _Token) -> Variable | None:
-    m = re.fullmatch(r"([xu])(\d+)", tok.text)
-    if m is None:
-        return None
-    sort = Sort.HOME if m.group(1) == "x" else Sort.QUOTIENT
-    return Variable(sort, int(m.group(2)))
+    def variable(self, tok: _Token) -> Variable | None:
+        """The variable a name token denotes, if any."""
+        m = _VARIABLE_RE.fullmatch(tok.text)
+        if m is None:
+            return None
+        if m.group(1) == "u" and self.mode is TheoryMode.OVS:
+            raise ModeError("quotient-sort variables require theory mode povs or povs-prec")
+        return Variable(Sort.HOME if m.group(1) == "x" else Sort.QUOTIENT, int(m.group(2)))
 
 
 def parse(text: str, mode: TheoryMode = TheoryMode.POVS) -> Formula:
     """Parse a formula; raises ParseError, SortError, or ModeError."""
     p = _Parser(text, mode)
     f = p.parse_formula()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.pos, f"unexpected trailing input {tail.text!r}")
-    f = standardize(f)
-    check_mode(f, mode)
-    return f
-
-
-def render(f: Formula) -> str:
-    """Inverse of parse up to term normalization."""
-    return str(f)
+    p.expect_end()
+    # every symbol was checked against the mode as it was read, and only
+    # binders can need renaming
+    return standardize(f) if p.quantified else f
 
 
 def parse_element(text: str) -> ModelElement:
     """Parse a ground home-sort constant like ``3/2 + 1/3*r2 - r5``."""
-    p = _Parser(text, TheoryMode.POVS)
-    raw, pos = p.parse_raw_term()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.pos, f"unexpected trailing input {tail.text!r}")
-    t = raw.as_home(pos)
-    if t.coeffs:
-        raise ParseError(pos, "expected a constant, found variables")
-    return t.constant
+    return _parse_constant(text, _home_term)
 
 
 def parse_quotient_element(text: str) -> QuotientElement:
     """Parse a ground quotient-sort constant like ``pi(r2 + 2*r3)``."""
+    return _parse_constant(text, _quotient_term)
+
+
+def _parse_constant(text: str, read):
     p = _Parser(text, TheoryMode.POVS)
-    raw, pos = p.parse_raw_term()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.pos, f"unexpected trailing input {tail.text!r}")
-    s = raw.as_quotient(pos)
-    if s.coeffs or s.pushed.coeffs:
-        raise ParseError(pos, "expected a constant, found variables")
-    return s.constant
+    term = p.parse_term()
+    p.expect_end()
+    t = read(term)
+    if not t.is_ground():
+        raise ParseError(term[-1], "expected a constant, found variables")
+    return t.constant

@@ -32,15 +32,11 @@ from .errors import (
 )
 from .evaluate import eval_formula
 from .formulas import (
-    And,
     Atom,
     AtomKind,
-    BoolConst,
     Exists,
     Forall,
     Formula,
-    Not,
-    Or,
     TheoryMode,
     check_mode,
     dnf_clauses,
@@ -52,6 +48,7 @@ from .formulas import (
     make_or,
     quot_eq,
     quot_prec,
+    rewrite,
     simplify,
     standardize,
     substitute,
@@ -197,18 +194,12 @@ def eliminate_exists_quotient(
 
 
 def _qe(f: Formula, mode: TheoryMode) -> Formula:
-    if isinstance(f, (BoolConst, Atom)):
-        return f
-    if isinstance(f, Not):
-        return make_not(_qe(f.sub, mode))
-    if isinstance(f, And):
-        return make_and(_qe(c, mode) for c in f.children)
-    if isinstance(f, Or):
-        return make_or(_qe(c, mode) for c in f.children)
-    if isinstance(f, Forall):
-        return make_not(_qe(Exists(f.var, make_not(f.body)), mode))
-    assert isinstance(f, Exists)
-    return _eliminate(simplify(_qe(f.body, mode)), f.var, mode)
+    def quantifier(g):
+        if isinstance(g, Forall):
+            return make_not((yield Exists(g.var, make_not(g.body))))
+        return _eliminate(simplify((yield g.body)), g.var, mode)
+
+    return rewrite(f, lambda a: a, quantifier)
 
 
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:

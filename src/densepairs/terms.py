@@ -133,6 +133,8 @@ class _Term:
         return self.scale(-1)
 
     def scale(self, q):
+        if q == 1:
+            return self
         q = Fraction(q)
         coeffs = {v: q * c for v, c in self._coeffs.items()} if q else {}
         return self._make(coeffs, self._constant.scale(q))
@@ -147,6 +149,11 @@ class _Term:
         if t.sort is not self.sort:
             t = QuotientTerm.project_term(t)
         return self.without(v) + t.scale(a)
+
+    def rename(self, names: Mapping[Variable, Variable]):
+        """Replace each variable v by names.get(v, v), of the same sort; the
+        renaming must be one-to-one on the variables of the term."""
+        return self._make({names.get(v, v): q for v, q in self._coeffs.items()}, self._constant)
 
     def halves(self):
         """The positive and the negated negative part: self == pos - neg."""

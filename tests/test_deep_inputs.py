@@ -1,0 +1,55 @@
+"""Inputs nested 20,000 deep: parsed, eliminated and rendered without recursion.
+
+This depth overflows the Python stack in any recursive walk, and a walk
+that is quadratic in depth takes minutes on it.  Results are compared as
+text, because `==` on two distinct trees this deep still recurses.
+"""
+
+import time
+
+import pytest
+
+from densepairs.parser import parse, render
+from densepairs.qe import decide_sentence, qe
+
+DEPTH = 20_000
+
+
+def _alternation(n):
+    # x1 < 0 & (x2 < 0 | (x3 < 0 & (... x0 < 0)))
+    head = "".join(f"x{i} < 0 {'&' if i % 2 else '|'} (" for i in range(1, n))
+    return head + "x0 < 0" + ")" * (n - 1)
+
+
+def _implication_chain(n):
+    # ((x0 < 0 -> x1 < 0) -> x2 < 0) ... -> xn < 0
+    return "(" * n + "x0 < 0" + "".join(f" -> x{i} < 0)" for i in range(1, n + 1))
+
+
+# name: (text at depth n, rendered qe output, or None when it is the rendered input)
+SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x1 < 0" + ")" * n, "x1 < 0"),
+    "negations": (lambda n: "!" * n + "Q(x1)", "Q(x1)"),
+    "distinct-binders": (
+        lambda n: "".join(f"E x{i}. " for i in range(1, n + 1)) + "x1 < x2",
+        "true",
+    ),
+    "repeated-binder": (lambda n: "E x1. " * n + "x1 < 0", "true"),
+    "alternation": (_alternation, None),
+    "implication-chain": (_implication_chain, None),
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_deep_input_parses_eliminates_and_renders(shape):
+    make_text, expected = SHAPES[shape]
+    text = make_text(DEPTH)
+    start = time.perf_counter()
+    f = parse(text)
+    shown = render(f)
+    assert render(qe(f)) == (shown if expected is None else expected)
+    assert render(parse(shown)) == shown
+    if expected == "true":
+        assert decide_sentence(f) is True
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{shape} at depth {DEPTH} took {elapsed:.1f} s"

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densepairs.errors import CaptureError, QuantifiedInputError, SortError
+from densepairs.errors import CaptureError, QuantifiedInputError, SortError, UnboundVariableError
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     FALSE,
     TRUE,
     And,
     Atom,
+    BoolConst,
     Exists,
     Forall,
     Not,
@@ -57,6 +58,8 @@ def test_connective_factories_normalize():
     assert make_and([a, make_not(a)]) == FALSE
     assert make_or([a, make_not(a)]) == TRUE
     assert make_not(make_not(a)) == a
+    # a constant built apart from TRUE and FALSE negates by value
+    assert make_not(BoolConst(False)) is TRUE
     # flattening keeps the two-child invariant meaningful
     b = in_q(x(2))
     c = in_q(x(3))
@@ -157,6 +160,13 @@ def test_standardize_renames_collisions():
     # nested same-name binders become distinct
     h = standardize(Exists(hvar(1), make_and([in_q(x(1)), Exists(hvar(1), in_q(x(1)))])))
     assert len(bound_variables(h)) == 2
+    # three nested binders of one name get three names, none reused
+    k = parse("E x1. E x1. E x1. x1 < 0")
+    assert len(bound_variables(k)) == 3
+    assert str(k) == "E x1. E x0. E x2. x2 < 0"
+    # a fresh name must differ from every name an enclosing binder uses, or
+    # x1 < x2 below would become x2 < x2
+    assert str(parse("x1 < 0 & E x2. E x1. x1 < x2")) == "x1 < 0 & (E x2. E x3. x3 < x2)"
 
 
 def test_simplify_folds_ground_atoms():
@@ -318,3 +328,14 @@ def test_dnf_clauses_match_naive_reference():
         for i, c in enumerate(sets):
             assert not any(make_not(lit) in c for lit in c)
             assert not any(other <= c for j, other in enumerate(sets) if j != i)
+
+
+def test_eval_formula_short_circuits_left_to_right():
+    # x2 is left unbound: a connective stops at the first child that decides it
+    neg = {hvar(1): ModelElement.from_rational(-1)}
+    pos = {hvar(1): ModelElement.from_rational(1)}
+    assert eval_formula(parse("x1 < 0 | x2 < 0"), neg) is True
+    assert eval_formula(parse("x1 < 0 & x2 < 0"), pos) is False
+    assert eval_formula(parse("x1 < 0 | E x2. x2 < 0"), neg) is True
+    with pytest.raises(UnboundVariableError):
+        eval_formula(parse("x1 < 0 | x2 < 0"), pos)

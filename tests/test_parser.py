@@ -159,3 +159,122 @@ def test_parse_render_identity_on_random_formulas(seed):
     variables = [hvar(1), hvar(2), qvar(1), qvar(2)]
     f = random_qf_formula(rng, variables, MODEL, TheoryMode.POVS_PREC, depth=3)
     assert parse(render(f), TheoryMode.POVS_PREC) == f
+
+
+# The error contract of the front end on malformed, ill-sorted and
+# mode-violating input: (theory, input, exception class, message).  Parse
+# errors carry their position in the message.
+PARSE_ERRORS = [
+    ("povs", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
+    ("povs", "   ", ParseError, "parse error at position 3: expected a term, found 'end of input'"),
+    ("povs", "x1 < ", ParseError, "parse error at position 5: expected a term, found 'end of input'"),
+    ("povs", "x1 << x2", ParseError, "parse error at position 4: expected a term, found '<'"),
+    ("povs", "r4 < 1", ParseError, "parse error at position 0: r4 is not a square root of a prime"),
+    ("povs", "x1 < r1", ParseError, "parse error at position 5: r1 is not a square root of a prime"),
+    ("povs", "x1 < 1/0", ParseError, "parse error at position 7: zero denominator"),
+    ("povs", "x1 < 1/x2", ParseError, "parse error at position 7: expected a denominator, found 'x2'"),
+    ("povs", "(x1 < 1", ParseError, "parse error at position 7: expected ')', found 'end of input'"),
+    ("povs", "x1 < 0 & (x2 < 0", ParseError, "parse error at position 16: expected ')', found 'end of input'"),
+    ("povs", "E x1. (x1 < 0", ParseError, "parse error at position 13: expected ')', found 'end of input'"),
+    ("povs", "x1 < 2 x2", ParseError, "parse error at position 7: unexpected trailing input 'x2'"),
+    ("povs", "x1 < 1)", ParseError, "parse error at position 6: unexpected trailing input ')'"),
+    ("povs", "true false", ParseError, "parse error at position 5: unexpected trailing input 'false'"),
+    ("povs", "x1 = 1 = 2", ParseError, "parse error at position 7: unexpected trailing input '='"),
+    ("povs", "x1 < 3 $", ParseError, "parse error at position 7: unexpected character '$'"),
+    ("povs", "E 3. x1 < 0", ParseError, "parse error at position 2: expected a variable after quantifier, found '3'"),
+    ("povs", "E x1 x1 < 0", ParseError, "parse error at position 5: expected '.', found 'x1'"),
+    ("povs", "A x1.", ParseError, "parse error at position 5: expected a term, found 'end of input'"),
+    ("povs", "x1 < y1", ParseError, "parse error at position 5: unknown symbol 'y1'"),
+    ("povs", "Q x1", ParseError, "parse error at position 0: unknown symbol 'Q'"),
+    ("povs", "Q(x1", ParseError, "parse error at position 4: expected ')', found 'end of input'"),
+    ("povs", "x1 * 2 < 0", ParseError, "parse error at position 3: unknown relation '*'"),
+    ("povs", "2 * 3 < 0", ParseError, "parse error at position 4: expected a variable or basis symbol, found '3'"),
+    ("povs", "!", ParseError, "parse error at position 1: expected a term, found 'end of input'"),
+    ("povs", "!!!", ParseError, "parse error at position 3: expected a term, found 'end of input'"),
+    ("povs", "-", ParseError, "parse error at position 1: expected a term, found 'end of input'"),
+    ("povs", "()", ParseError, "parse error at position 1: expected a term, found ')'"),
+    ("povs", "x1 < 0 &", ParseError, "parse error at position 8: expected a term, found 'end of input'"),
+    ("povs", "x1 < 0 -> ", ParseError, "parse error at position 10: expected a term, found 'end of input'"),
+    ("povs", "x1 < 0 | | x2 < 0", ParseError, "parse error at position 9: expected a term, found '|'"),
+    ("povs", "x1 = u1", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "x1 != u1", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "pi(x1) + x2 = u1", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "u1 = x1 + pi(x2)", SortError, "home variable outside pi(...) in a quotient-sort term (position 5)"),
+    ("povs", "u1 + x1 - x1 = 0", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "u1 = 1", SortError, "nonzero home-sort constant in a quotient-sort term (position 5); wrap it in pi(...)"),
+    ("povs", "u1 != 2", SortError, "nonzero home-sort constant in a quotient-sort term (position 6); wrap it in pi(...)"),
+    ("povs", "u1 = pi(x1) + r2", SortError, "nonzero home-sort constant in a quotient-sort term (position 5); wrap it in pi(...)"),
+    ("povs", "pi(1) = 1", SortError, "nonzero home-sort constant in a quotient-sort term (position 8); wrap it in pi(...)"),
+    ("povs", "Q(u1)", SortError, "quotient-sort material in a home-sort term (position 2)"),
+    ("povs", "Q(pi(x1))", SortError, "quotient-sort material in a home-sort term (position 2)"),
+    ("povs", "pi(u1) = 0", SortError, "quotient-sort material in a home-sort term (position 3)"),
+    ("povs", "pi(pi(x1)) = u1", SortError, "quotient-sort material in a home-sort term (position 3)"),
+    ("povs", "u1 < u2", SortError, "relation '<' does not apply to quotient-sort terms"),
+    ("povs", "x1 prec 0", ModeError, "prec requires theory mode povs-prec"),
+    ("povs", "pi(x1) prec pi(x2)", ModeError, "prec requires theory mode povs-prec"),
+    ("povs", "u1 preceq u2", ModeError, "preceq requires theory mode povs-prec"),
+    ("povs-prec", "u1 < u2", SortError, "relation '<' does not apply to quotient-sort terms"),
+    ("povs-prec", "x1 prec 0", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs-prec", "u1 <= pi(x1)", SortError, "relation '<=' does not apply to quotient-sort terms"),
+    ("povs-prec", "pi(x1) prec x2", SortError, "home variable outside pi(...) in a quotient-sort term (position 12)"),
+    ("ovs", "Q(x1)", ModeError, "the subspace predicate Q requires theory mode povs or povs-prec"),
+    ("ovs", "pi(x1) = u1", ModeError, "pi requires theory mode povs or povs-prec"),
+    ("ovs", "E u1. u1 = u1", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
+    ("ovs", "E u1. x1 < 0", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
+    ("ovs", "u1 < 0", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
+    ("ovs", "x1 prec x2", ModeError, "prec requires theory mode povs-prec"),
+    ("ovs", "E x1. x1 < 0 & Q(x1)", ModeError, "the subspace predicate Q requires theory mode povs or povs-prec"),
+    ("ovs", "x1 < 0 | 0 < pi(x1)", ModeError, "pi requires theory mode povs or povs-prec"),
+    ("ovs", "(x1 < 0", ParseError, "parse error at position 7: expected ')', found 'end of input'"),
+    ("ovs", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
+    ("povs", "pi(pi(x1) +) = u1", ParseError, "parse error at position 11: expected a term, found ')'"),
+    ("povs", "E x1. E", ParseError, "parse error at position 7: expected a variable after quantifier, found ''"),
+    ("povs", "x1 < 0 & E x1", ParseError, "parse error at position 13: expected '.', found 'end of input'"),
+    ("povs", "x1 - x1 < u1 - u1", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "!(x1 < 0", ParseError, "parse error at position 8: expected ')', found 'end of input'"),
+    ("povs", "E x1. x1 < 0 )", ParseError, "parse error at position 13: unexpected trailing input ')'"),
+    ("povs", "((x1 < 0) x2)", ParseError, "parse error at position 10: expected ')', found 'x2'"),
+]
+
+# (parse_element or parse_quotient_element, input, exception class, message)
+ELEMENT_ERRORS = [
+    ("element", "x1 + 1", ParseError, "parse error at position 0: expected a constant, found variables"),
+    ("element", "1 +", ParseError, "parse error at position 3: expected a term, found 'end of input'"),
+    ("element", "r4", ParseError, "parse error at position 0: r4 is not a square root of a prime"),
+    ("element", "1 2", ParseError, "parse error at position 2: unexpected trailing input '2'"),
+    ("element", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
+    ("element", "pi(r2)", SortError, "quotient-sort material in a home-sort term (position 0)"),
+    ("element", "1/0", ParseError, "parse error at position 2: zero denominator"),
+    ("element", "u1", SortError, "quotient-sort material in a home-sort term (position 0)"),
+    ("quotient", "r2", SortError, "nonzero home-sort constant in a quotient-sort term (position 0); wrap it in pi(...)"),
+    ("quotient", "u1", ParseError, "parse error at position 0: expected a constant, found variables"),
+    ("quotient", "pi(x1)", ParseError, "parse error at position 0: expected a constant, found variables"),
+    ("quotient", "pi(r2) 3", ParseError, "parse error at position 7: unexpected trailing input '3'"),
+    ("quotient", "pi(", ParseError, "parse error at position 3: expected a term, found 'end of input'"),
+    ("quotient", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
+    ("quotient", "x1", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("quotient", "pi(u1)", SortError, "quotient-sort material in a home-sort term (position 3)"),
+]
+
+
+@pytest.mark.parametrize("theory,text,error,message", PARSE_ERRORS)
+def test_parse_error_contract(theory, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text, TheoryMode(theory))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("which,text,error,message", ELEMENT_ERRORS)
+def test_element_parse_error_contract(which, text, error, message):
+    parse_one = parse_element if which == "element" else parse_quotient_element
+    with pytest.raises(error) as info:
+        parse_one(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_cancelled_constants_keep_the_quotient_sort():
+    # only a nonzero home constant is rejected in a quotient-sort term
+    assert render(parse("u1 + 1 - 1 = 0")) == "u1 = 0"
+    assert render(parse("pi(1) + u1 = 0")) == "u1 = 0"
