@@ -12,11 +12,11 @@ passes consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator
 
 from .errors import (
     CaptureError,
@@ -46,7 +46,7 @@ class AtomKind(Enum):
     QUOT_PREC = "quot_prec"
 
 
-_HOME_KINDS = {AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q}
+_ORDER_TEXT = {AtomKind.HOME_LT: "<", AtomKind.QUOT_PREC: "prec"}
 
 
 class Formula:
@@ -64,6 +64,9 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):  # pickle and copy rebuild the node, so the hash is made afresh
+        return type(self), self._fields()
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -101,31 +104,23 @@ FALSE = BoolConst(False)
 class Atom(Formula):
     kind: AtomKind
     payload: Term
-    _sides: tuple[str, str] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        want_home = self.kind in _HOME_KINDS
+        want_home = self.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q)
         if want_home != isinstance(self.payload, HomeTerm):
             raise SortError(f"{self.kind.value} atom with {type(self.payload).__name__} payload")
         Formula.__post_init__(self)
 
     def text(self, positive: bool = True) -> str:
-        """The atom or its negation as `parser.parse` reads it; the texts
-        either side of the relation (for Q, of the payload) are made once."""
-        if self._sides is None:
-            if self.kind is AtomKind.IN_Q:
-                sides = str(self.payload), ""
-            elif self.kind is AtomKind.QUOT_EQ and self.payload.is_zero():
-                sides = "pi(0)", "0"  # the home-sort "0 = 0" would not read back
-            else:
-                pos, neg = self.payload.halves()
-                sides = str(pos), str(neg)
-            object.__setattr__(self, "_sides", sides)
-        pos, neg = self._sides
+        """The atom or its negation as `parser.parse` reads it."""
         if self.kind is AtomKind.IN_Q:
-            return f"{'' if positive else '!'}Q({pos})"
-        rel = {AtomKind.HOME_LT: "<", AtomKind.QUOT_PREC: "prec"}.get(self.kind)
-        return f"{pos} {rel or ('=' if positive else '!=')} {neg}"
+            return f"{'' if positive else '!'}Q({self.payload})"
+        if self.kind is AtomKind.QUOT_EQ and self.payload.is_zero():
+            pos, neg = "pi(0)", "0"  # the home-sort "0 = 0" would not read back
+        else:
+            pos, neg = self.payload.halves()
+        rel = _ORDER_TEXT.get(self.kind) or ("=" if positive else "!=")
+        return f"{pos} {rel} {neg}"
 
 
 @_node
@@ -606,23 +601,20 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
         return connective(h)
 
     kept = _absorb(traverse(step, g))
-    text = [str(lit) for lit in literals]
-    ordered = sorted(
-        (sorted(clause, key=text.__getitem__) for clause in kept),
-        key=lambda clause: [text[i] for i in clause],
-    )
-    return [tuple(literals[i] for i in clause) for clause in ordered]
-
-
-def clauses_to_formula(clauses: Sequence[Sequence[Formula]]) -> Formula:
-    return make_or(make_and(clause) for clause in clauses)
+    if len(literals) > 1:  # with one literal there is at most one clause, and nothing to order
+        text = [str(lit) for lit in literals]
+        kept = sorted(
+            (sorted(clause, key=text.__getitem__) for clause in kept),
+            key=lambda clause: [text[i] for i in clause],
+        )
+    return [tuple(literals[i] for i in clause) for clause in kept]
 
 
 def to_dnf(f: Formula) -> Formula:
     """An equivalent disjunction of conjunctions of literals."""
     if not is_quantifier_free(f):
         raise QuantifiedInputError("to_dnf requires a quantifier-free formula")
-    return clauses_to_formula(dnf_clauses(f))
+    return make_or(make_and(clause) for clause in dnf_clauses(f))
 
 
 def simplify(f: Formula) -> Formula:
@@ -632,10 +624,11 @@ def simplify(f: Formula) -> Formula:
         body = yield g.body
         return body if isinstance(body, BoolConst) else type(g)(g.var, body)
 
-    return rewrite(f, _fold_ground, binder)
+    return rewrite(f, fold_ground, binder)
 
 
-def _fold_ground(a: Atom) -> Formula:
+def fold_ground(a: Atom) -> Formula:
+    """A ground atom as its truth value; other atoms stay as they are."""
     if not a.payload.is_ground():
         return a
     return TRUE if eval_atom(a, {}) else FALSE

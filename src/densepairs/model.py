@@ -72,6 +72,14 @@ class _SpanElement:
         self._coeffs = cleaned
         self._hash = None
 
+    @classmethod
+    def _make(cls, coeffs: dict[int, Fraction]):
+        """The element of a clean map: radicands of this sort to nonzero Fractions."""
+        e = object.__new__(cls)
+        e._coeffs = coeffs
+        e._hash = None
+        return e
+
     @property
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
@@ -109,7 +117,7 @@ class _SpanElement:
                 out[k] = w
             else:
                 out.pop(k, None)
-        return type(self)(out)
+        return self._make(out)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -118,13 +126,13 @@ class _SpanElement:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self._coeffs.items()})
+        return self._make({k: -v for k, v in self._coeffs.items()})
 
     def scale(self, q) -> "_SpanElement":
         q = Fraction(q)
         if q == 0:
-            return type(self)()
-        return type(self)({k: q * v for k, v in self._coeffs.items()})
+            return self._make({})
+        return self._make({k: q * v for k, v in self._coeffs.items()})
 
     def __mul__(self, q):
         if isinstance(q, (int, Fraction)):
@@ -268,28 +276,27 @@ def lex_compare(a: QuotientElement, b: QuotientElement) -> int:
 
 def project(a: ModelElement) -> QuotientElement:
     """The linear quotient map: kill the rational part, keep the rest."""
-    return QuotientElement({k: v for k, v in a._coeffs.items() if k != 0})
+    return QuotientElement._make({k: v for k, v in a._coeffs.items() if k != 0})
 
 
 def section(w: QuotientElement) -> ModelElement:
     """Canonical right inverse of `project`: the representative with zero rational part."""
-    return ModelElement(w._coeffs)
+    return ModelElement._make(dict(w._coeffs))
 
 
 def render_combination(items: list[tuple[Fraction, str | None]]) -> str:
-    """Render a signed sum like ``3/2 + 1/3*r2 - r5`` (grammar-compatible)."""
+    """Render nonzero (coefficient, symbol or None for 1) pairs like ``3/2 + 1/3*r2 - r5``."""
     parts = []
     for q, sym in items:
-        if q == 0:
-            continue
-        mag = abs(q)
+        n, d = q.numerator, q.denominator  # |q| is written from these, as str(abs(q)) would
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if sym is None:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = sym
         else:
             body = f"{mag}*{sym}"
-        parts.append(("-" if q < 0 else "+", body))
+        parts.append(("-" if n < 0 else "+", body))
     if not parts:
         return "0"
     sign0, body0 = parts[0]

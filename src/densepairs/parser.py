@@ -108,31 +108,33 @@ def _reduce(values: list[Formula], ops: list, value: Formula, strength: int) -> 
     return value
 
 
-# A term as it is read: one coefficient map over the variables of both sorts,
-# home variables under pi(...) included, as `terms._Term` keeps it; the
-# constants outside and under pi, by radicand; the sorts met outside
-# constants (Sort.QUOTIENT for a pi); and the position where it starts.
-_ParsedTerm = tuple[dict, dict, dict, set, int]
+class _ParsedTerm(NamedTuple):  # a term as it is read
+    coeffs: dict  # over the variables of both sorts, home ones under pi(...) included
+    const: dict  # the constant outside pi, by radicand
+    pi_const: dict  # the constant under pi, by radicand
+    sorts: set  # the sorts met outside constants (Sort.QUOTIENT for a pi)
+    pos: int  # where the term starts
 
 
 def _home_term(term: _ParsedTerm) -> HomeTerm:
-    coeffs, const, _, sorts, pos = term
-    if Sort.QUOTIENT in sorts:
-        raise SortError(f"quotient-sort material in a home-sort term (position {pos})")
-    return HomeTerm._make({v: Fraction(q) for v, q in coeffs.items() if q}, ModelElement(const))
+    if Sort.QUOTIENT in term.sorts:
+        raise SortError(f"quotient-sort material in a home-sort term (position {term.pos})")
+    coeffs = {v: Fraction(q) for v, q in term.coeffs.items() if q}
+    return HomeTerm._make(coeffs, ModelElement(term.const))
 
 
 def _quotient_term(term: _ParsedTerm) -> QuotientTerm:
-    coeffs, const, pi_const, sorts, pos = term
-    if Sort.HOME in sorts:
-        raise SortError(f"home variable outside pi(...) in a quotient-sort term (position {pos})")
-    if any(const.values()):
+    if Sort.HOME in term.sorts:
         raise SortError(
-            f"nonzero home-sort constant in a quotient-sort term (position {pos}); "
+            f"home variable outside pi(...) in a quotient-sort term (position {term.pos})"
+        )
+    if any(term.const.values()):
+        raise SortError(
+            f"nonzero home-sort constant in a quotient-sort term (position {term.pos}); "
             "wrap it in pi(...)"
         )
-    coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
-    return QuotientTerm._make(coeffs, project(ModelElement(pi_const)))
+    coeffs = {v: Fraction(q) for v, q in term.coeffs.items() if q}
+    return QuotientTerm._make(coeffs, project(ModelElement(term.pi_const)))
 
 
 class _Parser:
@@ -140,7 +142,6 @@ class _Parser:
         self.mode = mode
         self.tokens = _tokenize(text)
         self.idx = 0
-        self.quantified = False  # whether any E or A was read
 
     # -- token plumbing ------------------------------------------------
 
@@ -187,7 +188,6 @@ class _Parser:
                 continue
             if tok.kind == "name" and tok.text in ("E", "A"):
                 self.next()
-                self.quantified = True
                 ops.append((tok.text, self.parse_quantified_variable()))
                 self.expect_op(".")
                 continue
@@ -241,7 +241,7 @@ class _Parser:
 
         if rel in ("prec", "preceq") and self.mode is not TheoryMode.POVS_PREC:
             raise ModeError(f"{rel} requires theory mode povs-prec")
-        if rel in ("prec", "preceq") or Sort.QUOTIENT in left[3] | right[3]:
+        if rel in ("prec", "preceq") or Sort.QUOTIENT in left.sorts | right.sorts:
             s = _quotient_term(left) - _quotient_term(right)
             if rel not in _QUOTIENT_RELATIONS:
                 raise SortError(f"relation {rel!r} does not apply to quotient-sort terms")
@@ -256,10 +256,9 @@ class _Parser:
     def parse_term(self) -> _ParsedTerm:
         """A signed sum; the arguments of pi(...) nest on an explicit stack."""
         enclosing = []  # (term, scale) of each sum whose pi( is still open
-        term: _ParsedTerm = ({}, {}, {}, set(), self.peek().pos)
+        term = _ParsedTerm({}, {}, {}, set(), self.peek().pos)
         sign = self.parse_sign()
         while True:
-            coeffs, const, _, sorts, _ = term
             tok = self.next()
             if tok.kind not in ("num", "name"):
                 raise ParseError(tok.pos, f"expected a term, found {tok.text or 'end of input'!r}")
@@ -271,39 +270,36 @@ class _Parser:
                     raise ParseError(
                         tok.pos, f"expected a variable or basis symbol, found {tok.text!r}"
                     )
-            v = self.variable(tok)
-            m = _BASIS_RE.fullmatch(tok.text)
             if tok.kind == "num":
-                const[0] = const.get(0, 0) + q
+                term.const[0] = term.const.get(0, 0) + q
             elif tok.text == "pi":
                 if self.mode is TheoryMode.OVS:
                     raise ModeError("pi requires theory mode povs or povs-prec")
                 self.expect_op("(")
                 enclosing.append((term, q))
-                term = ({}, {}, {}, set(), self.peek().pos)
+                term = _ParsedTerm({}, {}, {}, set(), self.peek().pos)
                 sign = self.parse_sign()
                 continue
-            elif v is not None:
-                sorts.add(v.sort)
-                coeffs[v] = coeffs.get(v, 0) + q
-            elif m is None:
+            elif (v := self.variable(tok)) is not None:
+                term.sorts.add(v.sort)
+                term.coeffs[v] = term.coeffs.get(v, 0) + q
+            elif (m := _BASIS_RE.fullmatch(tok.text)) is None:
                 raise ParseError(tok.pos, f"unknown symbol {tok.text!r}")
             elif not is_prime(int(m.group(1))):
                 raise ParseError(tok.pos, f"r{m.group(1)} is not a square root of a prime")
             else:
-                const[int(m.group(1))] = const.get(int(m.group(1)), 0) + q
+                term.const[int(m.group(1))] = term.const.get(int(m.group(1)), 0) + q
             while not self.at_op("+", "-"):  # the sum ends: close the pi( it is in
                 if not enclosing:
                     return term
                 self.expect_op(")")
                 inner = _home_term(term)
                 term, q = enclosing.pop()
-                coeffs, _, pi_const, sorts, _ = term
-                sorts.add(Sort.QUOTIENT)
+                term.sorts.add(Sort.QUOTIENT)
                 for v, c in inner.coeffs.items():
-                    coeffs[v] = coeffs.get(v, 0) + q * c
+                    term.coeffs[v] = term.coeffs.get(v, 0) + q * c
                 for k, c in inner.constant.items():
-                    pi_const[k] = pi_const.get(k, 0) + q * c
+                    term.pi_const[k] = term.pi_const.get(k, 0) + q * c
             sign = 1 if self.next().text == "+" else -1
 
     def parse_sign(self) -> int:
@@ -340,7 +336,7 @@ def parse(text: str, mode: TheoryMode = TheoryMode.POVS) -> Formula:
     p.expect_end()
     # every symbol was checked against the mode as it was read, and only
     # binders can need renaming
-    return standardize(f) if p.quantified else f
+    return standardize(f)
 
 
 def parse_element(text: str) -> ModelElement:
@@ -359,5 +355,5 @@ def _parse_constant(text: str, read):
     p.expect_end()
     t = read(term)
     if not t.is_ground():
-        raise ParseError(term[-1], "expected a constant, found variables")
+        raise ParseError(term.pos, "expected a constant, found variables")
     return t.constant

@@ -40,6 +40,7 @@ from .formulas import (
     TheoryMode,
     check_mode,
     dnf_clauses,
+    fold_ground,
     free_variables,
     home_lt,
     literal_parts,
@@ -56,36 +57,40 @@ from .formulas import (
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 
+_WEAK_ORDER = "weak order literal reached the eliminator; normalize to strict form first"
+
+
 def _contains(lit: Formula, v: Variable) -> bool:
     atom, _ = literal_parts(lit)
     return atom.payload.coeff(v) != 0
 
 
 def _fresh_quotient_var(literals: Sequence[Formula]) -> Variable:
-    top = -1
-    for lit in literals:
-        atom, _ = literal_parts(lit)
-        for var in atom.payload.variables():
-            if var.sort is Sort.QUOTIENT:
-                top = max(top, var.index)
-    return Variable(Sort.QUOTIENT, top + 1)
+    atoms = [literal_parts(lit)[0] for lit in literals]
+    used = [w.index for a in atoms for w in a.payload.variables() if w.sort is Sort.QUOTIENT]
+    return Variable(Sort.QUOTIENT, max(used, default=-1) + 1)
+
+
+def _solve_equation(literals: Sequence[Formula], v: Variable, kind: AtomKind):
+    """Literals without v, with v, and the rest with v solved by a `kind` equation, or None."""
+    keep = [lit for lit in literals if not _contains(lit, v)]
+    vlits = [lit for lit in literals if _contains(lit, v)]
+    for lit in vlits:
+        atom, positive = literal_parts(lit)
+        if atom.kind is kind and positive:
+            witness = atom.payload.without(v).scale(-1 / atom.payload.coeff(v))
+            replaced = [substitute(other, v, witness) for other in vlits if other is not lit]
+            return keep, vlits, make_and(keep + replaced)
+    return keep, vlits, None
 
 
 def _eliminate_home_clause(
     literals: Sequence[Formula], v: Variable, mode: TheoryMode
 ) -> Formula:
     """Drop an existential home-sort variable from one strict-literal clause."""
-    keep = [lit for lit in literals if not _contains(lit, v)]
-    vlits = [lit for lit in literals if _contains(lit, v)]
-
-    for lit in vlits:
-        atom, positive = literal_parts(lit)
-        if atom.kind is AtomKind.HOME_EQ and positive:
-            coeff = atom.payload.coeff(v)
-            witness = atom.payload.without(v).scale(-1 / coeff)
-            rest = [other for other in vlits if other is not lit]
-            replaced = [substitute(other, v, witness) for other in rest]
-            return make_and(keep + replaced)
+    keep, vlits, solved = _solve_equation(literals, v, AtomKind.HOME_EQ)
+    if solved is not None:
+        return solved
 
     lowers: list[HomeTerm] = []
     uppers: list[HomeTerm] = []
@@ -98,9 +103,7 @@ def _eliminate_home_clause(
             continue  # a disequation excludes one point of a dense set
         if atom.kind is AtomKind.HOME_LT:
             if not positive:
-                raise NotConjunctionError(
-                    "weak order literal reached the eliminator; normalize to strict form first"
-                )
+                raise NotConjunctionError(_WEAK_ORDER)
             point = atom.payload.without(v).scale(-1 / coeff)
             (uppers if coeff > 0 else lowers).append(point)
             continue
@@ -126,17 +129,9 @@ def _eliminate_quotient_clause(
     literals: Sequence[Formula], v: Variable, mode: TheoryMode
 ) -> Formula:
     """Drop an existential quotient-sort variable from one strict-literal clause."""
-    keep = [lit for lit in literals if not _contains(lit, v)]
-    vlits = [lit for lit in literals if _contains(lit, v)]
-
-    for lit in vlits:
-        atom, positive = literal_parts(lit)
-        if atom.kind is AtomKind.QUOT_EQ and positive:
-            coeff = atom.payload.coeff(v)
-            witness = atom.payload.without(v).scale(-1 / coeff)
-            rest = [other for other in vlits if other is not lit]
-            replaced = [substitute(other, v, witness) for other in rest]
-            return make_and(keep + replaced)
+    keep, vlits, solved = _solve_equation(literals, v, AtomKind.QUOT_EQ)
+    if solved is not None:
+        return solved
 
     lowers: list[QuotientTerm] = []
     uppers: list[QuotientTerm] = []
@@ -149,9 +144,7 @@ def _eliminate_quotient_clause(
         if mode is not TheoryMode.POVS_PREC:
             raise ModeError("prec literals require theory mode povs-prec")
         if not positive:
-            raise NotConjunctionError(
-                "weak order literal reached the eliminator; normalize to strict form first"
-            )
+            raise NotConjunctionError(_WEAK_ORDER)
         coeff = atom.payload.coeff(v)
         point = atom.payload.without(v).scale(-1 / coeff)
         (uppers if coeff > 0 else lowers).append(point)
@@ -194,18 +187,21 @@ def eliminate_exists_quotient(
 
 
 def _qe(f: Formula, mode: TheoryMode) -> Formula:
+    """Eliminate quantifiers innermost first.  Atoms are folded and connectives rebuilt
+    on the way up as `simplify` does, so every body and the result are simplified."""
+
     def quantifier(g):
         if isinstance(g, Forall):
             return make_not((yield Exists(g.var, make_not(g.body))))
-        return _eliminate(simplify((yield g.body)), g.var, mode)
+        return _eliminate((yield g.body), g.var, mode)
 
-    return rewrite(f, lambda a: a, quantifier)
+    return rewrite(f, fold_ground, quantifier)
 
 
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:
     """A quantifier-free formula equivalent to f in every model of the theory."""
     check_mode(f, mode)
-    return simplify(_qe(standardize(f), mode))
+    return _qe(standardize(f), mode)
 
 
 def decide_sentence(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> bool:

@@ -13,7 +13,7 @@ implementation of the linear operations and of `substitute`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
@@ -33,10 +33,20 @@ class Sort(Enum):
     QUOTIENT = "quotient"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     sort: Sort
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # hash once, not on every lookup
+        object.__setattr__(self, "_hash", hash((self.sort, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a stored hash is only valid in the process that made it
+        return Variable, (self.sort, self.index)
 
     @property
     def name(self) -> str:
@@ -160,11 +170,11 @@ class _Term:
         c = self._constant
         pos = self._make(
             {v: q for v, q in self._coeffs.items() if q > 0},
-            type(c)({k: q for k, q in c.items() if q > 0}),
+            c._make({k: q for k, q in c.items() if q > 0}),
         )
         neg = self._make(
             {v: -q for v, q in self._coeffs.items() if q < 0},
-            type(c)({k: -q for k, q in c.items() if q < 0}),
+            c._make({k: -q for k, q in c.items() if q < 0}),
         )
         return pos, neg
 

@@ -1,6 +1,8 @@
 """Boolean structure: normal forms, substitution, simplification."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -339,3 +341,11 @@ def test_eval_formula_short_circuits_left_to_right():
     assert eval_formula(parse("x1 < 0 | E x2. x2 < 0"), neg) is True
     with pytest.raises(UnboundVariableError):
         eval_formula(parse("x1 < 0 | x2 < 0"), pos)
+
+
+def test_formulas_survive_pickle_and_copy():
+    # a node stores its hash when built, so a copy must be built, not patched
+    f = parse("E x1. x1 < x2 & Q(x2) | !(u1 = pi(r2)) | A u2. u2 prec u1", TheoryMode.POVS_PREC)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and hash(g) == hash(f) and str(g) == str(f)
+    assert {v: 1 for v in free_variables(f)}[pickle.loads(pickle.dumps(hvar(2)))] == 1
