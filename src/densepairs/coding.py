@@ -33,10 +33,9 @@ from .formulas import (
     Forall,
     Formula,
     TheoryMode,
-    all_atoms,
-    bound_variables,
+    all_variables,
     dnf_clauses,
-    free_variables,
+    fresh_variable,
     ground,
     home_eq,
     literal_parts,
@@ -111,9 +110,7 @@ class FunctionCode:
 
 
 def _check_functional(g: Formula, x: Variable, y: Variable) -> None:
-    taken = {v.index for v in free_variables(g) | bound_variables(g) if v.sort is Sort.HOME}
-    taken |= {x.index, y.index}
-    y2 = Variable(Sort.HOME, max(taken) + 1)
+    y2 = fresh_variable(Sort.HOME, all_variables(g) | {x, y})
     both = make_and([g, substitute(g, y, HomeTerm.from_variable(y2))])
     same = home_eq(HomeTerm.from_variable(y) - HomeTerm.from_variable(y2))
     sentence = Forall(x, Forall(y, Forall(y2, make_or([make_not(both), same]))))
@@ -136,14 +133,10 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
             atom, positive = literal_parts(lit)
             if not positive or atom.kind is not AtomKind.HOME_EQ:
                 continue  # only an equation pins y; a disequation pins nothing
-            b = atom.payload.coeff(y)
-            if b == 0:
+            if atom.payload.coeff(y) == 0:
                 continue
-            a = atom.payload.coeff(x)
-            const = atom.payload.without(x).without(y).constant
-            slope = -a / b
-            intercept = const.scale(-1 / b)
-            key = (slope, intercept)
+            line = atom.payload.root(y)
+            key = (line.coeff(x), line.constant)
             if key not in seen:
                 seen.add(key)
                 candidates.append(key)
@@ -169,11 +162,7 @@ def code_function(
         raise ArityError("function coding needs two home-sort variables")
     if x == y:
         raise ArityError("argument and value variables must differ")
-    g = ground(f, {x, y}, assignment)
-    for atom in all_atoms(g):
-        if atom.kind is AtomKind.QUOT_PREC:
-            raise ArityError("function coding lives in the unordered pair theory")
-    g = qe(g, TheoryMode.POVS)
+    g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
     _check_functional(g, x, y)
 
     domain_formula = qe(Exists(y, g), TheoryMode.POVS)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import ArityError, ModeError
+from .errors import ArityError
 from .evaluate import Assignment, eval_formula
 from .formulas import (
     FALSE,
@@ -28,20 +28,17 @@ from .formulas import (
     AtomKind,
     Formula,
     TheoryMode,
-    all_atoms,
-    bound_variables,
+    all_variables,
     dnf_clauses,
-    free_variables,
+    fresh_variable,
     ground,
     home_eq,
     home_lt,
-    is_quantifier_free,
     literal_parts,
     make_and,
     make_not,
     make_or,
     quot_eq,
-    simplify,
     substitute,
 )
 from .model import (
@@ -283,7 +280,7 @@ class _CellConjunct:
 
 def _coset_of_literal(atom: Atom, v: Variable) -> QuotientElement:
     """The coset that a membership/quotient literal pins pi(v) to."""
-    point = atom.payload.without(v).evaluate({}).scale(-1 / atom.payload.coeff(v))
+    point = atom.payload.root(v).evaluate({})
     return project(point) if atom.kind is AtomKind.IN_Q else point
 
 
@@ -293,21 +290,7 @@ def decompose(
     """The canonical decomposition of the set defined by f in the variable v."""
     if v.sort is not Sort.HOME:
         raise ArityError(f"{v} is not a home-sort variable")
-    g = ground(f, {v}, assignment)
-    for atom in all_atoms(g):
-        if atom.kind is AtomKind.QUOT_PREC:
-            raise ModeError("sets with quotient-order atoms do not decompose into near-intervals")
-    if not is_quantifier_free(g):
-        g = qe(g, TheoryMode.POVS)
-    g = simplify(g)
-    # a formula without v denotes the empty set or the whole line
-    if v not in free_variables(g):
-        if eval_formula(g, {}):
-            return Decomposition(
-                (), (NearInterval(Endpoint.neg_inf(), Endpoint.pos_inf(), CosetSet.all()),)
-            )
-        return Decomposition((), ())
-
+    g = qe(ground(f, {v}, assignment), TheoryMode.POVS)
     clauses = dnf_clauses(g)
 
     endpoints: list[ModelElement] = []
@@ -323,7 +306,7 @@ def decompose(
             if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
                 order_lits.append(lit)
                 if coeff != 0:
-                    point = atom.payload.without(v).evaluate({}).scale(-1 / coeff)
+                    point = atom.payload.root(v).evaluate({})
                     if point not in seen:
                         seen.add(point)
                         endpoints.append(point)
@@ -414,15 +397,7 @@ def generic_type_contains(
     true exactly when the pullback along the quotient map is large."""
     if v.sort is not Sort.QUOTIENT:
         raise ArityError(f"{v} is not a quotient-sort variable")
-    for atom in all_atoms(f):
-        if atom.kind is AtomKind.QUOT_PREC:
-            raise ModeError("the generic type lives in the unordered quotient")
     g = ground(f, {v}, assignment)
-    home_indices = [
-        x.index
-        for x in free_variables(g) | bound_variables(g)
-        if x.sort is Sort.HOME
-    ]
-    x = Variable(Sort.HOME, max(home_indices, default=-1) + 1)
+    x = fresh_variable(Sort.HOME, all_variables(g))
     pullback = substitute(g, v, QuotientTerm.project_term(HomeTerm.from_variable(x)))
     return not is_small(decompose(pullback, x))

@@ -69,11 +69,28 @@ class Formula:
         return type(self), self._fields()
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-            type(other) is type(self)
-            and other._hash == self._hash
-            and other._fields() == self._fields()
-        )
+        if self is other:
+            return True
+        if type(other) is not type(self) or other._hash != self._hash:
+            return False
+        # field sequences still to compare, on a stack: equal trees may be deep
+        pending = [(self._fields(), other._fields())]
+        while pending:
+            xs, ys = pending.pop()
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if isinstance(x, Formula):
+                    if type(x) is not type(y) or x._hash != y._hash:
+                        return False
+                    pending.append((x._fields(), y._fields()))
+                elif isinstance(x, tuple):  # a junction's children
+                    if len(x) != len(y):
+                        return False
+                    pending.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __str__(self) -> str:
         return render(self)
@@ -395,18 +412,34 @@ def is_quantifier_free(f: Formula) -> bool:
 
 
 def check_mode(f: Formula, mode: TheoryMode) -> None:
-    """Reject atoms and variables that the theory mode does not provide."""
-    if mode is TheoryMode.OVS:
-        for a in all_atoms(f):
-            if a.kind not in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
-                raise ModeError(f"{a.kind.value} atom is not part of the one-sorted theory")
-        for v in free_variables(f) | bound_variables(f):
-            if v.sort is Sort.QUOTIENT:
-                raise ModeError("quotient-sort variables are not part of the one-sorted theory")
-    elif mode is TheoryMode.POVS:
-        for a in all_atoms(f):
-            if a.kind is AtomKind.QUOT_PREC:
-                raise ModeError("prec atoms require theory mode povs-prec")
+    """Reject atoms and variables that the theory mode's language does not have.
+
+    The three theories differ only in their symbols, so this is the one
+    check of a formula against a mode; the eliminator itself is mode-free."""
+    if mode is TheoryMode.POVS_PREC:
+        return
+    nodes, _, bound = _scan(f)
+    for a in nodes:
+        if not isinstance(a, Atom):
+            continue
+        if mode is TheoryMode.OVS and a.kind not in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+            raise ModeError(f"{a.kind.value} atom is not part of the one-sorted theory")
+        if a.kind is AtomKind.QUOT_PREC:
+            raise ModeError("prec atoms are outside the unordered pair theory this operation uses")
+    # home atoms mention home variables only, so a quotient variable here is bound
+    if mode is TheoryMode.OVS and any(v.sort is Sort.QUOTIENT for v in bound):
+        raise ModeError("quotient-sort variables are not part of the one-sorted theory")
+
+
+def all_variables(f: Formula) -> set[Variable]:
+    """The free and the bound variables of f, from one scan."""
+    _, free, bound = _scan(f)
+    return free.union(bound)
+
+
+def fresh_variable(sort: Sort, taken: Iterable[Variable]) -> Variable:
+    """The variable of `sort` one index above every variable of that sort in `taken`."""
+    return Variable(sort, max((v.index for v in taken if v.sort is sort), default=-1) + 1)
 
 
 def rewrite(f: Formula, atom: Callable, quantifier: Callable) -> Formula:
@@ -458,9 +491,7 @@ def standardize(f: Formula) -> Formula:
     _, used, binders = _scan(f)
     if len(set(binders)) == len(binders) and used.isdisjoint(binders):
         return f  # nothing to rename
-    next_index = {
-        sort: max((v.index for v in used if v.sort is sort), default=-1) + 1 for sort in Sort
-    }
+    next_index = {sort: fresh_variable(sort, used).index for sort in Sort}
     names: dict[Variable, Variable] = {}
 
     def rename(a):

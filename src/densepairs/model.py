@@ -80,6 +80,9 @@ class _SpanElement:
         e._hash = None
         return e
 
+    def __reduce__(self):  # a stored hash is only valid in the process that made it
+        return self._make, (self._coeffs,)
+
     @property
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self._coeffs)

@@ -24,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    FreeVariableError,
-    ModeError,
-    NotConjunctionError,
-    SortError,
-)
+from .errors import FreeVariableError, NotConjunctionError, SortError
 from .evaluate import eval_formula
 from .formulas import (
     Atom,
@@ -42,6 +37,7 @@ from .formulas import (
     dnf_clauses,
     fold_ground,
     free_variables,
+    fresh_variable,
     home_lt,
     literal_parts,
     make_and,
@@ -65,12 +61,6 @@ def _contains(lit: Formula, v: Variable) -> bool:
     return atom.payload.coeff(v) != 0
 
 
-def _fresh_quotient_var(literals: Sequence[Formula]) -> Variable:
-    atoms = [literal_parts(lit)[0] for lit in literals]
-    used = [w.index for a in atoms for w in a.payload.variables() if w.sort is Sort.QUOTIENT]
-    return Variable(Sort.QUOTIENT, max(used, default=-1) + 1)
-
-
 def _solve_equation(literals: Sequence[Formula], v: Variable, kind: AtomKind):
     """Literals without v, with v, and the rest with v solved by a `kind` equation, or None."""
     keep = [lit for lit in literals if not _contains(lit, v)]
@@ -78,15 +68,13 @@ def _solve_equation(literals: Sequence[Formula], v: Variable, kind: AtomKind):
     for lit in vlits:
         atom, positive = literal_parts(lit)
         if atom.kind is kind and positive:
-            witness = atom.payload.without(v).scale(-1 / atom.payload.coeff(v))
+            witness = atom.payload.root(v)
             replaced = [substitute(other, v, witness) for other in vlits if other is not lit]
             return keep, vlits, make_and(keep + replaced)
     return keep, vlits, None
 
 
-def _eliminate_home_clause(
-    literals: Sequence[Formula], v: Variable, mode: TheoryMode
-) -> Formula:
+def _eliminate_home_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential home-sort variable from one strict-literal clause."""
     keep, vlits, solved = _solve_equation(literals, v, AtomKind.HOME_EQ)
     if solved is not None:
@@ -95,7 +83,8 @@ def _eliminate_home_clause(
     lowers: list[HomeTerm] = []
     uppers: list[HomeTerm] = []
     wlits: list[Formula] = []
-    w = _fresh_quotient_var(literals)
+    used = [u for lit in literals for u in literal_parts(lit)[0].payload.variables()]
+    w = fresh_variable(Sort.QUOTIENT, used)  # stands for pi(v)
     for lit in vlits:
         atom, positive = literal_parts(lit)
         coeff = atom.payload.coeff(v)
@@ -104,8 +93,7 @@ def _eliminate_home_clause(
         if atom.kind is AtomKind.HOME_LT:
             if not positive:
                 raise NotConjunctionError(_WEAK_ORDER)
-            point = atom.payload.without(v).scale(-1 / coeff)
-            (uppers if coeff > 0 else lowers).append(point)
+            (uppers if coeff > 0 else lowers).append(atom.payload.root(v))
             continue
         # membership or quotient literal: constrain the coset pi(v), via w
         if atom.kind is AtomKind.IN_Q:
@@ -113,21 +101,17 @@ def _eliminate_home_clause(
             s = QuotientTerm({w: coeff}) + QuotientTerm.project_term(rest)
             watom: Formula = quot_eq(s)
         else:
-            if atom.kind is AtomKind.QUOT_PREC and mode is not TheoryMode.POVS_PREC:
-                raise ModeError("prec literals require theory mode povs-prec")
             s = QuotientTerm({w: coeff}) + atom.payload.without(v)
             watom = quot_eq(s) if atom.kind is AtomKind.QUOT_EQ else quot_prec(s)
         wlits.append(watom if positive else make_not(watom))
 
     pairs = [home_lt(lo - up) for lo in lowers for up in uppers]
-    coset_side = _eliminate_quotient_clause(wlits, w, mode) if wlits else None
+    coset_side = _eliminate_quotient_clause(wlits, w) if wlits else None
     out = keep + pairs + ([coset_side] if coset_side is not None else [])
     return make_and(out)
 
 
-def _eliminate_quotient_clause(
-    literals: Sequence[Formula], v: Variable, mode: TheoryMode
-) -> Formula:
+def _eliminate_quotient_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential quotient-sort variable from one strict-literal clause."""
     keep, vlits, solved = _solve_equation(literals, v, AtomKind.QUOT_EQ)
     if solved is not None:
@@ -141,59 +125,59 @@ def _eliminate_quotient_clause(
             raise SortError(f"home-sort literal mentions quotient variable: {lit}")
         if atom.kind is AtomKind.QUOT_EQ:
             continue  # disequations never block a witness in an infinite space
-        if mode is not TheoryMode.POVS_PREC:
-            raise ModeError("prec literals require theory mode povs-prec")
         if not positive:
             raise NotConjunctionError(_WEAK_ORDER)
-        coeff = atom.payload.coeff(v)
-        point = atom.payload.without(v).scale(-1 / coeff)
-        (uppers if coeff > 0 else lowers).append(point)
+        (uppers if atom.payload.coeff(v) > 0 else lowers).append(atom.payload.root(v))
 
     pairs = [quot_prec(lo - up) for lo in lowers for up in uppers]
     return make_and(keep + pairs)
 
 
-def _eliminate(f: Formula, v: Variable, mode: TheoryMode) -> Formula:
+def _eliminate(f: Formula, v: Variable) -> Formula:
     """Eliminate an existential v from f, one DNF clause at a time."""
     results = []
     for clause in dnf_clauses(f):
         if v.sort is Sort.HOME:
-            results.append(_eliminate_home_clause(clause, v, mode))
+            results.append(_eliminate_home_clause(clause, v))
         else:
-            results.append(_eliminate_quotient_clause(clause, v, mode))
+            results.append(_eliminate_quotient_clause(clause, v))
     return simplify(make_or(results))
+
+
+def _eliminate_exists(
+    literals: Sequence[Formula], v: Variable, mode: TheoryMode, sort: Sort
+) -> Formula:
+    if v.sort is not sort:
+        raise SortError(f"{v} is not a {sort.value}-sort variable")
+    for lit in literals:
+        literal_parts(lit)  # reject anything that is not a literal
+    f = make_and(literals)
+    check_mode(Exists(v, f), mode)  # what `qe` checks of the same formula
+    return _eliminate(f, v)
 
 
 def eliminate_exists_home(
     literals: Sequence[Formula], v: Variable, mode: TheoryMode = TheoryMode.POVS
 ) -> Formula:
     """A quantifier-free equivalent of 'exists v. (and of literals)', v home-sort."""
-    if v.sort is not Sort.HOME:
-        raise SortError(f"{v} is not a home-sort variable")
-    for lit in literals:
-        literal_parts(lit)  # reject anything that is not a literal
-    return _eliminate(make_and(literals), v, mode)
+    return _eliminate_exists(literals, v, mode, Sort.HOME)
 
 
 def eliminate_exists_quotient(
     literals: Sequence[Formula], v: Variable, mode: TheoryMode = TheoryMode.POVS
 ) -> Formula:
     """A quantifier-free equivalent of 'exists v. (and of literals)', v quotient-sort."""
-    if v.sort is not Sort.QUOTIENT:
-        raise SortError(f"{v} is not a quotient-sort variable")
-    for lit in literals:
-        literal_parts(lit)  # reject anything that is not a literal
-    return _eliminate(make_and(literals), v, mode)
+    return _eliminate_exists(literals, v, mode, Sort.QUOTIENT)
 
 
-def _qe(f: Formula, mode: TheoryMode) -> Formula:
+def _qe(f: Formula) -> Formula:
     """Eliminate quantifiers innermost first.  Atoms are folded and connectives rebuilt
     on the way up as `simplify` does, so every body and the result are simplified."""
 
     def quantifier(g):
         if isinstance(g, Forall):
             return make_not((yield Exists(g.var, make_not(g.body))))
-        return _eliminate((yield g.body), g.var, mode)
+        return _eliminate((yield g.body), g.var)
 
     return rewrite(f, fold_ground, quantifier)
 
@@ -201,7 +185,7 @@ def _qe(f: Formula, mode: TheoryMode) -> Formula:
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:
     """A quantifier-free formula equivalent to f in every model of the theory."""
     check_mode(f, mode)
-    return _qe(standardize(f), mode)
+    return _qe(standardize(f))
 
 
 def decide_sentence(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> bool:

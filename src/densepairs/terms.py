@@ -97,6 +97,9 @@ class _Term:
         t._hash = None
         return t
 
+    def __reduce__(self):  # a stored hash is only valid in the process that made it
+        return self._make, (self._coeffs, self._constant)
+
     @classmethod
     def from_variable(cls, v: Variable):
         return cls({v: Fraction(1)})
@@ -123,6 +126,11 @@ class _Term:
 
     def without(self, v: Variable):
         return self._make({w: q for w, q in self._coeffs.items() if w != v}, self._constant)
+
+    def root(self, v: Variable):
+        """The term r with self == coeff(v) * (v - r); v must occur in self.
+        It is where self vanishes, so it solves a literal for v."""
+        return self.without(v).scale(-1 / self._coeffs[v])
 
     def __add__(self, other):
         if type(other) is not type(self):

@@ -379,3 +379,22 @@ def test_closed_output_pipe_exits_1_without_traceback():
     assert returncode == 1
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("decompose", "x1 < 1 & pi(x1) prec pi(r2)"),
+        ("small", "x1 < 1 & pi(x1) prec pi(r2)"),
+        ("measure", "x1 < 1 & pi(x1) prec pi(r2)"),
+        ("code-set", "x1 < 1 & pi(x1) prec pi(r2)"),
+        ("generic", "u1 prec pi(r2)"),
+        ("code-fn", "x2 = x1 & pi(x1) prec pi(r2)"),
+    ],
+)
+def test_unordered_commands_reject_prec_as_a_mode_error(capsys, command, text):
+    # these commands work in povs whatever --theory says, so the error
+    # must not send the user to the theory they already chose
+    code, out, err = invoke(capsys, command, "--theory", "povs-prec", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "povs-prec" not in err

@@ -1,14 +1,14 @@
 """Inputs nested 20,000 deep: parsed, eliminated and rendered without recursion.
 
 This depth overflows the Python stack in any recursive walk, and a walk
-that is quadratic in depth takes minutes on it.  Results are compared as
-text, because `==` on two distinct trees this deep still recurses.
+that is quadratic in depth takes minutes on it.
 """
 
 import time
 
 import pytest
 
+from densepairs.cli import run
 from densepairs.parser import parse, render
 from densepairs.qe import decide_sentence, qe
 
@@ -53,3 +53,14 @@ def test_deep_input_parses_eliminates_and_renders(shape):
         assert decide_sentence(f) is True
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{shape} at depth {DEPTH} took {elapsed:.1f} s"
+
+
+def test_distinct_deep_trees_compare_equal(capsys):
+    # `(T) & (T)` makes the conjunction compare its two equal children
+    text = _alternation(3_000)
+    f = parse(text)
+    assert f == parse(text) and f is not parse(text)
+    both = f"({text}) & ({text})"
+    assert qe(parse(both)) == f
+    assert run(["qe", both]) == 0
+    assert capsys.readouterr().out == render(f) + "\n"

@@ -2,9 +2,13 @@
 
 import copy
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -349,3 +353,44 @@ def test_formulas_survive_pickle_and_copy():
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
         assert g == f and hash(g) == hash(f) and str(g) == str(f)
     assert {v: 1 for v in free_variables(f)}[pickle.loads(pickle.dumps(hvar(2)))] == 1
+
+
+_PICKLED = """
+import pickle
+from densepairs.formulas import TheoryMode
+from densepairs.model import ModelElement, QuotientElement
+from densepairs.parser import parse
+from densepairs.terms import HomeTerm, QuotientTerm, hvar, qvar
+
+home = ModelElement({0: 1, 2: -3})
+objects = (
+    parse("x1 < x2 & Q(x2) | u1 prec pi(x1 + r2)", TheoryMode.POVS_PREC),
+    HomeTerm({hvar(1): 2}, home),
+    QuotientTerm({qvar(1): 1}, HomeTerm({hvar(2): 1}), QuotientElement({3: 5})),
+    home,
+    QuotientElement({2: 1, 3: -1}),
+)
+[hash(o) for o in objects]
+"""
+
+
+def test_pickles_load_in_a_process_with_another_hash_seed():
+    # cached hashes mix in string hashes, which differ between processes
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(seed, code, given=None):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        command = [sys.executable, "-c", _PICKLED + code]
+        done = subprocess.run(
+            command, input=given, capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        return done.stdout
+
+    dumped = run(1, "print(pickle.dumps(objects).hex())")
+    same = run(
+        2,
+        "loaded = pickle.loads(bytes.fromhex(input()))\n"
+        "print([a == b and hash(a) == hash(b) for a, b in zip(loaded, objects)])",
+        dumped,
+    )
+    assert same == "[True, True, True, True, True]\n"

@@ -105,6 +105,20 @@ def test_eliminators_validate_input():
         )
 
 
+def test_eliminators_check_the_language_of_the_mode():
+    # literals outside the one-sorted language are refused even without v
+    with pytest.raises(ModeError):
+        eliminate_exists_home([parse("Q(x0 + x1)")], hvar(0), TheoryMode.OVS)
+    with pytest.raises(ModeError):
+        eliminate_exists_home(lits("x0 < 0", "pi(x1) = 0"), hvar(0), TheoryMode.OVS)
+    with pytest.raises(ModeError):
+        eliminate_exists_quotient(lits("u1 = pi(x1)"), qvar(1), TheoryMode.OVS)
+    with pytest.raises(ModeError):
+        eliminate_exists_home(
+            lits("x0 < 0", "u1 prec 0", mode=TheoryMode.POVS_PREC), hvar(0), TheoryMode.POVS
+        )
+
+
 def test_qe_surjectivity_of_quotient_map():
     assert qe(parse("E x1. pi(x1) = u1")) == TRUE
 

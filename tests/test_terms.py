@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from densepairs.errors import SortError, UnboundVariableError
 from densepairs.formulas import _lead_coeff
-from densepairs.model import ModelElement, QuotientElement, project
+from densepairs.model import ModelElement, QuotientElement, project, section
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, Variable, hvar, qvar
 
 
@@ -167,3 +169,40 @@ def test_unbound_home_variable_is_reported_first():
         s.evaluate({})
     with pytest.raises(UnboundVariableError, match="u1 is unbound"):
         s.evaluate({hvar(1): ModelElement(), hvar(2): ModelElement()})
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+home_elements = st.builds(ModelElement, st.dictionaries(st.sampled_from([0, 2, 3]), rationals))
+quotient_elements = st.builds(QuotientElement, st.dictionaries(st.sampled_from([2, 3]), rationals))
+home_maps = st.dictionaries(st.sampled_from([hvar(i) for i in range(3)]), rationals)
+
+
+@st.composite
+def terms_and_variables(draw):
+    if draw(st.booleans()):
+        t = HomeTerm(draw(home_maps), draw(home_elements))
+    else:
+        quotient_map = st.dictionaries(st.sampled_from([qvar(0), qvar(1)]), rationals)
+        t = QuotientTerm(draw(quotient_map), HomeTerm(draw(home_maps)), draw(quotient_elements))
+    assume(t.variables())
+    return t, draw(st.sampled_from(sorted(t.variables(), key=Variable.sort_key)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms_and_variables(), st.data())
+def test_root_is_where_the_term_vanishes(term_and_variable, data):
+    t, v = term_and_variable
+    sigma = {
+        w: data.draw(home_elements if w.sort is Sort.HOME else quotient_elements)
+        for w in t.variables()
+        if w != v
+    }
+    r = t.root(v)
+    value = r.evaluate(sigma)
+    # a home variable of a quotient term is read under pi: any preimage will do
+    sigma[v] = value if r.sort is v.sort else section(value)
+    assert t.evaluate(sigma).is_zero()
+    x = HomeTerm.from_variable(v) if v.sort is Sort.HOME else QuotientTerm.from_variable(v)
+    if t.sort is not v.sort:
+        x = QuotientTerm.project_term(x)
+    assert t == (x - r).scale(t.coeff(v))
