@@ -44,10 +44,61 @@ def is_prime(k: int) -> bool:
 
 
 @functools.lru_cache(maxsize=1024)
+def _root(radicand: int, bits: int) -> int:
+    """floor(sqrt(radicand) * 2**bits), the lower end of sqrt_enclosure scaled by 2**bits."""
+    return math.isqrt(radicand << (2 * bits))
+
+
 def sqrt_enclosure(radicand: int, bits: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width 2**-bits containing sqrt(radicand)."""
-    r = math.isqrt(radicand << (2 * bits))
+    r = _root(radicand, bits)
     return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+
+
+def _bounds(nums: list[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * sum(n_k * sqrt(k)) <= hi, key 0 read as 1:
+    each sqrt(k) is taken at the end of sqrt_enclosure(k, bits) that makes
+    its term smaller (for lo) or larger (for hi), so hi - lo = sum(|n_k|, k > 0)."""
+    lo = spread = 0
+    for k, n in nums:
+        if k == 0:
+            lo += n << bits
+        elif n > 0:
+            lo += n * _root(k, bits)
+            spread += n
+        else:
+            lo += n * (_root(k, bits) + 1)
+            spread -= n
+    return lo, lo + spread
+
+
+ZERO = Fraction(0)
+_RATIONAL_SUPPORT = frozenset({0})
+
+
+def add_scaled(out: dict, coeffs: Mapping, q=1, skip=None) -> dict:
+    """Add q * coeffs into the clean map `out` in place and return it.
+
+    q is a nonzero rational; keys whose sum cancels are dropped, so `out`
+    stays clean, and the key `skip` of coeffs is left out.  A key new to
+    `out` costs no addition, q = 1 no multiplication, q = -1 a negation.
+    """
+    items = coeffs.items()
+    if skip is not None:
+        items = [(k, v) for k, v in items if k != skip]
+    if q != 1:
+        items = [(k, -v) for k, v in items] if q == -1 else [(k, q * v) for k, v in items]
+    for k, v in items:
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+        else:
+            w += v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return out
 
 
 def _clean(coeffs: Coeffs) -> dict[int, Fraction]:
@@ -91,7 +142,7 @@ class _SpanElement:
         return iter(sorted(self._coeffs.items()))
 
     def coeff(self, radicand: int) -> Fraction:
-        return self._coeffs.get(radicand, Fraction(0))
+        return self._coeffs.get(radicand, ZERO)
 
     def radicands(self) -> frozenset[int]:
         return frozenset(self._coeffs)
@@ -113,14 +164,7 @@ class _SpanElement:
     def _merge(self, other, flip: int):
         if type(self) is not type(other):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            w = out.get(k, 0) + flip * v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return self._make(out)
+        return self._make(add_scaled(dict(self._coeffs), other._coeffs, flip))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -132,7 +176,10 @@ class _SpanElement:
         return self._make({k: -v for k, v in self._coeffs.items()})
 
     def scale(self, q) -> "_SpanElement":
-        q = Fraction(q)
+        if q == 1:
+            return self
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         if q == 0:
             return self._make({})
         return self._make({k: q * v for k, v in self._coeffs.items()})
@@ -172,35 +219,34 @@ class ModelElement(_SpanElement):
     def rational(self) -> Fraction | None:
         """The value as a Fraction when it lies on the rational line."""
         if self.in_q():
-            return self._coeffs.get(0, Fraction(0))
+            return self._coeffs.get(0, ZERO)
         return None
 
     def in_q(self) -> bool:
         """Membership in the distinguished subspace (support on key 0 only)."""
-        return all(k == 0 for k in self._coeffs)
+        return self._coeffs.keys() <= _RATIONAL_SUPPORT
+
+    def _numerators(self) -> tuple[int, list[tuple[int, int]]]:
+        """(d, [(k, n_k)]): the value is sum(n_k * sqrt(k)) / d with d > 0 and
+        every n_k an integer (sqrt(0) read as 1)."""
+        d = math.lcm(*(q.denominator for q in self._coeffs.values()))
+        return d, [(k, q.numerator * (d // q.denominator)) for k, q in self._coeffs.items()]
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo = hi = self._coeffs.get(0, Fraction(0))
-        for k, q in self._coeffs.items():
-            if k == 0:
-                continue
-            slo, shi = sqrt_enclosure(k, bits)
-            if q >= 0:
-                lo += q * slo
-                hi += q * shi
-            else:
-                lo += q * shi
-                hi += q * slo
-        return lo, hi
+        """Dyadic bounds lo <= value <= hi of width sum(|q_k|, k > 0) * 2**-bits."""
+        d, nums = self._numerators()
+        lo, hi = _bounds(nums, bits)
+        return Fraction(lo, d << bits), Fraction(hi, d << bits)
 
     def sign(self) -> int:
         if not self._coeffs:
             return 0
         if self.in_q():
             return 1 if self._coeffs[0] > 0 else -1
+        nums = self._numerators()[1]
         bits = 32
         while True:
-            lo, hi = self.enclosure(bits)
+            lo, hi = _bounds(nums, bits)
             if lo > 0:
                 return 1
             if hi < 0:

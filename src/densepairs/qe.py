@@ -121,8 +121,6 @@ def _eliminate_quotient_clause(literals: Sequence[Formula], v: Variable) -> Form
     uppers: list[QuotientTerm] = []
     for lit in vlits:
         atom, positive = literal_parts(lit)
-        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q):
-            raise SortError(f"home-sort literal mentions quotient variable: {lit}")
         if atom.kind is AtomKind.QUOT_EQ:
             continue  # disequations never block a witness in an infinite space
         if not positive:

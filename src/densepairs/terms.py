@@ -20,8 +20,10 @@ from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
 from .model import (
+    ZERO,
     ModelElement,
     QuotientElement,
+    add_scaled,
     project,
     render_combination,
     section,
@@ -78,6 +80,11 @@ def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
     return out
 
 
+def _wrong_sort(v: Variable, x) -> TypeError:
+    want = ModelElement if v.sort is Sort.HOME else QuotientElement
+    return TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
+
+
 class _Term:
     """A linear form: one coefficient map over variables plus a constant.
 
@@ -113,7 +120,7 @@ class _Term:
         return self._constant
 
     def coeff(self, v: Variable) -> Fraction:
-        return self._coeffs.get(v, Fraction(0))
+        return self._coeffs.get(v, ZERO)
 
     def variables(self) -> frozenset[Variable]:
         return frozenset(self._coeffs)
@@ -135,13 +142,7 @@ class _Term:
     def __add__(self, other):
         if type(other) is not type(self):
             raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
-        out = dict(self._coeffs)
-        for v, q in other._coeffs.items():
-            w = out.get(v, 0) + q
-            if w:
-                out[v] = w
-            else:
-                out.pop(v, None)
+        out = add_scaled(dict(self._coeffs), other._coeffs)
         return self._make(out, self._constant + other._constant)
 
     def __sub__(self, other):
@@ -217,13 +218,16 @@ class HomeTerm(_Term):
         return cls((), a)
 
     def evaluate(self, assignment: Mapping[Variable, ModelElement]) -> ModelElement:
-        value = self._constant
+        out = self._constant.coeffs
         for v, q in self._coeffs.items():
             try:
-                value = value + assignment[v].scale(q)
+                x = assignment[v]
             except KeyError:
                 raise UnboundVariableError(f"{v} is unbound") from None
-        return value
+            if type(x) is not ModelElement:
+                raise _wrong_sort(v, x)
+            add_scaled(out, x._coeffs, q)
+        return ModelElement._make(out)
 
     def __repr__(self) -> str:
         return f"HomeTerm({self._coeffs!r}, {self._constant!r})"
@@ -277,22 +281,26 @@ class QuotientTerm(_Term):
         return HomeTerm._make(home, ModelElement())
 
     def evaluate(self, assignment) -> QuotientElement:
-        # pi is linear, so each home variable is projected on its own; an
+        # pi is linear, so each home variable is projected on its own: its
+        # value enters without key 0, the rational part pi kills; an
         # unbound home variable is reported before an unbound quotient one
-        value = self._constant
+        out = self._constant.coeffs
         unbound = None
         for v, q in self._coeffs.items():
+            home = v.sort is Sort.HOME
             try:
-                x = assignment[v].scale(q)
+                x = assignment[v]
             except KeyError:
-                if v.sort is Sort.HOME:
+                if home:
                     raise UnboundVariableError(f"{v} is unbound") from None
                 unbound = unbound or v
                 continue
-            value = value + (project(x) if v.sort is Sort.HOME else x)
+            if type(x) is not (ModelElement if home else QuotientElement):
+                raise _wrong_sort(v, x)
+            add_scaled(out, x._coeffs, q, 0 if home else None)
         if unbound is not None:
             raise UnboundVariableError(f"{unbound} is unbound")
-        return value
+        return QuotientElement._make(out)
 
     def __repr__(self) -> str:
         return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self._constant!r})"

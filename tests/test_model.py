@@ -1,5 +1,6 @@
 """Exact arithmetic, ordering, and quotient structure of the reference model."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -202,3 +203,143 @@ def test_json_round_trip():
 def test_model_membership():
     assert MODEL.contains(mel(rat=1, r2=1, r3=1))
     assert not MODEL.contains(mel(r5=1))
+
+
+# --- the integer sign kernel against an independent squaring reference ------
+#
+# Reference elements are maps from a squarefree radicand to a Fraction, with
+# radicand 1 for the unit.  The sign of X + Y*sqrt(p), where no radicand of X
+# or Y has the prime factor p, is the common sign of X and Y when they agree;
+# otherwise the sign of the larger of |X| and |Y|*sqrt(p), decided by the sign
+# of X**2 - p*Y**2.  Squaring away one prime at a time needs no enclosure.
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _as_reference(a: ModelElement) -> dict[int, Fraction]:
+    return {1 if k == 0 else k: q for k, q in a.items()}
+
+
+def _ref_mul(x, y):
+    out: dict[int, Fraction] = {}
+    for a, p in x.items():
+        for b, q in y.items():
+            g = math.gcd(a, b)  # sqrt(a) * sqrt(b) = g * sqrt(ab / g**2)
+            k = (a // g) * (b // g)
+            out[k] = out.get(k, 0) + p * q * g
+    return out
+
+
+def reference_sign(x) -> int:
+    x = {k: q for k, q in x.items() if q}
+    if not x:
+        return 0
+    p = next((p for p in SMALL_PRIMES if any(k % p == 0 for k in x)), None)
+    if p is None:
+        return 1 if x[1] > 0 else -1
+    rest = {k: q for k, q in x.items() if k % p}
+    root_part = {k // p: q for k, q in x.items() if k % p == 0}
+    s_rest, s_root = reference_sign(rest), reference_sign(root_part)
+    if s_rest == 0 or s_rest == s_root:
+        return s_root
+    diff = _ref_mul(rest, rest)
+    for k, q in _ref_mul(root_part, root_part).items():
+        diff[k] = diff.get(k, 0) - p * q
+    d = reference_sign(diff)
+    assert d != 0  # X = -Y*sqrt(p) would make sqrt(p) rational
+    return s_rest if d > 0 else s_root
+
+
+def test_squaring_reference_on_known_signs():
+    assert reference_sign({1: Fraction(3, 2), 2: Fraction(-1)}) == 1  # 9/4 > 2
+    assert reference_sign({2: Fraction(1), 3: Fraction(1), 1: Fraction(-7, 2)}) == -1
+    assert reference_sign({1: Fraction(-5), 6: Fraction(2)}) == -1  # 25 > 24
+    assert reference_sign({}) == 0
+
+
+def _pell(p, q, step, count):
+    """count successive solutions of p**2 - r*q**2 = +-1, as (p, q) pairs."""
+    out = []
+    for _ in range(count):
+        out.append((p, q))
+        p, q = step(p, q)
+    return out
+
+
+PELL = (
+    [(2, p, q) for p, q in _pell(1, 1, lambda p, q: (p + 2 * q, p + q), 60)]
+    + [(3, p, q) for p, q in _pell(2, 1, lambda p, q: (2 * p + 3 * q, p + 2 * q), 40)]
+    + [(5, p, q) for p, q in _pell(9, 4, lambda p, q: (9 * p + 20 * q, 4 * p + 9 * q), 25)]
+)
+
+
+def test_pell_near_misses_force_the_refinement_loop():
+    # p/q - sqrt(r) is about 1/(2*sqrt(r)*q**2): 665857/470832 - sqrt(2) is
+    # about 2**-39, so 32 bits cannot decide it, and later ones need hundreds
+    assert (2, 665857, 470832) in PELL
+    deep = 0
+    for r, p, q in PELL:
+        x = ModelElement({0: Fraction(p, q), r: Fraction(-1)})
+        expected = reference_sign(_as_reference(x))
+        assert x.sign() == expected
+        assert (-x).sign() == -expected
+        assert x.scale(Fraction(-7, 3)).sign() == -expected
+        assert compare(ModelElement.from_rational(Fraction(p, q)), ModelElement({r: Fraction(1)})) == expected
+        lo, hi = x.enclosure(32)
+        deep += lo <= 0 <= hi
+    assert deep > len(PELL) // 2
+
+
+def test_sign_with_coefficients_near_ten_to_the_sixty():
+    rng = random.Random(60)
+    for _ in range(300):
+        b = rng.randint(-(10**60), 10**60) or 1
+        r = rng.choice((2, 3, 5, 7, 11))
+        # a is within 1 of b*sqrt(r): the sign needs about 200 bits or more
+        a = math.isqrt(r * b * b) * (1 if b > 0 else -1) + rng.choice((-1, 0, 1))
+        den = rng.randint(1, 10**30)
+        x = ModelElement({0: Fraction(a, den), r: Fraction(-b, den)})
+        assert x.sign() == reference_sign(_as_reference(x))
+        y = ModelElement({0: Fraction(rng.randint(-(10**60), 10**60), den), r: Fraction(b, 7)})
+        assert compare(x, y) == reference_sign(_as_reference(x - y))
+
+
+def _five_radicand_element(rng: random.Random, near_zero: bool) -> ModelElement:
+    coeffs = {k: Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for k in (2, 3, 5, 7, 11)}
+    if near_zero:
+        # a rational within about 10**-20 of the irrational part's negative
+        scale = 10**20
+        approx = sum(q * Fraction(math.isqrt(k * scale * scale), scale) for k, q in coeffs.items())
+        coeffs[0] = -approx + Fraction(rng.randint(-3, 3), scale)
+    else:
+        coeffs[0] = Fraction(rng.randint(-999, 999), rng.randint(1, 20))
+    return ModelElement(coeffs)
+
+
+def test_sign_and_compare_over_five_radicands():
+    rng = random.Random(5)
+    for i in range(300):
+        a = _five_radicand_element(rng, near_zero=i % 2 == 0)
+        b = _five_radicand_element(rng, near_zero=False)
+        assert len(a.radicands()) >= 5
+        assert a.sign() == reference_sign(_as_reference(a))
+        assert compare(a, b) == reference_sign(_as_reference(a - b))
+        assert compare(a, a) == 0
+
+
+def test_enclosure_brackets_the_value_within_its_width():
+    rng = random.Random(8)
+    samples = [ModelElement({0: Fraction(p, q), r: Fraction(-1)}) for r, p, q in PELL[::7]]
+    samples += [_five_radicand_element(rng, near_zero=i % 2 == 0) for i in range(20)]
+    samples += [mel(rat=Fraction(-3, 7)), ModelElement()]
+    for x in samples:
+        for bits in (1, 32, 45, 64, 200):
+            lo, hi = x.enclosure(bits)
+            assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+            assert lo <= hi
+            assert hi - lo <= sum(abs(q) for _, q in x.items()) / Fraction(2**bits)
+            below = _as_reference(x)
+            below[1] = below.get(1, 0) - lo
+            above = _as_reference(x)
+            above[1] = above.get(1, 0) - hi
+            assert reference_sign(below) >= 0 >= reference_sign(above)

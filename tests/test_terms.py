@@ -1,5 +1,6 @@
 """Linear normal form of terms over both sorts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,3 +207,69 @@ def test_root_is_where_the_term_vanishes(term_and_variable, data):
     if t.sort is not v.sort:
         x = QuotientTerm.project_term(x)
     assert t == (x - r).scale(t.coeff(v))
+
+
+# --- fused evaluation against the fold of scale and + it replaces -----------
+
+
+def _folded(t, sigma):
+    """The value of t as a sum of scaled values, one element per step."""
+    value = t.constant
+    for v, q in t.coeffs.items():
+        value = value + sigma[v].scale(q)
+    if t.sort is Sort.QUOTIENT:
+        for v, q in t.pushed.coeffs.items():
+            value = value + project(sigma[v].scale(q))
+    return value
+
+
+def _random_element(rng, cls, radicands):
+    # coefficients in -1..1 over few radicands, so sums cancel often
+    return cls({k: Fraction(rng.randint(-1, 1)) for k in radicands if rng.random() < 0.6})
+
+
+def _random_term(rng):
+    def coeff():
+        return rng.choice((1, -1, Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+
+    home = {hvar(i): coeff() for i in range(4) if rng.random() < 0.6}
+    if rng.random() < 0.5:
+        return HomeTerm(home, _random_element(rng, ModelElement, (0, 2, 3)))
+    quotient = {qvar(i): coeff() for i in range(3) if rng.random() < 0.6}
+    return QuotientTerm(quotient, HomeTerm(home), _random_element(rng, QuotientElement, (2, 3)))
+
+
+def test_fused_evaluate_equals_the_fold_of_scale_and_add():
+    rng = random.Random(2024)
+    zeros = partial = 0
+    for _ in range(3000):
+        t = _random_term(rng)
+        sigma = {hvar(i): _random_element(rng, ModelElement, (0, 2, 3)) for i in range(4)}
+        sigma.update({qvar(i): _random_element(rng, QuotientElement, (2, 3)) for i in range(3)})
+        got, expected = t.evaluate(sigma), _folded(t, sigma)
+        assert type(got) is type(expected) and got == expected
+        assert list(got.items()) == list(expected.items()) and str(got) == str(expected)
+        # a clean map: what cancelled is gone, so == and hash match a constructed element
+        assert all(got.coeffs.values())
+        built = type(got)(got.coeffs)
+        assert got == built and hash(got) == hash(built)
+        if got.is_zero():
+            zeros += 1
+            assert got == type(got)() and hash(got) == hash(type(got)())
+            continue
+        entering = t.constant.radicands().union(*(sigma[v].radicands() for v in t.variables()))
+        if t.sort is Sort.QUOTIENT:
+            entering -= {0}  # pi drops the rational part of each home value
+        partial += got.radicands() < entering
+    assert zeros > 100 and partial > 100
+
+
+def test_evaluate_checks_the_sort_of_each_value():
+    t = HomeTerm({hvar(1): 2})
+    with pytest.raises(TypeError, match="x1 is assigned a QuotientElement"):
+        t.evaluate({hvar(1): QuotientElement({2: 1})})
+    s = QuotientTerm({qvar(1): 1}, HomeTerm({hvar(1): 1}))
+    with pytest.raises(TypeError, match="u1 is assigned a ModelElement"):
+        s.evaluate({qvar(1): ModelElement({2: 1}), hvar(1): ModelElement()})
+    with pytest.raises(TypeError, match="x1 is assigned a QuotientElement"):
+        s.evaluate({qvar(1): QuotientElement(), hvar(1): QuotientElement({2: 1})})
