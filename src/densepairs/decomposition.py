@@ -167,11 +167,13 @@ class NearInterval:
         assert not self.cosets.is_empty(), "near-interval needs a nonempty coset set"
 
     def contains(self, m: ModelElement) -> bool:
-        e = Endpoint.at(m)
-        return (
-            self.lo.compare(e) < 0
-            and e.compare(self.hi) < 0
-            and self.cosets.contains(project(m))
+        return self.spans(m) and self.cosets.contains(project(m))
+
+    def spans(self, m: ModelElement) -> bool:
+        """Whether m lies strictly between the endpoints."""
+        lo, hi = self.lo, self.hi
+        return (lo.side < 0 if lo.value is None else compare(lo.value, m) < 0) and (
+            hi.side > 0 if hi.value is None else compare(m, hi.value) < 0
         )
 
     def is_large(self) -> bool:
@@ -229,7 +231,17 @@ class Decomposition:
     pieces: tuple[NearInterval, ...]
 
     def contains(self, m: ModelElement) -> bool:
-        return m in self.points or any(p.contains(m) for p in self.pieces)
+        if m in self.points:
+            return True
+        w = None  # the coset of m, projected once, when a piece lists cosets
+        for p in self.pieces:
+            if p.spans(m):
+                if not p.cosets.members:  # a piece's coset set is never empty: all cosets
+                    return True
+                w = project(m) if w is None else w
+                if p.cosets.contains(w):
+                    return True
+        return False
 
     def is_empty(self) -> bool:
         return not self.points and not self.pieces

@@ -1,4 +1,14 @@
-"""Tarskian evaluation of quantifier-free formulas over the reference model."""
+"""Tarskian evaluation of quantifier-free formulas over the reference model.
+
+A formula is compiled once, on its first evaluation, into a flat plan kept
+on the node: a tuple of (op, arg) instructions that one loop runs left to
+right with a single truth value in hand.  A junction's children run in
+order, each but the last followed by a jump to the junction's end taken
+when the value decides it (false for a conjunction, true for a
+disjunction), so evaluation stops where the walk over the tree would.
+A quantifier or a non-formula compiles to an instruction that raises when
+it is reached, and not before.
+"""
 
 from __future__ import annotations
 
@@ -11,30 +21,72 @@ from .terms import Variable
 
 Assignment = Mapping[Variable, Union[ModelElement, QuotientElement]]
 
+# the ops: value := atom's truth, value := constant, value := not value,
+# jump to arg[1] when value is arg[0], raise arg[0](arg[1])
+_ATOM, _CONST, _NOT, _JUMP, _FAIL = range(5)
+
 
 def eval_formula(f: Formula, assignment: Assignment) -> bool:
     """Truth of a quantifier-free formula under a sort-respecting assignment."""
+    if type(f) is Atom:
+        return eval_atom(f, assignment)
+    plan = getattr(f, "_plan", None)
+    if plan is None:
+        plan = _compile(f)
+        if isinstance(f, Formula):
+            object.__setattr__(f, "_plan", plan)
+    value = False
+    i, end = 0, len(plan)
+    while i < end:
+        op, arg = plan[i]
+        i += 1
+        if op is _ATOM:
+            value = eval_atom(arg, assignment)
+        elif op is _JUMP:
+            if value is arg[0]:
+                i = arg[1]
+        elif op is _NOT:
+            value = not value
+        elif op is _CONST:
+            value = arg
+        else:
+            raise arg[0](arg[1])
+    return value
+
+
+def _compile(f) -> tuple:
+    """The plan of f, from one walk over it."""
+    code: list = []
+
+    def negation(g):
+        yield g.sub
+        code.append((_NOT, None))
+
+    def junction(g):
+        decisive = isinstance(g, Or)
+        jumps = []
+        for c in g.children[:-1]:
+            yield c
+            jumps.append(len(code))
+            code.append(None)  # the jump, once the end is known
+        yield g.children[-1]
+        for j in jumps:
+            code[j] = (_JUMP, (decisive, len(code)))
 
     def step(g):
         if isinstance(g, Atom):
-            return eval_atom(g, assignment)
-        if isinstance(g, BoolConst):
-            return g.value
-        return _connective(g)
+            code.append((_ATOM, g))
+        elif isinstance(g, BoolConst):
+            code.append((_CONST, bool(g.value)))
+        elif isinstance(g, Not):
+            return negation(g)
+        elif isinstance(g, (And, Or)):
+            return junction(g)
+        elif isinstance(g, (Exists, Forall)):
+            message = "eval_formula requires a quantifier-free formula"
+            code.append((_FAIL, (QuantifiedInputError, message)))
+        else:
+            code.append((_FAIL, (TypeError, f"not a formula: {g!r}")))
 
-    return traverse(step, f)
-
-
-def _connective(g: Formula):
-    """A connective's truth from its children's, left to right up to the first that decides it."""
-    if isinstance(g, Not):
-        return not (yield g.sub)
-    if isinstance(g, (And, Or)):
-        decisive = isinstance(g, Or)
-        for c in g.children:
-            if bool((yield c)) is decisive:
-                return decisive
-        return not decisive
-    if isinstance(g, (Exists, Forall)):
-        raise QuantifiedInputError("eval_formula requires a quantifier-free formula")
-    raise TypeError(f"not a formula: {g!r}")
+    traverse(step, f)
+    return tuple(code)

@@ -39,8 +39,23 @@ def nth_primes(n: int) -> list[int]:
     return primes
 
 
+# The largest prime of a Model(MAX_DIM) basis: no radicand beyond it can
+# occur in a model, and the primality check below stays a few dozen divisions.
+MAX_RADICAND = 7907
+
+
 def is_prime(k: int) -> bool:
     return k >= 2 and all(k % p for p in range(2, math.isqrt(k) + 1))
+
+
+def radicand_problem(k: int) -> str | None:
+    """What keeps sqrt(k), written r<k>, from being a basis element, or None
+    when it is one: k must be a prime of at most MAX_RADICAND."""
+    if k > MAX_RADICAND:
+        return f"is beyond the largest supported radicand r{MAX_RADICAND}"
+    if not is_prime(k):
+        return "is not a square root of a prime"
+    return None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -72,6 +87,24 @@ def _bounds(nums: list[tuple[int, int]], bits: int) -> tuple[int, int]:
     return lo, lo + spread
 
 
+def int_sign(nums: Iterable[tuple[int, int]]) -> int:
+    """Sign of sum(n_k * sqrt(k)) over distinct radicands, key 0 read as 1,
+    for integers n_k: refines dyadic bounds until they exclude 0."""
+    nums = [(k, n) for k, n in nums if n]
+    if not nums:
+        return 0
+    if len(nums) == 1:
+        return 1 if nums[0][1] > 0 else -1
+    bits = 32
+    while True:
+        lo, hi = _bounds(nums, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
 ZERO = Fraction(0)
 _RATIONAL_SUPPORT = frozenset({0})
 
@@ -79,9 +112,10 @@ _RATIONAL_SUPPORT = frozenset({0})
 def add_scaled(out: dict, coeffs: Mapping, q=1, skip=None) -> dict:
     """Add q * coeffs into the clean map `out` in place and return it.
 
-    q is a nonzero rational; keys whose sum cancels are dropped, so `out`
-    stays clean, and the key `skip` of coeffs is left out.  A key new to
-    `out` costs no addition, q = 1 no multiplication, q = -1 a negation.
+    q is a nonzero rational, or a nonzero integer for maps to integers; keys
+    whose sum cancels are dropped, so `out` stays clean, and the key `skip`
+    of coeffs is left out.  A key new to `out` costs no addition, q = 1 no
+    multiplication, q = -1 a negation.
     """
     items = coeffs.items()
     if skip is not None:
@@ -113,15 +147,20 @@ def _clean(coeffs: Coeffs) -> dict[int, Fraction]:
 class _SpanElement:
     """Shared machinery of home-sort and quotient-sort elements."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs", "_hash", "_ints")
     _min_key = 0
 
     def __init__(self, coeffs: Coeffs = ()):
         cleaned = _clean(coeffs)
         if any(k < self._min_key for k in cleaned):
             raise ValueError(f"radicand below {self._min_key} in {cleaned}")
+        for k in cleaned:
+            problem = k and radicand_problem(k)
+            if problem:
+                raise ValueError(f"r{k} {problem}")
         self._coeffs = cleaned
         self._hash = None
+        self._ints = None
 
     @classmethod
     def _make(cls, coeffs: dict[int, Fraction]):
@@ -129,10 +168,23 @@ class _SpanElement:
         e = object.__new__(cls)
         e._coeffs = coeffs
         e._hash = None
+        e._ints = None
         return e
 
-    def __reduce__(self):  # a stored hash is only valid in the process that made it
+    def __reduce__(self):  # stored hash and numerators are rebuilt, not copied
         return self._make, (self._coeffs,)
+
+    def _numerators(self) -> tuple[int, dict[int, int]]:
+        """(d, {k: n_k}): the value is sum(n_k * sqrt(k)) / d with d > 0 and
+        every n_k a nonzero integer (sqrt(0) read as 1).  Made once per
+        element; the map is shared, so it is never changed."""
+        ints = self._ints
+        if ints is None:
+            coeffs = self._coeffs
+            d = math.lcm(*[q.denominator for q in coeffs.values()])
+            nums = {k: q.numerator * (d // q.denominator) for k, q in coeffs.items()}
+            ints = self._ints = (d, nums)
+        return ints
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -226,32 +278,14 @@ class ModelElement(_SpanElement):
         """Membership in the distinguished subspace (support on key 0 only)."""
         return self._coeffs.keys() <= _RATIONAL_SUPPORT
 
-    def _numerators(self) -> tuple[int, list[tuple[int, int]]]:
-        """(d, [(k, n_k)]): the value is sum(n_k * sqrt(k)) / d with d > 0 and
-        every n_k an integer (sqrt(0) read as 1)."""
-        d = math.lcm(*(q.denominator for q in self._coeffs.values()))
-        return d, [(k, q.numerator * (d // q.denominator)) for k, q in self._coeffs.items()]
-
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic bounds lo <= value <= hi of width sum(|q_k|, k > 0) * 2**-bits."""
         d, nums = self._numerators()
-        lo, hi = _bounds(nums, bits)
+        lo, hi = _bounds(nums.items(), bits)
         return Fraction(lo, d << bits), Fraction(hi, d << bits)
 
     def sign(self) -> int:
-        if not self._coeffs:
-            return 0
-        if self.in_q():
-            return 1 if self._coeffs[0] > 0 else -1
-        nums = self._numerators()[1]
-        bits = 32
-        while True:
-            lo, hi = _bounds(nums, bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
+        return int_sign(self._numerators()[1].items())
 
     def __float__(self) -> float:
         lo, hi = self.enclosure(96)
@@ -314,8 +348,12 @@ class QuotientElement(_SpanElement):
 
 
 def compare(a: ModelElement, b: ModelElement) -> int:
-    """Exact sign of a - b under the real embedding: -1, 0, or 1."""
-    return (a - b).sign()
+    """Exact sign of a - b under the real embedding: -1, 0, or 1, from the
+    two numerator vectors over their common denominator."""
+    da, na = a._numerators()
+    db, nb = b._numerators()
+    d = math.lcm(da, db)
+    return int_sign(add_scaled(add_scaled({}, na, d // da), nb, -(d // db)).items())
 
 
 def lex_compare(a: QuotientElement, b: QuotientElement) -> int:

@@ -44,7 +44,7 @@ from .formulas import (
     render,  # parser.render, the inverse of parse up to normalization
     standardize,
 )
-from .model import ModelElement, QuotientElement, is_prime, project
+from .model import ModelElement, QuotientElement, project, radicand_problem
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 _TOKEN_RE = re.compile(
@@ -285,8 +285,8 @@ class _Parser:
                 term.coeffs[v] = term.coeffs.get(v, 0) + q
             elif (m := _BASIS_RE.fullmatch(tok.text)) is None:
                 raise ParseError(tok.pos, f"unknown symbol {tok.text!r}")
-            elif not is_prime(int(m.group(1))):
-                raise ParseError(tok.pos, f"r{m.group(1)} is not a square root of a prime")
+            elif problem := radicand_problem(int(m.group(1))):
+                raise ParseError(tok.pos, f"{tok.text} {problem}")
             else:
                 term.const[int(m.group(1))] = term.const.get(int(m.group(1)), 0) + q
             while not self.at_op("+", "-"):  # the sum ends: close the pi( it is in

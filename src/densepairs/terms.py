@@ -80,9 +80,11 @@ def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
     return out
 
 
+VALUE_CLASS: dict[Sort, type] = {Sort.HOME: ModelElement, Sort.QUOTIENT: QuotientElement}
+
+
 def _wrong_sort(v: Variable, x) -> TypeError:
-    want = ModelElement if v.sort is Sort.HOME else QuotientElement
-    return TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
+    return TypeError(f"{v} is assigned a {type(x).__name__}, not a {VALUE_CLASS[v.sort].__name__}")
 
 
 class _Term:

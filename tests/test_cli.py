@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -102,6 +103,18 @@ def test_exit_code_2_on_syntax_and_mode_errors(capsys):
     assert invoke(capsys, "qe", "x1 = u1")[0] == 2
     assert invoke(capsys, "decide", "--model-dim", "2", "Q(r3)")[0] == 2  # r3 outside M_2
     assert invoke(capsys, "qe", "--model-dim", "1", "x1 = x1")[0] == 2
+
+
+def test_huge_radicand_exits_2_at_once(capsys):
+    # primality of 2**61 - 1 by trial division took about 1.5e9 divisions
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "decide", "E x1. x1 < r2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: parse error at position 11: "
+        "r2305843009213693951 is beyond the largest supported radicand r7907\n"
+    )
 
 
 def test_exit_code_3_on_precondition_violations(capsys):

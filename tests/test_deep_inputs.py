@@ -9,8 +9,11 @@ import time
 import pytest
 
 from densepairs.cli import run
+from densepairs.evaluate import eval_formula
+from densepairs.model import ModelElement
 from densepairs.parser import parse, render
 from densepairs.qe import decide_sentence, qe
+from densepairs.terms import hvar
 
 DEPTH = 20_000
 
@@ -40,6 +43,13 @@ SHAPES = {
 }
 
 
+# xi < 0 holds for i = 0 and odd i: each conjunction of the alternation
+# holds and each disjunction waits for its right side, so the whole plan
+# runs; the implication chain flips with each link and ends false
+POINT = {hvar(i): ModelElement.from_rational(-1 if i % 2 or i == 0 else 1) for i in range(DEPTH + 1)}
+TRUTH = {"parentheses": True, "negations": True, "alternation": True, "implication-chain": False}
+
+
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_deep_input_parses_eliminates_and_renders(shape):
     make_text, expected = SHAPES[shape]
@@ -51,6 +61,8 @@ def test_deep_input_parses_eliminates_and_renders(shape):
     assert render(parse(shown)) == shown
     if expected == "true":
         assert decide_sentence(f) is True
+    if shape in TRUTH:
+        assert eval_formula(f, POINT) is TRUTH[shape]
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{shape} at depth {DEPTH} took {elapsed:.1f} s"
 

@@ -1,0 +1,269 @@
+"""`eval_formula` and `eval_atom` against a reference evaluator.
+
+The reference is the evaluator the compiled plans replaced: a generator
+walk over the tree, and atoms decided on the Fraction value of the
+payload (`Term.evaluate`).  The two must agree in value, or in the type
+and message of the exception raised, on seeded random formulas of every
+theory mode and on hand-built trees the parser never makes.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from densepairs.errors import QuantifiedInputError
+from densepairs.evaluate import eval_formula
+from densepairs.formulas import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    AtomKind,
+    BoolConst,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    TheoryMode,
+    all_atoms,
+    eval_atom,
+    fold_ground,
+    home_eq,
+    home_lt,
+    quot_prec,
+    traverse,
+)
+from densepairs.model import Model, ModelElement, QuotientElement
+from densepairs.randgen import random_assignment, random_element, random_literal, random_qf_formula
+from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
+
+MODEL = Model(4)
+HOME = [hvar(1), hvar(2), hvar(3)]
+QUOT = [qvar(1), qvar(2)]
+
+
+def reference_atom(atom, assignment):
+    value = atom.payload.evaluate(assignment)
+    if atom.kind is AtomKind.HOME_EQ:
+        return value.is_zero()
+    if atom.kind is AtomKind.HOME_LT:
+        return value.sign() < 0
+    if atom.kind is AtomKind.IN_Q:
+        return value.in_q()
+    if atom.kind is AtomKind.QUOT_EQ:
+        return value.is_zero()
+    return value.lex_sign() < 0
+
+
+def reference_eval(f, assignment):
+    def connective(g):
+        if isinstance(g, Not):
+            return not (yield g.sub)
+        if isinstance(g, (And, Or)):
+            decisive = isinstance(g, Or)
+            for c in g.children:
+                if bool((yield c)) is decisive:
+                    return decisive
+            return not decisive
+        if isinstance(g, (Exists, Forall)):
+            raise QuantifiedInputError("eval_formula requires a quantifier-free formula")
+        raise TypeError(f"not a formula: {g!r}")
+
+    def step(g):
+        if isinstance(g, Atom):
+            return reference_atom(g, assignment)
+        if isinstance(g, BoolConst):
+            return g.value
+        return connective(g)
+
+    return traverse(step, f)
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the type and the message are what must agree
+        return ("raises", type(exc), str(exc))
+
+
+def assert_agree(f, assignment):
+    want = outcome(reference_eval, f, assignment)
+    assert outcome(eval_formula, f, assignment) == want, (str(f), assignment)
+    return want
+
+
+def _root_assignment(rng, f, variables):
+    """A random assignment with one variable moved to where an atom of f
+    vanishes, so equations hold and order atoms sit on exact zeros."""
+    sigma = random_assignment(rng, variables, MODEL)
+    atoms = [a for a in all_atoms(f) if a.payload.variables()]
+    if atoms:
+        payload = rng.choice(atoms).payload
+        v = rng.choice(sorted(payload.variables(), key=lambda w: w.sort_key()))
+        if v.sort is payload.sort:  # a home variable under pi has a whole coset of roots
+            rest = {w: x for w, x in sigma.items() if w != v}
+            sigma[v] = payload.root(v).evaluate(rest)
+    return sigma
+
+
+def _broken(rng, sigma):
+    """The assignment with one variable dropped or given the other sort."""
+    sigma = dict(sigma)
+    v = rng.choice(sorted(sigma, key=lambda w: w.sort_key()))
+    if rng.random() < 0.5:
+        del sigma[v]
+    else:
+        sigma[v] = QuotientElement({3: 1}) if v.sort is Sort.HOME else random_element(rng, MODEL)
+    return sigma
+
+
+def test_plans_match_the_reference_on_seeded_formulas():
+    rng = random.Random(9090)
+    pairs = raised = held = 0
+    for i in range(420):
+        mode = list(TheoryMode)[i % 3]
+        variables = HOME if mode is TheoryMode.OVS else HOME + QUOT
+        f = random_qf_formula(rng, variables, MODEL, mode, depth=rng.randint(1, 4))
+        for j in range(8):
+            if j < 3:
+                sigma = random_assignment(rng, variables, MODEL)
+            elif j < 6:
+                sigma = _root_assignment(rng, f, variables)
+            else:
+                sigma = _broken(rng, random_assignment(rng, variables, MODEL))
+            result = assert_agree(f, sigma)
+            pairs += 1
+            raised += result[0] == "raises"
+            held += result == ("value", True)
+    assert pairs >= 3000
+    assert 100 < raised < pairs // 2 and pairs // 5 < held < pairs - pairs // 5
+
+
+def test_ground_atoms_fold_as_the_reference_decides():
+    rng = random.Random(77)
+    for i in range(600):
+        lit = random_literal(rng, [], MODEL, list(TheoryMode)[i % 3])
+        atom = lit.sub if isinstance(lit, Not) else lit
+        want = reference_atom(atom, {})
+        assert eval_atom(atom, {}) is want
+        assert fold_ground(atom) == (TRUE if want else FALSE)
+
+
+X1, X2, U1, U2 = hvar(1), hvar(2), qvar(1), qvar(2)
+NEG = ModelElement({0: Fraction(-1, 2), 2: Fraction(1, 3)})  # about -0.03
+POS = ModelElement({0: Fraction(5, 7)})
+LT = home_lt(HomeTerm({X1: 1}))  # x1 < 0
+EQ = home_eq(HomeTerm({X1: 3, X2: -1}))  # 3*x1 = x2
+SIGMA = {X1: NEG, X2: NEG.scale(3)}  # LT and EQ hold
+
+
+def test_hand_built_trees_the_parser_never_makes():
+    ex = Exists(X2, LT)
+    trees = [
+        And((Or((LT, Not(EQ))), Or((Not(LT), And((EQ, LT)))))),  # unflattened
+        Or((And((Not(LT), EQ)), Or((Not(EQ), Or((Not(LT), Not(Not(EQ)))))))),
+        Not(Not(Not(LT))),
+        Not(Not(Not(Not(EQ)))),
+        And((TRUE, LT)),
+        And((LT, FALSE, ex)),  # the constant decides before the quantifier
+        Or((FALSE, Not(LT), TRUE)),
+        Or((BoolConst(False), BoolConst(False))),
+        And((Not(LT), ex)),  # a quantifier behind a deciding child
+        Or((LT, Forall(X1, EQ))),
+        Or((Not(LT), ex)),  # a quantifier reached
+        And((ex, FALSE)),
+        Not(ex),
+        And((LT, "not a formula")),
+        Or((LT, "not a formula")),
+    ]
+    want = [True, True, False, True, True, False, True, False, False, True]
+    for f, expected in zip(trees, want):
+        assert assert_agree(f, SIGMA) == ("value", expected), str(f)
+    quantified = ("raises", QuantifiedInputError, "eval_formula requires a quantifier-free formula")
+    for f in trees[len(want):-2]:
+        assert assert_agree(f, SIGMA) == quantified
+    assert assert_agree(trees[-2], SIGMA) == ("raises", TypeError, "not a formula: 'not a formula'")
+    assert assert_agree(trees[-1], SIGMA) == ("value", True)
+    for f in trees:  # a second run uses the plan the first one compiled
+        assert outcome(eval_formula, f, SIGMA) == outcome(reference_eval, f, SIGMA)
+    assert assert_agree(ex, {}) == quantified
+    assert assert_agree("x1 < 0", {}) == ("raises", TypeError, "not a formula: 'x1 < 0'")
+
+
+def test_unbound_and_wrong_sort_variables_raise_as_the_reference_does():
+    # pi(x1) + u1 + pi(x2) - u2 prec 0: home variables are reported unbound
+    # first, quotient ones after the walk; a wrong sort raises where it is met
+    prec = quot_prec(QuotientTerm({U1: 1, U2: -1}, HomeTerm({X1: 1, X2: 1})))
+    eq = home_eq(HomeTerm({X2: 1, X1: -2}, ModelElement({3: 1})))
+    w = QuotientElement({2: Fraction(1, 2)})
+    cases = [
+        {},
+        {X1: NEG},
+        {X1: NEG, X2: POS},
+        {X1: NEG, X2: POS, U2: w},
+        {X1: NEG, X2: POS, U1: w},
+        {X1: NEG, X2: POS, U1: w, U2: NEG},
+        {X1: w, X2: POS, U1: w, U2: w},
+        {X1: NEG, U1: NEG},
+        {X2: NEG, U2: w},
+        {X1: NEG, X2: POS, U1: w, U2: w},
+        {X1: 1, X2: POS},
+    ]
+    seen = set()
+    for sigma in cases:
+        for f in (prec, eq, Not(prec), And((eq, prec)), Or((prec, eq))):
+            seen.add(assert_agree(f, sigma)[:2])
+    assert {("value", True), ("value", False)} <= seen
+    assert any(r[0] == "raises" and r[1].__name__ == "UnboundVariableError" for r in seen)
+    assert ("raises", TypeError) in seen
+
+
+def test_a_plan_is_kept_on_the_node_and_reused():
+    lt, eq = home_lt(HomeTerm({X1: 1})), home_eq(HomeTerm({X1: 3, X2: -1}))
+
+    def tree():
+        return And((Or((lt, Not(eq))), Not(lt)))
+
+    f = tree()
+    assert not hasattr(f, "_plan")
+    assert eval_formula(f, SIGMA) is False
+    plan = f._plan
+    assert isinstance(plan, tuple) and eval_formula(f, SIGMA) is False and f._plan is plan
+    assert hasattr(lt, "_plan") and not hasattr(eq, "_plan")  # eq is never reached
+    assert f == tree() and hash(f) == hash(tree()) and not hasattr(tree(), "_plan")
+
+
+_PLANS = """
+import hashlib, random
+from densepairs.evaluate import eval_formula
+from densepairs.formulas import Atom, TheoryMode
+from densepairs.model import Model
+from densepairs.randgen import random_assignment, random_qf_formula
+from densepairs.terms import hvar, qvar
+
+rng = random.Random(4)
+variables = [hvar(1), hvar(2), qvar(1)]
+digest = hashlib.sha256()
+for i in range(150):
+    f = random_qf_formula(rng, variables, Model(3), TheoryMode.POVS_PREC, depth=3)
+    eval_formula(f, random_assignment(rng, variables, Model(3)))
+    plan = f._plan if not isinstance(f, Atom) else ((0, f),)
+    atoms = [getattr(arg, "_plan", None) for op, arg in plan if isinstance(arg, Atom)]
+    digest.update(repr([plan] + atoms).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_plans_do_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = set()
+    for seed in (0, 4242):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", _PLANS], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        digests.add(done.stdout)
+    assert len(digests) == 1

@@ -356,7 +356,8 @@ def test_formulas_survive_pickle_and_copy():
 
 
 _PICKLED = """
-import pickle
+import copy, pickle
+from densepairs.evaluate import eval_formula
 from densepairs.formulas import TheoryMode
 from densepairs.model import ModelElement, QuotientElement
 from densepairs.parser import parse
@@ -369,8 +370,28 @@ objects = (
     QuotientTerm({qvar(1): 1}, HomeTerm({hvar(2): 1}), QuotientElement({3: 5})),
     home,
     QuotientElement({2: 1, 3: -1}),
+    parse("!(x1 < x2) & (Q(x2) | x1 = 2*x2 + r3)"),
+    ModelElement({0: "1/3", 3: "-2/7"}),
 )
 [hash(o) for o in objects]
+# the last two carry what evaluation caches: plans on the nodes it reached,
+# and an element's integer numerators
+assert eval_formula(objects[5], {hvar(1): objects[6], hvar(2): home}) is False
+assert objects[6].sign() == -1
+
+
+def cached(o):  # whether o, or a node below it, keeps a plan or numerators
+    stack = [o]
+    while stack:
+        g = stack.pop()
+        if getattr(g, "_plan", None) is not None or getattr(g, "_ints", None) is not None:
+            return True
+        stack.extend(getattr(g, "children", ()))
+        stack.extend([g.sub] if hasattr(g, "sub") else [])
+    return False
+
+
+assert cached(objects[5]) and cached(objects[6])
 """
 
 
@@ -386,11 +407,16 @@ def test_pickles_load_in_a_process_with_another_hash_seed():
         )
         return done.stdout
 
-    dumped = run(1, "print(pickle.dumps(objects).hex())")
+    dumped = run(
+        1,
+        "copies = [copy.deepcopy(o) for o in objects]\n"
+        "assert all(c == o and hash(c) == hash(o) and not cached(c) for c, o in zip(copies, objects))\n"
+        "print(pickle.dumps(objects).hex())",
+    )
     same = run(
         2,
         "loaded = pickle.loads(bytes.fromhex(input()))\n"
-        "print([a == b and hash(a) == hash(b) for a, b in zip(loaded, objects)])",
+        "print([a == b and hash(a) == hash(b) and not cached(a) for a, b in zip(loaded, objects)])",
         dumped,
     )
-    assert same == "[True, True, True, True, True]\n"
+    assert same == "[True, True, True, True, True, True, True]\n"

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densepairs.model import (
+    MAX_DIM,
+    MAX_RADICAND,
     Model,
     ModelElement,
     QuotientElement,
@@ -343,3 +345,42 @@ def test_enclosure_brackets_the_value_within_its_width():
             above = _as_reference(x)
             above[1] = above.get(1, 0) - hi
             assert reference_sign(below) >= 0 >= reference_sign(above)
+
+
+def test_compare_over_unequal_denominators():
+    # compare brings both numerator vectors to one denominator: pairs whose
+    # denominators differ, share a factor, or agree, with near and equal values
+    rng = random.Random(31)
+    for i in range(400):
+        den_a, den_b = rng.choice([(1, 7), (6, 4), (9, 9), (35, 21), (1, 1), (12, 18)])
+        a = ModelElement({k: Fraction(rng.randint(-40, 40), den_a) for k in rng.sample((0, 2, 3, 5, 7), 3)})
+        if i % 4 == 0:
+            b = a  # equal, through the same cached numerators
+        elif i % 4 == 1:
+            b = ModelElement({k: q + Fraction(rng.choice((-1, 1)), den_b * 10**6) for k, q in a.items()})
+        else:
+            b = ModelElement({k: Fraction(rng.randint(-40, 40), den_b) for k in rng.sample((0, 2, 3, 5, 7), 2)})
+        want = reference_sign(_as_reference(a - b))
+        assert compare(a, b) == want and compare(b, a) == -want
+        assert a.sign() == reference_sign(_as_reference(a))
+
+
+def test_radicands_are_supported_primes_or_the_unit():
+    # a radicand that is not prime lets a nonempty map denote 0, and no
+    # enclosure ever excludes 0: ModelElement({4: 1, 0: -2}).sign() never returned
+    assert MAX_RADICAND == Model(MAX_DIM).primes[-1] == 7907
+    for coeffs, message in [
+        ({4: 1, 0: -2}, "r4 is not a square root of a prime"),
+        ({2: 1, 8: Fraction(-1, 2)}, "r8 is not a square root of a prime"),
+        ({1: 1}, "r1 is not a square root of a prime"),
+        ({7919: 1}, "r7919 is beyond the largest supported radicand r7907"),
+        ({2305843009213693951: 1}, "r2305843009213693951 is beyond the largest supported radicand r7907"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelElement(coeffs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelElement.from_json({str(k): str(q) for k, q in coeffs.items()})
+    with pytest.raises(ValueError, match="^r9 is not"):
+        QuotientElement({9: 1})
+    assert ModelElement({0: 1, 7907: -1}).sign() == -1
+    assert QuotientElement({7907: 1}).lex_sign() == 1
