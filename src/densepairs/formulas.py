@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator
 
@@ -26,11 +25,9 @@ from .errors import (
     NotGroundError,
     QuantifiedInputError,
     SortError,
-    UnboundVariableError,
 )
-from .model import QuotientElement, int_sign
-from .terms import TERM_CLASS, VALUE_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
-from .terms import _wrong_sort
+from .model import int_sign, lead_sign
+from .terms import TERM_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
 
 if TYPE_CHECKING:
     from .evaluate import Assignment
@@ -58,8 +55,9 @@ class Formula:
     at construction, from its fields, a child by the hash it stored; so a
     hash costs one step per node however deep the tree is.  The `_plan`
     slot stays empty until the node is first evaluated, then holds what
-    evaluation compiled from it (see `eval_atom` and
-    `evaluate.eval_formula`); equality, hashing and copies ignore it."""
+    evaluation compiled from it (see `evaluate.eval_formula`; an atom
+    keeps its compiled form on its payload instead); equality, hashing and
+    copies ignore it."""
 
     __slots__ = ("_hash", "_plan")
 
@@ -320,70 +318,18 @@ _ATOM_FACTORY = {
 }
 
 
-def _linear_form(atom: Atom) -> tuple:
-    """The atom's payload scaled by the lcm L of its denominators, as
-    (kind, ((v, L*coeff, class of v's value, whether v is read under pi), ...),
-    {k: L*constant_k}); a positive scale keeps every atom's truth."""
-    t = atom.payload
-    coeffs, const = t._coeffs, t.constant._coeffs
-    scale = lcm(*[q.denominator for q in (*coeffs.values(), *const.values())])
-    quotient = t.sort is Sort.QUOTIENT
-    terms = tuple(
-        (
-            v,
-            q.numerator * (scale // q.denominator),
-            VALUE_CLASS[v.sort],
-            quotient and v.sort is Sort.HOME,
-        )
-        for v, q in coeffs.items()
-    )
-    return atom.kind, terms, {k: q.numerator * (scale // q.denominator) for k, q in const.items()}
-
-
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:
-    """Truth of an atom under an assignment, on integers: each value's
-    numerators are brought to one common denominator d, so d * L times the
-    payload's value is sum(n_k * sqrt(k)) with integers n_k, whose zero
-    pattern or sign decides the atom.  `fold_ground` and `eval_formula` use it.
-    Unbound and wrong-sort variables raise as `Term.evaluate` does."""
-    try:
-        form = atom._plan
-    except AttributeError:  # the first evaluation compiles the atom
-        form = _linear_form(atom)
-        object.__setattr__(atom, "_plan", form)
-    kind, terms, nums = form
-    if terms:
-        d = 1
-        values = []
-        unbound = None  # the first unbound quotient variable, reported last
-        for v, c, want, under_pi in terms:
-            try:
-                x = assignment[v]
-            except KeyError:
-                if want is not QuotientElement:
-                    raise UnboundVariableError(f"{v} is unbound") from None
-                unbound = unbound or v
-                continue
-            if type(x) is not want:
-                raise _wrong_sort(v, x)
-            ints = x._numerators()
-            d = lcm(d, ints[0])
-            values.append((c, ints, under_pi))
-        if unbound is not None:
-            raise UnboundVariableError(f"{unbound} is unbound")
-        # not model.add_scaled: on this path, once per atom and evaluation,
-        # leaving a cancelled coefficient as 0 costs less than dropping it
-        nums = dict(nums) if d == 1 else {k: n * d for k, n in nums.items()}
-        for c, (dx, xs), under_pi in values:
-            c *= d // dx
-            for k, n in xs.items():
-                if k or not under_pi:  # pi kills the rational part, key 0
-                    nums[k] = nums.get(k, 0) + c * n
+    """Truth of an atom under an assignment, decided on the integer
+    numerators of its payload's value (`Term.numerators`; their positive
+    denominator keeps zero pattern and sign): by a zero test for `=` and
+    `Q`, the integer sign for `<` and the lowest radicand's coefficient for
+    `prec`.  `fold_ground` and `eval_formula` use it."""
+    nums = atom.payload.numerators(assignment)[1]
+    kind = atom.kind
     if kind is AtomKind.HOME_LT:
         return int_sign(nums.items()) < 0
-    if kind is AtomKind.QUOT_PREC:  # the lowest radicand's coefficient leads
-        lead = min((k for k, n in nums.items() if n), default=None)
-        return lead is not None and nums[lead] < 0
+    if kind is AtomKind.QUOT_PREC:
+        return lead_sign(nums) < 0
     if kind is AtomKind.IN_Q:
         return not any(n for k, n in nums.items() if k)
     return not any(nums.values())

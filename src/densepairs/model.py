@@ -109,17 +109,14 @@ ZERO = Fraction(0)
 _RATIONAL_SUPPORT = frozenset({0})
 
 
-def add_scaled(out: dict, coeffs: Mapping, q=1, skip=None) -> dict:
+def add_scaled(out: dict, coeffs: Mapping, q=1) -> dict:
     """Add q * coeffs into the clean map `out` in place and return it.
 
     q is a nonzero rational, or a nonzero integer for maps to integers; keys
-    whose sum cancels are dropped, so `out` stays clean, and the key `skip`
-    of coeffs is left out.  A key new to `out` costs no addition, q = 1 no
-    multiplication, q = -1 a negation.
+    whose sum cancels are dropped, so `out` stays clean.  A key new to `out`
+    costs no addition, q = 1 no multiplication, q = -1 a negation.
     """
     items = coeffs.items()
-    if skip is not None:
-        items = [(k, v) for k, v in items if k != skip]
     if q != 1:
         items = [(k, -v) for k, v in items] if q == -1 else [(k, q * v) for k, v in items]
     for k, v in items:
@@ -173,6 +170,12 @@ class _SpanElement:
 
     def __reduce__(self):  # stored hash and numerators are rebuilt, not copied
         return self._make, (self._coeffs,)
+
+    @classmethod
+    def _from_numerators(cls, d: int, nums: Mapping[int, int]):
+        """The element sum(n_k * sqrt(k)) / d, sqrt(0) read as 1, for d > 0 and
+        integers n_k of radicands of this sort; zero numerators are dropped."""
+        return cls._make({k: Fraction(n, d) for k, n in nums.items() if n})
 
     def _numerators(self) -> tuple[int, dict[int, int]]:
         """(d, {k: n_k}): the value is sum(n_k * sqrt(k)) / d with d > 0 and
@@ -336,10 +339,7 @@ class QuotientElement(_SpanElement):
 
     def lex_sign(self) -> int:
         """Sign under the lexicographic order on coefficients over 2 < 3 < 5 < ..."""
-        if not self._coeffs:
-            return 0
-        lead = self._coeffs[min(self._coeffs)]
-        return 1 if lead > 0 else -1
+        return lead_sign(self._coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -354,6 +354,13 @@ def compare(a: ModelElement, b: ModelElement) -> int:
     db, nb = b._numerators()
     d = math.lcm(da, db)
     return int_sign(add_scaled(add_scaled({}, na, d // da), nb, -(d // db)).items())
+
+
+def lead_sign(coeffs: Mapping[int, Fraction | int]) -> int:
+    """The quotient order, written once: a coefficient map over radicands
+    2 < 3 < 5 < ... has the sign of its lowest radicand's nonzero coefficient."""
+    lead = min((k for k, n in coeffs.items() if n), default=None)
+    return 0 if lead is None else 1 if coeffs[lead] > 0 else -1
 
 
 def lex_compare(a: QuotientElement, b: QuotientElement) -> int:

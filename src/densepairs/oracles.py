@@ -2,12 +2,13 @@
 
 These decide single-variable conjunctions by direct construction and are
 the package's independent check on the symbolic eliminator.  Each
-literal on v is read as ``coeff * v + rest`` with the rest evaluated
-under the assignment, so it names one point: an equation pins v there, a
-disequation excludes it, and order literals cut the line (or the ordered
-quotient) down to an open interval.  For a home-sort v, membership and
-quotient literals constrain only the coset of v; they become ground
-literals on a stand-in for pi(v), which the same search solves first.
+literal on v is read as ``coeff * v + rest``, the rest being its payload
+evaluated under the assignment with v at zero, so it names one point: an
+equation pins v there, a disequation excludes it, and order literals cut
+the line (or the ordered quotient) down to an open interval.  For a
+home-sort v, membership and quotient literals constrain only the coset
+of v; they become ground literals on a stand-in for pi(v), which the
+same search solves first.
 Density does the rest -- the rational line and every one of its cosets
 is dense in the model, and only finitely many points are ever excluded,
 so a witness can be found whenever one exists.  Every returned witness
@@ -116,6 +117,7 @@ def _home_candidates(
 
 # the unknown coset pi(v) of a home-sort search; its literals are ground
 _COSET = Variable(Sort.QUOTIENT, 0)
+_ZERO = {Sort.HOME: ModelElement(), Sort.QUOTIENT: QuotientElement()}
 
 
 def _solve(
@@ -132,6 +134,7 @@ def _solve(
     bounds: dict[int, _Bound | None] = {-1: None, 1: None}
     excluded = set()
     coset_literals: list[Formula] = []
+    at_zero = {**assignment, v: _ZERO[v.sort]}
     for lit in literals:
         atom, positive = literal_parts(lit)
         coeff = atom.payload.coeff(v)
@@ -139,7 +142,7 @@ def _solve(
             if not eval_formula(lit, assignment):
                 return False, None
             continue
-        rest = atom.payload.without(v).evaluate(assignment)
+        rest = atom.payload.evaluate(at_zero)
         if atom.kind is eq_kind:
             point = rest.scale(-1 / coeff)
             if not positive:

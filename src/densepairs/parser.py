@@ -44,9 +44,10 @@ from .formulas import (
     render,  # parser.render, the inverse of parse up to normalization
     standardize,
 )
-from .model import ModelElement, QuotientElement, project, radicand_problem
+from .model import MAX_DIGITS, ModelElement, QuotientElement, project, radicand_problem
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
+_DIGITS = "0123456789"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+\d*)"
     r"|(?P<op>->|<=|>=|!=|[=<>!&|().+\-*/])|(?P<bad>\S))"
@@ -65,9 +66,13 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        word = m.group(kind)
         if kind == "bad":
-            raise ParseError(m.start(kind), f"unexpected character {m.group(kind)!r}")
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+            raise ParseError(m.start(kind), f"unexpected character {word!r}")
+        # a numeral, or the digits ending a name: int() refuses longer ones
+        if len(word) > MAX_DIGITS and len(word) - len(word.rstrip(_DIGITS)) > MAX_DIGITS:
+            raise ParseError(m.start(kind), f"a number longer than {MAX_DIGITS} digits")
+        tokens.append(_Token(kind, word, m.start(kind)))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

@@ -142,10 +142,10 @@ ORACLE_CHECK_SCHEMA = {
     "type": "object",
     "properties": {
         "seed": {"type": "integer"},
-        "count": {"type": "integer"},
-        "checks": {"type": "integer"},
-        "agreements": {"type": "integer"},
-        "disagreements": {"type": "integer"},
+        "count": {"type": "integer", "minimum": 0},
+        "checks": {"type": "integer", "minimum": 0},
+        "agreements": {"type": "integer", "minimum": 0},
+        "disagreements": {"type": "integer", "minimum": 0},
     },
     "required": ["seed", "count", "checks", "agreements", "disagreements"],
     "additionalProperties": False,

@@ -24,6 +24,8 @@ ASSIGNMENTS_PER_INSTANCE = 10
 def selfcheck(seed: int, count: int, mode: TheoryMode, model: Model) -> dict:
     """Check count random instances, bit-reproducibly from seed; the report
     counts checks, agreements and disagreements."""
+    if count < 0:
+        raise ValueError(f"instance count must be nonnegative, got {count}")
     rng = random.Random(seed)
     checks = agreements = 0
     for _ in range(count):

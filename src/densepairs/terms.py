@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
@@ -83,19 +84,17 @@ def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
 VALUE_CLASS: dict[Sort, type] = {Sort.HOME: ModelElement, Sort.QUOTIENT: QuotientElement}
 
 
-def _wrong_sort(v: Variable, x) -> TypeError:
-    return TypeError(f"{v} is assigned a {type(x).__name__}, not a {VALUE_CLASS[v.sort].__name__}")
-
-
 class _Term:
     """A linear form: one coefficient map over variables plus a constant.
 
     Subclasses fix the sort of the value and of the constant.  Operations
     build results with `_make`, which trusts its map to be clean already:
-    variables of the right sorts mapped to nonzero Fractions.
+    variables of the right sorts mapped to nonzero Fractions.  The `_form`
+    slot stays empty until the term is first evaluated, then holds the
+    integer form `numerators` runs; equality, hashing and copies ignore it.
     """
 
-    __slots__ = ("_coeffs", "_constant", "_hash")
+    __slots__ = ("_coeffs", "_constant", "_hash", "_form")
     sort: Sort
 
     @classmethod
@@ -104,10 +103,68 @@ class _Term:
         t._coeffs = coeffs
         t._constant = constant
         t._hash = None
+        t._form = None
         return t
 
-    def __reduce__(self):  # a stored hash is only valid in the process that made it
+    def __reduce__(self):  # stored hash and form are rebuilt, not copied
         return self._make, (self._coeffs, self._constant)
+
+    def _compile(self) -> tuple:
+        """The integer form: the lcm L of the denominators; per variable v,
+        (v, L * coeff, the class of v's values, whether v is read under pi);
+        and {k: L * constant_k}."""
+        coeffs, const = self._coeffs, self._constant._coeffs
+        scale = lcm(*[q.denominator for q in (*coeffs.values(), *const.values())])
+        quotient = self.sort is Sort.QUOTIENT
+        terms = tuple(
+            (v, q.numerator * (scale // q.denominator), VALUE_CLASS[v.sort],
+             quotient and v.sort is Sort.HOME)
+            for v, q in coeffs.items()
+        )
+        return scale, terms, {k: q.numerator * (scale // q.denominator) for k, q in const.items()}
+
+    def numerators(self, assignment) -> tuple[int, dict[int, int]]:
+        """(D, {k: n_k}) with the value under the assignment sum(n_k * sqrt(k)) / D,
+        sqrt(0) read as 1, for D > 0 and integers n_k, some of them maybe 0.
+
+        The form is compiled on the first call and kept; each value's cached
+        numerators are brought to one common denominator d and added in, so
+        D = L * d.  An unbound home variable is reported at once, an unbound
+        quotient variable after the rest, and a value of the wrong sort
+        raises TypeError.  The map may be the form's own: never change it.
+        """
+        form = self._form
+        if form is None:
+            form = self._form = self._compile()
+        scale, terms, nums = form
+        if not terms:
+            return scale, nums
+        d = 1
+        values = []
+        unbound = None  # the first unbound quotient variable, reported last
+        for v, c, want, under_pi in terms:
+            try:
+                x = assignment[v]
+            except KeyError:
+                if want is not QuotientElement:
+                    raise UnboundVariableError(f"{v} is unbound") from None
+                unbound = unbound or v
+                continue
+            if type(x) is not want:
+                raise TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
+            ints = x._ints or x._numerators()  # no call once cached
+            d = lcm(d, ints[0])
+            values.append((c, ints, under_pi))
+        if unbound is not None:
+            raise UnboundVariableError(f"{unbound} is unbound")
+        # not model.add_scaled: leaving a cancelled coefficient as 0 costs less
+        nums = dict(nums) if d == 1 else {k: n * d for k, n in nums.items()}
+        for c, (dx, xs), under_pi in values:
+            c *= d // dx
+            for k, n in xs.items():
+                if k or not under_pi:  # pi kills the rational part, key 0
+                    nums[k] = nums.get(k, 0) + c * n
+        return scale * d, nums
 
     @classmethod
     def from_variable(cls, v: Variable):
@@ -214,22 +271,14 @@ class HomeTerm(_Term):
             constant = ModelElement.from_rational(Fraction(constant))
         self._constant = constant
         self._hash = None
+        self._form = None
 
     @classmethod
     def from_element(cls, a: ModelElement) -> "HomeTerm":
         return cls((), a)
 
     def evaluate(self, assignment: Mapping[Variable, ModelElement]) -> ModelElement:
-        out = self._constant.coeffs
-        for v, q in self._coeffs.items():
-            try:
-                x = assignment[v]
-            except KeyError:
-                raise UnboundVariableError(f"{v} is unbound") from None
-            if type(x) is not ModelElement:
-                raise _wrong_sort(v, x)
-            add_scaled(out, x._coeffs, q)
-        return ModelElement._make(out)
+        return ModelElement._from_numerators(*self.numerators(assignment))
 
     def __repr__(self) -> str:
         return f"HomeTerm({self._coeffs!r}, {self._constant!r})"
@@ -266,6 +315,7 @@ class QuotientTerm(_Term):
         self._coeffs.update(_clean_varmap(pushed.coeffs, Sort.HOME))
         self._constant = constant + project(pushed.constant)
         self._hash = None
+        self._form = None
 
     @classmethod
     def from_element(cls, w: QuotientElement) -> "QuotientTerm":
@@ -283,26 +333,7 @@ class QuotientTerm(_Term):
         return HomeTerm._make(home, ModelElement())
 
     def evaluate(self, assignment) -> QuotientElement:
-        # pi is linear, so each home variable is projected on its own: its
-        # value enters without key 0, the rational part pi kills; an
-        # unbound home variable is reported before an unbound quotient one
-        out = self._constant.coeffs
-        unbound = None
-        for v, q in self._coeffs.items():
-            home = v.sort is Sort.HOME
-            try:
-                x = assignment[v]
-            except KeyError:
-                if home:
-                    raise UnboundVariableError(f"{v} is unbound") from None
-                unbound = unbound or v
-                continue
-            if type(x) is not (ModelElement if home else QuotientElement):
-                raise _wrong_sort(v, x)
-            add_scaled(out, x._coeffs, q, 0 if home else None)
-        if unbound is not None:
-            raise UnboundVariableError(f"{unbound} is unbound")
-        return QuotientElement._make(out)
+        return QuotientElement._from_numerators(*self.numerators(assignment))
 
     def __repr__(self) -> str:
         return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self._constant!r})"

@@ -117,6 +117,15 @@ def test_huge_radicand_exits_2_at_once(capsys):
     )
 
 
+def test_a_numeral_past_the_digit_limit_exits_2_with_a_parse_error():
+    # int() used to refuse it with the interpreter's own message
+    done = run_cli("decide", "E x1. x1 < " + "1" * 5000, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: parse error at position 11: ")
+    assert "set_int_max_str_digits" not in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_exit_code_3_on_precondition_violations(capsys):
     assert invoke(capsys, "decide", "x1 < 1")[0] == 3  # free variable
     assert invoke(capsys, "decompose", "x1 < x2")[0] == 3  # two free variables
@@ -364,8 +373,9 @@ def run_cli(*argv, timeout=120):
             ["measure", "--precision", "20000", "x1 > r2 - 1 & x1 < 1"],
             "error: number of decimal digits must be at most 4300",
         ),
+        (["oracle-check", "--count", "-5"], "error: instance count must be nonnegative, got -5"),
     ],
-    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000", "precision-20000"],
+    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000", "precision-20000", "count-minus-5"],
 )
 def test_out_of_range_flags_exit_2_without_traceback(argv, message):
     # the model-dim case used to build a 100,000-prime table before failing

@@ -232,8 +232,17 @@ def test_a_plan_is_kept_on_the_node_and_reused():
     assert eval_formula(f, SIGMA) is False
     plan = f._plan
     assert isinstance(plan, tuple) and eval_formula(f, SIGMA) is False and f._plan is plan
-    assert hasattr(lt, "_plan") and not hasattr(eq, "_plan")  # eq is never reached
+    assert lt.payload._form is not None and eq.payload._form is None  # eq is never reached
     assert f == tree() and hash(f) == hash(tree()) and not hasattr(tree(), "_plan")
+
+
+def test_a_term_compiles_once_for_evaluate_and_eval_atom():
+    t = HomeTerm({X1: Fraction(1, 2), X2: -3}, ModelElement({0: 1, 3: Fraction(-2, 5)}))
+    value = t.evaluate(SIGMA)
+    form = t._form
+    assert form is not None
+    assert eval_atom(Atom(AtomKind.HOME_LT, t), SIGMA) is (value < ModelElement())
+    assert t._form is form
 
 
 _PLANS = """
@@ -251,7 +260,7 @@ for i in range(150):
     f = random_qf_formula(rng, variables, Model(3), TheoryMode.POVS_PREC, depth=3)
     eval_formula(f, random_assignment(rng, variables, Model(3)))
     plan = f._plan if not isinstance(f, Atom) else ((0, f),)
-    atoms = [getattr(arg, "_plan", None) for op, arg in plan if isinstance(arg, Atom)]
+    atoms = [arg.payload._form for op, arg in plan if isinstance(arg, Atom)]
     digest.update(repr([plan] + atoms).encode())
 print(digest.hexdigest())
 """

@@ -319,3 +319,38 @@ def test_golden_oracle_corpus():
     text = oracle_corpus_text()
     assert text.count("\n") == 1000
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ORACLE_CORPUS_SHA256
+
+
+# An assignment that already binds the bound variable: the oracles read each
+# literal's rest with v at zero and try candidates in its place, so neither
+# a value of v's sort nor one of the other sort changes the answer.  Outputs
+# pinned before the rest was read this way, where v was deleted from the term.
+BOUND_V_SIGMA = {"x2": "1 + r2", "x3": "-1/2*r3", "u2": "pi(r2 - r5)"}
+BOUND_V_CASES = [
+    # (bound, literals, verdict, witness), each under every binding of v
+    ("x1", ["0 < x1", "x1 < x2", "Q(x1 - x2)"],
+     True, {"0": "-1779033703/8589934592", "2": "1"}),
+    ("x1", ["x1 = 2*x2 + 1/3", "!Q(x1)"], True, {"0": "7/3", "2": "2"}),
+    ("x1", ["x1 != x2", "pi(x1) prec u2", "x3 < x1", "!Q(x1 + x3)"],
+     True, {"0": "3", "5": "-1"}),
+    ("x1", ["x1 < x2", "x2 < x1"], False, None),
+    ("x1", ["pi(x1) = pi(x3)", "x1 < x3", "!(x1 = x3 - 1)"],
+     True, {"0": "-2", "3": "-1/2"}),
+    ("u1", ["u1 prec u2", "pi(x3) prec u1", "u1 != pi(r3)"],
+     True, {"2": "1/2", "3": "-1/4", "5": "-1/2"}),
+    ("u1", ["u1 = u2 + pi(x2)", "!(u1 prec pi(x3))"], True, {"2": "2", "5": "-1"}),
+    ("u1", ["u1 != u2", "u1 != pi(x2)"], True, {}),
+    ("u1", ["u1 prec u2", "u2 prec u1"], False, None),
+]
+
+
+@pytest.mark.parametrize("case", BOUND_V_CASES, ids=lambda c: " & ".join(c[1]))
+def test_a_binding_of_the_bound_variable_is_ignored(case):
+    bound, texts, verdict, witness = case
+    v = _var(bound)
+    sigma = {_var(name): _element(name, value) for name, value in BOUND_V_SIGMA.items()}
+    home, quotient = parse_element("r5 - 2"), parse_quotient_element("pi(r7)")
+    for value in (None, home, quotient):  # unbound, then each sort
+        given = sigma if value is None else {**sigma, v: value}
+        ok, w = _call_oracle(lits(*texts, mode=TheoryMode.POVS_PREC), v, given, TheoryMode.POVS_PREC)
+        assert (ok, None if w is None else w.to_json()) == (verdict, witness), value

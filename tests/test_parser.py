@@ -19,7 +19,7 @@ from densepairs.formulas import (
     make_not,
     make_or,
 )
-from densepairs.model import Model, ModelElement, QuotientElement
+from densepairs.model import MAX_DIGITS, Model, ModelElement, QuotientElement
 from densepairs.parser import parse, parse_element, parse_quotient_element, render
 from densepairs.randgen import random_qf_formula
 from densepairs.terms import hvar, qvar
@@ -90,6 +90,31 @@ def test_parse_errors_carry_positions():
         parse("(x1 < 1")
     with pytest.raises(ParseError):
         parse("x1 < 2 x2")
+
+
+@pytest.mark.parametrize(
+    "template, position",
+    [
+        ("E x1. x1 < {}", 11),
+        ("E x1. x1 < 1/{}", 13),
+        ("E x{0}. x{0} < 1", 2),
+        ("E x1. x1 < r{}", 11),
+    ],
+    ids=["numeral", "denominator", "variable-index", "radicand"],
+)
+def test_numbers_past_the_digit_limit_are_parse_errors(template, position):
+    # int() refuses to read more than MAX_DIGITS digits, with its own message
+    with pytest.raises(ParseError) as info:
+        parse(template.format("1" * (MAX_DIGITS + 1)))
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"parse error at position {position}: a number longer than {MAX_DIGITS} digits"
+    )
+
+
+def test_a_numeral_of_the_digit_limit_parses():
+    f = parse("E x1. x1 < " + "1" * MAX_DIGITS)
+    assert f.body.payload.constant.rational() == -int("1" * MAX_DIGITS)
 
 
 def test_precedence_and_desugaring():
