@@ -86,8 +86,11 @@ def _check_constants(f: Formula, model: Model) -> None:
     for atom in all_atoms(f):
         c = atom.payload.constant
         if not model.contains(c):
+            outside = min(c.radicands().difference(model.radicands))
+            allowed = ", ".join(f"r{k}" for k in model.primes)
             raise InputError(
-                f"constant {c} uses radicands outside the dimension-{model.dim} model"
+                f"r{outside} is outside the dimension-{model.dim} model, "
+                f"whose radicands are {allowed}"
             )
 
 

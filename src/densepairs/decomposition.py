@@ -292,7 +292,7 @@ class _CellConjunct:
 
 def _coset_of_literal(atom: Atom, v: Variable) -> QuotientElement:
     """The coset that a membership/quotient literal pins pi(v) to."""
-    point = atom.payload.root(v).evaluate({})
+    point = atom.payload.root(v).constant
     return project(point) if atom.kind is AtomKind.IN_Q else point
 
 
@@ -318,7 +318,7 @@ def decompose(
             if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
                 order_lits.append(lit)
                 if coeff != 0:
-                    point = atom.payload.root(v).evaluate({})
+                    point = atom.payload.root(v).constant
                     if point not in seen:
                         seen.add(point)
                         endpoints.append(point)

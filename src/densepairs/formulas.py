@@ -419,26 +419,6 @@ def is_quantifier_free(f: Formula) -> bool:
     return not _scan(f)[2]
 
 
-def check_mode(f: Formula, mode: TheoryMode) -> None:
-    """Reject atoms and variables that the theory mode's language does not have.
-
-    The three theories differ only in their symbols, so this is the one
-    check of a formula against a mode; the eliminator itself is mode-free."""
-    if mode is TheoryMode.POVS_PREC:
-        return
-    nodes, _, bound = _scan(f)
-    for a in nodes:
-        if not isinstance(a, Atom):
-            continue
-        if mode is TheoryMode.OVS and a.kind not in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
-            raise ModeError(f"{a.kind.value} atom is not part of the one-sorted theory")
-        if a.kind is AtomKind.QUOT_PREC:
-            raise ModeError("prec atoms are outside the unordered pair theory this operation uses")
-    # home atoms mention home variables only, so a quotient variable here is bound
-    if mode is TheoryMode.OVS and any(v.sort is Sort.QUOTIENT for v in bound):
-        raise ModeError("quotient-sort variables are not part of the one-sorted theory")
-
-
 def all_variables(f: Formula) -> set[Variable]:
     """The free and the bound variables of f, from one scan."""
     _, free, bound = _scan(f)
@@ -490,13 +470,37 @@ def ground(
     return f
 
 
-def standardize(f: Formula) -> Formula:
-    """Rename bound variables so they are distinct from each other and from free ones.
+def _foreign_symbol(g: Formula, mode: TheoryMode) -> str | None:
+    """The symbol of node g, as written, that the language of `mode` lacks, if any."""
+    if isinstance(g, (Exists, Forall)):
+        return g.var.name if mode is TheoryMode.OVS and g.var.sort is Sort.QUOTIENT else None
+    if not isinstance(g, Atom) or g.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+        return None
+    if g.kind is AtomKind.QUOT_PREC:
+        return "prec"
+    if mode is not TheoryMode.OVS:
+        return None
+    if g.kind is AtomKind.IN_Q:
+        return "Q"
+    # a quotient equation, named by its first symbol as rendered
+    indices = sorted(v.index for v in g.payload.variables() if v.sort is Sort.QUOTIENT)
+    return f"u{indices[0]}" if indices else "pi"
 
-    A binder whose variable is taken gets the next untaken index of its
-    sort; atoms read each bound variable's name from its innermost binder.
+
+def admit(f: Formula, mode: TheoryMode) -> Formula:
+    """f with its bound variables renamed apart, once its language is the mode's.
+
+    The three theories differ only in their symbols, so this is the one
+    check of a formula against a mode; the parser reads every symbol and
+    the eliminator is mode-free.  A binder whose variable is taken (bound
+    again, or free) gets the next untaken index of its sort; atoms read
+    each bound variable's name from its innermost binder.
     """
-    _, used, binders = _scan(f)
+    nodes, used, binders = _scan(f)
+    if mode is not TheoryMode.POVS_PREC:
+        for g in nodes:
+            if symbol := _foreign_symbol(g, mode):
+                raise ModeError(f"{symbol} is not in the language of theory mode {mode.value}")
     if len(set(binders)) == len(binders) and used.isdisjoint(binders):
         return f  # nothing to rename
     next_index = {sort: fresh_variable(sort, used).index for sort in Sort}

@@ -25,7 +25,7 @@ import re
 from typing import NamedTuple
 from fractions import Fraction
 
-from .errors import ModeError, ParseError, SortError
+from .errors import ParseError, SortError
 from .formulas import (
     FALSE,
     TRUE,
@@ -33,6 +33,7 @@ from .formulas import (
     Forall,
     Formula,
     TheoryMode,
+    admit,
     home_eq,
     home_lt,
     in_q,
@@ -42,7 +43,6 @@ from .formulas import (
     quot_eq,
     quot_prec,
     render,  # parser.render, the inverse of parse up to normalization
-    standardize,
 )
 from .model import MAX_DIGITS, ModelElement, QuotientElement, project, radicand_problem
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -143,8 +143,7 @@ def _quotient_term(term: _ParsedTerm) -> QuotientTerm:
 
 
 class _Parser:
-    def __init__(self, text: str, mode: TheoryMode):
-        self.mode = mode
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
 
@@ -229,8 +228,6 @@ class _Parser:
             self.next()
             return TRUE if tok.text == "true" else FALSE
         if tok.kind == "name" and tok.text == "Q" and self.tokens[self.idx + 1].text == "(":
-            if self.mode is TheoryMode.OVS:
-                raise ModeError("the subspace predicate Q requires theory mode povs or povs-prec")
             self.next()
             self.expect_op("(")
             term = self.parse_term()
@@ -244,8 +241,6 @@ class _Parser:
         right = self.parse_term()
         rel = op.text
 
-        if rel in ("prec", "preceq") and self.mode is not TheoryMode.POVS_PREC:
-            raise ModeError(f"{rel} requires theory mode povs-prec")
         if rel in ("prec", "preceq") or Sort.QUOTIENT in left.sorts | right.sorts:
             s = _quotient_term(left) - _quotient_term(right)
             if rel not in _QUOTIENT_RELATIONS:
@@ -278,8 +273,6 @@ class _Parser:
             if tok.kind == "num":
                 term.const[0] = term.const.get(0, 0) + q
             elif tok.text == "pi":
-                if self.mode is TheoryMode.OVS:
-                    raise ModeError("pi requires theory mode povs or povs-prec")
                 self.expect_op("(")
                 enclosing.append((term, q))
                 term = _ParsedTerm({}, {}, {}, set(), self.peek().pos)
@@ -329,19 +322,18 @@ class _Parser:
         m = _VARIABLE_RE.fullmatch(tok.text)
         if m is None:
             return None
-        if m.group(1) == "u" and self.mode is TheoryMode.OVS:
-            raise ModeError("quotient-sort variables require theory mode povs or povs-prec")
         return Variable(Sort.HOME if m.group(1) == "x" else Sort.QUOTIENT, int(m.group(2)))
 
 
 def parse(text: str, mode: TheoryMode = TheoryMode.POVS) -> Formula:
-    """Parse a formula; raises ParseError, SortError, or ModeError."""
-    p = _Parser(text, mode)
+    """Parse a formula and `admit` it to `mode`'s language, binders renamed apart.
+
+    Every symbol of every mode is read, so an input that is both ill-sorted
+    and outside the mode raises the SortError met first."""
+    p = _Parser(text)
     f = p.parse_formula()
     p.expect_end()
-    # every symbol was checked against the mode as it was read, and only
-    # binders can need renaming
-    return standardize(f)
+    return admit(f, mode)
 
 
 def parse_element(text: str) -> ModelElement:
@@ -355,7 +347,7 @@ def parse_quotient_element(text: str) -> QuotientElement:
 
 
 def _parse_constant(text: str, read):
-    p = _Parser(text, TheoryMode.POVS)
+    p = _Parser(text)
     term = p.parse_term()
     p.expect_end()
     t = read(term)

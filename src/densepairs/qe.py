@@ -33,7 +33,7 @@ from .formulas import (
     Forall,
     Formula,
     TheoryMode,
-    check_mode,
+    admit,
     dnf_clauses,
     fold_ground,
     free_variables,
@@ -47,7 +47,6 @@ from .formulas import (
     quot_prec,
     rewrite,
     simplify,
-    standardize,
     substitute,
 )
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -150,7 +149,7 @@ def _eliminate_exists(
     for lit in literals:
         literal_parts(lit)  # reject anything that is not a literal
     f = make_and(literals)
-    check_mode(Exists(v, f), mode)  # what `qe` checks of the same formula
+    admit(Exists(v, f), mode)  # what `qe` checks of the same formula
     return _eliminate(f, v)
 
 
@@ -182,8 +181,7 @@ def _qe(f: Formula) -> Formula:
 
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:
     """A quantifier-free formula equivalent to f in every model of the theory."""
-    check_mode(f, mode)
-    return _qe(standardize(f))
+    return _qe(admit(f, mode))
 
 
 def decide_sentence(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> bool:

@@ -374,8 +374,29 @@ def run_cli(*argv, timeout=120):
             "error: number of decimal digits must be at most 4300",
         ),
         (["oracle-check", "--count", "-5"], "error: instance count must be nonnegative, got -5"),
+        (
+            ["qe", "E x1. x1 < r7"],
+            "error: r7 is outside the dimension-3 model, whose radicands are r2, r3\n",
+        ),
+        (
+            ["qe", "u1 = pi(r11 - r2)"],
+            "error: r11 is outside the dimension-3 model, whose radicands are r2, r3\n",
+        ),
+        (
+            ["decide", "--model-dim", "2", "Q(r3) & Q(r5)"],
+            "error: r3 is outside the dimension-2 model, whose radicands are r2\n",
+        ),
     ],
-    ids=["precision-minus-3", "precision-minus-1", "model-dim-100000", "precision-20000", "count-minus-5"],
+    ids=[
+        "precision-minus-3",
+        "precision-minus-1",
+        "model-dim-100000",
+        "precision-20000",
+        "count-minus-5",
+        "radicand-r7",
+        "radicand-under-pi",
+        "radicands-in-model-dim-2",
+    ],
 )
 def test_out_of_range_flags_exit_2_without_traceback(argv, message):
     # the model-dim case used to build a 100,000-prime table before failing

@@ -27,6 +27,7 @@ from densepairs.formulas import (
     Not,
     Or,
     TheoryMode,
+    admit,
     bound_variables,
     dnf_clauses,
     free_variables,
@@ -40,7 +41,6 @@ from densepairs.formulas import (
     make_or,
     nnf,
     simplify,
-    standardize,
     substitute,
     to_dnf,
 )
@@ -160,11 +160,13 @@ def test_substitute_sort_and_capture_errors():
 def test_standardize_renames_collisions():
     inner = Exists(hvar(1), in_q(x(1)))
     f = make_and([in_q(x(1)), inner])  # x1 both free and bound
-    g = standardize(f)
+    g = admit(f, TheoryMode.POVS_PREC)
     assert free_variables(g) == {hvar(1)}
     assert hvar(1) not in bound_variables(g)
     # nested same-name binders become distinct
-    h = standardize(Exists(hvar(1), make_and([in_q(x(1)), Exists(hvar(1), in_q(x(1)))])))
+    h = admit(
+        Exists(hvar(1), make_and([in_q(x(1)), Exists(hvar(1), in_q(x(1)))])), TheoryMode.POVS_PREC
+    )
     assert len(bound_variables(h)) == 2
     # three nested binders of one name get three names, none reused
     k = parse("E x1. E x1. E x1. x1 < 0")

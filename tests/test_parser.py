@@ -40,7 +40,7 @@ def test_spec_examples():
     assert g.payload.pushed.coeff(hvar(1)) != 0
 
     with pytest.raises(ModeError):
-        parse("x1 prec 0", TheoryMode.POVS)
+        parse("u1 prec 0", TheoryMode.POVS)
 
 
 def test_mixed_sort_atoms_rejected():
@@ -188,7 +188,10 @@ def test_parse_render_identity_on_random_formulas(seed):
 
 # The error contract of the front end on malformed, ill-sorted and
 # mode-violating input: (theory, input, exception class, message).  Parse
-# errors carry their position in the message.
+# errors carry their position in the message.  The parser reads every
+# symbol of every mode, so an input that is both ill-sorted and outside
+# the mode reports its sort error; each such row has a well-sorted twin
+# that shows the mode refusal.
 PARSE_ERRORS = [
     ("povs", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
     ("povs", "   ", ParseError, "parse error at position 3: expected a term, found 'end of input'"),
@@ -235,21 +238,26 @@ PARSE_ERRORS = [
     ("povs", "pi(u1) = 0", SortError, "quotient-sort material in a home-sort term (position 3)"),
     ("povs", "pi(pi(x1)) = u1", SortError, "quotient-sort material in a home-sort term (position 3)"),
     ("povs", "u1 < u2", SortError, "relation '<' does not apply to quotient-sort terms"),
-    ("povs", "x1 prec 0", ModeError, "prec requires theory mode povs-prec"),
-    ("povs", "pi(x1) prec pi(x2)", ModeError, "prec requires theory mode povs-prec"),
-    ("povs", "u1 preceq u2", ModeError, "preceq requires theory mode povs-prec"),
+    ("povs", "x1 prec 0", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("povs", "u1 prec 0", ModeError, "prec is not in the language of theory mode povs"),
+    ("povs", "pi(x1) prec pi(x2)", ModeError, "prec is not in the language of theory mode povs"),
+    ("povs", "u1 preceq u2", ModeError, "prec is not in the language of theory mode povs"),
     ("povs-prec", "u1 < u2", SortError, "relation '<' does not apply to quotient-sort terms"),
     ("povs-prec", "x1 prec 0", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
     ("povs-prec", "u1 <= pi(x1)", SortError, "relation '<=' does not apply to quotient-sort terms"),
     ("povs-prec", "pi(x1) prec x2", SortError, "home variable outside pi(...) in a quotient-sort term (position 12)"),
-    ("ovs", "Q(x1)", ModeError, "the subspace predicate Q requires theory mode povs or povs-prec"),
-    ("ovs", "pi(x1) = u1", ModeError, "pi requires theory mode povs or povs-prec"),
-    ("ovs", "E u1. u1 = u1", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
-    ("ovs", "E u1. x1 < 0", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
-    ("ovs", "u1 < 0", ModeError, "quotient-sort variables require theory mode povs or povs-prec"),
-    ("ovs", "x1 prec x2", ModeError, "prec requires theory mode povs-prec"),
-    ("ovs", "E x1. x1 < 0 & Q(x1)", ModeError, "the subspace predicate Q requires theory mode povs or povs-prec"),
-    ("ovs", "x1 < 0 | 0 < pi(x1)", ModeError, "pi requires theory mode povs or povs-prec"),
+    ("ovs", "Q(x1)", ModeError, "Q is not in the language of theory mode ovs"),
+    ("ovs", "pi(x1) = u1", ModeError, "u1 is not in the language of theory mode ovs"),
+    ("ovs", "E u1. u1 = u1", ModeError, "u1 is not in the language of theory mode ovs"),
+    ("ovs", "E u1. x1 < 0", ModeError, "u1 is not in the language of theory mode ovs"),
+    ("ovs", "u1 < 0", SortError, "relation '<' does not apply to quotient-sort terms"),
+    ("ovs", "u1 = 0", ModeError, "u1 is not in the language of theory mode ovs"),
+    ("ovs", "x1 prec x2", SortError, "home variable outside pi(...) in a quotient-sort term (position 0)"),
+    ("ovs", "pi(x1) prec pi(x2)", ModeError, "prec is not in the language of theory mode ovs"),
+    ("ovs", "E x1. x1 < 0 & Q(x1)", ModeError, "Q is not in the language of theory mode ovs"),
+    ("ovs", "x1 < 0 | 0 < pi(x1)", SortError, "relation '<' does not apply to quotient-sort terms"),
+    ("ovs", "x1 < 0 | 0 = pi(x1)", ModeError, "pi is not in the language of theory mode ovs"),
+    ("ovs", "pi(x1) = 0", ModeError, "pi is not in the language of theory mode ovs"),
     ("ovs", "(x1 < 0", ParseError, "parse error at position 7: expected ')', found 'end of input'"),
     ("ovs", "", ParseError, "parse error at position 0: expected a term, found 'end of input'"),
     ("povs", "pi(pi(x1) +) = u1", ParseError, "parse error at position 11: expected a term, found ')'"),

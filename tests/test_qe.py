@@ -6,10 +6,13 @@ import time
 
 import pytest
 
+from densepairs import formulas
+from densepairs.cli import run
 from densepairs.errors import FreeVariableError, ModeError, NotConjunctionError, SortError
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     TRUE,
+    And,
     Atom,
     Exists,
     Forall,
@@ -117,6 +120,61 @@ def test_eliminators_check_the_language_of_the_mode():
         eliminate_exists_home(
             lits("x0 < 0", "u1 prec 0", mode=TheoryMode.POVS_PREC), hvar(0), TheoryMode.POVS
         )
+
+
+# well-sorted conjunctions of literals outside the mode: (mode, text, message)
+MODE_REFUSALS = [
+    ("ovs", "Q(x1)", "Q is not in the language of theory mode ovs"),
+    ("ovs", "E x1. x1 < 0 & Q(x1)", "Q is not in the language of theory mode ovs"),
+    ("ovs", "pi(x1) = 0", "pi is not in the language of theory mode ovs"),
+    ("ovs", "pi(x1) = u1", "u1 is not in the language of theory mode ovs"),
+    ("ovs", "u1 = 0", "u1 is not in the language of theory mode ovs"),
+    ("ovs", "E u1. x1 < 0", "u1 is not in the language of theory mode ovs"),
+    ("ovs", "pi(x1) prec pi(x2)", "prec is not in the language of theory mode ovs"),
+    ("povs", "u1 prec 0", "prec is not in the language of theory mode povs"),
+    ("povs", "E u1. u1 prec pi(r2) & u1 != u2", "prec is not in the language of theory mode povs"),
+    ("povs", "x1 < 0 & pi(x1) prec pi(x2)", "prec is not in the language of theory mode povs"),
+]
+
+
+@pytest.mark.parametrize("theory,text,message", MODE_REFUSALS)
+def test_every_entry_point_refuses_a_mode_in_one_wording(capsys, theory, text, message):
+    mode = TheoryMode(theory)
+    f = parse(text, TheoryMode.POVS_PREC)
+    v, body = (f.var, f.body) if isinstance(f, Exists) else (hvar(0), f)
+    literals = list(body.children) if isinstance(body, And) else [body]
+    eliminate = eliminate_exists_home if v.sort is Sort.HOME else eliminate_exists_quotient
+    for call in (
+        lambda: parse(text, mode),
+        lambda: qe(f, mode),
+        lambda: eliminate(literals, v, mode),
+    ):
+        with pytest.raises(ModeError) as info:
+            call()
+        assert str(info.value) == message
+    assert run(["qe", "--theory", theory, text]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "theory,text",
+    [
+        ("ovs", "E x1. x2 < x1 & x1 < 1"),
+        ("ovs", "x1 < 0 & E x2. E x1. x1 < x2"),
+        ("povs", "E x1. x2 < x1 & !Q(x1)"),
+        ("povs", "A u1. u1 != u2"),
+        ("povs-prec", "E u1. u2 prec u1 & u1 prec pi(r2)"),
+    ],
+)
+def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
+    # `parse` and `qe` each admit the formula with one scan.  The inputs
+    # solve no equation: a substitution scans its formula for binders too.
+    calls = []
+    scan = formulas._scan
+    monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
+    mode = TheoryMode(theory)
+    qe(parse(text, mode), mode)
+    assert len(calls) == 2
 
 
 def test_qe_surjectivity_of_quotient_map():
