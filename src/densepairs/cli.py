@@ -13,16 +13,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
+from . import formulas
 from .coding import code_function, code_unary_set, set_code_json
 from .decomposition import decompose, generic_type_contains, is_small
-from .errors import (
-    ArityError,
-    InputError,
-    InternalError,
-    PreconditionError,
-)
-from .formulas import Atom, Formula, TheoryMode, all_atoms, free_variables
+from .errors import ArityError, InputError, InternalError, PreconditionError
+from .formulas import Atom, TheoryMode
 from .measure import measure
 from .model import Model
 from .parser import parse, render
@@ -32,6 +29,96 @@ from .terms import Sort, Variable
 
 _MODES = {"ovs": TheoryMode.OVS, "povs": TheoryMode.POVS, "povs-prec": TheoryMode.POVS_PREC}
 
+# the sorts of a command's free variables in index order, and their name in an arity error
+_HOME = ((Sort.HOME,), "exactly one free home variable")
+_QUOTIENT = ((Sort.QUOTIENT,), "exactly one free quotient variable")
+_GRAPH = ((Sort.HOME, Sort.HOME), "two free home variables (argument, value)")
+
+
+def _truth(value: bool):
+    return "true" if value else "false", {"result": value}
+
+
+def _as_json(data):
+    return json.dumps(data, sort_keys=True), data
+
+
+def _qe(args, f, free, mode):
+    text = render(qe(f, mode))
+    return text, {"formula": text}
+
+
+def _decompose(args, f, free, mode):
+    d = decompose(f, *free)
+    return str(d), d.to_json()
+
+
+def _measure(args, f, free, mode):
+    value = measure(f, *free).value
+    exact, decimal = str(value), value.decimal_str(args.precision)
+    text = exact if value.in_q() else f"{exact}\n~ {decimal}"
+    return text, {"exact": value.to_json(), "text": exact, "decimal": decimal}
+
+
+def _split(args, f, free, mode):
+    if not isinstance(f, Atom):
+        raise ArityError("split expects a single atom")
+    parts = split_atom(f)
+    data = {"home": parts.home, "quotient": parts.quotient}
+    data = {side: None if g is None else render(g) for side, g in data.items()}
+    return "\n".join(f"{side}: {g}" for side, g in data.items() if g is not None), data
+
+
+def _oracle_check(args, f, free, mode):
+    report = selfcheck(args.seed, args.count, mode, Model(args.model_dim))
+    text = (
+        f"instances: {args.count}\nchecks: {report['checks']}\n"
+        f"agreements: {report['agreements']}\ndisagreements: {report['disagreements']}"
+    )
+    return text, report
+
+
+class _Command(NamedTuple):
+    help: str
+    free: tuple[tuple[Sort, ...], str] | None  # None: no arity check
+    act: Callable  # (args, admitted formula, its free variables, mode) -> (text, JSON)
+
+
+_COMMANDS = {
+    "qe": _Command("eliminate quantifiers and print the result", None, _qe),
+    "decide": _Command(
+        "decide a sentence and print true/false",
+        None,
+        lambda args, f, free, mode: _truth(decide_sentence(f, mode)),
+    ),
+    "decompose": _Command("decompose a unary definable set", _HOME, _decompose),
+    "measure": _Command("evaluate the canonical measure of a unary set", _HOME, _measure),
+    "small": _Command(
+        "classify a unary definable set as small or large",
+        _HOME,
+        lambda args, f, free, mode: _truth(is_small(decompose(f, *free))),
+    ),
+    "generic": _Command(
+        "test membership of a unary quotient formula in the generic type",
+        _QUOTIENT,
+        lambda args, f, free, mode: _truth(generic_type_contains(f, *free)),
+    ),
+    "code-set": _Command(
+        "print the canonical code of a unary definable set",
+        _HOME,
+        lambda args, f, free, mode: _as_json(set_code_json(code_unary_set(f, *free))),
+    ),
+    "code-fn": _Command(
+        "print the canonical code of a definable function graph",
+        _GRAPH,  # the lower index is the argument
+        lambda args, f, free, mode: _as_json(code_function(f, *free).to_json()),
+    ),
+    "split": _Command("split an atom into pure home/quotient parts", None, _split),
+    "oracle-check": _Command(
+        "randomized agreement check between the eliminator and the oracles", None, _oracle_check
+    ),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -39,24 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="decision procedures for dense pairs of ordered rational vector spaces",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    commands = {
-        "qe": "eliminate quantifiers and print the result",
-        "decide": "decide a sentence and print true/false",
-        "decompose": "decompose a unary definable set",
-        "measure": "evaluate the canonical measure of a unary set",
-        "small": "classify a unary definable set as small or large",
-        "generic": "test membership of a unary quotient formula in the generic type",
-        "code-set": "print the canonical code of a unary definable set",
-        "code-fn": "print the canonical code of a definable function graph",
-        "split": "split an atom into pure home/quotient parts",
-        "oracle-check": "randomized agreement check between the eliminator and the oracles",
-    }
-    parsers = {}
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--theory", choices=sorted(_MODES), default="povs", help="theory mode"
-        )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--theory", choices=sorted(_MODES), default="povs", help="theory mode")
         p.add_argument("--model-dim", type=int, default=3, help="reference model dimension")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--verbose", action="store_true")
@@ -67,179 +139,54 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("formula", nargs="?", help="formula text (default: stdin)")
         if name == "measure":
             p.add_argument("--precision", type=int, default=12, help="decimal digits")
-        parsers[name] = p
     return top
 
 
-def _read_formula(args, mode: TheoryMode, model: Model) -> Formula:
-    text = getattr(args, "formula", None)
-    if text is None:
-        text = sys.stdin.read()
-    f = parse(text, mode)
-    _check_constants(f, model)
-    if args.verbose:
-        print(f"normalized: {render(f)}", file=sys.stderr)
-    return f
-
-
-def _check_constants(f: Formula, model: Model) -> None:
-    for atom in all_atoms(f):
-        c = atom.payload.constant
-        if not model.contains(c):
+def _read_formula(args, want, mode: TheoryMode):
+    """The admitted formula and its free variables in index order, from one
+    scan that checks its constants against the model and, after the
+    `--verbose` echo, its free variables against `want`."""
+    model = Model(args.model_dim)
+    f = parse(sys.stdin.read() if args.formula is None else args.formula, mode)
+    nodes, free, _ = formulas._scan(f)
+    for g in nodes:
+        if isinstance(g, Atom) and not model.contains(c := g.payload.constant):
             outside = min(c.radicands().difference(model.radicands))
             allowed = ", ".join(f"r{k}" for k in model.primes)
             raise InputError(
                 f"r{outside} is outside the dimension-{model.dim} model, "
                 f"whose radicands are {allowed}"
             )
-
-
-def _single_free_variable(f: Formula, sort: Sort) -> Variable:
-    free = sorted(free_variables(f), key=lambda v: v.sort_key())
-    if len(free) != 1 or free[0].sort is not sort:
+    if args.verbose:
+        print(f"normalized: {render(f)}", file=sys.stderr)
+    free = sorted(free, key=Variable.sort_key)
+    if want is not None and tuple(v.sort for v in free) != want[0]:
         names = ", ".join(v.name for v in free) or "none"
-        raise ArityError(f"expected exactly one free {sort.value} variable, found: {names}")
-    return free[0]
-
-
-def _emit(args, text_value: str, json_value) -> None:
-    if args.format == "json":
-        print(json.dumps(json_value, sort_keys=True))
-    else:
-        print(text_value)
-
-
-def _cmd_qe(args, mode, model):
-    f = _read_formula(args, mode, model)
-    g = qe(f, mode)
-    _emit(args, render(g), {"formula": render(g)})
-    return 0
-
-
-def _cmd_decide(args, mode, model):
-    f = _read_formula(args, mode, model)
-    value = decide_sentence(f, mode)
-    _emit(args, "true" if value else "false", {"result": value})
-    return 0
-
-
-def _cmd_decompose(args, mode, model):
-    f = _read_formula(args, mode, model)
-    v = _single_free_variable(f, Sort.HOME)
-    d = decompose(f, v)
-    _emit(args, str(d), d.to_json())
-    return 0
-
-
-def _cmd_measure(args, mode, model):
-    f = _read_formula(args, mode, model)
-    v = _single_free_variable(f, Sort.HOME)
-    mv = measure(f, v)
-    exact = str(mv.value)
-    decimal = mv.value.decimal_str(args.precision)
-    text = exact if mv.value.in_q() else f"{exact}\n~ {decimal}"
-    _emit(args, text, {"exact": mv.to_json(), "text": exact, "decimal": decimal})
-    return 0
-
-
-def _cmd_small(args, mode, model):
-    f = _read_formula(args, mode, model)
-    v = _single_free_variable(f, Sort.HOME)
-    value = is_small(decompose(f, v))
-    _emit(args, "true" if value else "false", {"result": value})
-    return 0
-
-
-def _cmd_generic(args, mode, model):
-    f = _read_formula(args, mode, model)
-    v = _single_free_variable(f, Sort.QUOTIENT)
-    value = generic_type_contains(f, v)
-    _emit(args, "true" if value else "false", {"result": value})
-    return 0
-
-
-def _cmd_code_set(args, mode, model):
-    f = _read_formula(args, mode, model)
-    v = _single_free_variable(f, Sort.HOME)
-    code = code_unary_set(f, v)
-    data = set_code_json(code)
-    _emit(args, json.dumps(data, sort_keys=True), data)
-    return 0
-
-
-def _cmd_code_fn(args, mode, model):
-    f = _read_formula(args, mode, model)
-    free = sorted(free_variables(f), key=lambda v: v.sort_key())
-    if len(free) != 2 or any(v.sort is not Sort.HOME for v in free):
-        names = ", ".join(v.name for v in free) or "none"
-        raise ArityError(f"expected two free home variables (argument, value), found: {names}")
-    x, y = free  # lower index is the argument
-    code = code_function(f, x, y)
-    _emit(args, json.dumps(code.to_json(), sort_keys=True), code.to_json())
-    return 0
-
-
-def _cmd_split(args, mode, model):
-    f = _read_formula(args, mode, model)
-    if not isinstance(f, Atom):
-        raise ArityError("split expects a single atom")
-    parts = split_atom(f)
-    home = None if parts.home is None else render(parts.home)
-    quotient = None if parts.quotient is None else render(parts.quotient)
-    text = "\n".join(
-        f"{label}: {value}"
-        for label, value in (("home", home), ("quotient", quotient))
-        if value is not None
-    )
-    _emit(args, text, {"home": home, "quotient": quotient})
-    return 0
-
-
-def _cmd_oracle_check(args, mode, model):
-    report = selfcheck(args.seed, args.count, mode, model)
-    text = (
-        f"instances: {args.count}\nchecks: {report['checks']}\n"
-        f"agreements: {report['agreements']}\ndisagreements: {report['disagreements']}"
-    )
-    _emit(args, text, report)
-    return 0 if report["disagreements"] == 0 else 4
-
-
-_HANDLERS = {
-    "qe": _cmd_qe,
-    "decide": _cmd_decide,
-    "decompose": _cmd_decompose,
-    "measure": _cmd_measure,
-    "small": _cmd_small,
-    "generic": _cmd_generic,
-    "code-set": _cmd_code_set,
-    "code-fn": _cmd_code_fn,
-    "split": _cmd_split,
-    "oracle-check": _cmd_oracle_check,
-}
+        raise ArityError(f"expected {want[1]}, found: {names}")
+    return f, free
 
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         mode = _MODES[args.theory]
-        model = Model(args.model_dim)
-        return _HANDLERS[args.command](args, mode, model)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        f, free = _read_formula(args, command.free, mode) if "formula" in args else (None, [])
+        text, data = command.act(args, f, free, mode)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error (please report): {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
+    print(json.dumps(data, sort_keys=True) if args.format == "json" else text)
+    return 4 if args.command == "oracle-check" and data["disagreements"] else 0
 
 
 def main() -> None:

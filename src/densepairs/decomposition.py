@@ -166,9 +166,6 @@ class NearInterval:
         assert self.lo.compare(self.hi) < 0, "near-interval needs a nonempty interval"
         assert not self.cosets.is_empty(), "near-interval needs a nonempty coset set"
 
-    def contains(self, m: ModelElement) -> bool:
-        return self.spans(m) and self.cosets.contains(project(m))
-
     def spans(self, m: ModelElement) -> bool:
         """Whether m lies strictly between the endpoints."""
         lo, hi = self.lo, self.hi

@@ -617,24 +617,22 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
             for c in h.children:
                 out.update(dict.fromkeys((yield c)))
             return list(out)
-        if isinstance(h, And):
-            acc: list[frozenset[int]] = [frozenset()]
-            for c in h.children:
-                branch = yield c
-                merged = set()
-                for a in acc:
-                    for b in branch:
-                        u = a | b
-                        if u in merged:
-                            continue
-                        if any(negation[i] in u for i in b if negation[i] >= 0):
-                            continue
-                        merged.add(u)
-                acc = _absorb(merged)
-                if not acc:
-                    return []
-            return acc
-        raise QuantifiedInputError("disjunctive normal form requires a quantifier-free formula")
+        acc: list[frozenset[int]] = [frozenset()]  # an And: nnf has refused any quantifier
+        for c in h.children:
+            branch = yield c
+            merged = set()
+            for a in acc:
+                for b in branch:
+                    u = a | b
+                    if u in merged:
+                        continue
+                    if any(negation[i] in u for i in b if negation[i] >= 0):
+                        continue
+                    merged.add(u)
+            acc = _absorb(merged)
+            if not acc:
+                return []
+        return acc
 
     def step(h):
         if isinstance(h, BoolConst):

@@ -24,7 +24,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-Rational = Fraction
 Coeffs = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, schemas, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 from densepairs import schemas
-from densepairs.cli import run
+from densepairs.cli import _build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -442,3 +443,30 @@ def test_unordered_commands_reject_prec_as_a_mode_error(capsys, command, text):
     code, out, err = invoke(capsys, command, "--theory", "povs-prec", text)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "povs-prec" not in err
+
+
+_COMMON_ARGUMENTS = [
+    ("help", ("-h", "--help"), argparse.SUPPRESS, None),
+    ("theory", ("--theory",), "povs", ["ovs", "povs", "povs-prec"]),
+    ("model_dim", ("--model-dim",), 3, None),
+    ("format", ("--format",), "text", ["text", "json"]),
+    ("verbose", ("--verbose",), False, None),
+]
+_FORMULA = ("formula", (), None, None)  # positional: no option strings
+
+
+def test_each_command_keeps_its_arguments():
+    # read from the parser, not from --help, whose layout varies across Pythons
+    top = _build_parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    names = "qe decide decompose measure small generic code-set code-fn split".split()
+    expected = {name: _COMMON_ARGUMENTS + [_FORMULA] for name in names}
+    expected["measure"] = expected["measure"] + [("precision", ("--precision",), 12, None)]
+    expected["oracle-check"] = _COMMON_ARGUMENTS + [
+        ("seed", ("--seed",), 0, None),
+        ("count", ("--count",), 100, None),
+    ]
+    assert list(sub.choices) == list(expected)
+    for name, parser in sub.choices.items():
+        found = [(a.dest, tuple(a.option_strings), a.default, a.choices) for a in parser._actions]
+        assert found == expected[name], name

@@ -177,6 +177,25 @@ def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,scans",
+    [
+        (["qe", "E x1. x2 < x1 & x1 < 1"], 3),
+        (["decide", "E x1. 0 < x1 & x1 < r2"], 4),
+        (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 4),
+    ],
+)
+def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, scans):
+    # Besides the two admissions of `parse` and `qe`, the CLI reads the
+    # constants and free variables from one scan; `decide_sentence` checks
+    # for free variables and `decompose` grounds the others, one scan each.
+    calls = []
+    scan = formulas._scan
+    monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
+    assert run(argv) == 0
+    assert len(calls) == scans
+
+
 def test_qe_surjectivity_of_quotient_map():
     assert qe(parse("E x1. pi(x1) = u1")) == TRUE
 
