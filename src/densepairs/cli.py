@@ -131,11 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theory", choices=sorted(_MODES), default="povs", help="theory mode")
         p.add_argument("--model-dim", type=int, default=3, help="reference model dimension")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--verbose", action="store_true")
         if name == "oracle-check":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--count", type=int, default=100)
         else:
+            p.add_argument("--verbose", action="store_true")
             p.add_argument("formula", nargs="?", help="formula text (default: stdin)")
         if name == "measure":
             p.add_argument("--precision", type=int, default=12, help="decimal digits")

@@ -100,15 +100,6 @@ class Formula:
     def __str__(self) -> str:
         return render(self)
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return make_and([self, other])
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return make_or([self, other])
-
-    def __invert__(self) -> "Formula":
-        return make_not(self)
-
 
 _node = dataclass(frozen=True, eq=False, slots=True)
 
@@ -526,7 +517,7 @@ def admit(f: Formula, mode: TheoryMode) -> Formula:
     return rewrite(f, rename, binder)
 
 
-def nnf(f: Formula, positive: bool = True) -> Formula:
+def nnf(f: Formula) -> Formula:
     """Negation normal form over quantifier-free input.
 
     Negated order atoms are expanded into positive disjunctions; negated
@@ -557,7 +548,7 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
             return make_or([quot_prec(-g.payload), quot_eq(g.payload)])
         return Not(g)
 
-    return traverse(step, (f, positive))
+    return traverse(step, (f, True))
 
 
 def is_literal(f: Formula) -> bool:

@@ -238,13 +238,6 @@ class _SpanElement:
             return self._make({})
         return self._make({k: q * v for k, v in self._coeffs.items()})
 
-    def __mul__(self, q):
-        if isinstance(q, (int, Fraction)):
-            return self.scale(q)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._coeffs!r})"
 
@@ -288,10 +281,6 @@ class ModelElement(_SpanElement):
 
     def sign(self) -> int:
         return int_sign(self._numerators()[1].items())
-
-    def __float__(self) -> float:
-        lo, hi = self.enclosure(96)
-        return float((lo + hi) / 2)
 
     def decimal_str(self, digits: int = 12) -> str:
         """Decimal approximation, rounded to `digits` places."""

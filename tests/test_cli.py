@@ -150,6 +150,14 @@ def test_verbose_echoes_normal_form(capsys):
     assert "normalized:" in err
 
 
+def test_verbose_is_a_usage_error_on_oracle_check(capsys):
+    # the echo is of a formula, and oracle-check reads none
+    with pytest.raises(SystemExit) as info:
+        run(["oracle-check", "--verbose", "--count", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 def test_oracle_check_reproducible_and_schema(capsys):
     code1, out1, _ = invoke(
         capsys, "oracle-check", "--seed", "5", "--count", "15", "--format", "json"
@@ -462,7 +470,7 @@ def test_each_command_keeps_its_arguments():
     names = "qe decide decompose measure small generic code-set code-fn split".split()
     expected = {name: _COMMON_ARGUMENTS + [_FORMULA] for name in names}
     expected["measure"] = expected["measure"] + [("precision", ("--precision",), 12, None)]
-    expected["oracle-check"] = _COMMON_ARGUMENTS + [
+    expected["oracle-check"] = [a for a in _COMMON_ARGUMENTS if a[0] != "verbose"] + [
         ("seed", ("--seed",), 0, None),
         ("count", ("--count",), 100, None),
     ]

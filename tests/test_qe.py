@@ -1,6 +1,7 @@
 """Elimination correctness: hand examples, oracle agreement, duality,
 idempotence, mode conservativity, and atom splitting."""
 
+import importlib
 import random
 import time
 
@@ -42,6 +43,7 @@ from densepairs.randgen import (
 from densepairs.terms import Sort, hvar, qvar
 
 MODEL = Model(3)
+qe_module = importlib.import_module("densepairs.qe")  # `densepairs.qe` is also the function
 
 
 def lits(*texts, mode=TheoryMode.POVS):
@@ -93,6 +95,40 @@ def test_quotient_elimination_examples():
             sigma,
             ordered=True,
         )[0]
+
+
+def test_one_clause_step_uses_every_branch_on_a_home_clause():
+    # a bound pair, a skipped disequation, and a coset side that solves the
+    # membership literal's equation on the stand-in for pi(x1)
+    P = TheoryMode.POVS_PREC
+    conj = lits(
+        "x2 < x1", "x1 < x3 + 1", "x1 < 2*x4", "x1 != x4",
+        "Q(x1 - x2)", "pi(x1) prec u1", "u2 = 0", mode=P,
+    )
+    out = eliminate_exists_home(conj, hvar(1), P)
+    assert str(out) == "u2 = 0 & x2 < 2*x4 & x2 < x3 + 1 & pi(x2) prec u1"
+    # a coset side with no equation pairs its own bounds on the stand-in
+    conj = lits("x2 < x1", "!Q(x1 - x2)", "pi(x1) prec u1", "u2 prec pi(2*x1)", mode=P)
+    assert str(eliminate_exists_home(conj, hvar(1), P)) == "1/2*u2 prec u1"
+    rng = random.Random(14)
+    for _ in range(30):
+        sigma = random_assignment(rng, [hvar(2), qvar(1), qvar(2)], MODEL)
+        assert eval_formula(parse("1/2*u2 prec u1", P), sigma) == oracle_exists_home(
+            conj, hvar(1), sigma
+        )[0]
+
+
+def test_clause_step_refuses_a_negated_order_literal():
+    P = TheoryMode.POVS_PREC
+    home = make_not(parse("x1 < x2"))
+    quotient = make_not(parse("u1 prec u2", P))
+    # the entry points normalize first: !(x1 < x2) is x2 < x1 | x1 = x2
+    assert eliminate_exists_home([home], hvar(1)) == TRUE
+    assert eliminate_exists_quotient([quotient], qvar(1), P) == TRUE
+    # the clause step itself takes strict literals only
+    for lit, v in ((home, hvar(1)), (quotient, qvar(1))):
+        with pytest.raises(NotConjunctionError, match="weak order literal"):
+            qe_module._eliminate_clause([lit], v)
 
 
 def test_eliminators_validate_input():
