@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .decomposition import Decomposition, NearInterval, decompose
 from .errors import (
@@ -44,7 +43,7 @@ from .formulas import (
     make_or,
     substitute,
 )
-from .model import ModelElement, compare
+from .model import ModelElement
 from .qe import decide_sentence, qe
 from .terms import HomeTerm, Sort, Variable
 
@@ -126,8 +125,7 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
     from an equation, and the equations of the eliminated form list
     every line the graph can follow.
     """
-    candidates = []
-    seen = set()
+    candidates: set[tuple[Fraction, ModelElement]] = set()
     for clause in dnf_clauses(g):
         for lit in clause:
             atom, positive = literal_parts(lit)
@@ -136,12 +134,9 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
             if atom.payload.coeff(y) == 0:
                 continue
             line = atom.payload.root(y)
-            key = (line.coeff(x), line.constant)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(key)
-    candidates.sort(key=lambda sc: (sc[0], tuple(sorted(sc[1].coeffs.items()))))
-    return candidates
+            candidates.add((line.coeff(x), line.constant))
+    # distinct candidates have distinct keys, so the set's order never shows
+    return sorted(candidates, key=lambda sc: (sc[0], tuple(sorted(sc[1].coeffs.items()))))
 
 
 def code_function(
@@ -184,17 +179,13 @@ def code_function(
 
     _check_disjoint(pieces)
 
-    covered = make_or(domain_formulas) if domain_formulas else None
-    residual = (
-        make_and([domain_formula, make_not(covered)]) if covered is not None else domain_formula
-    )
-    rd = decompose(residual, x)
+    rd = decompose(make_and([domain_formula, make_not(make_or(domain_formulas))]), x)
     if rd.pieces:
         raise InfiniteResidualError(
             "candidate lines leave an infinite part of the domain uncovered"
         )
     exceptional = [(e, _function_value(g, x, y, e, lines)) for e in rd.points]
-    exceptional.sort(key=cmp_to_key(lambda p, q: compare(p[0], q[0])))
+    exceptional.sort(key=lambda pair: pair[0])
 
     return FunctionCode(tuple(exceptional), tuple(pieces))
 

@@ -3,15 +3,17 @@
 Every such set is a finite set of points plus finitely many disjoint
 pieces of the form (a, b) intersected with the preimage of a finite or
 cofinite set of cosets.  The algorithm: eliminate quantifiers, pass to
-disjunctive normal form, read off the finitely many endpoint candidates
-from order and equality literals, and work cell by cell -- on an open
-cell every order literal has a constant truth value (sampled at a
-rational inside) while the membership literals pin or exclude concrete
-cosets, so each conjunct contributes a finite or cofinite coset set and
-the cell's pattern is their union.  Adjacent cells with the same
-pattern are then coalesced whenever that preserves the denoted set,
-which makes the output canonical: equal sets yield equal decompositions
-no matter which formula defined them.
+disjunctive normal form and read each clause once, into its order
+literals and one coset set -- its membership and quotient literals pin
+or exclude concrete cosets, so the set is finite or cofinite.  The
+order and equality literals name the finitely many endpoint candidates,
+and on an open cell between two of them every order literal has a
+constant truth value (sampled at a rational inside), so the cell's
+pattern is the union of the coset sets of the clauses whose order
+literals hold there.  Adjacent cells with the same pattern are then
+coalesced whenever that preserves the denoted set, which makes the
+output canonical: equal sets yield equal decompositions no matter which
+formula defined them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import ArityError
 from .evaluate import Assignment, eval_formula
 from .formulas import (
     FALSE,
-    Atom,
     AtomKind,
     Formula,
     TheoryMode,
@@ -265,34 +266,6 @@ class Decomposition:
         return "\n".join(bits) if bits else "(empty set)"
 
 
-@dataclass(frozen=True)
-class _CellConjunct:
-    """One DNF conjunct, preprocessed for per-cell evaluation."""
-
-    order_literals: tuple[Formula, ...]
-    required: tuple[QuotientElement, ...]
-    excluded: tuple[QuotientElement, ...]
-
-    def coset_set_on_cell(self, sample: ModelElement, v: Variable) -> CosetSet:
-        for lit in self.order_literals:
-            if not eval_formula(lit, {v: sample}):
-                return CosetSet.none()
-        if self.required:
-            first = self.required[0]
-            if any(w != first for w in self.required[1:]):
-                return CosetSet.none()
-            if first in self.excluded:
-                return CosetSet.none()
-            return CosetSet.just(first)
-        return CosetSet.excluding(self.excluded)
-
-
-def _coset_of_literal(atom: Atom, v: Variable) -> QuotientElement:
-    """The coset that a membership/quotient literal pins pi(v) to."""
-    point = atom.payload.root(v).constant
-    return project(point) if atom.kind is AtomKind.IN_Q else point
-
-
 def decompose(
     f: Formula, v: Variable, assignment: Assignment | None = None
 ) -> Decomposition:
@@ -300,49 +273,41 @@ def decompose(
     if v.sort is not Sort.HOME:
         raise ArityError(f"{v} is not a home-sort variable")
     g = qe(ground(f, {v}, assignment), TheoryMode.POVS)
-    clauses = dnf_clauses(g)
 
-    endpoints: list[ModelElement] = []
-    seen: set[ModelElement] = set()
-    conjuncts: list[_CellConjunct] = []
-    for clause in clauses:
+    # qe folds every ground atom, so each atom of g mentions v: an order
+    # atom names an endpoint, a coset atom pins or excludes the coset of v
+    endpoints: set[ModelElement] = set()
+    clauses: list[tuple[list[Formula], CosetSet]] = []
+    for clause in dnf_clauses(g):
         order_lits: list[Formula] = []
-        required: list[QuotientElement] = []
-        excluded: list[QuotientElement] = []
+        cosets = CosetSet.all()
         for lit in clause:
             atom, positive = literal_parts(lit)
-            coeff = atom.payload.coeff(v)
+            point = atom.payload.root(v).constant
             if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
                 order_lits.append(lit)
-                if coeff != 0:
-                    point = atom.payload.root(v).constant
-                    if point not in seen:
-                        seen.add(point)
-                        endpoints.append(point)
-            elif coeff == 0:
-                order_lits.append(lit)  # ground membership literal
+                endpoints.add(point)
             else:
-                coset = _coset_of_literal(atom, v)
-                (required if positive else excluded).append(coset)
-        conjuncts.append(
-            _CellConjunct(tuple(order_lits), tuple(required), tuple(excluded))
-        )
+                w = project(point) if atom.kind is AtomKind.IN_Q else point
+                pinned = CosetSet.just(w) if positive else CosetSet.excluding([w])
+                cosets = cosets.intersection(pinned)
+        clauses.append((order_lits, cosets))
 
-    endpoints.sort(key=cmp_to_key(compare))
-
-    points = [e for e in endpoints if eval_formula(g, {v: e})]
+    ordered = sorted(endpoints)
+    points = [e for e in ordered if eval_formula(g, {v: e})]
 
     raw_pieces: list[NearInterval] = []
     bounds: list[Endpoint] = (
-        [Endpoint.neg_inf()] + [Endpoint.at(e) for e in endpoints] + [Endpoint.pos_inf()]
+        [Endpoint.neg_inf()] + [Endpoint.at(e) for e in ordered] + [Endpoint.pos_inf()]
     )
     for lo, hi in zip(bounds, bounds[1:]):
-        sample = _sample_inside(lo, hi)
+        at_sample = {v: _sample_inside(lo, hi)}
         pattern = CosetSet.none()
-        for conj in conjuncts:
-            pattern = pattern.union(conj.coset_set_on_cell(sample, v))
-            if pattern.cofinite and not pattern.members:
-                break
+        for order_lits, cosets in clauses:
+            if all(eval_formula(lit, at_sample) for lit in order_lits):
+                pattern = pattern.union(cosets)
+                if pattern.cofinite and not pattern.members:
+                    break
         if not pattern.is_empty():
             raw_pieces.append(NearInterval(lo, hi, pattern))
 
@@ -389,8 +354,7 @@ def _canonicalize(
                     continue
         merged.append(piece)
 
-    ordered_points = sorted(remaining, key=cmp_to_key(compare))
-    return Decomposition(tuple(ordered_points), tuple(merged))
+    return Decomposition(tuple(sorted(remaining)), tuple(merged))
 
 
 def is_small(d: Decomposition) -> bool:

@@ -1,11 +1,14 @@
 """Decomposition: canonical form, partition correctness, smallness,
 near-interior, and the ultrafilter behaviour of invariant sets."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from densepairs.coding import code_function, set_code_json
 from densepairs.decomposition import (
     CosetSet,
     Decomposition,
@@ -17,7 +20,8 @@ from densepairs.decomposition import (
 )
 from densepairs.errors import ArityError, ModeError, NotGroundError
 from densepairs.evaluate import eval_formula
-from densepairs.formulas import TheoryMode, make_and, make_not, make_or
+from densepairs.formulas import TheoryMode, all_atoms, ground, make_and, make_not, make_or
+from densepairs.measure import measure
 from densepairs.model import (
     Model,
     ModelElement,
@@ -28,6 +32,7 @@ from densepairs.model import (
     section,
 )
 from densepairs.parser import parse, parse_element
+from densepairs.qe import qe
 from densepairs.randgen import random_assignment, random_qf_formula
 from densepairs.terms import hvar, qvar
 
@@ -272,3 +277,81 @@ def test_decomposition_values_are_hashable():
     assert d1 == d2
     assert hash(d1) == hash(d2)
     assert len({d1, d2}) == 1
+
+
+def test_atoms_that_fold_only_after_grounding_or_substitution():
+    # decompose reads every atom of the eliminated formula as one that
+    # mentions its variable; these atoms become ground only once an
+    # assignment or a line is put in, and must fold away before that read
+    r2 = parse_element("r2")
+    cases = [
+        ("x1 < x2 | Q(x2)", r2, "(-inf, r2) all cosets"),
+        ("Q(x2) & x1 < 0", ModelElement.from_rational(Fraction(1, 2)), "(-inf, 0) all cosets"),
+        ("x1 < x2 & Q(x1 - x2) | x1 = x2", r2, "points: r2\n(-inf, r2) in cosets {pi(r2)}"),
+    ]
+    for text, value, expected in cases:
+        assert str(decompose(parse(text), X, {hvar(2): value})) == expected
+    fc = code_function(parse("x2 = x1 & x1 < x2 + 1"), X, hvar(2))
+    assert fc.exceptional == ()
+    [piece] = fc.pieces
+    assert piece.slope == 1 and piece.intercept.to_json() == {}
+    assert str(piece.domain) == "(-inf, +inf) all cosets"
+
+
+def test_eliminated_ground_formulas_keep_only_atoms_on_the_variable():
+    rng = random.Random(5151)
+    variables = [X, hvar(2), qvar(1)]
+    for _ in range(60):
+        f = random_qf_formula(rng, variables, MODEL, TheoryMode.POVS, depth=2)
+        g = qe(ground(f, {X}, random_assignment(rng, variables[1:], MODEL)), TheoryMode.POVS)
+        assert all(atom.payload.coeff(X) != 0 for atom in all_atoms(g)), str(g)
+
+
+# Function graphs whose codes the unary-set corpus pins: pieces on coset
+# patterns, exceptional points, and equations that only fold after grounding.
+CORPUS_GRAPHS = [
+    "x2 = x1",
+    "x2 = 3*x1 - r2",
+    "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)",
+    "(x1 < 0 & x2 = -x1) | (x1 >= 0 & x2 = x1)",
+    "(0 < x1 & x1 < 1 & x2 = 3*x1 + 1) | (x1 = 2 & x2 = 0)",
+    "(Q(x1 - r2) & x2 = x1) | (!Q(x1 - r2) & x2 = 0)",
+    "(pi(x1) = pi(r3) & x2 = x1 + r2) | (pi(x1) != pi(r3) & x2 = -x1)",
+    "(x1 = r2 & x2 = 1) | (x1 = 3 & x2 = r3)",
+    "x2 = x1 & x1 < x2 + 1",
+    "(x1 < r2 & Q(2*x1) & x2 = x1) | (x1 >= r2 & x2 = 1/2) | (x1 < r2 & !Q(x1) & x2 = 0)",
+]
+
+
+def unary_corpus_text(seed=1414, formulas=180, quotient_formulas=90):
+    """One line per output on a seeded corpus of unary sets: for each
+    formula its decomposition as text and JSON, its measure, its
+    smallness and its set code; then generic-type verdicts on quotient
+    formulas and the codes of CORPUS_GRAPHS."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(formulas):
+        f = random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=3)
+        d = decompose(f, X)
+        lines.append(f"{i} decompose {str(d).replace(chr(10), ' ; ')}")
+        lines.append(f"{i} json {json.dumps(d.to_json(), sort_keys=True)}")
+        lines.append(f"{i} measure {measure(f, X)}")
+        lines.append(f"{i} small {is_small(d)}")
+        lines.append(f"{i} code {json.dumps(set_code_json(d), sort_keys=True)}")
+    for i in range(quotient_formulas):
+        g = random_qf_formula(rng, [qvar(1)], MODEL, TheoryMode.POVS, depth=2)
+        lines.append(f"{i} generic {generic_type_contains(g, qvar(1))}")
+    for text in CORPUS_GRAPHS:
+        code = code_function(parse(text), X, hvar(2))
+        lines.append(f"{text} code-fn {json.dumps(code.to_json(), sort_keys=True)}")
+    return "\n".join(lines) + "\n"
+
+
+# Recorded at the commit before decompose read each clause into one coset set.
+GOLDEN_UNARY_CORPUS_SHA256 = "7d901e1e0ecb2590a9ed8e49fe7e35a20d058cc2fd8fd2dbc8a101aac34b4312"
+
+
+def test_golden_unary_corpus():
+    text = unary_corpus_text()
+    assert text.count("\n") == 1000
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UNARY_CORPUS_SHA256
