@@ -184,10 +184,8 @@ def code_function(
         raise InfiniteResidualError(
             "candidate lines leave an infinite part of the domain uncovered"
         )
-    exceptional = [(e, _function_value(g, x, y, e, lines)) for e in rd.points]
-    exceptional.sort(key=lambda pair: pair[0])
-
-    return FunctionCode(tuple(exceptional), tuple(pieces))
+    exceptional = tuple((e, _function_value(g, x, y, e, lines)) for e in rd.points)
+    return FunctionCode(exceptional, tuple(pieces))
 
 
 def _function_value(

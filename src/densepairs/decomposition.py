@@ -10,17 +10,19 @@ order and equality literals name the finitely many endpoint candidates,
 and on an open cell between two of them every order literal has a
 constant truth value (sampled at a rational inside), so the cell's
 pattern is the union of the coset sets of the clauses whose order
-literals hold there.  Adjacent cells with the same pattern are then
-coalesced whenever that preserves the denoted set, which makes the
-output canonical: equal sets yield equal decompositions no matter which
-formula defined them.
+literals hold there.  One left-to-right sweep over the cells reads each
+pattern and, at each endpoint, decides whether the endpoint is a listed
+point and whether its cell coalesces with the previous piece (whenever
+that preserves the denoted set).  The output is canonical and ascending
+as it comes: equal sets yield equal decompositions no matter which
+formula defined them, and no caller sorts or coalesces it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ArityError
 from .evaluate import Assignment, eval_formula
@@ -223,6 +225,7 @@ class Decomposition:
     near-frontier: around any point of a piece the set looks like the
     piece's own pattern, while each listed point is isolated, sits between
     two different patterns, or fills a hole of the surrounding pattern.
+    Points and pieces come out in increasing order.
     """
 
     points: tuple[ModelElement, ...]
@@ -293,13 +296,12 @@ def decompose(
                 cosets = cosets.intersection(pinned)
         clauses.append((order_lits, cosets))
 
-    ordered = sorted(endpoints)
-    points = [e for e in ordered if eval_formula(g, {v: e})]
-
-    raw_pieces: list[NearInterval] = []
-    bounds: list[Endpoint] = (
-        [Endpoint.neg_inf()] + [Endpoint.at(e) for e in ordered] + [Endpoint.pos_inf()]
-    )
+    # one left-to-right sweep over the cells: each endpoint is decided as
+    # the cell after it is read, so points and pieces come out ascending
+    points: list[ModelElement] = []
+    pieces: list[NearInterval] = []
+    last = CosetSet.none()  # the previous cell's pattern
+    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
     for lo, hi in zip(bounds, bounds[1:]):
         at_sample = {v: _sample_inside(lo, hi)}
         pattern = CosetSet.none()
@@ -308,10 +310,25 @@ def decompose(
                 pattern = pattern.union(cosets)
                 if pattern.cofinite and not pattern.members:
                     break
-        if not pattern.is_empty():
-            raw_pieces.append(NearInterval(lo, hi, pattern))
+        # the last piece ends at lo and has this pattern: merge across lo
+        # unless the merged piece would claim lo while the set omits it (a
+        # hole); a merge absorbs lo when the pattern holds its coset
+        merge = not pattern.is_empty() and pattern == last
+        if lo.is_finite():
+            e = lo.value
+            in_set = eval_formula(g, {v: e})
+            claimed = merge and pattern.contains(project(e))
+            if claimed and not in_set:
+                merge = False  # lo is a hole
+            elif in_set and not claimed:
+                points.append(e)
+        if merge:
+            pieces[-1] = NearInterval(pieces[-1].lo, hi, pattern)
+        elif not pattern.is_empty():
+            pieces.append(NearInterval(lo, hi, pattern))
+        last = pattern
 
-    return _canonicalize(points, raw_pieces)
+    return Decomposition(tuple(points), tuple(pieces))
 
 
 def _sample_inside(lo: Endpoint, hi: Endpoint) -> ModelElement:
@@ -322,39 +339,6 @@ def _sample_inside(lo: Endpoint, hi: Endpoint) -> ModelElement:
     if hi.is_finite():
         return ModelElement.from_rational(rational_below(hi.value))
     return ModelElement()
-
-
-def _canonicalize(
-    points: Sequence[ModelElement], pieces: Sequence[NearInterval]
-) -> Decomposition:
-    """Coalesce same-pattern neighbours; absorb covered boundary points.
-
-    Merging across a boundary point e is sound unless the merged piece
-    would claim e while the set omits it (e is then a genuine hole); a
-    boundary member whose coset lies in the pattern is absorbed by the
-    merged piece, and one outside the pattern stays a listed point.
-    """
-    remaining = set(points)
-    merged: list[NearInterval] = []
-    for piece in pieces:
-        if merged:
-            last = merged[-1]
-            if (
-                last.hi.is_finite()
-                and last.hi == piece.lo
-                and last.cosets == piece.cosets
-            ):
-                e = last.hi.value
-                in_set = e in remaining
-                in_pattern = piece.cosets.contains(project(e))
-                if not (in_pattern and not in_set):
-                    if in_pattern:
-                        remaining.discard(e)
-                    merged[-1] = NearInterval(last.lo, piece.hi, last.cosets)
-                    continue
-        merged.append(piece)
-
-    return Decomposition(tuple(sorted(remaining)), tuple(merged))
 
 
 def is_small(d: Decomposition) -> bool:
@@ -370,7 +354,6 @@ def generic_type_contains(
     true exactly when the pullback along the quotient map is large."""
     if v.sort is not Sort.QUOTIENT:
         raise ArityError(f"{v} is not a quotient-sort variable")
-    g = ground(f, {v}, assignment)
-    x = fresh_variable(Sort.HOME, all_variables(g))
-    pullback = substitute(g, v, QuotientTerm.project_term(HomeTerm.from_variable(x)))
-    return not is_small(decompose(pullback, x))
+    x = fresh_variable(Sort.HOME, all_variables(f))
+    pullback = substitute(f, v, QuotientTerm.project_term(HomeTerm.from_variable(x)))
+    return not is_small(decompose(pullback, x, assignment))

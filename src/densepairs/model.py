@@ -105,6 +105,7 @@ def int_sign(nums: Iterable[tuple[int, int]]) -> int:
 
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 _RATIONAL_SUPPORT = frozenset({0})
 
 
@@ -283,21 +284,24 @@ class ModelElement(_SpanElement):
         return int_sign(self._numerators()[1].items())
 
     def decimal_str(self, digits: int = 12) -> str:
-        """Decimal approximation, rounded to `digits` places."""
+        """The value correctly rounded, half up, to `digits` places.
+
+        The enclosure is refined until both its ends round to the same
+        digits: a rational value has a zero-width enclosure, and an
+        irrational one never sits on a rounding boundary.
+        """
         if digits < 0:
             raise ValueError(f"number of decimal digits must be nonnegative, got {digits}")
         if digits > MAX_DIGITS:
             raise ValueError(f"number of decimal digits must be at most {MAX_DIGITS}")
         bits = 4 * (digits + 3) + 16
-        lo, hi = self.enclosure(bits)
-        mid = (lo + hi) / 2
-        scaled = mid * 10**digits
-        n = scaled.numerator // scaled.denominator
-        if 2 * (scaled - n) >= 1:
-            n += 1
+        while True:
+            n, n_hi = (math.floor(q * 10**digits + HALF) for q in self.enclosure(bits))
+            if n == n_hi:
+                break
+            bits *= 2
         sign = "-" if n < 0 else ""
-        n = abs(n)
-        whole, frac = divmod(n, 10**digits)
+        whole, frac = divmod(abs(n), 10**digits)
         if digits == 0:
             return f"{sign}{whole}"
         return f"{sign}{whole}.{frac:0{digits}d}"
@@ -389,13 +393,17 @@ def render_combination(items: list[tuple[Fraction, str | None]]) -> str:
 
 
 def rational_between(a: ModelElement, b: ModelElement) -> Fraction:
-    """Some rational strictly between a and b; requires a < b."""
+    """Some rational strictly between a and b; raises ValueError unless a < b."""
+    if a == b:
+        raise ValueError("rational_between needs a < b, got a = b")
     bits = 32
     while True:
-        a_hi = a.enclosure(bits)[1]
-        b_lo = b.enclosure(bits)[0]
+        a_lo, a_hi = a.enclosure(bits)
+        b_lo, b_hi = b.enclosure(bits)
         if a_hi < b_lo:
             return (a_hi + b_lo) / 2
+        if b_hi <= a_lo:
+            raise ValueError("rational_between needs a < b, got a > b")
         bits *= 2
 
 

@@ -166,8 +166,10 @@ def test_membership_matches_eval_on_targeted_samples():
 
 def test_structural_invariants_hold():
     rng = random.Random(4242)
-    for _ in range(40):
-        f = random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=3)
+    randoms = [random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=3) for _ in range(40)]
+    # each fixed set needs a merge across an endpoint, except the hole at 1
+    fixed = ["!Q(x1) & x1 != 1", "x1 < r2 | x1 > r2 | x1 = r2", "Q(x1) & x1 != r2", "x1 != 1"]
+    for f in [parse(text) for text in fixed] + randoms:
         d = decompose(f, X)
         for a, b in zip(d.points, d.points[1:]):
             assert compare(a, b) < 0
@@ -176,6 +178,11 @@ def test_structural_invariants_hold():
             assert not p.cosets.is_empty()
         for p, q in zip(d.pieces, d.pieces[1:]):
             assert p.hi.compare(q.lo) <= 0
+            # canonical: neighbours meeting at e differ, or e is a hole of their pattern
+            if p.hi == q.lo:
+                e = p.hi.value
+                hole = p.cosets.contains(project(e)) and not d.contains(e)
+                assert p.cosets != q.cosets or hole
 
 
 def test_complement_closure():

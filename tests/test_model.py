@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,15 @@ def test_rational_between_and_bounds():
     assert compare(a, ModelElement.from_rational(rational_above(a))) < 0
 
 
+@pytest.mark.parametrize("a, b", [(mel(r2=1), mel(r2=1)), (mel(rat=2), mel(rat=1))])
+def test_rational_between_refuses_unordered_ends(a, b):
+    # no enclosure separates equal values, or puts a below a larger b
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="needs a < b"):
+        rational_between(a, b)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_decimal_rendering():
     assert mel(rat=Fraction(1, 2)).decimal_str(4) == "0.5000"
     assert mel(r2=1).decimal_str(6) == "1.414214"
@@ -180,6 +190,10 @@ def test_decimal_rendering():
     two_minus_r2 = mel(rat=2, r2=-1)
     assert two_minus_r2.decimal_str(12) == "0.585786437627"
     assert two_minus_r2.decimal_str(0) == "1"
+    # correctly rounded: the enclosure narrows until both its ends round alike
+    near_half = mel(rat=Fraction(-282742712474619, 200000000000000), r2=1)  # 0.000500000000000048...
+    assert near_half.decimal_str(3) == "0.001"
+    assert ModelElement({2: 10**30}).decimal_str(3) == "1414213562373095048801688724209.698"
     with pytest.raises(ValueError, match="nonnegative"):
         two_minus_r2.decimal_str(-3)
     assert len(two_minus_r2.decimal_str(4300)) == 4302
