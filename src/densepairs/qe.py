@@ -1,19 +1,23 @@
 """Quantifier elimination and sentence decision.
 
-The eliminator works innermost-first: the matrix under a quantifier is
-put in disjunctive normal form and each conjunction loses the bound
-variable separately, by one clause step for both sorts.  A table gives
-the step its sort's equation kind, order kind and order-atom factory:
-`=` and `<` with `home_lt` at home, `=` and `prec` with `quot_prec` in
-the quotient.  An equation on the variable lets us substitute its root.
-Otherwise disequations are dropped, since finitely many excluded points
-never empty a dense, infinite space, and the strict bounds combine by
-Fourier-Motzkin, which is exact because both orders are dense without
-endpoints.  A home variable also meets membership and quotient
-literals, which only constrain its coset pi(v): every coset of the
-rational line is dense, so a nonempty open interval meets whichever
-coset they require.  They become literals on a quotient-sort stand-in
-for pi(v), and the same step, run on the stand-in, eliminates it.
+The eliminator works innermost-first.  The conjuncts of the matrix under
+a quantifier that do not mention its variable are pulled out of its
+scope, so independent disjunctions are never multiplied out; only the
+rest is put in disjunctive normal form, and each conjunction of it loses
+the bound variable separately, by one clause step for both sorts.  A
+table gives the step its sort's equation kind, order kind and order-atom
+factory: `=` and `<` with `home_lt` at home, `=` and `prec` with
+`quot_prec` in the quotient.  An equation on the variable lets us
+substitute its root.  Otherwise disequations are dropped, since finitely
+many excluded points never empty a dense, infinite space, and the strict
+bounds combine by Fourier-Motzkin, which is exact because both orders
+are dense without endpoints.  A home variable also meets membership and
+quotient literals, which only constrain its coset pi(v): every coset of
+the rational line is dense, so a nonempty open interval meets whichever
+coset they require.  They become literals on a quotient-sort stand-in for
+pi(v), and the same step, run on the stand-in, eliminates it.  The
+pulled-out conjuncts then meet the result under the absorption and
+contradiction rules that the normal form would have applied to them.
 
 Universal quantifiers are rewritten through their existential duals.
 Truth of a sentence is then read off the reference model, which is
@@ -28,11 +32,15 @@ from typing import Sequence
 from .errors import FreeVariableError, NotConjunctionError, SortError
 from .evaluate import eval_formula
 from .formulas import (
+    TRUE,
     Atom,
     AtomKind,
+    And,
     Exists,
     Forall,
     Formula,
+    Not,
+    Or,
     TheoryMode,
     admit,
     dnf_clauses,
@@ -44,6 +52,7 @@ from .formulas import (
     make_and,
     make_not,
     make_or,
+    nnf,
     quot_eq,
     quot_prec,
     rewrite,
@@ -142,6 +151,38 @@ def eliminate_exists_quotient(
     return _eliminate_exists(literals, v, mode, Sort.QUOTIENT)
 
 
+def _mentions(f: Formula, v: Variable) -> bool:
+    """Whether v occurs in the quantifier-free f, read off its atoms' coefficients."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            if g.payload.coeff(v):
+                return True
+        else:
+            stack.extend(g.children if isinstance(g, (And, Or)) else (g.sub,))
+    return False
+
+
+def _prune(conjuncts: list[Formula]) -> list[Formula]:
+    """The conjuncts, each read in negation normal form, without those true given the rest
+    (A & (A | B) is A), and without the disjuncts that hold an atom whose negation is a
+    conjunct (!A & (A | B) is !A & B) or that contain another disjunct (A | A & B is A)."""
+    given, negated = set(conjuncts), {c.sub for c in conjuncts if isinstance(c, Not)}
+    kept = []
+    for c in conjuncts:
+        n = nnf(c)
+        ds = n.children if isinstance(n, Or) else ()
+        parts = [set(d.children) if isinstance(d, And) else {d} for d in ds]
+        if n == TRUE or any(p <= given for p in parts):
+            continue
+        live = [
+            d for d, p in zip(ds, parts) if negated.isdisjoint(p) and not any(q < p for q in parts)
+        ]
+        kept.append(make_or(live) if len(live) < len(parts) else c)
+    return kept
+
+
 def _qe(f: Formula) -> Formula:
     """Eliminate quantifiers innermost first.  Atoms are folded and connectives rebuilt
     on the way up as `simplify` does, so every body and the result are simplified."""
@@ -149,7 +190,13 @@ def _qe(f: Formula) -> Formula:
     def quantifier(g):
         if isinstance(g, Forall):
             return make_not((yield Exists(g.var, make_not(g.body))))
-        return _eliminate((yield g.body), g.var)
+        body = yield g.body
+        inside, pulled = [], []  # the conjuncts with g.var, and those without it
+        for c in body.children if isinstance(body, And) else ():
+            (inside if _mentions(c, g.var) else pulled).append(c)
+        if not inside or not pulled:
+            return _eliminate(body, g.var)
+        return make_and(_prune(pulled + [_eliminate(make_and(inside), g.var)]))
 
     return rewrite(f, fold_ground, quantifier)
 

@@ -18,10 +18,14 @@ from densepairs.formulas import (
     Exists,
     Forall,
     TheoryMode,
+    admit,
+    all_atoms,
+    fold_ground,
     free_variables,
     is_quantifier_free,
     make_and,
     make_not,
+    rewrite,
 )
 from densepairs.model import Model, project
 from densepairs.oracles import oracle_exists_home, oracle_exists_quotient
@@ -200,6 +204,10 @@ def test_every_entry_point_refuses_a_mode_in_one_wording(capsys, theory, text, m
         ("povs", "E x1. x2 < x1 & !Q(x1)"),
         ("povs", "A u1. u1 != u2"),
         ("povs-prec", "E u1. u2 prec u1 & u1 prec pi(r2)"),
+        # nested, with conjuncts pulled out of the inner scope
+        ("ovs", "E x1. E x2. (x3 < x1 & x1 < x2 & x2 < 1)"),
+        ("povs", "E x1. E x2. (x3 < x1 & x1 < x2 & (Q(x2) | x3 < 0))"),
+        ("povs-prec", "E u1. E u2. (u3 prec u1 & u1 prec u2 & u2 prec pi(r2))"),
     ],
 )
 def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
@@ -433,3 +441,129 @@ def test_alternation_eliminates_within_time_gate(n):
     elapsed = time.perf_counter() - start
     assert g == TRUE
     assert elapsed < 5.0, f"alternation n={n} took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# Scoped elimination against the whole-matrix reference
+# ---------------------------------------------------------------------------
+
+
+def reference_qe(f, mode):
+    """The eliminator before scoping: every quantifier's whole body goes to DNF."""
+
+    def quantifier(g):
+        if isinstance(g, Forall):
+            return make_not((yield Exists(g.var, make_not(g.body))))
+        return qe_module._eliminate((yield g.body), g.var)
+
+    return rewrite(admit(f, mode), fold_ground, quantifier)
+
+
+def chain_text(n):
+    """E x1..xn. x91 < x1 < ... < xn < x92 & (Q(xi - r2) | xi = 2/3*r3); answer x91 < x92."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    parts = [f"{a} < {b}" for a, b in zip(["x91", *xs], [*xs, "x92"])]
+    parts += [f"(Q({x} - r2) | {x} = 2/3*r3)" for x in xs]
+    return "".join(f"E {x}. " for x in xs) + "(" + " & ".join(parts) + ")"
+
+
+def prec_chain_text(n):
+    """E u1..un. u91 prec u1 prec ... prec un prec u92 & (ui != pi(r2) | ui prec pi(r3));
+    answer u91 prec u92."""
+    us = [f"u{i}" for i in range(1, n + 1)]
+    parts = [f"{a} prec {b}" for a, b in zip(["u91", *us], [*us, "u92"])]
+    parts += [f"({u} != pi(r2) | {u} prec pi(r3))" for u in us]
+    return "".join(f"E {u}. " for u in us) + "(" + " & ".join(parts) + ")"
+
+
+def alt_text(n):
+    conj = [f"(x1 < x{90 + i} | x2 > x{93 + i} | Q(x1 - x2 + x{96 + i}))" for i in range(1, n + 1)]
+    return f"E x1. A x2. (x2 < x1 | ({' & '.join(conj)}))"
+
+
+# family -> (text of rung n, theory mode, closed-form answer)
+CHAINS = {
+    "chain": (chain_text, TheoryMode.POVS, "x91 < x92"),
+    "prec_chain": (prec_chain_text, TheoryMode.POVS_PREC, "u91 prec u92"),
+}
+
+
+def assert_equivalent(g, h, f, rng, count=4):
+    context = sorted(free_variables(f), key=lambda v: v.sort_key())
+    for _ in range(count):
+        sigma = random_assignment(rng, context, MODEL)
+        assert eval_formula(g, sigma) == eval_formula(h, sigma), f"{f}: {g} vs {h}"
+
+
+def atom_count(g):
+    return sum(1 for _ in all_atoms(g))
+
+
+def test_scoped_qe_agrees_with_the_whole_matrix_reference_and_is_never_longer():
+    rng = random.Random(2024)
+    cases = []
+    for mode in TheoryMode:
+        for i in range(300):
+            cases.append((random_quantified_formula(rng, MODEL, mode, quantifiers=1 + i % 3), mode))
+    for text, mode, _ in CHAINS.values():
+        cases += [(parse(text(n), mode), mode) for n in range(1, 7)]
+    # alt never reaches the scoped branch (each body is a negation); n=6 costs about 20 s
+    cases += [(parse(alt_text(n)), TheoryMode.POVS) for n in range(1, 6)]
+    shorter = 0
+    for f, mode in cases:
+        g, h = qe(f, mode), reference_qe(f, mode)
+        assert is_quantifier_free(g)
+        assert_equivalent(g, h, f, rng)
+        assert atom_count(g) <= atom_count(h), f"{f}: {g} is longer than {h}"
+        shorter += atom_count(g) < atom_count(h)
+    assert shorter > 0  # the pruned pulled-out conjuncts do shorten some answers
+
+
+@pytest.mark.parametrize(
+    "text,answer",
+    [
+        # A & (A | B) is A: without the rule this is x4 < 1 & (x4 < 1 | x3 < x2)
+        ("E x1. (x4 < 1 & (x4 < 1 | x3 < x1 & x1 < x2))", "x4 < 1"),
+        # !A & (A | B) is !A & B
+        ("E x1. (x4 != 0 & (x4 = 0 | x4 < 1) & x3 < x1)", "!(x4 = 0) & x4 < 1"),
+        # a weak order reads as its normal form: x4 <= 0 & x4 = 0 is x4 = 0
+        ("E x1. (!(0 < x4) & x4 = 0 & x3 < x1)", "x4 = 0"),
+        ("E x1. ((x4 != 0 | !(0 < x4)) & x3 < x1)", "true"),
+        # A | A & B is A
+        ("E x1. ((x4 < 1 | x4 < 1 & x3 < 2) & x3 < x1)", "x4 < 1"),
+    ],
+)
+def test_pulled_out_conjuncts_are_pruned_as_the_whole_matrix_dnf_prunes_them(text, answer):
+    f = parse(text)
+    assert render(qe(f)) == answer
+    assert render(reference_qe(f, TheoryMode.POVS)) == answer
+
+
+@pytest.mark.parametrize("family", sorted(CHAINS))
+def test_nested_chains_build_a_few_small_dnfs(monkeypatch, family):
+    # with the whole matrix in DNF, n=10 built 3,068 clauses (largest
+    # 1,024) for chain and 2,046 for prec_chain
+    sizes = []
+    dnf = qe_module.dnf_clauses
+
+    def counted(f):
+        clauses = dnf(f)
+        sizes.append(len(clauses))
+        return clauses
+
+    monkeypatch.setattr(qe_module, "dnf_clauses", counted)
+    text, mode, _ = CHAINS[family]
+    qe(parse(text(10), mode), mode)
+    assert max(sizes) <= 4
+    assert sum(sizes) < 50
+
+
+@pytest.mark.parametrize("family", sorted(CHAINS))
+def test_long_chains_eliminate_within_time_gate(family):
+    text, mode, answer = CHAINS[family]
+    f = parse(text(40), mode)
+    start = time.perf_counter()
+    g = qe(f, mode)
+    elapsed = time.perf_counter() - start
+    assert_equivalent(g, parse(answer, mode), f, random.Random(40), count=20)
+    assert elapsed < 5.0, f"{family} n=40 took {elapsed:.1f} s"
