@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     NotFunctionalError,
 )
-from .evaluate import Assignment, eval_formula
+from .evaluate import Assignment, atoms, eval_formula
 from .formulas import (
     AtomKind,
     Exists,
@@ -33,11 +33,9 @@ from .formulas import (
     Formula,
     TheoryMode,
     all_variables,
-    dnf_clauses,
     fresh_variable,
     ground,
     home_eq,
-    literal_parts,
     make_and,
     make_not,
     make_or,
@@ -118,21 +116,18 @@ def _check_functional(g: Formula, x: Variable, y: Variable) -> None:
 
 
 def _line_candidates(g: Formula, x: Variable, y: Variable):
-    """Slope/intercept pairs read from the equality literals linking y to x.
+    """Slope/intercept pairs read from the order atoms on y.
 
     A conjunction of strict order and coset literals never pins y to a
-    single value, so every graph point of a functional relation comes
-    from an equation, and the equations of the eliminated form list
-    every line the graph can follow.
+    single value, so every graph point of a functional relation lies
+    where some order atom on y vanishes: an equation, or a strict
+    inequality whose negation allows equality.  The roots of all of them
+    are a superset of the lines the graph follows; the graph has no open
+    piece on an extra line, and `code_function` skips it.
     """
     candidates: set[tuple[Fraction, ModelElement]] = set()
-    for clause in dnf_clauses(g):
-        for lit in clause:
-            atom, positive = literal_parts(lit)
-            if not positive or atom.kind is not AtomKind.HOME_EQ:
-                continue  # only an equation pins y; a disequation pins nothing
-            if atom.payload.coeff(y) == 0:
-                continue
+    for atom in atoms(g):
+        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT) and atom.payload.coeff(y) != 0:
             line = atom.payload.root(y)
             candidates.add((line.coeff(x), line.constant))
     # distinct candidates have distinct keys, so the set's order never shows

@@ -2,15 +2,16 @@
 
 Every such set is a finite set of points plus finitely many disjoint
 pieces of the form (a, b) intersected with the preimage of a finite or
-cofinite set of cosets.  The algorithm: eliminate quantifiers, pass to
-disjunctive normal form and read each clause once, into its order
-literals and one coset set -- its membership and quotient literals pin
-or exclude concrete cosets, so the set is finite or cofinite.  The
-order and equality literals name the finitely many endpoint candidates,
-and on an open cell between two of them every order literal has a
-constant truth value (sampled at a rational inside), so the cell's
-pattern is the union of the coset sets of the clauses whose order
-literals hold there.  One left-to-right sweep over the cells reads each
+cofinite set of cosets.  The algorithm: eliminate quantifiers and read
+the atoms of the result once.  Each order atom names an endpoint
+candidate, and each membership or quotient atom names the one coset it
+pins.  On an open cell between two endpoints every order atom has a
+constant truth value, so the formula sees the coset of its variable
+only through which named coset, if any, holds it.  The cell's pattern
+is therefore read from one sample in each named coset and one in a
+coset outside them all: the outside sample decides finite or cofinite,
+and the named cosets whose samples differ from it are the members.  No
+normal form is built.  One left-to-right sweep over the cells reads each
 pattern and, at each endpoint, decides whether the endpoint is a listed
 point and whether its cell coalesces with the previous piece (whenever
 that preserves the denoted set).  The output is canonical and ascending
@@ -22,22 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable
+from itertools import count
 
 from .errors import ArityError
-from .evaluate import Assignment, eval_formula
+from .evaluate import Assignment, atoms, eval_formula
 from .formulas import (
     FALSE,
     AtomKind,
     Formula,
     TheoryMode,
     all_variables,
-    dnf_clauses,
     fresh_variable,
     ground,
     home_eq,
     home_lt,
-    literal_parts,
     make_and,
     make_not,
     make_or,
@@ -53,6 +52,7 @@ from .model import (
     rational_above,
     rational_below,
     rational_between,
+    section,
 )
 from .qe import qe
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -116,37 +116,19 @@ class CosetSet:
     def none(cls) -> "CosetSet":
         return cls(False, frozenset())
 
-    @classmethod
-    def all(cls) -> "CosetSet":
-        return cls(True, frozenset())
-
-    @classmethod
-    def just(cls, w: QuotientElement) -> "CosetSet":
-        return cls(False, frozenset([w]))
-
-    @classmethod
-    def excluding(cls, ws: Iterable[QuotientElement]) -> "CosetSet":
-        return cls(True, frozenset(ws))
-
     def is_empty(self) -> bool:
         return not self.cofinite and not self.members
 
     def contains(self, w: QuotientElement) -> bool:
         return (w in self.members) != self.cofinite
 
-    def union(self, other: "CosetSet") -> "CosetSet":
-        if not self.cofinite and not other.cofinite:
-            return CosetSet(False, self.members | other.members)
-        if self.cofinite and other.cofinite:
-            return CosetSet(True, self.members & other.members)
-        fin, cof = (self, other) if other.cofinite else (other, self)
-        return CosetSet(True, cof.members - fin.members)
-
-    def complement(self) -> "CosetSet":
-        return CosetSet(not self.cofinite, self.members)
-
     def intersection(self, other: "CosetSet") -> "CosetSet":
-        return self.complement().union(other.complement()).complement()
+        if self.cofinite and other.cofinite:
+            return CosetSet(True, self.members | other.members)
+        if not self.cofinite and not other.cofinite:
+            return CosetSet(False, self.members & other.members)
+        fin, cof = (self, other) if other.cofinite else (other, self)
+        return CosetSet(False, fin.members - cof.members)
 
     def sorted_members(self) -> tuple[QuotientElement, ...]:
         return tuple(sorted(self.members, key=cmp_to_key(lex_compare)))
@@ -278,23 +260,17 @@ def decompose(
     g = qe(ground(f, {v}, assignment), TheoryMode.POVS)
 
     # qe folds every ground atom, so each atom of g mentions v: an order
-    # atom names an endpoint, a coset atom pins or excludes the coset of v
+    # atom names an endpoint, a coset atom names the one coset it pins
     endpoints: set[ModelElement] = set()
-    clauses: list[tuple[list[Formula], CosetSet]] = []
-    for clause in dnf_clauses(g):
-        order_lits: list[Formula] = []
-        cosets = CosetSet.all()
-        for lit in clause:
-            atom, positive = literal_parts(lit)
-            point = atom.payload.root(v).constant
-            if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
-                order_lits.append(lit)
-                endpoints.add(point)
-            else:
-                w = project(point) if atom.kind is AtomKind.IN_Q else point
-                pinned = CosetSet.just(w) if positive else CosetSet.excluding([w])
-                cosets = cosets.intersection(pinned)
-        clauses.append((order_lits, cosets))
+    named: set[QuotientElement] = set()
+    for atom in atoms(g):
+        point = atom.payload.root(v).constant
+        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+            endpoints.add(point)
+        else:
+            named.add(project(point) if atom.kind is AtomKind.IN_Q else point)
+    # the first coset of r2, 2*r2, 3*r2, ... that no atom names
+    outside = next(w for k in count(1) if (w := QuotientElement({2: k})) not in named)
 
     # one left-to-right sweep over the cells: each endpoint is decided as
     # the cell after it is read, so points and pieces come out ascending
@@ -303,13 +279,14 @@ def decompose(
     last = CosetSet.none()  # the previous cell's pattern
     bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
     for lo, hi in zip(bounds, bounds[1:]):
-        at_sample = {v: _sample_inside(lo, hi)}
-        pattern = CosetSet.none()
-        for order_lits, cosets in clauses:
-            if all(eval_formula(lit, at_sample) for lit in order_lits):
-                pattern = pattern.union(cosets)
-                if pattern.cofinite and not pattern.members:
-                    break
+        # on the cell g sees the coset of v only through the named coset
+        # holding it: the outside sample decides finite or cofinite, and the
+        # named cosets whose samples differ from it are the members
+        def holds(w: QuotientElement) -> bool:
+            return eval_formula(g, {v: _sample_inside(lo, hi, w)})
+
+        cofinite = holds(outside)
+        pattern = CosetSet(cofinite, frozenset(w for w in named if holds(w) != cofinite))
         # the last piece ends at lo and has this pattern: merge across lo
         # unless the merged piece would claim lo while the set omits it (a
         # hole); a merge absorbs lo when the pattern holds its coset
@@ -331,14 +308,18 @@ def decompose(
     return Decomposition(tuple(points), tuple(pieces))
 
 
-def _sample_inside(lo: Endpoint, hi: Endpoint) -> ModelElement:
+def _sample_inside(lo: Endpoint, hi: Endpoint, w: QuotientElement) -> ModelElement:
+    """A point of the coset w strictly between lo and hi: section(w) + q, q rational."""
+    s = section(w)
     if lo.is_finite() and hi.is_finite():
-        return ModelElement.from_rational(rational_between(lo.value, hi.value))
-    if lo.is_finite():
-        return ModelElement.from_rational(rational_above(lo.value))
-    if hi.is_finite():
-        return ModelElement.from_rational(rational_below(hi.value))
-    return ModelElement()
+        q = rational_between(lo.value - s, hi.value - s)
+    elif lo.is_finite():
+        q = rational_above(lo.value - s)
+    elif hi.is_finite():
+        q = rational_below(hi.value - s)
+    else:
+        q = 0
+    return s + ModelElement.from_rational(q)
 
 
 def is_small(d: Decomposition) -> bool:

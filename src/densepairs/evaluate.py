@@ -7,7 +7,8 @@ order, each but the last followed by a jump to the junction's end taken
 when the value decides it (false for a conjunction, true for a
 disjunction), so evaluation stops where the walk over the tree would.
 A quantifier or a non-formula compiles to an instruction that raises when
-it is reached, and not before.
+it is reached, and not before.  The plan's atom instructions also list
+the formula's atoms, for readers that need them without another walk.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ def eval_formula(f: Formula, assignment: Assignment) -> bool:
     """Truth of a quantifier-free formula under a sort-respecting assignment."""
     if type(f) is Atom:
         return eval_atom(f, assignment)
-    plan = getattr(f, "_plan", None)
-    if plan is None:
-        plan = _compile(f)
-        if isinstance(f, Formula):
-            object.__setattr__(f, "_plan", plan)
+    plan = _plan(f)
     value = False
     i, end = 0, len(plan)
     while i < end:
@@ -52,6 +49,23 @@ def eval_formula(f: Formula, assignment: Assignment) -> bool:
         else:
             raise arg[0](arg[1])
     return value
+
+
+def atoms(f: Formula) -> list[Atom]:
+    """The atoms of a quantifier-free formula, in the order its plan reads them."""
+    if type(f) is Atom:
+        return [f]
+    return [arg for op, arg in _plan(f) if op is _ATOM]
+
+
+def _plan(f) -> tuple:
+    """The plan of f, compiled and kept on the node on first use."""
+    plan = getattr(f, "_plan", None)
+    if plan is None:
+        plan = _compile(f)
+        if isinstance(f, Formula):
+            object.__setattr__(f, "_plan", plan)
+    return plan
 
 
 def _compile(f) -> tuple:

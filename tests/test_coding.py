@@ -1,7 +1,9 @@
 """Canonical codes: invariance under rewriting, separation of distinct sets,
 and faithful function reconstruction."""
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -231,6 +233,51 @@ def test_function_piece_domains_are_disjoint():
                     )
                     if overlap and not pa.is_large() and not pb.is_large():
                         assert not (pa.cosets.members & pb.cosets.members)
+
+
+# Outputs recorded at the commit before line candidates were read off the atoms.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # the disequation names the line x2 = 3*x1, which the graph never follows
+        (
+            "x2 = 2*x1 & !(x2 = 3*x1)",
+            '{"exceptional": [], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": {}, "cosets": [], "polarity": "cofinite"}, {"a": {}, "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {}, "slope": "2"}]}',
+        ),
+        # no equation at all: only the two order atoms name the line x2 = 2*x1
+        (
+            "!(x2 < 2*x1) & !(2*x1 < x2)",
+            '{"exceptional": [], "pieces": [{"domain": {"frontier": [], "pieces": [{"a": "-inf", "b": "+inf", "cosets": [], "polarity": "cofinite"}]}, "intercept": {}, "slope": "2"}]}',
+        ),
+    ],
+)
+def test_function_code_lines_named_by_negated_atoms(text, expected):
+    assert json.dumps(code_function(parse(text), X, Y).to_json(), sort_keys=True) == expected
+
+
+def piecewise_text(k):
+    """-x1 below 0, then on each (i-1, i) i*x1 on Q and x1 + i off it, then 0 above k-1."""
+    middle = [
+        f"({i - 1} < x1 & x1 < {i} & (Q(x1) & x2 = {i}*x1 | !Q(x1) & x2 = x1 + {i}))"
+        for i in range(1, k)
+    ]
+    return " | ".join(["(x1 < 0 & x2 = -x1)", *middle, f"({k - 1} < x1 & x2 = 0)"])
+
+
+def test_piecewise_function_codes_within_time_gate():
+    # the residual domain & !(pieces) is a conjunction of disjunctions,
+    # whose DNF made k=8 take about 52 s
+    f = parse(piecewise_text(8))
+    start = time.perf_counter()
+    fc = code_function(f, X, Y)
+    elapsed = time.perf_counter() - start
+    assert fc.exceptional == () and len(fc.pieces) == 16
+    r2 = parse_element("r2")
+    assert fc.value_at(r2) == r2 + ModelElement.from_rational(2)
+    assert fc.value_at(ModelElement.from_rational(Fraction(13, 2))) == ModelElement.from_rational(Fraction(91, 2))
+    assert fc.value_at(ModelElement.from_rational(Fraction(15, 2))) == ModelElement()
+    assert fc.value_at(ModelElement.from_rational(3)) is None
+    assert elapsed < 2.0, f"code_function k=8 took {elapsed:.1f} s"
 
 
 def test_json_shape():

@@ -4,6 +4,8 @@ near-interior, and the ultrafilter behaviour of invariant sets."""
 import hashlib
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,13 +16,24 @@ from densepairs.decomposition import (
     Decomposition,
     Endpoint,
     NearInterval,
+    _sample_inside,
     decompose,
     generic_type_contains,
     is_small,
 )
 from densepairs.errors import ArityError, ModeError, NotGroundError
 from densepairs.evaluate import eval_formula
-from densepairs.formulas import TheoryMode, all_atoms, ground, make_and, make_not, make_or
+from densepairs.formulas import (
+    AtomKind,
+    TheoryMode,
+    all_atoms,
+    dnf_clauses,
+    ground,
+    literal_parts,
+    make_and,
+    make_not,
+    make_or,
+)
 from densepairs.measure import measure
 from densepairs.model import (
     Model,
@@ -91,7 +104,7 @@ def test_plain_interval_is_one_large_piece():
         NearInterval(
             Endpoint.at(ModelElement()),
             Endpoint.at(ModelElement.from_rational(1)),
-            CosetSet.all(),
+            CosetSet(True, frozenset()),
         ),
     )
     assert not is_small(d)
@@ -103,7 +116,7 @@ def test_point_union_coset_complement_merges_across_the_point():
     assert len(d.pieces) == 1
     piece = d.pieces[0]
     assert piece.lo == Endpoint.at(ModelElement()) and not piece.hi.is_finite()
-    assert piece.cosets == CosetSet.excluding([QuotientElement()])
+    assert piece.cosets == CosetSet(True, frozenset([QuotientElement()]))
 
 
 def test_true_hole_prevents_merging():
@@ -127,7 +140,7 @@ def test_ground_formulas_denote_empty_or_everything():
     assert decompose(parse("Q(x1) & !Q(x1)"), X).is_empty()
     full = decompose(parse("x1 = x1"), X)
     assert not full.points and len(full.pieces) == 1
-    assert full.pieces[0].cosets == CosetSet.all()
+    assert full.pieces[0].cosets == CosetSet(True, frozenset())
 
 
 def test_quantified_input_is_eliminated_first():
@@ -206,6 +219,15 @@ def test_intersection_consistency():
             assert both.contains(probe) == (df.contains(probe) and dg.contains(probe))
 
 
+def test_coset_set_intersection():
+    a, b, c = (QuotientElement({k: Fraction(1)}) for k in (2, 3, 5))
+    finite, cofinite = CosetSet(False, frozenset([a, b])), CosetSet(True, frozenset([b, c]))
+    assert finite.intersection(CosetSet(False, frozenset([b, c]))) == CosetSet(False, frozenset([b]))
+    assert finite.intersection(cofinite) == CosetSet(False, frozenset([a]))
+    assert cofinite.intersection(finite) == CosetSet(False, frozenset([a]))
+    assert cofinite.intersection(CosetSet(True, frozenset([a]))) == CosetSet(True, frozenset([a, b, c]))
+
+
 def test_near_interior_examples():
     # the near-interior is the pieces and the near-frontier the points
     d = decompose(parse("Q(x1)"), X)
@@ -217,7 +239,7 @@ def test_near_interior_examples():
     d3 = decompose(parse("Q(x1) | x1 = r2"), X)
     assert d3.points == (parse_element("r2"),)
     assert len(d3.pieces) == 1
-    assert d3.pieces[0].cosets == CosetSet.just(QuotientElement())
+    assert d3.pieces[0].cosets == CosetSet(False, frozenset([QuotientElement()]))
 
 
 def test_near_frontier_points_fail_the_window_test():
@@ -362,3 +384,157 @@ def test_golden_unary_corpus():
     text = unary_corpus_text()
     assert text.count("\n") == 1000
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UNARY_CORPUS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The coset sweep against the clause-reading reference
+# ---------------------------------------------------------------------------
+
+
+def coset_union(a: CosetSet, b: CosetSet) -> CosetSet:
+    """a | b, as the complement of the intersection of the complements."""
+    out = CosetSet(not a.cofinite, a.members).intersection(CosetSet(not b.cofinite, b.members))
+    return CosetSet(not out.cofinite, out.members)
+
+
+def reference_decompose(f, v, assignment=None) -> Decomposition:
+    """decompose before the coset sweep: read each DNF clause of the
+    eliminated formula into its order literals and one coset set, and take
+    a cell's pattern as the union of the coset sets of the clauses whose
+    order literals hold at a rational inside the cell."""
+    g = qe(ground(f, {v}, assignment), TheoryMode.POVS)
+    endpoints = set()
+    clauses = []
+    for clause in dnf_clauses(g):
+        order_lits = []
+        cosets = CosetSet(True, frozenset())
+        for lit in clause:
+            atom, positive = literal_parts(lit)
+            point = atom.payload.root(v).constant
+            if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+                order_lits.append(lit)
+                endpoints.add(point)
+            else:
+                w = project(point) if atom.kind is AtomKind.IN_Q else point
+                cosets = cosets.intersection(CosetSet(not positive, frozenset([w])))
+        clauses.append((order_lits, cosets))
+
+    points, pieces = [], []
+    last = CosetSet.none()
+    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        at_sample = {v: _sample_inside(lo, hi, QuotientElement())}
+        pattern = CosetSet.none()
+        for order_lits, cosets in clauses:
+            if all(eval_formula(lit, at_sample) for lit in order_lits):
+                pattern = coset_union(pattern, cosets)
+        merge = not pattern.is_empty() and pattern == last
+        if lo.is_finite():
+            e = lo.value
+            in_set = eval_formula(g, {v: e})
+            claimed = merge and pattern.contains(project(e))
+            if claimed and not in_set:
+                merge = False
+            elif in_set and not claimed:
+                points.append(e)
+        if merge:
+            pieces[-1] = NearInterval(pieces[-1].lo, hi, pattern)
+        elif not pattern.is_empty():
+            pieces.append(NearInterval(lo, hi, pattern))
+        last = pattern
+    return Decomposition(tuple(points), tuple(pieces))
+
+
+def test_sweep_agrees_with_the_reference_on_the_golden_corpus(monkeypatch):
+    # every decompose the corpus runs: its sets, their measures, the
+    # pullbacks of its quotient formulas, and the lines and residuals of
+    # its function codes
+    calls = []
+    sweep = decompose
+
+    def recording(f, v, assignment=None):
+        calls.append((f, v, assignment))
+        return sweep(f, v, assignment)
+
+    for name in (__name__, "densepairs.decomposition", "densepairs.coding", "densepairs.measure"):
+        monkeypatch.setattr(sys.modules[name], "decompose", recording)
+    unary_corpus_text()
+    assert len(calls) == 479
+    for f, v, assignment in calls:
+        assert sweep(f, v, assignment) == reference_decompose(f, v, assignment), str(f)
+
+
+DNF_HEAVY_CONSTANTS = ["0", "1", "1/2", "r2", "2*r2", "r3", "1 - r2", "r2 + r3", "1/2*r3"]
+DNF_HEAVY_SCALES = ["", "2*", "1/2*"]
+
+
+def dnf_heavy_formula(rng: random.Random):
+    """A conjunction of 2-5 disjunctions of 2-3 order and coset literals in
+    x1, some against the parameters x2 and u1."""
+
+    def literal():
+        a, c = rng.choice(DNF_HEAVY_SCALES), rng.choice(DNF_HEAVY_CONSTANTS)
+        atom = rng.choice(
+            [
+                f"x1 < {c}",
+                f"{c} < x1",
+                f"x1 = {c}",
+                f"Q({a}x1 - {c})",
+                f"pi({a}x1) = pi({c})",
+                "x1 < x2",
+                "Q(x1 - x2)",
+                "pi(x1) = u1",
+            ]
+        )
+        return f"!({atom})" if rng.random() < 0.3 else atom
+
+    disjunctions = [
+        "(" + " | ".join(literal() for _ in range(rng.randint(2, 3))) + ")"
+        for _ in range(rng.randint(2, 5))
+    ]
+    return parse(" & ".join(disjunctions))
+
+
+def test_sweep_agrees_with_the_reference_on_dnf_heavy_formulas():
+    rng = random.Random(1717)
+    for _ in range(150):
+        f = dnf_heavy_formula(rng)
+        sigma = random_assignment(rng, [hvar(2), qvar(1)], MODEL)
+        assert decompose(f, X, sigma) == reference_decompose(f, X, sigma), str(f)
+
+
+# Outputs recorded at the commit before the coset sweep.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("0 < x1 & x1 < 1 & !Q(x1 - r2) & !Q(x1 - 2*r2)", "(0, 1) outside cosets {pi(r2), pi(2*r2)}"),
+        ("x1 < 0 | Q(x1 - r2) | Q(x1 - 2*r2)", "(-inf, 0) all cosets\n(0, +inf) in cosets {pi(r2), pi(2*r2)}"),
+    ],
+)
+def test_outside_sample_steps_past_the_named_cosets(text, expected):
+    # the outside sample is taken in the first coset of r2, 2*r2, ... that
+    # no atom names: here pi(3*r2)
+    d = decompose(parse(text), X)
+    assert str(d) == expected
+    assert d == reference_decompose(parse(text), X)
+
+
+def k_family_text(k):
+    """AND_{i<=k} (x1 < i | Q(x1 - i*r2)): all of (-inf, 1), then pi(r2) on (1, 2)."""
+    return " & ".join(f"(x1 < {i} | Q(x1 - {i}*r2))" for i in range(1, k + 1))
+
+
+def test_decompose_builds_no_dnf_and_meets_its_time_gate(monkeypatch):
+    # reading the DNF of k=14 disjunctions took about 52 s
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densepairs") and hasattr(module, "dnf_clauses"):
+            dnf = module.dnf_clauses
+            monkeypatch.setattr(module, "dnf_clauses", lambda g, dnf=dnf: calls.append(g) or dnf(g))
+    f = parse(k_family_text(14))
+    start = time.perf_counter()
+    d = decompose(f, X)
+    elapsed = time.perf_counter() - start
+    assert calls == []
+    assert str(d) == "(-inf, 1) all cosets\n(1, 2) in cosets {pi(r2)}"
+    assert elapsed < 1.0, f"decompose k=14 took {elapsed:.1f} s"
