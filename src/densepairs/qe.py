@@ -1,23 +1,25 @@
 """Quantifier elimination and sentence decision.
 
-The eliminator works innermost-first.  The conjuncts of the matrix under
-a quantifier that do not mention its variable are pulled out of its
-scope, so independent disjunctions are never multiplied out; only the
-rest is put in disjunctive normal form, and each conjunction of it loses
-the bound variable separately, by one clause step for both sorts.  A
-table gives the step its sort's equation kind, order kind and order-atom
-factory: `=` and `<` with `home_lt` at home, `=` and `prec` with
-`quot_prec` in the quotient.  An equation on the variable lets us
-substitute its root.  Otherwise disequations are dropped, since finitely
-many excluded points never empty a dense, infinite space, and the strict
-bounds combine by Fourier-Motzkin, which is exact because both orders
-are dense without endpoints.  A home variable also meets membership and
-quotient literals, which only constrain its coset pi(v): every coset of
-the rational line is dense, so a nonempty open interval meets whichever
-coset they require.  They become literals on a quotient-sort stand-in for
-pi(v), and the same step, run on the stand-in, eliminates it.  The
-pulled-out conjuncts then meet the result under the absorption and
-contradiction rules that the normal form would have applied to them.
+The eliminator works innermost-first, by one step for every existential,
+which `eliminate_exists_home` and `eliminate_exists_quotient` run too.
+The conjuncts of the body that do not mention the bound variable are
+pulled out of its scope, so independent disjunctions are never
+multiplied out; only the rest is put in disjunctive normal form, and
+each conjunction of it loses the bound variable separately, by one
+clause step for both sorts.  A table gives the step its sort's equation
+kind, order kind and order-atom factory: `=` and `<` with `home_lt` at
+home, `=` and `prec` with `quot_prec` in the quotient.  An equation on
+the variable lets us substitute its root.  Otherwise disequations are
+dropped, since finitely many excluded points never empty a dense,
+infinite space, and the strict bounds combine by Fourier-Motzkin, which
+is exact because both orders are dense without endpoints.  A home
+variable also meets membership and quotient literals, which only
+constrain its coset pi(v): every coset of the rational line is dense, so
+a nonempty open interval meets whichever coset they require.  They become
+literals on a quotient-sort stand-in for pi(v), and the same step, run on
+the stand-in, eliminates it.  The pulled-out conjuncts then meet the
+result, which may be all there is, under the absorption and contradiction
+rules that the normal form would have applied to them.
 
 Universal quantifiers are rewritten through their existential duals.
 Truth of a sentence is then read off the reference model, which is
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FreeVariableError, NotConjunctionError, SortError
-from .evaluate import eval_formula
+from .evaluate import atoms, eval_formula
 from .formulas import (
     TRUE,
     Atom,
@@ -132,9 +134,7 @@ def _eliminate_exists(
         raise SortError(f"{v} is not a {sort.value}-sort variable")
     for lit in literals:
         literal_parts(lit)  # reject anything that is not a literal
-    f = make_and(literals)
-    admit(Exists(v, f), mode)  # what `qe` checks of the same formula
-    return _eliminate(f, v)
+    return qe(Exists(v, make_and(literals)), mode)
 
 
 def eliminate_exists_home(
@@ -151,35 +151,31 @@ def eliminate_exists_quotient(
     return _eliminate_exists(literals, v, mode, Sort.QUOTIENT)
 
 
-def _mentions(f: Formula, v: Variable) -> bool:
-    """Whether v occurs in the quantifier-free f, read off its atoms' coefficients."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            if g.payload.coeff(v):
-                return True
-        else:
-            stack.extend(g.children if isinstance(g, (And, Or)) else (g.sub,))
-    return False
-
-
 def _prune(conjuncts: list[Formula]) -> list[Formula]:
     """The conjuncts, each read in negation normal form, without those true given the rest
-    (A & (A | B) is A), and without the disjuncts that hold an atom whose negation is a
-    conjunct (!A & (A | B) is !A & B) or that contain another disjunct (A | A & B is A)."""
+    (A & (A | B) is A), without the literals of a disjunct that are conjuncts
+    (A & (A & B | C) is A & (B | C)), and without the disjuncts that hold a literal
+    complementary to a conjunct (!A & (A | B) is !A & B, A & (!A | B) is A & B) or that
+    contain another disjunct (A | A & B is A)."""
     given, negated = set(conjuncts), {c.sub for c in conjuncts if isinstance(c, Not)}
     kept = []
     for c in conjuncts:
         n = nnf(c)
         ds = n.children if isinstance(n, Or) else ()
-        parts = [set(d.children) if isinstance(d, And) else {d} for d in ds]
-        if n == TRUE or any(p <= given for p in parts):
-            continue
-        live = [
-            d for d, p in zip(ds, parts) if negated.isdisjoint(p) and not any(q < p for q in parts)
+        parts = [
+            [lit for lit in (d.children if isinstance(d, And) else (d,)) if lit not in given]
+            for d in ds
         ]
-        kept.append(make_or(live) if len(live) < len(parts) else c)
+        if n == TRUE or not all(parts):
+            continue
+        sets = [set(p) for p in parts]
+        live = [
+            make_and(p)
+            for p, s in zip(parts, sets)
+            if not any(lit.sub in given if type(lit) is Not else lit in negated for lit in p)
+            and not any(t < s for t in sets)
+        ]
+        kept.append(c if live == list(ds) else make_or(live))
     return kept
 
 
@@ -190,13 +186,13 @@ def _qe(f: Formula) -> Formula:
     def quantifier(g):
         if isinstance(g, Forall):
             return make_not((yield Exists(g.var, make_not(g.body))))
-        body = yield g.body
-        inside, pulled = [], []  # the conjuncts with g.var, and those without it
-        for c in body.children if isinstance(body, And) else ():
-            (inside if _mentions(c, g.var) else pulled).append(c)
-        if not inside or not pulled:
-            return _eliminate(body, g.var)
-        return make_and(_prune(pulled + [_eliminate(make_and(inside), g.var)]))
+        body, v = (yield g.body), g.var
+        inside, pulled = [], []  # the conjuncts with v, and those without it
+        for c in body.children if isinstance(body, And) else (body,):
+            (inside if any(a.payload.coeff(v) for a in atoms(c)) else pulled).append(c)
+        if not inside:
+            inside, pulled = pulled, inside  # a vacuous quantifier still puts its body in DNF
+        return make_and(_prune(pulled + [_eliminate(make_and(inside), v)]))
 
     return rewrite(f, fold_ground, quantifier)
 

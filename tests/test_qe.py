@@ -505,9 +505,18 @@ def test_scoped_qe_agrees_with_the_whole_matrix_reference_and_is_never_longer():
     for mode in TheoryMode:
         for i in range(300):
             cases.append((random_quantified_formula(rng, MODEL, mode, quantifiers=1 + i % 3), mode))
+    eliminate = {Sort.HOME: eliminate_exists_home, Sort.QUOTIENT: eliminate_exists_quotient}
+    for mode in TheoryMode:  # single-quantifier conjunctions; ovs has no quotient sort
+        context = [hvar(1), hvar(2)] + ([] if mode is TheoryMode.OVS else [qvar(1)])
+        for i in range(120):
+            bound = hvar(0) if mode is TheoryMode.OVS or i % 2 else qvar(0)
+            conj = random_conjunction(rng, bound, context, MODEL, mode)
+            f = Exists(bound, make_and(conj))
+            assert eliminate[bound.sort](conj, bound, mode) == qe(f, mode)
+            cases.append((f, mode))
     for text, mode, _ in CHAINS.values():
         cases += [(parse(text(n), mode), mode) for n in range(1, 7)]
-    # alt never reaches the scoped branch (each body is a negation); n=6 costs about 20 s
+    # alt's ∀ bodies reach the scoped step as negations, whole; n=6 costs about 16 s
     cases += [(parse(alt_text(n)), TheoryMode.POVS) for n in range(1, 6)]
     shorter = 0
     for f, mode in cases:
@@ -531,12 +540,34 @@ def test_scoped_qe_agrees_with_the_whole_matrix_reference_and_is_never_longer():
         ("E x1. ((x4 != 0 | !(0 < x4)) & x3 < x1)", "true"),
         # A | A & B is A
         ("E x1. ((x4 < 1 | x4 < 1 & x3 < 2) & x3 < x1)", "x4 < 1"),
+        # A & (!A | B) is A & B
+        ("E x0. (Q(x1) & (x0 < 0 & !Q(x1) | x0 = x2 & x2 < 0))", "Q(x1) & x2 < 0"),
     ],
 )
 def test_pulled_out_conjuncts_are_pruned_as_the_whole_matrix_dnf_prunes_them(text, answer):
     f = parse(text)
     assert render(qe(f)) == answer
     assert render(reference_qe(f, TheoryMode.POVS)) == answer
+
+
+def test_a_pulled_out_quotient_equation_prunes_its_negation_from_a_disjunct():
+    mode = TheoryMode.POVS_PREC
+    f = parse("E u0. (u1 = 0 & (u0 prec 0 & u1 != 0 | u0 = u2 & u2 prec 0))", mode)
+    assert render(qe(f, mode)) == "u1 = 0 & u2 prec 0"
+    assert render(reference_qe(f, mode)) == "u1 = 0 & u2 prec 0"
+
+
+def test_a_disjunct_loses_its_literals_that_are_pulled_out_conjuncts():
+    # A & (A & B | A & C) is A & (B | C), one atom shorter than the whole-matrix DNF
+    f = parse("E x0. (x1 = 0 & x0 = x1 & x0 = 0 & !(x0 < x2))")
+    assert render(qe(f)) == "x1 = 0 & (x2 = 0 | x2 < 0)"
+    assert render(reference_qe(f, TheoryMode.POVS)) == "x1 = 0 & x2 = 0 | x1 = 0 & x2 < 0"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_prec_chain_answers_its_closed_form(n):
+    text, mode, answer = CHAINS["prec_chain"]
+    assert render(qe(parse(text(n), mode), mode)) == answer
 
 
 @pytest.mark.parametrize("family", sorted(CHAINS))
