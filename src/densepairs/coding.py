@@ -10,7 +10,10 @@ finitely-many-codes notion to a single canonical datum.
 A definable partial function with a piecewise-linear graph is coded by
 its finite slope/intercept inventory: for every line that the graph
 follows on an infinite locus, the (coset-pattern) domain on which it
-does, plus the finitely many leftover graph points.
+does, plus the finitely many leftover graph points.  The domain and the
+line pieces are decompositions, and the leftover points and the check
+that no two pieces overlap come from one sweep over their memberships,
+with no formula rebuilt from them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import Decomposition, NearInterval, decompose
+from .decomposition import Decomposition, decompose, sweep
 from .errors import (
     ArityError,
     InfiniteResidualError,
@@ -143,10 +146,12 @@ def code_function(
     """Code a binary formula that is functional from x to y.
 
     Slopes are extracted syntactically from the eliminated form; each
-    candidate line is intersected with the graph, its matching locus is
-    reduced to open coset patterns, and whatever those loci miss is a
-    finite set of explicit graph points (a non-finite residue would
-    contradict the decomposition shape of definable graphs and raises).
+    candidate line is intersected with the graph and its matching locus is
+    reduced to open coset patterns.  One sweep over the domain and those
+    pieces then finds what the pieces miss, a finite set of explicit graph
+    points (a non-finite residue would contradict the decomposition shape
+    of definable graphs and raises), and checks at each of its samples
+    that no two pieces overlap.
     """
     if x.sort is not Sort.HOME or y.sort is not Sort.HOME:
         raise ArityError("function coding needs two home-sort variables")
@@ -155,11 +160,9 @@ def code_function(
     g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
     _check_functional(g, x, y)
 
-    domain_formula = qe(Exists(y, g), TheoryMode.POVS)
-
+    domain = decompose(Exists(y, g), x)
     lines = _line_candidates(g, x, y)
     pieces: list[FunctionPiece] = []
-    domain_formulas: list[Formula] = []
     for slope, intercept in lines:
         line = HomeTerm.from_variable(x).scale(slope) + HomeTerm.from_element(intercept)
         on_line = substitute(g, y, line)
@@ -168,13 +171,17 @@ def code_function(
             continue
         # the pieces are open and no piece holds another's endpoint, so
         # dropping the listed points leaves a canonical decomposition
-        domain = Decomposition((), d.pieces)
-        pieces.append(FunctionPiece(slope, intercept, domain))
-        domain_formulas.append(domain.formula(x))
+        pieces.append(FunctionPiece(slope, intercept, Decomposition((), d.pieces)))
 
-    _check_disjoint(pieces)
+    def uncovered(m: ModelElement) -> bool:
+        held = [p for p in pieces if p.domain.contains(m)]
+        if len(held) > 1:
+            raise InternalError("function piece domains overlap")
+        return not held and domain.contains(m)
 
-    rd = decompose(make_and([domain_formula, make_not(make_or(domain_formulas))]), x)
+    # two open near-intervals that share a point share an open near-interval,
+    # so an overlap shows at one of the sweep's samples
+    rd = sweep(uncovered, [domain, *(p.domain for p in pieces)])
     if rd.pieces:
         raise InfiniteResidualError(
             "candidate lines leave an infinite part of the domain uncovered"
@@ -193,23 +200,3 @@ def _function_value(
         if eval_formula(g, {x: at, y: candidate}):
             return candidate
     raise InternalError(f"no candidate line passes through the graph at {at}")
-
-
-def _check_disjoint(pieces: list[FunctionPiece]) -> None:
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            a, b = pieces[i], pieces[j]
-            overlap = any(
-                _intervals_overlap(pa, pb)
-                and not pa.cosets.intersection(pb.cosets).is_empty()
-                for pa in a.domain.pieces
-                for pb in b.domain.pieces
-            )
-            if overlap:
-                raise InternalError("function piece domains overlap")
-
-
-def _intervals_overlap(a: NearInterval, b: NearInterval) -> bool:
-    lo = a.lo if a.lo.compare(b.lo) >= 0 else b.lo
-    hi = a.hi if a.hi.compare(b.hi) <= 0 else b.hi
-    return lo.compare(hi) < 0

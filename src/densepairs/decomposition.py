@@ -17,6 +17,13 @@ point and whether its cell coalesces with the previous piece (whenever
 that preserves the denoted set).  The output is canonical and ascending
 as it comes: equal sets yield equal decompositions no matter which
 formula defined them, and no caller sorts or coalesces it again.
+
+The sweep needs only a membership test, endpoints and named cosets, so
+it also does set algebra on decompositions without a formula: `sweep`
+takes the landmarks of the given decompositions (their points, finite
+piece ends and listed cosets), between which each of them sees a point
+only through the named coset holding it, and decomposes any test built
+from their memberships.
 """
 
 from __future__ import annotations
@@ -24,23 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import count
+from typing import Callable, Iterable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, eval_formula
 from .formulas import (
-    FALSE,
     AtomKind,
     Formula,
     TheoryMode,
     all_variables,
     fresh_variable,
     ground,
-    home_eq,
-    home_lt,
-    make_and,
-    make_not,
-    make_or,
-    quot_eq,
     substitute,
 )
 from .model import (
@@ -122,17 +123,6 @@ class CosetSet:
     def contains(self, w: QuotientElement) -> bool:
         return (w in self.members) != self.cofinite
 
-    def intersection(self, other: "CosetSet") -> "CosetSet":
-        if self.cofinite and other.cofinite:
-            return CosetSet(True, self.members | other.members)
-        if not self.cofinite and not other.cofinite:
-            return CosetSet(False, self.members & other.members)
-        fin, cof = (self, other) if other.cofinite else (other, self)
-        return CosetSet(False, fin.members - cof.members)
-
-    def sorted_members(self) -> tuple[QuotientElement, ...]:
-        return tuple(sorted(self.members, key=cmp_to_key(lex_compare)))
-
     @property
     def polarity(self) -> str:
         return "cofinite" if self.cofinite else "finite"
@@ -161,26 +151,8 @@ class NearInterval:
     def is_large(self) -> bool:
         return self.cosets.cofinite
 
-    def formula(self, v: Variable) -> Formula:
-        """A defining formula over the single home variable v."""
-        parts: list[Formula] = []
-        x = HomeTerm.from_variable(v)
-        if self.lo.is_finite():
-            parts.append(home_lt(HomeTerm.from_element(self.lo.value) - x))
-        if self.hi.is_finite():
-            parts.append(home_lt(x - HomeTerm.from_element(self.hi.value)))
-        pulls = [
-            quot_eq(QuotientTerm.project_term(x) - QuotientTerm.from_element(w))
-            for w in self.sorted_cosets()
-        ]
-        if self.cosets.cofinite:
-            parts.extend(make_not(p) for p in pulls)
-        else:
-            parts.append(make_or(pulls) if pulls else FALSE)
-        return make_and(parts)
-
     def sorted_cosets(self) -> tuple[QuotientElement, ...]:
-        return self.cosets.sorted_members()
+        return tuple(sorted(self.cosets.members, key=cmp_to_key(lex_compare)))
 
     def to_json(self):
         return {
@@ -229,14 +201,6 @@ class Decomposition:
     def is_empty(self) -> bool:
         return not self.points and not self.pieces
 
-    def formula(self, v: Variable) -> Formula:
-        x = HomeTerm.from_variable(v)
-        parts: list[Formula] = [
-            home_eq(x - HomeTerm.from_element(p)) for p in self.points
-        ]
-        parts.extend(piece.formula(v) for piece in self.pieces)
-        return make_or(parts) if parts else FALSE
-
     def to_json(self):
         return {
             "points": [p.to_json() for p in self.points],
@@ -269,7 +233,35 @@ def decompose(
             endpoints.add(point)
         else:
             named.add(project(point) if atom.kind is AtomKind.IN_Q else point)
-    # the first coset of r2, 2*r2, 3*r2, ... that no atom names
+    return _sweep(lambda m: eval_formula(g, {v: m}), endpoints, named)
+
+
+def sweep(
+    holds: Callable[[ModelElement], bool], decompositions: Iterable[Decomposition]
+) -> Decomposition:
+    """The canonical decomposition of the points where holds is true, for a
+    test that sees a point only through which of the decompositions hold it:
+    their points and finite piece ends are the endpoints, and their listed
+    cosets the named cosets."""
+    endpoints: set[ModelElement] = set()
+    named: set[QuotientElement] = set()
+    for d in decompositions:
+        endpoints.update(d.points)
+        for p in d.pieces:
+            endpoints.update(e.value for e in (p.lo, p.hi) if e.is_finite())
+            named.update(p.cosets.members)
+    return _sweep(holds, endpoints, named)
+
+
+def _sweep(
+    holds: Callable[[ModelElement], bool],
+    endpoints: set[ModelElement],
+    named: set[QuotientElement],
+) -> Decomposition:
+    """The canonical decomposition of the points where holds is true, for a
+    test whose truth on each open cell between consecutive endpoints depends
+    only on which named coset, if any, holds the point."""
+    # the first coset of r2, 2*r2, 3*r2, ... that is not named
     outside = next(w for k in count(1) if (w := QuotientElement({2: k})) not in named)
 
     # one left-to-right sweep over the cells: each endpoint is decided as
@@ -279,21 +271,20 @@ def decompose(
     last = CosetSet.none()  # the previous cell's pattern
     bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
     for lo, hi in zip(bounds, bounds[1:]):
-        # on the cell g sees the coset of v only through the named coset
-        # holding it: the outside sample decides finite or cofinite, and the
-        # named cosets whose samples differ from it are the members
-        def holds(w: QuotientElement) -> bool:
-            return eval_formula(g, {v: _sample_inside(lo, hi, w)})
-
-        cofinite = holds(outside)
-        pattern = CosetSet(cofinite, frozenset(w for w in named if holds(w) != cofinite))
+        # the outside sample decides finite or cofinite, and the named
+        # cosets whose samples differ from it are the members
+        cofinite = holds(_sample_inside(lo, hi, outside))
+        pattern = CosetSet(
+            cofinite,
+            frozenset(w for w in named if holds(_sample_inside(lo, hi, w)) != cofinite),
+        )
         # the last piece ends at lo and has this pattern: merge across lo
         # unless the merged piece would claim lo while the set omits it (a
         # hole); a merge absorbs lo when the pattern holds its coset
         merge = not pattern.is_empty() and pattern == last
         if lo.is_finite():
             e = lo.value
-            in_set = eval_formula(g, {v: e})
+            in_set = holds(e)
             claimed = merge and pattern.contains(project(e))
             if claimed and not in_set:
                 merge = False  # lo is a hole

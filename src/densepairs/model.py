@@ -59,20 +59,15 @@ def radicand_problem(k: int) -> str | None:
 
 @functools.lru_cache(maxsize=1024)
 def _root(radicand: int, bits: int) -> int:
-    """floor(sqrt(radicand) * 2**bits), the lower end of sqrt_enclosure scaled by 2**bits."""
+    """r = floor(sqrt(radicand) * 2**bits), so sqrt(radicand) lies in [r, r + 1] / 2**bits."""
     return math.isqrt(radicand << (2 * bits))
-
-
-def sqrt_enclosure(radicand: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic interval of width 2**-bits containing sqrt(radicand)."""
-    r = _root(radicand, bits)
-    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
 def _bounds(nums: list[tuple[int, int]], bits: int) -> tuple[int, int]:
     """Integers lo <= 2**bits * sum(n_k * sqrt(k)) <= hi, key 0 read as 1:
-    each sqrt(k) is taken at the end of sqrt_enclosure(k, bits) that makes
-    its term smaller (for lo) or larger (for hi), so hi - lo = sum(|n_k|, k > 0)."""
+    each sqrt(k) is taken at the end of its dyadic bracket [r, r + 1] / 2**bits,
+    r = _root(k, bits), that makes its term smaller (for lo) or larger (for hi),
+    so hi - lo = sum(|n_k|, k > 0)."""
     lo = spread = 0
     for k, n in nums:
         if k == 0:

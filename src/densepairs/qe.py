@@ -160,6 +160,9 @@ def _prune(conjuncts: list[Formula]) -> list[Formula]:
     given, negated = set(conjuncts), {c.sub for c in conjuncts if isinstance(c, Not)}
     kept = []
     for c in conjuncts:
+        if isinstance(c, Atom):
+            kept.append(c)
+            continue
         n = nnf(c)
         ds = n.children if isinstance(n, Or) else ()
         parts = [

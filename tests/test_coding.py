@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from densepairs import coding
 from densepairs.coding import (
     FunctionCode,
     UnarySetCode,
@@ -16,7 +17,13 @@ from densepairs.coding import (
     codes_equal,
 )
 from densepairs.decomposition import decompose
-from densepairs.errors import ArityError, NotFunctionalError, NotGroundError
+from densepairs.errors import (
+    ArityError,
+    InfiniteResidualError,
+    InternalError,
+    NotFunctionalError,
+    NotGroundError,
+)
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     And,
@@ -235,6 +242,28 @@ def test_function_piece_domains_are_disjoint():
                         assert not (pa.cosets.members & pb.cosets.members)
 
 
+ABSOLUTE_VALUE = "(x1 < 0 & x2 = -x1) | (!(x1 < 0) & x2 = x1)"
+
+
+def test_a_missing_line_leaves_an_infinite_residual(monkeypatch):
+    lines = coding._line_candidates
+    monkeypatch.setattr(coding, "_line_candidates", lambda g, x, y: lines(g, x, y)[1:])
+    with pytest.raises(InfiniteResidualError):
+        code_function(parse(ABSOLUTE_VALUE), X, Y)
+
+
+def test_a_repeated_line_makes_piece_domains_overlap(monkeypatch):
+    lines = coding._line_candidates
+
+    def first_line_twice(g, x, y):
+        found = lines(g, x, y)
+        return found + found[:1]
+
+    monkeypatch.setattr(coding, "_line_candidates", first_line_twice)
+    with pytest.raises(InternalError, match="function piece domains overlap"):
+        code_function(parse(ABSOLUTE_VALUE), X, Y)
+
+
 # Outputs recorded at the commit before line candidates were read off the atoms.
 @pytest.mark.parametrize(
     "text,expected",
@@ -265,8 +294,9 @@ def piecewise_text(k):
 
 
 def test_piecewise_function_codes_within_time_gate():
-    # the residual domain & !(pieces) is a conjunction of disjunctions,
-    # whose DNF made k=8 take about 52 s
+    # the leftover points were once found by decomposing the formula
+    # domain & !(pieces), a conjunction of disjunctions whose DNF made k=8
+    # take about 52 s; a sweep over the piece domains builds no formula
     f = parse(piecewise_text(8))
     start = time.perf_counter()
     fc = code_function(f, X, Y)

@@ -20,6 +20,7 @@ from densepairs.decomposition import (
     decompose,
     generic_type_contains,
     is_small,
+    sweep,
 )
 from densepairs.errors import ArityError, ModeError, NotGroundError
 from densepairs.evaluate import eval_formula
@@ -219,13 +220,28 @@ def test_intersection_consistency():
             assert both.contains(probe) == (df.contains(probe) and dg.contains(probe))
 
 
+def test_sweep_of_memberships_is_the_decomposition_of_the_formula():
+    # and, or and not of two decompositions swept from their landmarks
+    # alone, against decompose of the same connective on the formulas
+    rng = random.Random(1919)
+    for _ in range(150):
+        f = random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=2)
+        g = random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=2)
+        df, dg = decompose(f, X), decompose(g, X)
+        both = sweep(lambda m: df.contains(m) and dg.contains(m), [df, dg])
+        either = sweep(lambda m: df.contains(m) or dg.contains(m), [df, dg])
+        assert both == decompose(make_and([f, g]), X), f"{f}  &  {g}"
+        assert either == decompose(make_or([f, g]), X), f"{f}  |  {g}"
+        assert sweep(lambda m: not df.contains(m), [df]) == decompose(make_not(f), X), str(f)
+
+
 def test_coset_set_intersection():
     a, b, c = (QuotientElement({k: Fraction(1)}) for k in (2, 3, 5))
     finite, cofinite = CosetSet(False, frozenset([a, b])), CosetSet(True, frozenset([b, c]))
-    assert finite.intersection(CosetSet(False, frozenset([b, c]))) == CosetSet(False, frozenset([b]))
-    assert finite.intersection(cofinite) == CosetSet(False, frozenset([a]))
-    assert cofinite.intersection(finite) == CosetSet(False, frozenset([a]))
-    assert cofinite.intersection(CosetSet(True, frozenset([a]))) == CosetSet(True, frozenset([a, b, c]))
+    assert coset_intersection(finite, CosetSet(False, frozenset([b, c]))) == CosetSet(False, frozenset([b]))
+    assert coset_intersection(finite, cofinite) == CosetSet(False, frozenset([a]))
+    assert coset_intersection(cofinite, finite) == CosetSet(False, frozenset([a]))
+    assert coset_intersection(cofinite, CosetSet(True, frozenset([a]))) == CosetSet(True, frozenset([a, b, c]))
 
 
 def test_near_interior_examples():
@@ -391,9 +407,19 @@ def test_golden_unary_corpus():
 # ---------------------------------------------------------------------------
 
 
+def coset_intersection(a: CosetSet, b: CosetSet) -> CosetSet:
+    """a & b."""
+    if a.cofinite and b.cofinite:
+        return CosetSet(True, a.members | b.members)
+    if not a.cofinite and not b.cofinite:
+        return CosetSet(False, a.members & b.members)
+    fin, cof = (a, b) if b.cofinite else (b, a)
+    return CosetSet(False, fin.members - cof.members)
+
+
 def coset_union(a: CosetSet, b: CosetSet) -> CosetSet:
     """a | b, as the complement of the intersection of the complements."""
-    out = CosetSet(not a.cofinite, a.members).intersection(CosetSet(not b.cofinite, b.members))
+    out = coset_intersection(CosetSet(not a.cofinite, a.members), CosetSet(not b.cofinite, b.members))
     return CosetSet(not out.cofinite, out.members)
 
 
@@ -416,7 +442,7 @@ def reference_decompose(f, v, assignment=None) -> Decomposition:
                 endpoints.add(point)
             else:
                 w = project(point) if atom.kind is AtomKind.IN_Q else point
-                cosets = cosets.intersection(CosetSet(not positive, frozenset([w])))
+                cosets = coset_intersection(cosets, CosetSet(not positive, frozenset([w])))
         clauses.append((order_lits, cosets))
 
     points, pieces = [], []

@@ -24,7 +24,6 @@ from densepairs.model import (
     rational_below,
     rational_between,
     section,
-    sqrt_enclosure,
 )
 
 MODEL = Model(3)
@@ -56,7 +55,7 @@ def test_primes_and_basis():
 
 def test_sqrt_enclosure_brackets_value():
     for p in (2, 3, 5, 7):
-        lo, hi = sqrt_enclosure(p, 40)
+        lo, hi = ModelElement({p: 1}).enclosure(40)
         assert lo * lo <= p <= hi * hi
         assert hi - lo == Fraction(1, 2**40)
 
