@@ -12,7 +12,7 @@ passes consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import GeneratorType
@@ -56,8 +56,11 @@ class Formula:
     hash costs one step per node however deep the tree is.  The `_plan`
     slot stays empty until the node is first evaluated, then holds what
     evaluation compiled from it (see `evaluate.eval_formula`; an atom
-    keeps its compiled form on its payload instead); equality, hashing and
-    copies ignore it."""
+    keeps its compiled form on its payload instead).  An atom's `_reading`
+    slot likewise stays empty until a witness oracle first solves it for a
+    bound variable, then holds what the search reads off it for that
+    variable (see `oracles._read`).  Equality, hashing and copies ignore
+    both."""
 
     __slots__ = ("_hash", "_plan")
 
@@ -117,6 +120,7 @@ FALSE = BoolConst(False)
 class Atom(Formula):
     kind: AtomKind
     payload: Term
+    _reading: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         want_home = self.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q)

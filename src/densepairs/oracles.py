@@ -1,14 +1,16 @@
 """Witness-search satisfiability oracles over the reference model.
 
 These decide single-variable conjunctions by direct construction and are
-the package's independent check on the symbolic eliminator.  Each
-literal on v is read as ``coeff * v + rest``, the rest being its payload
-evaluated under the assignment with v at zero, so it names one point: an
-equation pins v there, a disequation excludes it, and order literals cut
-the line (or the ordered quotient) down to an open interval.  For a
-home-sort v, membership and quotient literals constrain only the coset
-of v; they become ground literals on a stand-in for pi(v), which the
-same search solves first.
+the package's independent check on the symbolic eliminator.  Each atom
+is read once for each bound variable v, and the reading is kept on the
+atom for every later assignment: an equation or order atom on v is
+``coeff * (v - root)``, so under an assignment its root term names one
+point, and an equation pins v there, a disequation excludes it, and
+order literals cut the line (or the ordered quotient) down to an open
+interval.  For a home-sort v, membership and quotient atoms constrain
+only the coset of v; each is read as an atom on a stand-in for pi(v),
+with its parameters left symbolic, and the same search solves those
+first, under the same assignment.
 Density does the rest -- the rational line and every one of its cosets
 is dense in the model, and only finitely many points are ever excluded,
 so a witness can be found whenever one exists.  Every returned witness
@@ -23,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import InternalError, ModeError, NotGroundError, SortError
 from .evaluate import Assignment, eval_formula
-from .formulas import AtomKind, Formula, Not, literal_parts, quot_eq, quot_prec
+from .formulas import Atom, AtomKind, Formula, Not, literal_parts, quot_eq, quot_prec
 from .model import (
     ModelElement,
     QuotientElement,
@@ -115,9 +117,50 @@ def _home_candidates(
             yield base + ModelElement.from_rational(k)
 
 
-# the unknown coset pi(v) of a home-sort search; its literals are ground
-_COSET = Variable(Sort.QUOTIENT, 0)
-_ZERO = {Sort.HOME: ModelElement(), Sort.QUOTIENT: QuotientElement()}
+# the unknown coset pi(v) of a home-sort search, at an index that no parsed
+# or fresh variable has, so the caller's assignment stays in force around it
+_COSET = Variable(Sort.QUOTIENT, -1)
+# v's sort -> (equation kind, order kind) of its own literals
+_KINDS = {
+    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
+    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
+}
+
+
+def _read(atom: Atom, v: Variable) -> tuple:
+    """What the search for v needs of an atom, independent of the assignment:
+    (v, the parameters in reporting order, the root of an equation or order
+    atom on v, the side it bounds v from when positive (0 for an equation),
+    the coset atom and its negation for a membership or quotient atom on a
+    home v).  Made on the first call for v, with every form the search will
+    evaluate compiled, and kept on the atom; another v reads it afresh."""
+    reading = getattr(atom, "_reading", None)
+    if reading is not None and reading[0] == v:
+        return reading
+    payload = atom.payload
+    params = tuple(sorted(payload.variables() - {v}, key=Variable.sort_key))
+    payload.form()
+    coeff = payload.coeff(v)
+    root = side = coset = None
+    if coeff:
+        eq_kind, order_kind = _KINDS[v.sort]
+        if atom.kind is eq_kind or atom.kind is order_kind:
+            root = payload.root(v)
+            root.form()
+            # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0
+            side = 0 if atom.kind is eq_kind else 1 if coeff > 0 else -1
+        else:
+            # a membership or quotient literal on v: a literal on its coset
+            rest = payload.without(v)
+            if atom.kind is AtomKind.IN_Q:
+                rest = QuotientTerm.project_term(rest)
+            factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
+            watom = factory(QuotientTerm({_COSET: coeff}) + rest)
+            _read(watom, _COSET)
+            coset = (Not(watom), watom)
+    reading = (v, params, root, side, coset)
+    object.__setattr__(atom, "_reading", reading)
+    return reading
 
 
 def _solve(
@@ -125,43 +168,30 @@ def _solve(
 ) -> tuple[bool, ModelElement | QuotientElement | None]:
     """Search for a value of v satisfying literals whose parameters are bound."""
     home = v.sort is Sort.HOME
-    eq_kind, order_kind, cmp = (
-        (AtomKind.HOME_EQ, AtomKind.HOME_LT, compare)
-        if home
-        else (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, lex_compare)
-    )
+    cmp = compare if home else lex_compare
     pinned = None
     bounds: dict[int, _Bound | None] = {-1: None, 1: None}
     excluded = set()
     coset_literals: list[Formula] = []
-    at_zero = {**assignment, v: _ZERO[v.sort]}
     for lit in literals:
         atom, positive = literal_parts(lit)
-        coeff = atom.payload.coeff(v)
-        if coeff == 0:
+        _, _, root, side, coset = _read(atom, v)
+        if coset is not None:
+            coset_literals.append(coset[positive])
+            continue
+        if root is None:
             if not eval_formula(lit, assignment):
                 return False, None
             continue
-        rest = atom.payload.evaluate(at_zero)
-        if atom.kind is eq_kind:
-            point = rest.scale(-1 / coeff)
-            if not positive:
-                excluded.add(point)
-            elif pinned is None:
-                pinned = point
-        elif atom.kind is order_kind:
-            # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0;
-            # its negation bounds v weakly from the other side
-            side = 1 if (coeff > 0) == positive else -1
-            new = _Bound(rest.scale(-1 / coeff), positive)
-            bounds[side] = _tighten(bounds[side], new, cmp, side)
-        else:
-            # a membership or quotient literal on v: a literal on its coset
-            if atom.kind is AtomKind.IN_Q:
-                rest = project(rest)
-            factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
-            watom = factory(QuotientTerm({_COSET: coeff}, None, rest))
-            coset_literals.append(watom if positive else Not(watom))
+        point = root.evaluate(assignment)
+        if side:
+            # a negated order literal bounds v weakly from the other side
+            side = side if positive else -side
+            bounds[side] = _tighten(bounds[side], _Bound(point, positive), cmp, side)
+        elif not positive:
+            excluded.add(point)
+        elif pinned is None:
+            pinned = point
 
     lower, upper = bounds[-1], bounds[1]
     if pinned is None and lower is not None and upper is not None:
@@ -175,7 +205,7 @@ def _solve(
         return (True, pinned) if ok else (False, None)
 
     if home:
-        ok, coset = _solve(coset_literals, _COSET, {})
+        ok, coset = _solve(coset_literals, _COSET, assignment)
         if not ok:
             return False, None
         excluded = {p for p in excluded if project(p) == coset}
@@ -195,8 +225,7 @@ def _check_literals(
 ) -> None:
     """Reject a non-literal or a parameter the assignment leaves unbound."""
     for lit in literals:
-        atom, _ = literal_parts(lit)
-        for var in sorted(atom.payload.variables() - {v}, key=Variable.sort_key):
+        for var in _read(literal_parts(lit)[0], v)[1]:
             if var not in assignment:
                 raise NotGroundError(f"{var} is not bound by the assignment")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FreeVariableError, NotConjunctionError, SortError
-from .evaluate import atoms, eval_formula
+from .evaluate import eval_formula
 from .formulas import (
     TRUE,
     Atom,
@@ -182,6 +182,22 @@ def _prune(conjuncts: list[Formula]) -> list[Formula]:
     return kept
 
 
+def _mentions(f: Formula, v: Variable) -> bool:
+    """Whether v occurs in the quantifier-free f, by a walk on a stack that
+    compiles and keeps nothing on the nodes."""
+    pending = [f]
+    while pending:
+        g = pending.pop()
+        if isinstance(g, Atom):
+            if g.payload.coeff(v):
+                return True
+        elif isinstance(g, Not):
+            pending.append(g.sub)
+        elif isinstance(g, (And, Or)):
+            pending.extend(g.children)
+    return False
+
+
 def _qe(f: Formula) -> Formula:
     """Eliminate quantifiers innermost first.  Atoms are folded and connectives rebuilt
     on the way up as `simplify` does, so every body and the result are simplified."""
@@ -192,7 +208,7 @@ def _qe(f: Formula) -> Formula:
         body, v = (yield g.body), g.var
         inside, pulled = [], []  # the conjuncts with v, and those without it
         for c in body.children if isinstance(body, And) else (body,):
-            (inside if any(a.payload.coeff(v) for a in atoms(c)) else pulled).append(c)
+            (inside if _mentions(c, v) else pulled).append(c)
         if not inside:
             inside, pulled = pulled, inside  # a vacuous quantifier still puts its body in DNF
         return make_and(_prune(pulled + [_eliminate(make_and(inside), v)]))

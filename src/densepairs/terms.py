@@ -123,20 +123,23 @@ class _Term:
         )
         return scale, terms, {k: q.numerator * (scale // q.denominator) for k, q in const.items()}
 
+    def form(self) -> tuple:
+        """The integer form, compiled on the first call and kept."""
+        if self._form is None:
+            self._form = self._compile()
+        return self._form
+
     def numerators(self, assignment) -> tuple[int, dict[int, int]]:
         """(D, {k: n_k}) with the value under the assignment sum(n_k * sqrt(k)) / D,
         sqrt(0) read as 1, for D > 0 and integers n_k, some of them maybe 0.
 
-        The form is compiled on the first call and kept; each value's cached
+        The form is the term's `form()`; each value's cached
         numerators are brought to one common denominator d and added in, so
         D = L * d.  An unbound home variable is reported at once, an unbound
         quotient variable after the rest, and a value of the wrong sort
         raises TypeError.  The map may be the form's own: never change it.
         """
-        form = self._form
-        if form is None:
-            form = self._form = self._compile()
-        scale, terms, nums = form
+        scale, terms, nums = self._form or self.form()
         if not terms:
             return scale, nums
         d = 1

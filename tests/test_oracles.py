@@ -3,14 +3,16 @@ and the density axioms the engine relies on."""
 
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from densepairs.errors import ModeError, NotGroundError, SortError
+from densepairs import oracles, terms
+from densepairs.errors import ModeError, NotGroundError, ParseError, SortError
 from densepairs.evaluate import eval_formula
-from densepairs.formulas import TheoryMode, make_and
+from densepairs.formulas import TheoryMode, literal_parts, make_and
 from densepairs.model import Model, ModelElement, QuotientElement, compare, lex_compare
 from densepairs.oracles import oracle_exists_home, oracle_exists_quotient
 from densepairs.parser import parse, parse_element, parse_quotient_element
@@ -226,6 +228,87 @@ def test_bound_variable_named_like_the_coset_stand_in():
     ok, w = oracle_exists_home(literals, hvar(1), sigma)
     assert ok and eval_formula(make_and(literals), {**sigma, hvar(1): w})
     assert oracle_exists_home(lits("pi(x1) = u0", "Q(x1)"), hvar(1), sigma) == (False, None)
+    # the coset stand-in is solved under the caller's assignment, u0 included
+    for texts, verdict in [
+        (["Q(x1 - x2)", "pi(x1) prec u0", "x1 < 0"], True),
+        (["!Q(x1)", "pi(x1) prec u0", "u0 prec pi(x1)"], False),
+        (["Q(x1 - x2)", "!(u0 prec pi(x1))", "x1 != x2"], True),
+    ]:
+        given = {**sigma, hvar(2): parse_element("r3 - 1/2")}
+        literals = lits(*texts, mode=TheoryMode.POVS_PREC)
+        ok, w = oracle_exists_home(literals, hvar(1), given)
+        assert ok is verdict, texts
+        assert not ok or eval_formula(make_and(literals), {**given, hvar(1): w}), texts
+    # and no text names the stand-in
+    stand_in = oracles._COSET
+    assert stand_in.sort is Sort.QUOTIENT and stand_in.index < 0
+    for text in (f"{stand_in} = 0", f"pi(x1) prec {stand_in}", f"E {stand_in}. {stand_in} = 0"):
+        with pytest.raises(ParseError):
+            parse(text, TheoryMode.POVS_PREC)
+
+
+def test_the_reading_kept_on_an_atom_is_keyed_by_the_bound_variable():
+    # one set of literal objects solved for x1, then x2, then x1 again; a
+    # pickled copy of them carries no reading and must give the same answer
+    literals = lits("x1 < x2", "Q(x1 - x2)", "pi(x1) = pi(x2)", "x1 != 2*x2")
+    runs = [
+        (hvar(1), {hvar(2): parse_element("r2 + 1/3")}),
+        (hvar(2), {hvar(1): parse_element("r3")}),
+        (hvar(1), {hvar(2): parse_element("-1 - r2")}),
+        (hvar(2), {hvar(1): parse_element("1/2 + r2")}),
+    ]
+    atoms = [literal_parts(lit)[0] for lit in literals]
+    for v, sigma in runs:
+        fresh = pickle.loads(pickle.dumps(literals))
+        assert not any(hasattr(literal_parts(lit)[0], "_reading") for lit in fresh)
+        answer = oracle_exists_home(literals, v, sigma)
+        assert answer == oracle_exists_home(fresh, v, sigma), v
+        assert all(atom._reading[0] == v for atom in atoms)
+        assert not answer[0] or eval_formula(make_and(literals), {**sigma, v: answer[1]})
+
+
+def test_golden_oracle_cases_answer_alike_on_a_warm_pass():
+    # the second pass over the same literal objects reads what the first kept
+    calls = []
+    for theory, bound, texts, sigma_texts, verdict, witness in GOLDEN_ORACLE_CASES:
+        mode = TheoryMode(theory)
+        sigma = {_var(name): _element(name, value) for name, value in sigma_texts.items()}
+        calls.append((lits(*texts, mode=mode), _var(bound), sigma, mode, (verdict, witness)))
+    for _ in ("cold", "warm"):
+        for literals, bound, sigma, mode, expected in calls:
+            ok, w = _call_oracle(literals, bound, sigma, mode)
+            assert (ok, None if w is None else w.to_json()) == expected
+
+
+@pytest.mark.parametrize("mode", [TheoryMode.POVS, TheoryMode.POVS_PREC])
+@pytest.mark.parametrize("sort", [Sort.HOME, Sort.QUOTIENT])
+def test_oracle_calls_after_the_first_compile_and_build_no_term(monkeypatch, mode, sort):
+    # a work count, not a time: once a conjunction has been read for its
+    # bound variable, each further assignment only evaluates what was kept
+    rng = random.Random(2020)
+    bound = hvar(0) if sort is Sort.HOME else qvar(0)
+    context = [hvar(1), hvar(2), qvar(1), qvar(2)]
+    counts = {"compile": 0, "init": 0}
+    compile_, init = terms._Term._compile, terms.QuotientTerm.__init__
+
+    def counted_compile(self):
+        counts["compile"] += 1
+        return compile_(self)
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(terms._Term, "_compile", counted_compile)
+    monkeypatch.setattr(terms.QuotientTerm, "__init__", counted_init)
+    for _ in range(5):
+        literals = random_conjunction(rng, bound, context, MODEL, mode, 6)
+        sigmas = [random_assignment(rng, context, MODEL) for _ in range(20)]
+        _call_oracle(literals, bound, sigmas[0], mode)
+        counts.update(compile=0, init=0)
+        for sigma in sigmas[1:]:
+            _call_oracle(literals, bound, sigma, mode)
+        assert counts == {"compile": 0, "init": 0}, [str(lit) for lit in literals]
 
 
 # Oracle outputs pinned at the commit before the two witness searches became

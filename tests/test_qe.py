@@ -599,3 +599,16 @@ def test_long_chains_eliminate_within_time_gate(family):
     elapsed = time.perf_counter() - start
     assert_equivalent(g, parse(answer, mode), f, random.Random(40), count=20)
     assert elapsed < 5.0, f"{family} n=40 took {elapsed:.1f} s"
+
+
+def test_conjuncts_pulled_out_of_a_scope_get_no_evaluation_plan(monkeypatch):
+    # the occurrence test that sorts a body's conjuncts reads their atoms
+    # without compiling a plan onto the conjuncts it pulls out
+    seen = []
+    prune = qe_module._prune
+    monkeypatch.setattr(qe_module, "_prune", lambda cs: seen.extend(cs) or prune(cs))
+    text, mode, _ = CHAINS["chain"]
+    assert render(qe(parse(text(3), mode), mode)) == "2/3*r3 < x92 & x91 < 2/3*r3 | x91 < x92"
+    pulled = parse("Q(x1 - r2) | x1 = 2/3*r3")
+    assert pulled in seen
+    assert all(getattr(c, "_plan", None) is None for c in seen), [str(c) for c in seen]
