@@ -3,20 +3,22 @@
 Every such set is a finite set of points plus finitely many disjoint
 pieces of the form (a, b) intersected with the preimage of a finite or
 cofinite set of cosets.  The algorithm: eliminate quantifiers and read
-the atoms of the result once.  Each order atom names an endpoint
-candidate, and each membership or quotient atom names the one coset it
-pins.  On an open cell between two endpoints every order atom has a
-constant truth value, so the formula sees the coset of its variable
-only through which named coset, if any, holds it.  The cell's pattern
-is therefore read from one sample in each named coset and one in a
-coset outside them all: the outside sample decides finite or cofinite,
-and the named cosets whose samples differ from it are the members.  No
-normal form is built.  One left-to-right sweep over the cells reads each
-pattern and, at each endpoint, decides whether the endpoint is a listed
-point and whether its cell coalesces with the previous piece (whenever
-that preserves the denoted set).  The output is canonical and ascending
-as it comes: equal sets yield equal decompositions no matter which
-formula defined them, and no caller sorts or coalesces it again.
+the atoms of the result once.  Each order atom on the variable names an
+endpoint candidate, and each membership or quotient atom on it names the
+one coset it pins; other free variables may stay in the result, to be
+assigned when the roots are evaluated.  On an open cell between two
+endpoints every order atom has a constant truth value, so the formula
+sees the coset of its variable only through which named coset, if any,
+holds it.  The cell's pattern is therefore read from one sample in each
+named coset and one in a coset outside them all: the outside sample
+decides finite or cofinite, and the named cosets whose samples differ
+from it are the members.  No normal form is built.  One left-to-right
+sweep over the cells reads each pattern and, at each endpoint, decides
+whether the endpoint is a listed point and whether its cell coalesces
+with the previous piece (whenever that preserves the denoted set).  The
+output is canonical and ascending as it comes: equal sets yield equal
+decompositions no matter which formula defined them, and no caller sorts
+or coalesces it again.
 
 The sweep needs only a membership test, endpoints and named cosets, so
 it also does set algebra on decompositions without a formula: `sweep`
@@ -221,19 +223,43 @@ def decompose(
     """The canonical decomposition of the set defined by f in the variable v."""
     if v.sort is not Sort.HOME:
         raise ArityError(f"{v} is not a home-sort variable")
-    g = qe(ground(f, {v}, assignment), TheoryMode.POVS)
+    return reading(qe(ground(f, {v}, assignment), TheoryMode.POVS), v)({})
 
-    # qe folds every ground atom, so each atom of g mentions v: an order
-    # atom names an endpoint, a coset atom names the one coset it pins
-    endpoints: set[ModelElement] = set()
-    named: set[QuotientElement] = set()
+
+def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
+    """The decomposer of a quantifier-free g in the home variable v: it maps
+    an assignment of g's other free variables to the canonical decomposition
+    of the set g then defines in v.
+
+    The atoms of g are read once.  An atom on v has a root in the other
+    variables: an order atom's root is an endpoint, a coset atom's root
+    names the one coset it pins.  An atom without v is constant under any
+    assignment and marks nothing.  Each assignment then only evaluates the
+    roots, and g's evaluation plan is compiled once for every sweep."""
+    landmarks = []  # (root, whether it is an endpoint, whether it is projected)
     for atom in atoms(g):
-        point = atom.payload.root(v).constant
-        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
-            endpoints.add(point)
-        else:
-            named.add(project(point) if atom.kind is AtomKind.IN_Q else point)
-    return _sweep(lambda m: eval_formula(g, {v: m}), endpoints, named)
+        if atom.payload.coeff(v):
+            order = atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT)
+            landmarks.append((atom.payload.root(v), order, atom.kind is AtomKind.IN_Q))
+
+    def read(assignment: Assignment) -> Decomposition:
+        endpoints: set[ModelElement] = set()
+        named: set[QuotientElement] = set()
+        for root, order, under_pi in landmarks:
+            point = root.constant if root.is_ground() else root.evaluate(assignment)
+            if order:
+                endpoints.add(point)
+            else:
+                named.add(project(point) if under_pi else point)
+        at = dict(assignment)
+
+        def holds(m: ModelElement) -> bool:
+            at[v] = m
+            return eval_formula(g, at)
+
+        return _sweep(holds, endpoints, named)
+
+    return read
 
 
 def sweep(

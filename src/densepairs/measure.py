@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import decompose
-from .errors import InternalError
+from .decomposition import Decomposition, decompose, reading
+from .errors import InternalError, NotGroundError
 from .evaluate import Assignment
-from .formulas import Formula, home_lt, make_and
+from .formulas import Formula, TheoryMode, free_variables, home_lt, make_and
 from .model import ModelElement, compare
-from .terms import HomeTerm, Variable
+from .qe import qe
+from .terms import VALUE_CLASS, HomeTerm, Variable
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,14 @@ def _unit_window(f: Formula, v: Variable) -> Formula:
 
 
 def measure(f: Formula, v: Variable, assignment: Assignment | None = None) -> MeasureValue:
-    """The measure of the set defined by f in v, concentrated on (0, 1).
+    """The measure of the set defined by f in v, concentrated on (0, 1)."""
+    return _window_measure(decompose(_unit_window(f, v), v, assignment))
 
-    Only pieces meeting all but finitely many cosets carry length; the
-    rest of the decomposition is coset-coverable, hence null.
-    """
-    d = decompose(_unit_window(f, v), v, assignment)
+
+def _window_measure(d: Decomposition) -> MeasureValue:
+    """The measure of a set inside the unit window.  Only pieces meeting all
+    but finitely many cosets carry length; the rest of the decomposition is
+    coset-coverable, hence null."""
     total = ModelElement()
     for piece in d.pieces:
         if piece.cosets.cofinite:
@@ -61,11 +64,18 @@ def measure(f: Formula, v: Variable, assignment: Assignment | None = None) -> Me
 
 
 def bucket_index(value: ModelElement, k: int) -> int:
-    """The j in 1..k with (j-1)/k <= value <= j/k, ties going down."""
-    for j in range(1, k + 1):
-        if compare(value, ModelElement.from_rational(Fraction(j, k))) <= 0:
-            return j
-    raise InternalError(f"value {value} above 1")
+    """The least j in 1..k with value <= j/k, so (j-1)/k < value <= j/k on
+    (0, 1], ties going down; found by bisection."""
+    if compare(value, ModelElement.from_rational(1)) > 0:
+        raise InternalError(f"value {value} above 1")
+    lo, hi = 1, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if compare(value, ModelElement.from_rational(Fraction(mid, k))) <= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -102,11 +112,43 @@ class BucketReport:
 def bucket_partition(
     f: Formula, v: Variable, params: Sequence[Assignment], k: int
 ) -> BucketReport:
+    """The measures of the family f(v; params) at each parameter tuple,
+    bucketed into k bands.
+
+    Elimination is uniform in the parameters, so the family's unit window
+    is eliminated once, with its parameters free, and each tuple costs one
+    evaluation of the landmark roots and one sweep (`decomposition.reading`).
+    Errors come in the order a per-tuple `measure` would raise them:
+    ValueError for k < 1; then, with no tuple, an empty report that never
+    looks at f or v; SortError for a v that is not home-sort; NotGroundError
+    or TypeError for the first tuple's unbound or ill-sorted parameter;
+    ModeError from the elimination; and the same two for any later tuple.
+    Every free parameter of f must be bound to a value of its sort, even
+    one that the elimination drops.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not params:
+        return BucketReport(k, ())
+    window = _unit_window(f, v)
+    free = sorted(free_variables(window) - {v}, key=lambda w: w.sort_key())
+    _check_parameters(free, params[0])
+    read = reading(qe(window, TheoryMode.POVS), v)
     entries = []
     for assignment in params:
-        mv = measure(f, v, assignment)
+        _check_parameters(free, assignment)
+        value = _window_measure(read(assignment)).value
         ordered = tuple(sorted(assignment.items(), key=lambda kv: kv[0].sort_key()))
-        entries.append(BucketEntry(ordered, bucket_index(mv.value, k), mv.value))
+        entries.append(BucketEntry(ordered, bucket_index(value, k), value))
     return BucketReport(k, tuple(entries))
+
+
+def _check_parameters(free: list[Variable], assignment: Assignment) -> None:
+    """Raise as grounding would on the first of free, in sort order, that the
+    assignment leaves unbound or binds to a value of the other sort."""
+    for var in free:
+        if var not in assignment:
+            raise NotGroundError(f"{var} is not bound by the assignment")
+        value, want = assignment[var], VALUE_CLASS[var.sort]
+        if type(value) is not want:
+            raise TypeError(f"{var} is assigned a {type(value).__name__}, not a {want.__name__}")

@@ -1,20 +1,30 @@
 """Exact measure values, additivity, monotonicity, and bucket reports."""
 
+import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from densepairs import formulas
 from densepairs.decomposition import decompose, is_small
-from densepairs.errors import NotGroundError
+from densepairs.errors import InternalError, ModeError, NotGroundError, SortError
 from densepairs.evaluate import eval_formula
-from densepairs.formulas import FALSE, TheoryMode, make_and, make_not, make_or
-from densepairs.measure import BucketReport, bucket_index, bucket_partition, measure
-from densepairs.model import Model, ModelElement, compare
+from densepairs.formulas import FALSE, AtomKind, TheoryMode, all_atoms, make_and, make_not, make_or
+from densepairs.measure import (
+    BucketEntry,
+    BucketReport,
+    bucket_index,
+    bucket_partition,
+    measure,
+)
+from densepairs.model import Model, ModelElement, QuotientElement, compare
 from densepairs.parser import parse, parse_element
 from densepairs.qe import qe
-from densepairs.randgen import random_qf_formula
-from densepairs.terms import hvar
+from densepairs.randgen import random_element, random_qf_formula, random_quotient_element
+from densepairs.terms import hvar, qvar
 
 MODEL = Model(3)
 X = hvar(1)
@@ -171,3 +181,205 @@ def test_report_serialization():
     assert data["k"] == 10
     assert data["assignments"][0]["params"] == {"x2": {"0": "1/4"}}
     assert data["assignments"][0]["bucket"] == 3
+
+
+# ---------------------------------------------------------------------------
+# bucket_partition against the per-tuple loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_bucket_index(value, k):
+    """The linear scan bucket_index ran before it bisected."""
+    for j in range(1, k + 1):
+        if compare(value, ModelElement.from_rational(Fraction(j, k))) <= 0:
+            return j
+    raise InternalError(f"value {value} above 1")
+
+
+def reference_bucket_partition(f, v, params, k):
+    """The loop bucket_partition ran before it eliminated the family once:
+    one full `measure`, with its grounding and elimination, per tuple."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    entries = []
+    for assignment in params:
+        value = measure(f, v, assignment).value
+        ordered = tuple(sorted(assignment.items(), key=lambda kv: kv[0].sort_key()))
+        entries.append(BucketEntry(ordered, reference_bucket_index(value, k), value))
+    return BucketReport(k, tuple(entries))
+
+
+R2 = parse_element("r2")
+
+
+def test_bucket_index_bisects_like_the_linear_scan():
+    def element(q):
+        return ModelElement.from_rational(q)
+
+    for k in range(1, 61):
+        for j in range(0, k + 1):
+            at = Fraction(j, k)
+            for value in (element(at), element(at - Fraction(1, 1000 * k))):
+                assert bucket_index(value, k) == reference_bucket_index(value, k), (k, value)
+            above = element(at + Fraction(1, 1000 * k))
+            if j < k:
+                assert bucket_index(above, k) == reference_bucket_index(above, k), (k, above)
+            else:
+                with pytest.raises(InternalError):
+                    bucket_index(above, k)
+        irrationals = [element(Fraction(2)) - R2, R2 - element(Fraction(1)), R2.scale(Fraction(1, 2))]
+        irrationals += [element(Fraction(j, k)) - R2.scale(Fraction(1, 10**6)) for j in (1, k)]
+        for value in irrationals:
+            assert bucket_index(value, k) == reference_bucket_index(value, k), (k, value)
+
+
+def test_bucket_index_is_fast_for_large_k():
+    start = time.perf_counter()
+    assert bucket_index(ModelElement.from_rational(2) - R2, 10**6) == 585787
+    assert bucket_index(ModelElement.from_rational(1), 10**6) == 10**6
+    assert bucket_index(ModelElement(), 10**6) == 1
+    assert time.perf_counter() - start < 0.1
+
+
+QUANTIFIED_FAMILY = "E x4. (x2 < x4 & x4 < x1 & x1 < x3 + x4 & (Q(x4) | x4 < x3))"
+
+
+def family_corpus(seed=2121, families=44):
+    """(family, params, k): seeded families in x1 with home parameters x2,
+    x3 and the quotient parameter u1, then the quantified family."""
+    rng = random.Random(seed)
+    variables = [X, hvar(2), hvar(3), qvar(1)]
+    interval = parse("x2 < x1 & x1 < x3")
+
+    def home():  # mostly near the unit window
+        rational = ModelElement.from_rational(Fraction(rng.randint(-2, 10), 8))
+        return rational + random_element(rng, MODEL, 1).scale(Fraction(1, 4))
+
+    def tuples(n):
+        return [
+            {hvar(2): home(), hvar(3): home(), qvar(1): random_quotient_element(rng, MODEL, 1)}
+            for _ in range(n)
+        ]
+
+    ks = (1, 5, 10, 100)
+    out = []
+    for i in range(families):
+        f = random_qf_formula(rng, variables, MODEL, TheoryMode.POVS, depth=rng.choice((2, 3)))
+        f = (make_and, make_or, lambda fs: fs[0])[i % 3]([f, interval])
+        out.append((f, tuples(rng.randint(1, 6)), ks[i % 4]))
+    for k in ks:
+        out.append((parse(QUANTIFIED_FAMILY), tuples(6), k))
+    return out
+
+
+def test_bucket_partition_matches_the_per_tuple_loop():
+    corpus = family_corpus()
+    kinds = {
+        a.kind
+        for f, _, _ in corpus
+        for a in all_atoms(f)
+        if a.payload.coeff(X) and a.payload.variables() - {X}
+    }
+    # coset and quotient atoms on x1 that also hold a parameter
+    assert {AtomKind.IN_Q, AtomKind.QUOT_EQ} <= kinds
+    measures = set()
+    for f, params, k in corpus:
+        got = bucket_partition(f, X, params, k).to_json()
+        want = reference_bucket_partition(f, X, params, k).to_json()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), str(f)
+        measures.update(json.dumps(e["measure"], sort_keys=True) for e in got["assignments"])
+    assert len(measures) > 20  # not only 0 and 1
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
+def test_bucket_partition_raises_what_the_per_tuple_loop_raised_first():
+    half = ModelElement.from_rational(Fraction(1, 2))
+    coset = QuotientElement({2: Fraction(1)})
+    bound = {hvar(2): half, qvar(1): coset, qvar(2): coset}
+    unbound = {qvar(1): coset, qvar(2): coset}
+    family = parse("x1 < x2 & pi(x1) != u1")
+    prec_family = parse("x1 < x2 & u1 prec u2", TheoryMode.POVS_PREC)
+    cases = [
+        # k is checked before anything else
+        (family, X, [unbound], 0, ValueError),
+        # no tuple: f and v are never looked at
+        (prec_family, qvar(1), [], 5, None),
+        # the window rejects a quotient-sort v first
+        (prec_family, qvar(1), [unbound], 5, SortError),
+        # an unbound parameter in the first and in the third tuple
+        (family, X, [unbound, bound, bound], 5, NotGroundError),
+        (family, X, [bound, bound, unbound], 5, NotGroundError),
+        # a first tuple's unbound parameter comes before the mode
+        (prec_family, X, [unbound, bound], 5, NotGroundError),
+        (prec_family, X, [bound, unbound], 5, ModeError),
+        # a parameter the elimination drops is still checked for its sort
+        (parse("x1 < 1/2 & E x3. x3 < x2"), X, [bound, {hvar(2): coset}], 5, TypeError),
+        (parse("x1 < 1/2 & E u3. u3 = u1"), X, [{qvar(1): half}], 5, TypeError),
+    ]
+    for f, v, params, k, error in cases:
+        if error is None:
+            assert bucket_partition(f, v, params, k) == BucketReport(k, ())
+            assert reference_bucket_partition(f, v, params, k) == BucketReport(k, ())
+            continue
+        got = raised(lambda: bucket_partition(f, v, params, k))
+        want = raised(lambda: reference_bucket_partition(f, v, params, k))
+        assert got[0] is want[0] is error, (str(f), params, got, want)
+        if error is not TypeError:  # the TypeError's text is the one that changed
+            assert got == want
+    missing = raised(lambda: bucket_partition(family, X, [bound, unbound], 5))
+    assert missing == (NotGroundError, "x2 is not bound by the assignment")
+
+
+def test_bucket_partition_eliminates_the_family_once(monkeypatch):
+    # qe runs once for all 20 tuples and nothing is grounded; decompose
+    # still grounds and eliminates its one formula
+    counts = {"qe": 0, "ground": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densepairs"):
+            for attr in ("qe", "ground"):
+                fn = getattr(module, attr, None)
+                if callable(fn):
+                    monkeypatch.setattr(module, attr, counting(attr, fn))
+    family = parse("x2 < x1 & x1 < x3 & pi(x1) != u1")
+    rng = random.Random(77)
+    params = [
+        {
+            hvar(2): random_element(rng, MODEL, 1),
+            hvar(3): random_element(rng, MODEL, 1),
+            qvar(1): random_quotient_element(rng, MODEL, 1),
+        }
+        for _ in range(20)
+    ]
+    report = bucket_partition(family, X, params, 10)
+    assert len(report.entries) == 20
+    assert counts == {"qe": 1, "ground": 0}
+    counts.update(qe=0, ground=0)
+    decompose(family, X, params[0])
+    assert counts == {"qe": 1, "ground": 1}
+
+
+def test_bucket_partition_scans_the_family_as_often_for_one_tuple_as_for_twenty(monkeypatch):
+    # one scan for the parameters and one as qe admits the window
+    family = parse(QUANTIFIED_FAMILY)
+    params = [{hvar(2): parse_element(f"{i}/20"), hvar(3): parse_element("1/2")} for i in range(20)]
+    calls = []
+    scan = formulas._scan
+    monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
+    bucket_partition(family, X, params[:1], 10)
+    assert len(calls) == 2
+    calls.clear()
+    bucket_partition(family, X, params, 10)
+    assert len(calls) == 2
