@@ -3,29 +3,31 @@
 Every such set is a finite set of points plus finitely many disjoint
 pieces of the form (a, b) intersected with the preimage of a finite or
 cofinite set of cosets.  The algorithm: eliminate quantifiers and read
-the atoms of the result once.  Each order atom on the variable names an
-endpoint candidate, and each membership or quotient atom on it names the
-one coset it pins; other free variables may stay in the result, to be
-assigned when the roots are evaluated.  On an open cell between two
-endpoints every order atom has a constant truth value, so the formula
-sees the coset of its variable only through which named coset, if any,
-holds it.  The cell's pattern is therefore read from one sample in each
-named coset and one in a coset outside them all: the outside sample
-decides finite or cofinite, and the named cosets whose samples differ
-from it are the members.  No normal form is built.  One left-to-right
-sweep over the cells reads each pattern and, at each endpoint, decides
-whether the endpoint is a listed point and whether its cell coalesces
-with the previous piece (whenever that preserves the denoted set).  The
-output is canonical and ascending as it comes: equal sets yield equal
-decompositions no matter which formula defined them, and no caller sorts
-or coalesces it again.
+the atoms of the result once.  Each order atom on the variable has a
+root, an endpoint, and each membership or quotient atom on it a root
+naming the one coset it pins; other free variables may stay in the
+result, to be assigned when the roots are evaluated.  Where the variable
+sits decides every atom on it: an order atom by its rank against the
+endpoint and the sign of its coefficient, a coset atom by whether it
+lies in the coset.  So on an open cell the formula sees only which named
+coset, if any, holds the variable, and a truth table built from the
+ranks is read at each named coset and at a coset outside them all: the
+outside reading decides finite or cofinite, and the named cosets that
+differ from it are the members.  No normal form and no point is built.
+One left-to-right sweep over the cells reads each pattern and, at each
+endpoint, decides whether the endpoint is a listed point and whether its
+cell coalesces with the previous piece (whenever that preserves the
+denoted set).  The output is canonical and ascending as it comes: equal
+sets yield equal decompositions no matter which formula defined them,
+and no caller sorts or coalesces it again.
 
-The sweep needs only a membership test, endpoints and named cosets, so
-it also does set algebra on decompositions without a formula: `sweep`
-takes the landmarks of the given decompositions (their points, finite
-piece ends and listed cosets), between which each of them sees a point
-only through the named coset holding it, and decomposes any test built
-from their memberships.
+The sweep needs only a test, endpoints and named cosets, so `sweep` also
+does set algebra on decompositions without a formula: it takes their
+points, finite piece ends and listed cosets as landmarks, between which
+each of them sees a point only through the named coset holding it, and
+decomposes any test built from their memberships, asked at sample points
+(one per named coset and one outside them in each cell), the only sample
+points built.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from itertools import count
 from typing import Callable, Iterable
 
 from .errors import ArityError
-from .evaluate import Assignment, atoms, eval_formula
+from .evaluate import Assignment, atoms, run
 from .formulas import (
     AtomKind,
     Formula,
     TheoryMode,
     all_variables,
+    eval_atom,
     fresh_variable,
     ground,
     substitute,
@@ -231,33 +234,42 @@ def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
     an assignment of g's other free variables to the canonical decomposition
     of the set g then defines in v.
 
-    The atoms of g are read once.  An atom on v has a root in the other
-    variables: an order atom's root is an endpoint, a coset atom's root
-    names the one coset it pins.  An atom without v is constant under any
-    assignment and marks nothing.  Each assignment then only evaluates the
-    roots, and g's evaluation plan is compiled once for every sweep."""
-    landmarks = []  # (root, whether it is an endpoint, whether it is projected)
-    for atom in atoms(g):
-        if atom.payload.coeff(v):
-            order = atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT)
-            landmarks.append((atom.payload.root(v), order, atom.kind is AtomKind.IN_Q))
+    The atoms of g are read once.  An atom on v holds or fails by where v
+    sits against its root in the other variables: an order atom by the rank
+    of v against that endpoint and the sign of v's coefficient, a coset atom
+    by whether v lies in the one coset the root names.  Each assignment then
+    evaluates only the roots and the atoms without v and sorts the endpoints;
+    the sweep runs g's one evaluation plan over the truth table this gives."""
+    order = (AtomKind.HOME_EQ, AtomKind.HOME_LT)
+    on_v, off_v = [], []  # the distinct atoms with and without v
+    for atom in dict.fromkeys(atoms(g)):
+        if a := atom.payload.coeff(v):
+            on_v.append((atom, atom.kind, atom.payload.root(v), a > 0))
+        else:
+            off_v.append(atom)
 
     def read(assignment: Assignment) -> Decomposition:
-        endpoints: set[ModelElement] = set()
-        named: set[QuotientElement] = set()
-        for root, order, under_pi in landmarks:
-            point = root.constant if root.is_ground() else root.evaluate(assignment)
-            if order:
-                endpoints.add(point)
+        roots = [(atom, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
+                 for atom, kind, r, up in on_v]
+        ends = sorted({r for _, kind, r, _ in roots if kind in order})
+        rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
+        top = 2 * len(ends) + 1
+        # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
+        table = {atom: (-1, top) if eval_atom(atom, assignment) else (0, 0) for atom in off_v}
+        for atom, kind, r, up in roots:
+            if kind is AtomKind.HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
+                table[atom] = (-1, rank[r]) if up else (rank[r], top)
+            elif kind is AtomKind.HOME_EQ:
+                table[atom] = (rank[r] - 1, rank[r] + 1)
             else:
-                named.add(project(point) if under_pi else point)
-        at = dict(assignment)
+                table[atom] = project(r) if kind is AtomKind.IN_Q else r
+        named = {t for t in table.values() if type(t) is not tuple}
 
-        def holds(m: ModelElement) -> bool:
-            at[v] = m
-            return eval_formula(g, at)
+        def truth(atom, at) -> bool:
+            t = table[atom]
+            return t[0] < at[0] < t[1] if type(t) is tuple else t == at[1]
 
-        return _sweep(holds, endpoints, named)
+        return _sweep(lambda i, w: run(g, truth, (i, w)), ends, named)
 
     return read
 
@@ -268,7 +280,8 @@ def sweep(
     """The canonical decomposition of the points where holds is true, for a
     test that sees a point only through which of the decompositions hold it:
     their points and finite piece ends are the endpoints, and their listed
-    cosets the named cosets."""
+    cosets the named cosets.  It is asked at each endpoint and, in each
+    cell, at one sample per named coset and one outside them all."""
     endpoints: set[ModelElement] = set()
     named: set[QuotientElement] = set()
     for d in decompositions:
@@ -276,33 +289,40 @@ def sweep(
         for p in d.pieces:
             endpoints.update(e.value for e in (p.lo, p.hi) if e.is_finite())
             named.update(p.cosets.members)
-    return _sweep(holds, endpoints, named)
-
-
-def _sweep(
-    holds: Callable[[ModelElement], bool],
-    endpoints: set[ModelElement],
-    named: set[QuotientElement],
-) -> Decomposition:
-    """The canonical decomposition of the points where holds is true, for a
-    test whose truth on each open cell between consecutive endpoints depends
-    only on which named coset, if any, holds the point."""
+    ends = sorted(endpoints)
+    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, ends), Endpoint.pos_inf()]
     # the first coset of r2, 2*r2, 3*r2, ... that is not named
     outside = next(w for k in count(1) if (w := QuotientElement({2: k})) not in named)
 
+    def at(i: int, w: QuotientElement | None) -> bool:
+        j, w = i // 2, outside if w is None else w
+        return holds(ends[j] if i % 2 else _sample_inside(bounds[j], bounds[j + 1], w))
+
+    return _sweep(at, ends, named)
+
+
+def _sweep(
+    holds: Callable[[int, QuotientElement | None], bool],
+    ends: list[ModelElement],
+    named: set[QuotientElement],
+) -> Decomposition:
+    """The canonical decomposition of the points where holds is true, for a
+    test asked at positions: holds(i, w) covers, in the coset w, the open
+    cell just below ends[i // 2] (or +inf) for even i and ends[i // 2] itself
+    for odd i.  In a cell w is a named coset or None, for any other coset;
+    at an endpoint it is the endpoint's own coset."""
     # one left-to-right sweep over the cells: each endpoint is decided as
     # the cell after it is read, so points and pieces come out ascending
     points: list[ModelElement] = []
     pieces: list[NearInterval] = []
     last = CosetSet.none()  # the previous cell's pattern
-    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
-    for lo, hi in zip(bounds, bounds[1:]):
-        # the outside sample decides finite or cofinite, and the named
-        # cosets whose samples differ from it are the members
-        cofinite = holds(_sample_inside(lo, hi, outside))
+    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, ends), Endpoint.pos_inf()]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # the outside coset decides finite or cofinite, and the named
+        # cosets that differ from it are the members
+        cofinite = holds(2 * i, None)
         pattern = CosetSet(
-            cofinite,
-            frozenset(w for w in named if holds(_sample_inside(lo, hi, w)) != cofinite),
+            cofinite, frozenset(w for w in named if holds(2 * i, w) != cofinite)
         )
         # the last piece ends at lo and has this pattern: merge across lo
         # unless the merged piece would claim lo while the set omits it (a
@@ -310,8 +330,9 @@ def _sweep(
         merge = not pattern.is_empty() and pattern == last
         if lo.is_finite():
             e = lo.value
-            in_set = holds(e)
-            claimed = merge and pattern.contains(project(e))
+            own = project(e)
+            in_set = holds(2 * i - 1, own)
+            claimed = merge and pattern.contains(own)
             if claimed and not in_set:
                 merge = False  # lo is a hole
             elif in_set and not claimed:

@@ -7,13 +7,16 @@ order, each but the last followed by a jump to the junction's end taken
 when the value decides it (false for a conjunction, true for a
 disjunction), so evaluation stops where the walk over the tree would.
 A quantifier or a non-formula compiles to an instruction that raises when
-it is reached, and not before.  The plan's atom instructions also list
-the formula's atoms, for readers that need them without another walk.
+it is reached, and not before.  The loop (`run`) asks a given function for
+each atom's truth, so evaluation under an assignment and a reading of
+truths from a table (`decomposition.reading`) share it.  The plan's atom
+instructions also list the formula's atoms, for readers that need them
+without another walk.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import QuantifiedInputError
 from .formulas import And, Atom, BoolConst, Exists, Forall, Formula, Not, Or, eval_atom, traverse
@@ -29,8 +32,11 @@ _ATOM, _CONST, _NOT, _JUMP, _FAIL = range(5)
 
 def eval_formula(f: Formula, assignment: Assignment) -> bool:
     """Truth of a quantifier-free formula under a sort-respecting assignment."""
-    if type(f) is Atom:
-        return eval_atom(f, assignment)
+    return eval_atom(f, assignment) if type(f) is Atom else run(f, eval_atom, assignment)
+
+
+def run(f: Formula, truth: Callable[[Atom, object], bool], at) -> bool:
+    """Truth of a quantifier-free formula whose atoms read truth(atom, at)."""
     plan = _plan(f)
     value = False
     i, end = 0, len(plan)
@@ -38,7 +44,7 @@ def eval_formula(f: Formula, assignment: Assignment) -> bool:
         op, arg = plan[i]
         i += 1
         if op is _ATOM:
-            value = eval_atom(arg, assignment)
+            value = truth(arg, at)
         elif op is _JUMP:
             if value is arg[0]:
                 i = arg[1]

@@ -27,7 +27,7 @@ from .errors import (
     SortError,
 )
 from .model import int_sign, lead_sign
-from .terms import TERM_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
+from .terms import TERM_CLASS, VALUE_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
 
 if TYPE_CHECKING:
     from .evaluate import Assignment
@@ -451,16 +451,27 @@ def substitute(f: Formula, v: Variable, t: Term) -> Formula:
     return rewrite(f, atom, lambda g: g if g.var == v else rebuild(g))
 
 
+def check_parameters(variables: Iterable[Variable], assignment: Assignment) -> list[Variable]:
+    """The variables in sort order, once each is checked to be bound to a
+    value of its sort: the first that is not raises NotGroundError if
+    unbound, else TypeError ("x2 is assigned a int, not a ModelElement")."""
+    ordered = sorted(variables, key=lambda w: w.sort_key())
+    for var in ordered:
+        if var not in assignment:
+            raise NotGroundError(f"{var} is not bound by the assignment")
+        value, want = assignment[var], VALUE_CLASS[var.sort]
+        if type(value) is not want:
+            raise TypeError(f"{var} is assigned a {type(value).__name__}, not a {want.__name__}")
+    return ordered
+
+
 def ground(
     f: Formula, keep: Collection[Variable], assignment: Assignment | None
 ) -> Formula:
-    """Substitute the assigned value of every free variable outside keep."""
+    """Substitute the assigned value of every free variable outside keep,
+    each checked by `check_parameters` first."""
     assignment = assignment or {}
-    for var in sorted(free_variables(f), key=lambda w: w.sort_key()):
-        if var in keep:
-            continue
-        if var not in assignment:
-            raise NotGroundError(f"{var} is not bound by the assignment")
+    for var in check_parameters(free_variables(f).difference(keep), assignment):
         f = substitute(f, var, TERM_CLASS[var.sort].from_element(assignment[var]))
     return f
 

@@ -11,16 +11,15 @@ measure values are exact model elements rather than approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .decomposition import Decomposition, decompose, reading
-from .errors import InternalError, NotGroundError
+from .errors import InternalError
 from .evaluate import Assignment
-from .formulas import Formula, TheoryMode, free_variables, home_lt, make_and
-from .model import ModelElement, compare
+from .formulas import Formula, TheoryMode, check_parameters, free_variables, home_lt, make_and
+from .model import ModelElement, compare, int_sign
 from .qe import qe
-from .terms import VALUE_CLASS, HomeTerm, Variable
+from .terms import HomeTerm, Variable
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,24 @@ def _window_measure(d: Decomposition) -> MeasureValue:
 
 def bucket_index(value: ModelElement, k: int) -> int:
     """The least j in 1..k with value <= j/k, so (j-1)/k < value <= j/k on
-    (0, 1], ties going down; found by bisection."""
-    if compare(value, ModelElement.from_rational(1)) > 0:
+    (0, 1], ties going down; found by bisection on integers: with the value
+    sum(n_t * sqrt(t)) / d, value <= j/k is k * n - j * d <= 0."""
+    d, nums = value._numerators()
+    irrational = [(t, k * n) for t, n in nums.items() if t]
+    rational = k * nums.get(0, 0)
+
+    def above(j: int) -> bool:  # value > j/k
+        return int_sign([(0, rational - j * d), *irrational]) > 0
+
+    if above(k):
         raise InternalError(f"value {value} above 1")
     lo, hi = 1, k
     while lo < hi:
         mid = (lo + hi) // 2
-        if compare(value, ModelElement.from_rational(Fraction(mid, k))) <= 0:
-            hi = mid
-        else:
+        if above(mid):
             lo = mid + 1
+        else:
+            hi = mid
     return lo
 
 
@@ -116,8 +123,8 @@ def bucket_partition(
     bucketed into k bands.
 
     Elimination is uniform in the parameters, so the family's unit window
-    is eliminated once, with its parameters free, and each tuple costs one
-    evaluation of the landmark roots and one sweep (`decomposition.reading`).
+    is eliminated once, with its parameters free, and each tuple costs the
+    roots' evaluation and sort and one sweep of a table (`decomposition.reading`).
     Errors come in the order a per-tuple `measure` would raise them:
     ValueError for k < 1; then, with no tuple, an empty report that never
     looks at f or v; SortError for a v that is not home-sort; NotGroundError
@@ -131,24 +138,13 @@ def bucket_partition(
     if not params:
         return BucketReport(k, ())
     window = _unit_window(f, v)
-    free = sorted(free_variables(window) - {v}, key=lambda w: w.sort_key())
-    _check_parameters(free, params[0])
+    free = check_parameters(free_variables(window) - {v}, params[0])
     read = reading(qe(window, TheoryMode.POVS), v)
     entries = []
     for assignment in params:
-        _check_parameters(free, assignment)
+        check_parameters(free, assignment)
         value = _window_measure(read(assignment)).value
         ordered = tuple(sorted(assignment.items(), key=lambda kv: kv[0].sort_key()))
         entries.append(BucketEntry(ordered, bucket_index(value, k), value))
     return BucketReport(k, tuple(entries))
 
-
-def _check_parameters(free: list[Variable], assignment: Assignment) -> None:
-    """Raise as grounding would on the first of free, in sort order, that the
-    assignment leaves unbound or binds to a value of the other sort."""
-    for var in free:
-        if var not in assignment:
-            raise NotGroundError(f"{var} is not bound by the assignment")
-        value, want = assignment[var], VALUE_CLASS[var.sort]
-        if type(value) is not want:
-            raise TypeError(f"{var} is assigned a {type(value).__name__}, not a {want.__name__}")

@@ -7,9 +7,11 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
+from densepairs import decomposition, model
 from densepairs.coding import code_function, set_code_json
 from densepairs.decomposition import (
     CosetSet,
@@ -20,10 +22,11 @@ from densepairs.decomposition import (
     decompose,
     generic_type_contains,
     is_small,
+    reading,
     sweep,
 )
 from densepairs.errors import ArityError, ModeError, NotGroundError
-from densepairs.evaluate import eval_formula
+from densepairs.evaluate import atoms, eval_formula
 from densepairs.formulas import (
     AtomKind,
     TheoryMode,
@@ -35,7 +38,7 @@ from densepairs.formulas import (
     make_not,
     make_or,
 )
-from densepairs.measure import measure
+from densepairs.measure import bucket_partition, measure
 from densepairs.model import (
     Model,
     ModelElement,
@@ -564,3 +567,172 @@ def test_decompose_builds_no_dnf_and_meets_its_time_gate(monkeypatch):
     assert calls == []
     assert str(d) == "(-inf, 1) all cosets\n(1, 2) in cosets {pi(r2)}"
     assert elapsed < 1.0, f"decompose k=14 took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# The reading's truth table against the point-sampling reading
+# ---------------------------------------------------------------------------
+
+
+def reference_reading(g, v):
+    """decomposition.reading before it read atom truths from root ranks:
+    the sweep evaluates g at the endpoints and, in each cell, at a sample
+    point in each named coset and in the first coset of r2, 2*r2, ... that
+    no atom names."""
+    landmarks = []  # (root, whether it is an endpoint, whether it is projected)
+    for atom in atoms(g):
+        if atom.payload.coeff(v):
+            order = atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT)
+            landmarks.append((atom.payload.root(v), order, atom.kind is AtomKind.IN_Q))
+
+    def read(assignment):
+        endpoints, named = set(), set()
+        for root, order, under_pi in landmarks:
+            point = root.constant if root.is_ground() else root.evaluate(assignment)
+            if order:
+                endpoints.add(point)
+            else:
+                named.add(project(point) if under_pi else point)
+        at = dict(assignment)
+
+        def holds(m):
+            at[v] = m
+            return eval_formula(g, at)
+
+        outside = next(w for k in count(1) if (w := QuotientElement({2: k})) not in named)
+        points, pieces = [], []
+        last = CosetSet.none()
+        bounds = [Endpoint.neg_inf(), *map(Endpoint.at, sorted(endpoints)), Endpoint.pos_inf()]
+        for lo, hi in zip(bounds, bounds[1:]):
+            cofinite = holds(_sample_inside(lo, hi, outside))
+            pattern = CosetSet(
+                cofinite,
+                frozenset(w for w in named if holds(_sample_inside(lo, hi, w)) != cofinite),
+            )
+            merge = not pattern.is_empty() and pattern == last
+            if lo.is_finite():
+                e = lo.value
+                in_set = holds(e)
+                claimed = merge and pattern.contains(project(e))
+                if claimed and not in_set:
+                    merge = False
+                elif in_set and not claimed:
+                    points.append(e)
+            if merge:
+                pieces[-1] = NearInterval(pieces[-1].lo, hi, pattern)
+            elif not pattern.is_empty():
+                pieces.append(NearInterval(lo, hi, pattern))
+            last = pattern
+        return Decomposition(tuple(points), tuple(pieces))
+
+    return read
+
+
+def dumped(d: Decomposition) -> str:
+    return json.dumps(d.to_json(), sort_keys=True)
+
+
+def test_reading_agrees_with_the_point_sampling_reading_on_seeded_families():
+    # families in x1 with parameters x2, x3 and u1, eliminated once and read
+    # under several tuples; x3 = x2 in some tuples, so that roots coincide
+    rng = random.Random(2323)
+    params = [hvar(2), hvar(3), qvar(1)]
+    pairs = 0
+    for _ in range(1000):
+        depth = rng.randint(1, 3)
+        g = qe(random_qf_formula(rng, [X, *params], MODEL, TheoryMode.POVS, depth), TheoryMode.POVS)
+        read, reference = reading(g, X), reference_reading(g, X)
+        for _ in range(5):
+            assignment = random_assignment(rng, params, MODEL)
+            if rng.random() < 0.3:
+                assignment[hvar(3)] = assignment[hvar(2)]
+            assert dumped(read(assignment)) == dumped(reference(assignment)), (str(g), assignment)
+            pairs += 1
+    assert pairs == 5000
+
+
+@pytest.mark.parametrize(
+    "text,assignment,expected",
+    [
+        # a negative coefficient on x1, as written and as stored
+        ("1 - x1 > 0", {}, "(-inf, 1) all cosets"),
+        ("x1 > 1", {}, "(1, +inf) all cosets"),
+        ("2 - 2*x1 < x2", {"x2": "1"}, "(1/2, +inf) all cosets"),
+        # two atoms with one root, which is one endpoint
+        ("x1 < 1 & !(x1 = 1)", {}, "(-inf, 1) all cosets"),
+        ("x1 < 1 | x1 = 1 | x1 > 1", {}, "(-inf, +inf) all cosets"),
+        ("x1 < x2 | x1 = x3", {"x2": "r2", "x3": "r2"}, "points: r2\n(-inf, r2) all cosets"),
+        # a named coset that holds an endpoint
+        ("x1 = r2 | Q(x1 - r2)", {}, "(-inf, +inf) in cosets {pi(r2)}"),
+        ("!(x1 = r2) & Q(x1 - r2)", {}, "(-inf, r2) in cosets {pi(r2)}\n(r2, +inf) in cosets {pi(r2)}"),
+        ("x1 < x2 & pi(x1) != u1", {"x2": "r2", "u1": "r2"}, "(-inf, r2) outside cosets {pi(r2)}"),
+        # Q(x2) is decided by the tuple
+        ("(Q(x2) & x1 < 1/2) | x1 = x2", {"x2": "1/4"}, "(-inf, 1/2) all cosets"),
+        ("(Q(x2) & x1 < 1/2) | x1 = x2", {"x2": "r2"}, "points: r2"),
+        # a repeated atom
+        ("(x1 < 1 | Q(x1)) & (x1 < 1 | x1 > 2)", {}, "(-inf, 1) all cosets\n(2, +inf) in cosets {0}"),
+        ("(x1 < x2 & Q(x1)) | (Q(x1) & x1 = x2)", {"x2": "1"}, "points: 1\n(-inf, 1) in cosets {0}"),
+    ],
+)
+def test_reading_pinned_cases(text, assignment, expected):
+    f = parse(text)
+    sigma = {parse_variable(name): parse_value(name, value) for name, value in assignment.items()}
+    got = reading(f, X)(sigma)
+    assert str(got) == expected
+    assert got == reference_reading(f, X)(sigma)
+    g = qe(f, TheoryMode.POVS)
+    assert reading(g, X)(sigma) == reference_reading(g, X)(sigma) == got
+
+
+def parse_variable(name):
+    return (hvar if name[0] == "x" else qvar)(int(name[1:]))
+
+
+def parse_value(name, text):
+    value = parse_element(text)
+    return value if name[0] == "x" else project(value)
+
+
+def test_the_pinned_cases_have_the_shapes_they_pin():
+    # 1 - x1 > 0 is stored as x1 - 1 < 0, x1 > 1 as -x1 + 1 < 0
+    assert [a.payload.coeff(X) for a in atoms(parse("1 - x1 > 0 | x1 > 1"))] == [1, -1]
+    assert len({a.payload.root(X) for a in atoms(parse("x1 < 1 & !(x1 = 1)"))}) == 1
+    listed = atoms(parse("(x1 < 1 | Q(x1)) & (x1 < 1 | x1 > 2)"))
+    assert len(listed) == 4 and len(set(listed)) == 3
+
+
+def test_bucket_partition_decides_a_parameter_atom_per_tuple():
+    f = parse("(Q(x2) & x1 < 1/2) | x1 = x2")
+    params = [{hvar(2): parse_element(text)} for text in ("1/4", "r2", "-1/3")]
+    report = bucket_partition(f, X, params, 4)
+    assert [str(e.value) for e in report.entries] == ["1/2", "0", "1/2"]
+    assert [e.bucket for e in report.entries] == [2, 1, 2]
+
+
+def test_the_reading_builds_no_sample_point(monkeypatch):
+    # the parent's answers on the golden corpus's sets, with every way of
+    # building a sample point refused
+    rng = random.Random(1414)
+    sets = [random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=3) for _ in range(180)]
+    window = parse("0 < x1 & x1 < 1")
+    want = []
+    for f in sets:
+        length = sum(
+            (p.hi.value - p.lo.value for p in reference_decompose(make_and([f, window]), X).pieces if p.is_large()),
+            ModelElement(),
+        )
+        want.append((reference_decompose(f, X), length))
+
+    def refuse(*args):
+        raise AssertionError("a sample point was built")
+
+    monkeypatch.setattr(decomposition, "_sample_inside", refuse)
+    for module in (model, decomposition):
+        for name in ("rational_between", "rational_above", "rational_below"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(model.ModelElement, "enclosure", refuse)
+    for f, (d, length) in zip(sets, want):
+        assert decompose(f, X) == d, str(f)
+        assert measure(f, X).value == length, str(f)
+        [entry] = bucket_partition(f, X, [{}], 10).entries
+        assert entry.value == length, str(f)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from densepairs import formulas
+from densepairs.coding import code_function, code_unary_set
 from densepairs.decomposition import decompose, is_small
 from densepairs.errors import InternalError, ModeError, NotGroundError, SortError
 from densepairs.evaluate import eval_formula
@@ -383,3 +384,30 @@ def test_bucket_partition_scans_the_family_as_often_for_one_tuple_as_for_twenty(
     calls.clear()
     bucket_partition(family, X, params, 10)
     assert len(calls) == 2
+
+
+def test_every_entry_point_refuses_a_python_number_for_a_home_value():
+    # grounding checks a parameter's sort as bucket_partition and
+    # eval_formula do, the first parameter in sort order first
+    one = {hvar(2): 1}
+    message = "x2 is assigned a int, not a ModelElement"
+    calls = [
+        lambda: measure(parse("x1 < x2"), X, one),
+        lambda: decompose(parse("x1 < x2"), X, one),
+        lambda: code_unary_set(parse("x1 < x2"), X, one),
+        lambda: code_function(parse("x3 = x1 + x2"), X, hvar(3), one),
+        lambda: bucket_partition(parse("x1 < x2"), X, [one], 10),
+        lambda: eval_formula(parse("x1 < x2"), {X: ModelElement(), **one}),
+    ]
+    for call in calls:
+        assert raised(call) == (TypeError, message)
+    quarter = {hvar(2): Fraction(1, 4), qvar(1): ModelElement()}
+    assert raised(lambda: measure(parse("x1 < x2 & pi(x1) = u1"), X, quarter)) == (
+        TypeError,
+        "x2 is assigned a Fraction, not a ModelElement",
+    )
+    unbound = {hvar(3): 1}
+    assert raised(lambda: decompose(parse("x1 < x2 + x3"), X, unbound)) == (
+        NotGroundError,
+        "x2 is not bound by the assignment",
+    )
