@@ -10,10 +10,12 @@ finitely-many-codes notion to a single canonical datum.
 A definable partial function with a piecewise-linear graph is coded by
 its finite slope/intercept inventory: for every line that the graph
 follows on an infinite locus, the (coset-pattern) domain on which it
-does, plus the finitely many leftover graph points.  The domain and the
-line pieces are decompositions, and the leftover points and the check
-that no two pieces overlap come from one sweep over their memberships,
-with no formula rebuilt from them.
+does, plus the finitely many leftover graph points.  Where the graph
+follows each candidate line is a decomposition, its line set.  One
+sentence asks whether any graph point lies off every line; if none does,
+the domain is the union of the line sets, and one sweep over their
+memberships finds the leftover points and checks that no point gets two
+values, with no formula rebuilt from them and no domain decomposed.
 """
 
 from __future__ import annotations
@@ -28,20 +30,16 @@ from .errors import (
     InternalError,
     NotFunctionalError,
 )
-from .evaluate import Assignment, atoms, eval_formula
+from .evaluate import Assignment, atoms
 from .formulas import (
     AtomKind,
     Exists,
-    Forall,
     Formula,
     TheoryMode,
-    all_variables,
-    fresh_variable,
     ground,
     home_eq,
     make_and,
     make_not,
-    make_or,
     substitute,
 )
 from .model import ModelElement
@@ -50,6 +48,7 @@ from .terms import HomeTerm, Sort, Variable
 
 
 UnarySetCode = Decomposition  # a set code is its canonical decomposition
+NOT_FUNCTIONAL = "the relation maps some point to two values"
 
 
 def code_unary_set(
@@ -109,15 +108,6 @@ class FunctionCode:
         return None
 
 
-def _check_functional(g: Formula, x: Variable, y: Variable) -> None:
-    y2 = fresh_variable(Sort.HOME, all_variables(g) | {x, y})
-    both = make_and([g, substitute(g, y, HomeTerm.from_variable(y2))])
-    same = home_eq(HomeTerm.from_variable(y) - HomeTerm.from_variable(y2))
-    sentence = Forall(x, Forall(y, Forall(y2, make_or([make_not(both), same]))))
-    if not decide_sentence(sentence, TheoryMode.POVS):
-        raise NotFunctionalError("the relation maps some point to two values")
-
-
 def _line_candidates(g: Formula, x: Variable, y: Variable):
     """Slope/intercept pairs read from the order atoms on y.
 
@@ -145,58 +135,51 @@ def code_function(
 ) -> FunctionCode:
     """Code a binary formula that is functional from x to y.
 
-    Slopes are extracted syntactically from the eliminated form; each
-    candidate line is intersected with the graph and its matching locus is
-    reduced to open coset patterns.  One sweep over the domain and those
-    pieces then finds what the pieces miss, a finite set of explicit graph
-    points (a non-finite residue would contradict the decomposition shape
-    of definable graphs and raises), and checks at each of its samples
-    that no two pieces overlap.
+    Slopes are extracted syntactically from the eliminated form, and each
+    candidate line L_i is intersected with the graph: its line set A_i is
+    where the graph follows it.  The relation is functional exactly when
+    (a) no graph point lies off every line (such a point lies in an open
+    y-cell of graph points) and (b) no point is held by two line sets with
+    different line values.  Then the domain is the union of the line sets,
+    and one sweep over them decides (b) and finds what their open pieces
+    miss, a finite set of explicit graph points.  Its landmarks include the
+    meeting point of every two lines, so two line sets sharing an open cell
+    disagree at its samples; at an endpoint the values are compared exactly.
     """
     if x.sort is not Sort.HOME or y.sort is not Sort.HOME:
         raise ArityError("function coding needs two home-sort variables")
     if x == y:
         raise ArityError("argument and value variables must differ")
     g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
-    _check_functional(g, x, y)
-
-    domain = decompose(Exists(y, g), x)
     lines = _line_candidates(g, x, y)
-    pieces: list[FunctionPiece] = []
-    for slope, intercept in lines:
-        line = HomeTerm.from_variable(x).scale(slope) + HomeTerm.from_element(intercept)
-        on_line = substitute(g, y, line)
-        d = decompose(on_line, x)
-        if not d.pieces:
-            continue
-        # the pieces are open and no piece holds another's endpoint, so
-        # dropping the listed points leaves a canonical decomposition
-        pieces.append(FunctionPiece(slope, intercept, Decomposition((), d.pieces)))
+    terms = [HomeTerm.from_variable(x).scale(s) + HomeTerm.from_element(c) for s, c in lines]
+    off_lines = make_and([g, *(make_not(home_eq(HomeTerm.from_variable(y) - t)) for t in terms)])
+    if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):
+        raise NotFunctionalError(NOT_FUNCTIONAL)
+    line_sets = [decompose(substitute(g, y, t), x) for t in terms]
+    # the pieces are open and no piece holds another's endpoint, so
+    # dropping the listed points leaves a canonical decomposition
+    pieces = [FunctionPiece(s, c, Decomposition((), d.pieces))
+              for (s, c), d in zip(lines, line_sets) if d.pieces]
+    meets = [(c2 - c1).scale(1 / (s1 - s2)) for i, (s1, c1) in enumerate(lines)
+             for s2, c2 in lines[i + 1:] if s1 != s2]
+    found: dict[ModelElement, ModelElement] = {}
 
     def uncovered(m: ModelElement) -> bool:
-        held = [p for p in pieces if p.domain.contains(m)]
-        if len(held) > 1:
+        values = {m.scale(s) + c for (s, c), d in zip(lines, line_sets) if d.contains(m)}
+        if len(values) > 1:
+            raise NotFunctionalError(NOT_FUNCTIONAL)
+        held = sum(p.domain.contains(m) for p in pieces)
+        if held > 1:
             raise InternalError("function piece domains overlap")
-        return not held and domain.contains(m)
+        if held or not values:
+            return False
+        found[m] = values.pop()
+        return True
 
-    # two open near-intervals that share a point share an open near-interval,
-    # so an overlap shows at one of the sweep's samples
-    rd = sweep(uncovered, [domain, *(p.domain for p in pieces)])
-    if rd.pieces:
+    rd = sweep(uncovered, [Decomposition(tuple(meets), ()), *line_sets])
+    if rd.pieces:  # unreachable unless the line sets and the pieces disagree
         raise InfiniteResidualError(
             "candidate lines leave an infinite part of the domain uncovered"
         )
-    exceptional = tuple((e, _function_value(g, x, y, e, lines)) for e in rd.points)
-    return FunctionCode(exceptional, tuple(pieces))
-
-
-def _function_value(
-    g: Formula, x: Variable, y: Variable, at: ModelElement, lines
-) -> ModelElement:
-    """The graph's value at a point, read off the first line through it;
-    the graph is functional, so no other line can give another value."""
-    for slope, intercept in lines:
-        candidate = at.scale(slope) + intercept
-        if eval_formula(g, {x: at, y: candidate}):
-            return candidate
-    raise InternalError(f"no candidate line passes through the graph at {at}")
+    return FunctionCode(tuple((e, found[e]) for e in rd.points), tuple(pieces))

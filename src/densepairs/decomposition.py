@@ -11,9 +11,10 @@ sits decides every atom on it: an order atom by its rank against the
 endpoint and the sign of its coefficient, a coset atom by whether it
 lies in the coset.  So on an open cell the formula sees only which named
 coset, if any, holds the variable, and a truth table built from the
-ranks is read at each named coset and at a coset outside them all: the
-outside reading decides finite or cofinite, and the named cosets that
-differ from it are the members.  No normal form and no point is built.
+ranks (`sign_table`) is read at each named coset and at a coset outside
+them all: the outside reading decides finite or cofinite, and the named
+cosets that differ from it are the members.  No normal form and no point
+is built; `measure` reads cell lengths off the same table.
 One left-to-right sweep over the cells reads each pattern and, at each
 endpoint, decides whether the endpoint is a listed point and whether its
 cell coalesces with the previous piece (whenever that preserves the
@@ -232,14 +233,22 @@ def decompose(
 def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
     """The decomposer of a quantifier-free g in the home variable v: it maps
     an assignment of g's other free variables to the canonical decomposition
-    of the set g then defines in v.
+    of the set g then defines in v, the sweep of its sign table."""
+    table = sign_table(g, v)
+    return lambda assignment: _sweep(*table(assignment))
+
+
+def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
+    """The sign table of a quantifier-free g in the home variable v: it maps
+    an assignment of g's other free variables to (holds, ends, named), the
+    test, sorted endpoints and named cosets that `_sweep` reads.
 
     The atoms of g are read once.  An atom on v holds or fails by where v
     sits against its root in the other variables: an order atom by the rank
     of v against that endpoint and the sign of v's coefficient, a coset atom
     by whether v lies in the one coset the root names.  Each assignment then
     evaluates only the roots and the atoms without v and sorts the endpoints;
-    the sweep runs g's one evaluation plan over the truth table this gives."""
+    holds runs g's one evaluation plan over the truth table this gives."""
     order = (AtomKind.HOME_EQ, AtomKind.HOME_LT)
     on_v, off_v = [], []  # the distinct atoms with and without v
     for atom in dict.fromkeys(atoms(g)):
@@ -248,7 +257,7 @@ def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
         else:
             off_v.append(atom)
 
-    def read(assignment: Assignment) -> Decomposition:
+    def table_at(assignment: Assignment) -> tuple:
         roots = [(atom, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
                  for atom, kind, r, up in on_v]
         ends = sorted({r for _, kind, r, _ in roots if kind in order})
@@ -269,9 +278,9 @@ def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
             t = table[atom]
             return t[0] < at[0] < t[1] if type(t) is tuple else t == at[1]
 
-        return _sweep(lambda i, w: run(g, truth, (i, w)), ends, named)
+        return (lambda i, w: run(g, truth, (i, w))), ends, named
 
-    return read
+    return table_at
 
 
 def sweep(

@@ -3,7 +3,11 @@
 The measure concentrates on the unit interval: an interval gets its
 length, any set covered by finitely many cosets of the rational line
 gets 0, and those two rules already determine the value on every
-definable set through the canonical decomposition.  In the standard
+definable set through the canonical decomposition: the value is the
+length of its cofinite pieces.  Those pieces are the cells of the sign
+table (`decomposition.sign_table`) whose reading outside every named
+coset holds, so the value is read off the table, a sum of cell lengths,
+and no decomposition is built.  In the standard
 archimedean reference model the standard-part map is the identity, so
 measure values are exact model elements rather than approximations.
 """
@@ -13,13 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import Decomposition, decompose, reading
+from .decomposition import sign_table
 from .errors import InternalError
 from .evaluate import Assignment
-from .formulas import Formula, TheoryMode, check_parameters, free_variables, home_lt, make_and
+from .formulas import Formula, TheoryMode, check_parameters, free_variables, ground, home_lt, make_and
 from .model import ModelElement, compare, int_sign
 from .qe import qe
 from .terms import HomeTerm, Variable
+
+
+ONE = ModelElement.from_rational(1)
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,7 @@ class MeasureValue:
     value: ModelElement
 
     def __post_init__(self):
-        if self.value.sign() < 0 or compare(self.value, ModelElement.from_rational(1)) > 0:
+        if self.value.sign() < 0 or compare(self.value, ONE) > 0:
             raise InternalError(f"measure value {self.value} outside [0, 1]")
 
     def __str__(self) -> str:
@@ -41,24 +48,28 @@ class MeasureValue:
 
 def _unit_window(f: Formula, v: Variable) -> Formula:
     x = HomeTerm.from_variable(v)
-    return make_and([f, home_lt(-x), home_lt(x - HomeTerm.from_element(ModelElement.from_rational(1)))])
+    return make_and([f, home_lt(-x), home_lt(x - HomeTerm.from_element(ONE))])
 
 
 def measure(f: Formula, v: Variable, assignment: Assignment | None = None) -> MeasureValue:
     """The measure of the set defined by f in v, concentrated on (0, 1)."""
-    return _window_measure(decompose(_unit_window(f, v), v, assignment))
+    window = ground(_unit_window(f, v), {v}, assignment)
+    return _cell_lengths(sign_table(qe(window, TheoryMode.POVS), v)({}))
 
 
-def _window_measure(d: Decomposition) -> MeasureValue:
-    """The measure of a set inside the unit window.  Only pieces meeting all
-    but finitely many cosets carry length; the rest of the decomposition is
-    coset-coverable, hence null."""
+def _cell_lengths(table: tuple) -> MeasureValue:
+    """The measure of a set inside the unit window, from its sign table:
+    the total length of the cells whose outside reading holds, the cells
+    meeting all but finitely many cosets; the rest of the set is
+    coset-coverable, hence null.  Summed cell by cell, this is the length
+    of the cofinite pieces the sweep would merge the cells into."""
+    holds, ends, _ = table
     total = ModelElement()
-    for piece in d.pieces:
-        if piece.cosets.cofinite:
-            if not (piece.lo.is_finite() and piece.hi.is_finite()):
+    for i in range(len(ends) + 1):
+        if holds(2 * i, None):
+            if not 0 < i < len(ends):
                 raise InternalError("unbounded piece inside the unit window")
-            total = total + (piece.hi.value - piece.lo.value)
+            total = total + (ends[i] - ends[i - 1])
     return MeasureValue(total)
 
 
@@ -124,7 +135,8 @@ def bucket_partition(
 
     Elimination is uniform in the parameters, so the family's unit window
     is eliminated once, with its parameters free, and each tuple costs the
-    roots' evaluation and sort and one sweep of a table (`decomposition.reading`).
+    roots' evaluation and sort and one outside reading per cell of its sign
+    table (`decomposition.sign_table`).
     Errors come in the order a per-tuple `measure` would raise them:
     ValueError for k < 1; then, with no tuple, an empty report that never
     looks at f or v; SortError for a v that is not home-sort; NotGroundError
@@ -139,11 +151,11 @@ def bucket_partition(
         return BucketReport(k, ())
     window = _unit_window(f, v)
     free = check_parameters(free_variables(window) - {v}, params[0])
-    read = reading(qe(window, TheoryMode.POVS), v)
+    table = sign_table(qe(window, TheoryMode.POVS), v)
     entries = []
     for assignment in params:
         check_parameters(free, assignment)
-        value = _window_measure(read(assignment)).value
+        value = _cell_lengths(table(assignment)).value
         ordered = tuple(sorted(assignment.items(), key=lambda kv: kv[0].sort_key()))
         entries.append(BucketEntry(ordered, bucket_index(value, k), value))
     return BucketReport(k, tuple(entries))

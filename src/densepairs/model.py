@@ -335,12 +335,15 @@ class QuotientElement(_SpanElement):
 
 
 def compare(a: ModelElement, b: ModelElement) -> int:
-    """Exact sign of a - b under the real embedding: -1, 0, or 1, from the
-    two numerator vectors over their common denominator."""
-    da, na = a._numerators()
-    db, nb = b._numerators()
-    d = math.lcm(da, db)
-    return int_sign(add_scaled(add_scaled({}, na, d // da), nb, -(d // db)).items())
+    """Exact sign of a - b under the real embedding: -1, 0, or 1.  With
+    a = sum(m_k * sqrt(k)) / da and b = sum(n_k * sqrt(k)) / db, it is the
+    sign of sum((m_k * db - n_k * da) * sqrt(k)), on the cached numerators."""
+    da, na = a._ints or a._numerators()
+    db, nb = b._ints or b._numerators()
+    if na.keys() <= _RATIONAL_SUPPORT and nb.keys() <= _RATIONAL_SUPPORT:
+        diff = na.get(0, 0) * db - nb.get(0, 0) * da
+        return (diff > 0) - (diff < 0)
+    return int_sign([(k, na.get(k, 0) * db - nb.get(k, 0) * da) for k in na.keys() | nb.keys()])
 
 
 def lead_sign(coeffs: Mapping[int, Fraction | int]) -> int:

@@ -16,9 +16,10 @@ from densepairs.coding import (
     code_unary_set,
     codes_equal,
 )
-from densepairs.decomposition import decompose
+from densepairs.decomposition import Decomposition, decompose, sweep
 from densepairs.errors import (
     ArityError,
+    EngineError,
     InfiniteResidualError,
     InternalError,
     NotFunctionalError,
@@ -27,18 +28,26 @@ from densepairs.errors import (
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     And,
+    Exists,
+    Forall,
     Formula,
     Not,
     Or,
     TheoryMode,
+    all_variables,
+    fresh_variable,
+    ground,
+    home_eq,
     make_and,
     make_not,
     make_or,
+    substitute,
 )
 from densepairs.model import Model, ModelElement, compare, project, section
 from densepairs.parser import parse, parse_element
+from densepairs.qe import decide_sentence, qe
 from densepairs.randgen import random_element, random_qf_formula
-from densepairs.terms import hvar, qvar
+from densepairs.terms import HomeTerm, Sort, hvar, qvar
 
 MODEL = Model(3)
 X, Y = hvar(1), hvar(2)
@@ -245,10 +254,12 @@ def test_function_piece_domains_are_disjoint():
 ABSOLUTE_VALUE = "(x1 < 0 & x2 = -x1) | (!(x1 < 0) & x2 = x1)"
 
 
-def test_a_missing_line_leaves_an_infinite_residual(monkeypatch):
+def test_a_missing_line_leaves_graph_points_off_every_line(monkeypatch):
+    # the dropped line's graph points lie off every remaining line, which
+    # is how an open y-cell of graph points shows
     lines = coding._line_candidates
     monkeypatch.setattr(coding, "_line_candidates", lambda g, x, y: lines(g, x, y)[1:])
-    with pytest.raises(InfiniteResidualError):
+    with pytest.raises(NotFunctionalError, match="the relation maps some point to two values"):
         code_function(parse(ABSOLUTE_VALUE), X, Y)
 
 
@@ -317,3 +328,126 @@ def test_json_shape():
     assert data["exceptional"] == []
     code = code_unary_set(parse("Q(x1)"), X)
     assert code.to_json()["pieces"][0]["polarity"] == "finite"
+
+
+# ---------------------------------------------------------------------------
+# Functionality from the line sets against the universal sentence
+# ---------------------------------------------------------------------------
+
+
+def reference_code_function(f, x, y, assignment=None) -> FunctionCode:
+    """code_function before it read functionality off the line sets: decide
+    the sentence that no x has two values y, y2 first, then take the domain
+    from decompose(E y. graph, x) and sweep it against the line pieces."""
+    g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
+    y2 = fresh_variable(Sort.HOME, all_variables(g) | {x, y})
+    both = make_and([g, substitute(g, y, HomeTerm.from_variable(y2))])
+    same = home_eq(HomeTerm.from_variable(y) - HomeTerm.from_variable(y2))
+    if not decide_sentence(Forall(x, Forall(y, Forall(y2, make_or([make_not(both), same])))), TheoryMode.POVS):
+        raise NotFunctionalError("the relation maps some point to two values")
+    domain = decompose(Exists(y, g), x)
+    lines = coding._line_candidates(g, x, y)
+    pieces = []
+    for slope, intercept in lines:
+        line = HomeTerm.from_variable(x).scale(slope) + HomeTerm.from_element(intercept)
+        d = decompose(substitute(g, y, line), x)
+        if d.pieces:
+            pieces.append(coding.FunctionPiece(slope, intercept, Decomposition((), d.pieces)))
+
+    def uncovered(m):
+        held = [p for p in pieces if p.domain.contains(m)]
+        if len(held) > 1:
+            raise InternalError("function piece domains overlap")
+        return not held and domain.contains(m)
+
+    rd = sweep(uncovered, [domain, *(p.domain for p in pieces)])
+    if rd.pieces:
+        raise InfiniteResidualError("candidate lines leave an infinite part of the domain uncovered")
+
+    def value(at):
+        for slope, intercept in lines:
+            candidate = at.scale(slope) + intercept
+            if eval_formula(g, {x: at, y: candidate}):
+                return candidate
+        raise InternalError(f"no candidate line passes through the graph at {at}")
+
+    return FunctionCode(tuple((e, value(e)) for e in rd.points), tuple(pieces))
+
+
+def coding_outcome(code, f) -> str:
+    """The code's JSON with sorted keys, or the exception's type and message."""
+    try:
+        return json.dumps(code(f, X, Y).to_json(), sort_keys=True)
+    except EngineError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def piecewise_graph(rng: random.Random) -> Formula:
+    """A graph like the benchmark's: one line per case of a selector on x1,
+    sometimes with a point of its own or a case left out."""
+    def line():
+        slope = rng.randint(-3, 3)
+        intercept = ModelElement({k: rng.randint(-2, 2) for k in (0, 2) if rng.random() < 0.7})
+        return home_eq(HomeTerm.from_variable(Y) - HomeTerm.from_variable(X).scale(slope) - HomeTerm.from_element(intercept))
+
+    cut = f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+    selector = parse(rng.choice(["Q(x1)", f"x1 < {cut}", f"pi(x1) = pi({rng.randint(-2, 2)}*r2)", f"Q({rng.randint(1, 3)}*x1 - r2)"]))
+    cases = [make_and([selector, line()]), make_and([make_not(selector), line()])]
+    if rng.random() < 0.3:
+        cases.pop(rng.randrange(2))
+    if rng.random() < 0.4:
+        cases.append(parse(f"x1 = {cut} & x2 = {rng.randint(-2, 2)}"))
+    return make_or(cases)
+
+
+def test_code_function_agrees_with_the_universal_sentence_on_seeded_relations():
+    # piecewise graphs, random relations in x1, x2 and unions of the two
+    rng = random.Random(77)
+    outcomes = []
+    for i in range(3000):
+        source = i % 3
+        if source == 0:
+            f = piecewise_graph(rng)
+        else:
+            f = random_qf_formula(rng, [X, Y], MODEL, TheoryMode.POVS, depth=rng.randint(1, 2))
+            if source == 2:
+                f = make_or([f, piecewise_graph(rng)])
+        got = coding_outcome(code_function, f)
+        assert got == coding_outcome(reference_code_function, f), str(f)
+        outcomes.append(got.split(":")[0])
+    # both verdicts are well represented, and nothing else is raised
+    assert 500 < outcomes.count("NotFunctionalError") < 2500, outcomes.count("NotFunctionalError")
+    assert all(o in ("NotFunctionalError", "{\"exceptional\"") for o in outcomes), set(outcomes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the lines meet at r2, inside the one cell: without the meeting
+        # point as a landmark the cell's sample is r2, where they agree
+        "r2 - 1 < x1 & x1 < r2 + 1 & (x2 = x1 | x2 = 2*x1 - r2)",
+        # a second value at a point of an open piece
+        "(x1 < 1 & x2 = x1) | (x1 = 0 & x2 = 5)",
+        # open y-cells of graph points, on no line or on none at all
+        "x1 < x2 & x2 < x1 + 1",
+        "Q(x2)",
+    ],
+)
+def test_relations_that_are_not_functional(text):
+    with pytest.raises(NotFunctionalError, match="the relation maps some point to two values"):
+        code_function(parse(text), X, Y)
+    assert coding_outcome(reference_code_function, parse(text)).startswith("NotFunctionalError")
+
+
+def test_lines_that_meet_at_a_graph_point_leave_it_exceptional():
+    f = parse("(x1 < 1 & x2 = x1) | (x1 > 1 & x2 = 2 - x1) | (x1 = 1 & x2 = 1)")
+    fc = code_function(f, X, Y)
+    one = ModelElement.from_rational(1)
+    assert fc.exceptional == ((one, one),)
+    assert [(p.slope, str(p.domain)) for p in fc.pieces] == [(-1, "(1, +inf) all cosets"), (1, "(-inf, 1) all cosets")]
+    assert coding_outcome(code_function, f) == coding_outcome(reference_code_function, f)
+
+
+def test_an_empty_relation_has_the_empty_code():
+    fc = code_function(parse("Q(x2) & x1 < x1"), X, Y)
+    assert fc.exceptional == () and fc.pieces == ()

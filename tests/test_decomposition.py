@@ -25,10 +25,11 @@ from densepairs.decomposition import (
     reading,
     sweep,
 )
-from densepairs.errors import ArityError, ModeError, NotGroundError
+from densepairs.errors import ArityError, InternalError, ModeError, NotGroundError
 from densepairs.evaluate import atoms, eval_formula
 from densepairs.formulas import (
     AtomKind,
+    Exists,
     TheoryMode,
     all_atoms,
     dnf_clauses,
@@ -38,7 +39,7 @@ from densepairs.formulas import (
     make_not,
     make_or,
 )
-from densepairs.measure import bucket_partition, measure
+from densepairs.measure import bucket_index, bucket_partition, measure
 from densepairs.model import (
     Model,
     ModelElement,
@@ -50,7 +51,7 @@ from densepairs.model import (
 )
 from densepairs.parser import parse, parse_element
 from densepairs.qe import qe
-from densepairs.randgen import random_assignment, random_qf_formula
+from densepairs.randgen import random_assignment, random_qf_formula, random_quotient_element
 from densepairs.terms import hvar, qvar
 
 MODEL = Model(3)
@@ -474,23 +475,57 @@ def reference_decompose(f, v, assignment=None) -> Decomposition:
     return Decomposition(tuple(points), tuple(pieces))
 
 
+def _window_measure(d: Decomposition) -> ModelElement:
+    """measure before it read cell lengths off the sign table: the length of
+    the cofinite pieces of the decomposition of the set in the unit window."""
+    total = ModelElement()
+    for piece in d.pieces:
+        if piece.cosets.cofinite:
+            if not (piece.lo.is_finite() and piece.hi.is_finite()):
+                raise InternalError("unbounded piece inside the unit window")
+            total = total + (piece.hi.value - piece.lo.value)
+    return total
+
+
+UNIT_WINDOW = parse("0 < x1 & x1 < 1")
+
+
+def reference_measure(f, v, assignment=None) -> ModelElement:
+    return _window_measure(reference_decompose(make_and([f, UNIT_WINDOW]), v, assignment))
+
+
+def reference_domain(f, x, y) -> Decomposition:
+    """code_function's domain before it was read off the line sets."""
+    return reference_decompose(Exists(y, qe(f, TheoryMode.POVS)), x)
+
+
+def coded_domain(code) -> Decomposition:
+    """The domain of a function code, its pieces' domains and its exceptional
+    points, as one decomposition."""
+    parts = [p.domain for p in code.pieces] + [Decomposition((a,), ()) for a, _ in code.exceptional]
+    return sweep(lambda m: any(d.contains(m) for d in parts), parts)
+
+
 def test_sweep_agrees_with_the_reference_on_the_golden_corpus(monkeypatch):
-    # every decompose the corpus runs: its sets, their measures, the
-    # pullbacks of its quotient formulas, and the lines and residuals of
-    # its function codes
-    calls = []
-    sweep = decompose
-
-    def recording(f, v, assignment=None):
-        calls.append((f, v, assignment))
-        return sweep(f, v, assignment)
-
-    for name in (__name__, "densepairs.decomposition", "densepairs.coding", "densepairs.measure"):
-        monkeypatch.setattr(sys.modules[name], "decompose", recording)
+    # every decompose the corpus runs (its sets, the pullbacks of its
+    # quotient formulas and the line sets of its function codes), every
+    # measure it runs, and the domain of every function code it runs
+    recorded = {"decompose": [], "measure": [], "code_function": []}
+    for module in (__name__, "densepairs.decomposition", "densepairs.coding", "densepairs.measure"):
+        for name, calls in recorded.items():
+            if real := getattr(sys.modules[module], name, None):
+                recording = lambda *args, real=real, calls=calls: calls.append(args) or real(*args)
+                monkeypatch.setattr(sys.modules[module], name, recording)
     unary_corpus_text()
-    assert len(calls) == 479
-    for f, v, assignment in calls:
-        assert sweep(f, v, assignment) == reference_decompose(f, v, assignment), str(f)
+    monkeypatch.undo()
+    decomposes, measures, codes = recorded.values()
+    assert (len(decomposes), len(measures), len(codes)) == (289, 180, 10)  # 479 cases
+    for f, v, *assignment in decomposes:
+        assert decompose(f, v, *assignment) == reference_decompose(f, v, *assignment), str(f)
+    for f, v, *assignment in measures:
+        assert measure(f, v, *assignment).value == reference_measure(f, v, *assignment), str(f)
+    for f, x, y in codes:
+        assert coded_domain(code_function(f, x, y)) == reference_domain(f, x, y), str(f)
 
 
 DNF_HEAVY_CONSTANTS = ["0", "1", "1/2", "r2", "2*r2", "r3", "1 - r2", "r2 + r3", "1/2*r3"]
@@ -736,3 +771,39 @@ def test_the_reading_builds_no_sample_point(monkeypatch):
         assert measure(f, X).value == length, str(f)
         [entry] = bucket_partition(f, X, [{}], 10).entries
         assert entry.value == length, str(f)
+
+
+def test_measures_and_bucket_reports_agree_with_the_reference_on_seeded_families():
+    # families in x1 with parameters x2, x3 and u1, some cut to the interval
+    # (x2, x3); x2 and x3 lie near the unit window, mostly at irrational
+    # values, and coincide in some tuples, so that endpoints coincide
+    rng = random.Random(31)
+    params = [hvar(2), hvar(3), qvar(1)]
+    interval = parse("x2 < x1 & x1 < x3")
+
+    def near_the_window():
+        return ModelElement({0: Fraction(rng.randint(-1, 9), 8), 2: Fraction(rng.randint(-1, 1), rng.randint(4, 9)),
+                             3: Fraction(rng.randint(-1, 1), rng.randint(4, 9))})
+
+    def tuple_of_parameters():
+        x2 = near_the_window()
+        x3 = x2 if rng.random() < 0.2 else near_the_window()
+        return {hvar(2): x2, hvar(3): x3, qvar(1): random_quotient_element(rng, MODEL)}
+
+    values = []
+    for i in range(2000):
+        f = random_qf_formula(rng, [X, *params], MODEL, TheoryMode.POVS, rng.randint(1, 3))
+        f = [f, make_and([interval, f]), make_or([interval, f])][i % 3]
+        assignment = tuple_of_parameters()
+        value = measure(f, X, assignment).value
+        assert value == reference_measure(f, X, assignment), (str(f), assignment)
+        k = rng.choice((3, 10, 100))
+        tuples = [tuple_of_parameters() for _ in range(5)]
+        report = bucket_partition(f, X, tuples, k)
+        read = reading(qe(make_and([f, UNIT_WINDOW]), TheoryMode.POVS), X)
+        want = [_window_measure(read(a)) for a in tuples]
+        assert [e.value for e in report.entries] == want, str(f)
+        assert [e.bucket for e in report.entries] == [bucket_index(w, k) for w in want]
+        values += [value, *want]
+    assert sum(not v.in_q() for v in values) > 1000  # irrational measures
+    assert sum(v.in_q() and bool(v) for v in values) > 1000  # nonzero rational ones

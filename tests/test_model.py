@@ -1,6 +1,7 @@
 """Exact arithmetic, ordering, and quotient structure of the reference model."""
 
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -376,6 +377,43 @@ def test_compare_over_unequal_denominators():
         want = reference_sign(_as_reference(a - b))
         assert compare(a, b) == want and compare(b, a) == -want
         assert a.sign() == reference_sign(_as_reference(a))
+
+
+def test_compare_is_the_sign_of_the_difference_on_seeded_pairs():
+    # rational, mixed and irrational pairs, with unlike denominators, and
+    # equal values whose numerators are cached, fresh or unreduced
+    rng = random.Random(4040)
+
+    def element(radicands):
+        den = rng.choice((1, 2, 3, 6, 7, 12, 35))
+        return ModelElement({k: Fraction(rng.randint(-30, 30), den) for k in radicands if rng.random() < 0.7})
+
+    equal = 0
+    for i in range(6000):
+        a = element((0,)) if i % 3 < 2 else element((0, 2, 3, 5))
+        b = element((0,)) if i % 3 == 0 else element((0, 2, 3, 5))
+        if i % 7 == 0:
+            b = a if i % 2 else ModelElement(a.coeffs)
+        elif i % 7 == 1:
+            d, nums = a._numerators()
+            b = ModelElement._from_numerators(3 * d, {k: 3 * n for k, n in nums.items()})
+        equal += a == b
+        assert compare(a, b) == (a - b).sign() and compare(b, a) == (b - a).sign(), (a, b)
+    assert equal > 1500
+
+
+def test_from_numerators_gives_the_numerators_a_copy_recomputes():
+    # numerators and a denominator with a common factor, and zero numerators,
+    # come back reduced, as a pickled copy, which keeps no numerators, makes them
+    rng = random.Random(4141)
+    for i in range(2000):
+        cls = ModelElement if i % 2 else QuotientElement
+        factor = rng.randint(1, 12)
+        nums = {k: factor * rng.randint(-20, 20) for k in (0, 2, 3) if rng.random() < 0.7 and k >= cls._min_key}
+        e = cls._from_numerators(factor * rng.randint(1, 60), nums)
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy._ints is None and copy == e
+        assert e._numerators() == copy._numerators()
 
 
 def test_radicands_are_supported_primes_or_the_unit():

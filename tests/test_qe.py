@@ -227,7 +227,7 @@ def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
         (["qe", "E x1. x2 < x1 & x1 < 1"], 3),
         (["decide", "E x1. 0 < x1 & x1 < r2"], 4),
         (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 4),
-        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 18),
+        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 12),
     ],
 )
 def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, scans):
