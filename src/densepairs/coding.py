@@ -13,9 +13,11 @@ follows on an infinite locus, the (coset-pattern) domain on which it
 does, plus the finitely many leftover graph points.  Where the graph
 follows each candidate line is a decomposition, its line set.  One
 sentence asks whether any graph point lies off every line; if none does,
-the domain is the union of the line sets, and one sweep over their
-memberships finds the leftover points and checks that no point gets two
-values, with no formula rebuilt from them and no domain decomposed.
+the domain is the union of the line sets.  Two line sets share infinitely
+many points exactly when a piece of one meets a piece of the other, so
+the pieces and the listed points of the line sets decide functionality
+and give the leftover points, with no formula rebuilt from them and no
+domain decomposed.
 """
 
 from __future__ import annotations
@@ -23,13 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomposition import Decomposition, decompose, sweep
-from .errors import (
-    ArityError,
-    InfiniteResidualError,
-    InternalError,
-    NotFunctionalError,
-)
+from .decomposition import Decomposition, decompose
+from .errors import ArityError, InternalError, NotFunctionalError
 from .evaluate import Assignment, atoms
 from .formulas import (
     AtomKind,
@@ -140,11 +137,11 @@ def code_function(
     where the graph follows it.  The relation is functional exactly when
     (a) no graph point lies off every line (such a point lies in an open
     y-cell of graph points) and (b) no point is held by two line sets with
-    different line values.  Then the domain is the union of the line sets,
-    and one sweep over them decides (b) and finds what their open pieces
-    miss, a finite set of explicit graph points.  Its landmarks include the
-    meeting point of every two lines, so two line sets sharing an open cell
-    disagree at its samples; at an endpoint the values are compared exactly.
+    different line values.  Then the domain is the union of the line sets.
+    Two distinct lines agree at one point at most, so (b) fails when a
+    piece of A_i meets a piece of A_j, and otherwise can fail only at a
+    listed point of some A_i, where the values are compared exactly.  The
+    listed points that no open piece holds are the leftover graph points.
     """
     if x.sort is not Sort.HOME or y.sort is not Sort.HOME:
         raise ArityError("function coding needs two home-sort variables")
@@ -157,29 +154,22 @@ def code_function(
     if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):
         raise NotFunctionalError(NOT_FUNCTIONAL)
     line_sets = [decompose(substitute(g, y, t), x) for t in terms]
+    # check (b) on the pieces: two that meet share infinitely many points
+    for i, (line, d) in enumerate(zip(lines, line_sets)):
+        for other, d2 in zip(lines[i + 1:], line_sets[i + 1:]):
+            if any(p.meets(q) for p in d.pieces for q in d2.pieces):
+                if line == other:
+                    raise InternalError("function piece domains overlap")
+                raise NotFunctionalError(NOT_FUNCTIONAL)
     # the pieces are open and no piece holds another's endpoint, so
     # dropping the listed points leaves a canonical decomposition
     pieces = [FunctionPiece(s, c, Decomposition((), d.pieces))
               for (s, c), d in zip(lines, line_sets) if d.pieces]
-    meets = [(c2 - c1).scale(1 / (s1 - s2)) for i, (s1, c1) in enumerate(lines)
-             for s2, c2 in lines[i + 1:] if s1 != s2]
-    found: dict[ModelElement, ModelElement] = {}
-
-    def uncovered(m: ModelElement) -> bool:
+    leftover = []  # check (b) at the listed points, and the ones no piece holds
+    for m in sorted({m for d in line_sets for m in d.points}):
         values = {m.scale(s) + c for (s, c), d in zip(lines, line_sets) if d.contains(m)}
         if len(values) > 1:
             raise NotFunctionalError(NOT_FUNCTIONAL)
-        held = sum(p.domain.contains(m) for p in pieces)
-        if held > 1:
-            raise InternalError("function piece domains overlap")
-        if held or not values:
-            return False
-        found[m] = values.pop()
-        return True
-
-    rd = sweep(uncovered, [Decomposition(tuple(meets), ()), *line_sets])
-    if rd.pieces:  # unreachable unless the line sets and the pieces disagree
-        raise InfiniteResidualError(
-            "candidate lines leave an infinite part of the domain uncovered"
-        )
-    return FunctionCode(tuple((e, found[e]) for e in rd.points), tuple(pieces))
+        if not any(p.domain.contains(m) for p in pieces):
+            leftover.append((m, values.pop()))
+    return FunctionCode(tuple(leftover), tuple(pieces))

@@ -21,22 +21,13 @@ cell coalesces with the previous piece (whenever that preserves the
 denoted set).  The output is canonical and ascending as it comes: equal
 sets yield equal decompositions no matter which formula defined them,
 and no caller sorts or coalesces it again.
-
-The sweep needs only a test, endpoints and named cosets, so `sweep` also
-does set algebra on decompositions without a formula: it takes their
-points, finite piece ends and listed cosets as landmarks, between which
-each of them sees a point only through the named coset holding it, and
-decomposes any test built from their memberships, asked at sample points
-(one per named coset and one outside them in each cell), the only sample
-points built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import count
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, run
@@ -56,10 +47,6 @@ from .model import (
     compare,
     lex_compare,
     project,
-    rational_above,
-    rational_below,
-    rational_between,
-    section,
 )
 from .qe import qe
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -156,6 +143,16 @@ class NearInterval:
 
     def is_large(self) -> bool:
         return self.cosets.cofinite
+
+    def meets(self, other: "NearInterval") -> bool:
+        """Whether the two pieces share a point: their open intervals overlap
+        and their coset sets share a coset, which is dense in the overlap."""
+        if self.lo.compare(other.hi) >= 0 or other.lo.compare(self.hi) >= 0:
+            return False
+        a, b = self.cosets, other.cosets
+        if not a.cofinite:
+            return any(map(b.contains, a.members))
+        return b.cofinite or any(map(a.contains, b.members))
 
     def sorted_cosets(self) -> tuple[QuotientElement, ...]:
         return tuple(sorted(self.cosets.members, key=cmp_to_key(lex_compare)))
@@ -283,33 +280,6 @@ def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
     return table_at
 
 
-def sweep(
-    holds: Callable[[ModelElement], bool], decompositions: Iterable[Decomposition]
-) -> Decomposition:
-    """The canonical decomposition of the points where holds is true, for a
-    test that sees a point only through which of the decompositions hold it:
-    their points and finite piece ends are the endpoints, and their listed
-    cosets the named cosets.  It is asked at each endpoint and, in each
-    cell, at one sample per named coset and one outside them all."""
-    endpoints: set[ModelElement] = set()
-    named: set[QuotientElement] = set()
-    for d in decompositions:
-        endpoints.update(d.points)
-        for p in d.pieces:
-            endpoints.update(e.value for e in (p.lo, p.hi) if e.is_finite())
-            named.update(p.cosets.members)
-    ends = sorted(endpoints)
-    bounds = [Endpoint.neg_inf(), *map(Endpoint.at, ends), Endpoint.pos_inf()]
-    # the first coset of r2, 2*r2, 3*r2, ... that is not named
-    outside = next(w for k in count(1) if (w := QuotientElement({2: k})) not in named)
-
-    def at(i: int, w: QuotientElement | None) -> bool:
-        j, w = i // 2, outside if w is None else w
-        return holds(ends[j] if i % 2 else _sample_inside(bounds[j], bounds[j + 1], w))
-
-    return _sweep(at, ends, named)
-
-
 def _sweep(
     holds: Callable[[int, QuotientElement | None], bool],
     ends: list[ModelElement],
@@ -353,20 +323,6 @@ def _sweep(
         last = pattern
 
     return Decomposition(tuple(points), tuple(pieces))
-
-
-def _sample_inside(lo: Endpoint, hi: Endpoint, w: QuotientElement) -> ModelElement:
-    """A point of the coset w strictly between lo and hi: section(w) + q, q rational."""
-    s = section(w)
-    if lo.is_finite() and hi.is_finite():
-        q = rational_between(lo.value - s, hi.value - s)
-    elif lo.is_finite():
-        q = rational_above(lo.value - s)
-    elif hi.is_finite():
-        q = rational_below(hi.value - s)
-    else:
-        q = 0
-    return s + ModelElement.from_rational(q)
 
 
 def is_small(d: Decomposition) -> bool:

@@ -68,7 +68,3 @@ class NotFunctionalError(PreconditionError):
 
 class InternalError(EngineError):
     """An internal invariant failed; always a bug, never user error."""
-
-
-class InfiniteResidualError(InternalError):
-    """Function coding left an infinite uncovered residual domain."""

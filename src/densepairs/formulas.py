@@ -455,7 +455,7 @@ def check_parameters(variables: Iterable[Variable], assignment: Assignment) -> l
     """The variables in sort order, once each is checked to be bound to a
     value of its sort: the first that is not raises NotGroundError if
     unbound, else TypeError ("x2 is assigned a int, not a ModelElement")."""
-    ordered = sorted(variables, key=lambda w: w.sort_key())
+    ordered = sorted(variables, key=Variable.sort_key)
     for var in ordered:
         if var not in assignment:
             raise NotGroundError(f"{var} is not bound by the assignment")

@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import InternalError, ModeError, NotGroundError, SortError
+from .errors import InternalError, ModeError, SortError
 from .evaluate import Assignment, eval_formula
-from .formulas import Atom, AtomKind, Formula, Not, literal_parts, quot_eq, quot_prec
+from .formulas import Atom, AtomKind, Formula, Not, check_parameters, literal_parts, quot_eq, quot_prec
 from .model import (
     ModelElement,
     QuotientElement,
@@ -223,11 +223,10 @@ def _solve(
 def _check_literals(
     literals: Sequence[Formula], v: Variable, assignment: Assignment
 ) -> None:
-    """Reject a non-literal or a parameter the assignment leaves unbound."""
-    for lit in literals:
-        for var in _read(literal_parts(lit)[0], v)[1]:
-            if var not in assignment:
-                raise NotGroundError(f"{var} is not bound by the assignment")
+    """Reject a non-literal, then a parameter the assignment leaves unbound
+    or binds to a value not of its sort (`check_parameters`)."""
+    params = {var for lit in literals for var in _read(literal_parts(lit)[0], v)[1]}
+    check_parameters(params, assignment)
 
 
 def oracle_exists_quotient(

@@ -16,11 +16,10 @@ from densepairs.coding import (
     code_unary_set,
     codes_equal,
 )
-from densepairs.decomposition import Decomposition, decompose, sweep
+from densepairs.decomposition import Decomposition, decompose
 from densepairs.errors import (
     ArityError,
     EngineError,
-    InfiniteResidualError,
     InternalError,
     NotFunctionalError,
     NotGroundError,
@@ -48,6 +47,8 @@ from densepairs.parser import parse, parse_element
 from densepairs.qe import decide_sentence, qe
 from densepairs.randgen import random_element, random_qf_formula
 from densepairs.terms import HomeTerm, Sort, hvar, qvar
+
+from reference_sweep import sweep
 
 MODEL = Model(3)
 X, Y = hvar(1), hvar(2)
@@ -307,7 +308,7 @@ def piecewise_text(k):
 def test_piecewise_function_codes_within_time_gate():
     # the leftover points were once found by decomposing the formula
     # domain & !(pieces), a conjunction of disjunctions whose DNF made k=8
-    # take about 52 s; a sweep over the piece domains builds no formula
+    # take about 52 s; reading the line sets' pieces and points builds no formula
     f = parse(piecewise_text(8))
     start = time.perf_counter()
     fc = code_function(f, X, Y)
@@ -362,7 +363,7 @@ def reference_code_function(f, x, y, assignment=None) -> FunctionCode:
 
     rd = sweep(uncovered, [domain, *(p.domain for p in pieces)])
     if rd.pieces:
-        raise InfiniteResidualError("candidate lines leave an infinite part of the domain uncovered")
+        raise InternalError("candidate lines leave an infinite part of the domain uncovered")
 
     def value(at):
         for slope, intercept in lines:
@@ -423,8 +424,8 @@ def test_code_function_agrees_with_the_universal_sentence_on_seeded_relations():
 @pytest.mark.parametrize(
     "text",
     [
-        # the lines meet at r2, inside the one cell: without the meeting
-        # point as a landmark the cell's sample is r2, where they agree
+        # the lines meet at r2, inside the one piece of each line set: the
+        # pieces meet, though the two values agree at r2
         "r2 - 1 < x1 & x1 < r2 + 1 & (x2 = x1 | x2 = 2*x1 - r2)",
         # a second value at a point of an open piece
         "(x1 < 1 & x2 = x1) | (x1 = 0 & x2 = 5)",

@@ -11,19 +11,17 @@ from itertools import count
 
 import pytest
 
-from densepairs import decomposition, model
+from densepairs import model
 from densepairs.coding import code_function, set_code_json
 from densepairs.decomposition import (
     CosetSet,
     Decomposition,
     Endpoint,
     NearInterval,
-    _sample_inside,
     decompose,
     generic_type_contains,
     is_small,
     reading,
-    sweep,
 )
 from densepairs.errors import ArityError, InternalError, ModeError, NotGroundError
 from densepairs.evaluate import atoms, eval_formula
@@ -49,10 +47,12 @@ from densepairs.model import (
     rational_between,
     section,
 )
-from densepairs.parser import parse, parse_element
+from densepairs.parser import parse, parse_element, parse_quotient_element
 from densepairs.qe import qe
 from densepairs.randgen import random_assignment, random_qf_formula, random_quotient_element
 from densepairs.terms import hvar, qvar
+
+from reference_sweep import _sample_inside, sweep
 
 MODEL = Model(3)
 X = hvar(1)
@@ -246,6 +246,55 @@ def test_coset_set_intersection():
     assert coset_intersection(finite, cofinite) == CosetSet(False, frozenset([a]))
     assert coset_intersection(cofinite, finite) == CosetSet(False, frozenset([a]))
     assert coset_intersection(cofinite, CosetSet(True, frozenset([a]))) == CosetSet(True, frozenset([a, b, c]))
+
+
+def piece(lo, hi, cofinite, *members):
+    """The near-interval (lo, hi) on a coset set; None is an infinite end."""
+    ends = [Endpoint.neg_inf() if lo is None else Endpoint.at(parse_element(lo)),
+            Endpoint.pos_inf() if hi is None else Endpoint.at(parse_element(hi))]
+    return NearInterval(*ends, CosetSet(cofinite, frozenset(parse_quotient_element(w) for w in members)))
+
+
+@pytest.mark.parametrize(
+    "p,q,meet",
+    [
+        # finite and finite: they meet when they list a common coset
+        (piece("0", "2", False, "0", "pi(r2)"), piece("1", "3", False, "pi(r2)"), True),
+        (piece("0", "2", False, "0"), piece("1", "3", False, "pi(r2)", "pi(r3)"), False),
+        # finite and cofinite: when a listed coset is not excluded
+        (piece("0", "2", False, "pi(r2)"), piece(None, "1", True, "pi(r3)"), True),
+        (piece("0", "2", False, "pi(r2)"), piece(None, "1", True, "pi(r2)", "0"), False),
+        (piece("0", "2", False, "pi(r2)", "0"), piece("1", None, True, "pi(r2)"), True),
+        # cofinite and cofinite: always, when the intervals overlap
+        (piece("0", "2", True, "0"), piece("1", "3", True, "pi(r2)"), True),
+        (piece(None, None, True, "0", "pi(r2)"), piece("r2", "r3", True, "0", "pi(r2)"), True),
+        # intervals that do not overlap, or touch at a shared endpoint
+        (piece("0", "1", True), piece("2", "3", True), False),
+        (piece("0", "1", True), piece("1", "3", True), False),
+        (piece(None, "r2", False, "pi(r2)"), piece("r2", None, False, "pi(r2)"), False),
+    ],
+)
+def test_pieces_meet_when_their_intervals_overlap_and_they_share_a_coset(p, q, meet):
+    assert p.meets(q) == q.meets(p) == meet
+
+
+def test_the_meet_test_agrees_with_the_sweep_of_both_memberships():
+    # a piece pair meets exactly when the points both hold make up a piece;
+    # the pieces come from formulas with many endpoints and named cosets
+    rng = random.Random(2424)
+    pieces = []
+    while len(pieces) < 400:
+        sigma = random_assignment(rng, [hvar(2), qvar(1)], MODEL)
+        pieces.extend(decompose(dnf_heavy_formula(rng), X, sigma).pieces)
+    meets, touching = [], 0
+    for _ in range(2000):
+        p, q = rng.sample(pieces, 2)
+        dp, dq = Decomposition((), (p,)), Decomposition((), (q,))
+        both = sweep(lambda m: dp.contains(m) and dq.contains(m), [dp, dq])
+        assert p.meets(q) == bool(both.pieces), (str(p), str(q))
+        meets.append(p.meets(q))
+        touching += p.hi == q.lo or q.hi == p.lo
+    assert 500 < meets.count(True) < 1500 and touching > 50, (meets.count(True), touching)
 
 
 def test_near_interior_examples():
@@ -745,8 +794,8 @@ def test_bucket_partition_decides_a_parameter_atom_per_tuple():
 
 
 def test_the_reading_builds_no_sample_point(monkeypatch):
-    # the parent's answers on the golden corpus's sets, with every way of
-    # building a sample point refused
+    # the parent's answers on the golden corpus's sets and the codes of its
+    # graphs, with every way of building a sample point refused
     rng = random.Random(1414)
     sets = [random_qf_formula(rng, [X], MODEL, TheoryMode.POVS, depth=3) for _ in range(180)]
     window = parse("0 < x1 & x1 < 1")
@@ -757,20 +806,22 @@ def test_the_reading_builds_no_sample_point(monkeypatch):
             ModelElement(),
         )
         want.append((reference_decompose(f, X), length))
+    graphs = [parse(text) for text in CORPUS_GRAPHS]
+    codes = [code_function(g, X, hvar(2)) for g in graphs]
 
     def refuse(*args):
         raise AssertionError("a sample point was built")
 
-    monkeypatch.setattr(decomposition, "_sample_inside", refuse)
-    for module in (model, decomposition):
-        for name in ("rational_between", "rational_above", "rational_below"):
-            monkeypatch.setattr(module, name, refuse)
+    for name in ("rational_between", "rational_above", "rational_below"):
+        monkeypatch.setattr(model, name, refuse)
     monkeypatch.setattr(model.ModelElement, "enclosure", refuse)
     for f, (d, length) in zip(sets, want):
         assert decompose(f, X) == d, str(f)
         assert measure(f, X).value == length, str(f)
         [entry] = bucket_partition(f, X, [{}], 10).entries
         assert entry.value == length, str(f)
+    for g, code in zip(graphs, codes):
+        assert code_function(g, X, hvar(2)) == code, str(g)
 
 
 def test_measures_and_bucket_reports_agree_with_the_reference_on_seeded_families():

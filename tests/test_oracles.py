@@ -12,13 +12,13 @@ import pytest
 from densepairs import oracles, terms
 from densepairs.errors import ModeError, NotGroundError, ParseError, SortError
 from densepairs.evaluate import eval_formula
-from densepairs.formulas import TheoryMode, literal_parts, make_and
+from densepairs.formulas import TheoryMode, free_variables, literal_parts, make_and
 from densepairs.model import Model, ModelElement, QuotientElement, compare, lex_compare
 from densepairs.oracles import oracle_exists_home, oracle_exists_quotient
 from densepairs.parser import parse, parse_element, parse_quotient_element
-from densepairs.randgen import random_assignment, random_conjunction, random_element
+from densepairs.randgen import random_assignment, random_conjunction, random_element, random_quotient_element
 from densepairs.selfcheck import selfcheck
-from densepairs.terms import Sort, hvar, qvar
+from densepairs.terms import Sort, Variable, hvar, qvar
 
 MODEL = Model(3)
 
@@ -437,3 +437,42 @@ def test_a_binding_of_the_bound_variable_is_ignored(case):
         given = sigma if value is None else {**sigma, v: value}
         ok, w = _call_oracle(lits(*texts, mode=TheoryMode.POVS_PREC), v, given, TheoryMode.POVS_PREC)
         assert (ok, None if w is None else w.to_json()) == (verdict, witness), value
+
+
+@pytest.mark.parametrize("sort", [Sort.HOME, Sort.QUOTIENT])
+def test_a_wrong_sort_parameter_raises_one_type_error_whatever_the_literal_order(sort):
+    # a parameter the literals mention, bound to a value of the other sort,
+    # is refused before the search, so no literal order or search exit
+    # lets the call answer
+    rng = random.Random(5)
+    bound = hvar(0) if sort is Sort.HOME else qvar(0)
+    context = [hvar(1), hvar(2), qvar(1), qvar(2)]
+    modes = list(TheoryMode) if sort is Sort.HOME else [TheoryMode.POVS, TheoryMode.POVS_PREC]
+    calls = 0
+    while calls < 3000:
+        mode = modes[calls % len(modes)]
+        literals = random_conjunction(rng, bound, context, MODEL, mode)
+        mentioned = set().union(*map(free_variables, literals)) - {bound}
+        if not mentioned:
+            continue
+        wrong = rng.choice(sorted(mentioned, key=Variable.sort_key))
+        sigma = random_assignment(rng, context, MODEL)
+        if wrong.sort is Sort.HOME:
+            sigma[wrong], want = random_quotient_element(rng, MODEL), "QuotientElement, not a ModelElement"
+        else:
+            sigma[wrong], want = random_element(rng, MODEL), "ModelElement, not a QuotientElement"
+        for _ in range(2):
+            rng.shuffle(literals)
+            with pytest.raises(TypeError) as raised:
+                _call_oracle(literals, bound, sigma, mode)
+            assert str(raised.value) == f"{wrong} is assigned a {want}", [str(lit) for lit in literals]
+        calls += 1
+
+
+def test_the_first_unbound_parameter_in_sort_order_is_named():
+    literals = lits("x1 < x3", "pi(x1) = u1", "x2 < x1")
+    for order in (literals, literals[::-1]):
+        with pytest.raises(NotGroundError, match="^x2 is not bound by the assignment$"):
+            oracle_exists_home(order, hvar(1), {})
+        with pytest.raises(NotGroundError, match="^x3 is not bound by the assignment$"):
+            oracle_exists_home(order, hvar(1), {hvar(2): ModelElement()})
