@@ -266,9 +266,8 @@ def _lead_coeff(t: Term) -> Fraction | None:
     variables = t.variables()
     if variables:
         return t.coeff(min(variables, key=lambda w: (w.sort is Sort.HOME, w.index)))
-    for _, q in t.constant.items():
-        return q
-    return None
+    c = t.constant
+    return Fraction(c._n[min(c._n)], c._d) if c._n else None
 
 
 def _normalize(t: Term, sign_free: bool) -> Term:

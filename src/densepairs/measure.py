@@ -15,18 +15,20 @@ measure values are exact model elements rather than approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .decomposition import sign_table
-from .errors import InternalError
+from .errors import InternalError, SortError
 from .evaluate import Assignment
-from .formulas import Formula, TheoryMode, check_parameters, free_variables, ground, home_lt, make_and
+from .formulas import Atom, AtomKind, Formula, TheoryMode, check_parameters, free_variables, ground, make_and
 from .model import ModelElement, compare, int_sign
 from .qe import qe
-from .terms import HomeTerm, Variable
+from .terms import HomeTerm, Sort, Variable
 
 
 ONE = ModelElement.from_rational(1)
+_ZERO, _MINUS_ONE = ModelElement(), -ONE
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,13 @@ class MeasureValue:
 
 
 def _unit_window(f: Formula, v: Variable) -> Formula:
-    x = HomeTerm.from_variable(v)
-    return make_and([f, home_lt(-x), home_lt(x - HomeTerm.from_element(ONE))])
+    """f & 0 < v & v < 1.  The bounds are the atoms `home_lt` would make of
+    -v and v - 1, built directly: their leads -1 and +1 are already units."""
+    if v.sort is not Sort.HOME:
+        raise SortError(f"variable {v} is not of sort home")
+    above = Atom(AtomKind.HOME_LT, HomeTerm._make({v: Fraction(-1)}, _ZERO))
+    below = Atom(AtomKind.HOME_LT, HomeTerm._make({v: Fraction(1)}, _MINUS_ONE))
+    return make_and([f, above, below])
 
 
 def measure(f: Formula, v: Variable, assignment: Assignment | None = None) -> MeasureValue:
@@ -77,7 +84,7 @@ def bucket_index(value: ModelElement, k: int) -> int:
     """The least j in 1..k with value <= j/k, so (j-1)/k < value <= j/k on
     (0, 1], ties going down; found by bisection on integers: with the value
     sum(n_t * sqrt(t)) / d, value <= j/k is k * n - j * d <= 0."""
-    d, nums = value._numerators()
+    d, nums = value._d, value._n
     irrational = [(t, k * n) for t, n in nums.items() if t]
     rational = k * nums.get(0, 0)
 

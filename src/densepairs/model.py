@@ -2,11 +2,13 @@
 
 The home sort is the rational span of ``{1, sqrt(2), sqrt(3), sqrt(5), ...}``
 inside the reals; the distinguished subspace Q is the rational line ``Q*1``.
-Elements are sparse coefficient maps keyed by radicand, with key 0 standing
-for the unit 1 and key p (a prime) for sqrt(p).  Because square roots of
+Elements are integer rows: a denominator d > 0 and sparse integer
+numerators keyed by radicand, with key 0 standing for the unit 1 and key p
+(a prime) for sqrt(p), sharing no factor with d, so each value has one row
+and arithmetic stays fraction-free (Bareiss 1968).  Because square roots of
 distinct primes are linearly independent over the rationals, an element is
-zero exactly when its coefficient map is empty, which makes equality a
-structural check and lets sign determination terminate: a nonzero value is
+zero exactly when it has no numerator, which makes equality a structural
+check and lets sign determination terminate: a nonzero value is
 eventually separated from 0 by a sufficiently tight dyadic enclosure.
 
 The quotient sort drops the key-0 coordinate.  Its order, used by the
@@ -127,19 +129,22 @@ def add_scaled(out: dict, coeffs: Mapping, q=1) -> dict:
     return out
 
 
-def _clean(coeffs: Coeffs) -> dict[int, Fraction]:
+def _clean(coeffs: Coeffs) -> dict[int, int | Fraction]:
     out = {}
     for k, v in dict(coeffs).items():
-        q = Fraction(v)
-        if q != 0:
-            out[int(k)] = q
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        if v:
+            out[int(k)] = v
     return out
 
 
 class _SpanElement:
-    """Shared machinery of home-sort and quotient-sort elements."""
+    """Shared machinery of home-sort and quotient-sort elements: the row
+    `_d` > 0, `_n` = {k: nonzero n_k} with gcd(d, n_k...) = 1 of the value
+    sum(n_k * sqrt(k)) / d, sqrt(0) read as 1; Fractions are built on demand."""
 
-    __slots__ = ("_coeffs", "_hash", "_ints")
+    __slots__ = ("_d", "_n", "_hash")
     _min_key = 0
 
     def __init__(self, coeffs: Coeffs = ()):
@@ -150,71 +155,83 @@ class _SpanElement:
             problem = k and radicand_problem(k)
             if problem:
                 raise ValueError(f"r{k} {problem}")
-        self._coeffs = cleaned
+        # over the lcm of reduced denominators the numerators share no factor with it
+        d = self._d = math.lcm(*[q.denominator for q in cleaned.values()])
+        self._n = {k: q.numerator * (d // q.denominator) for k, q in cleaned.items()}
         self._hash = None
-        self._ints = None
 
     @classmethod
-    def _make(cls, coeffs: dict[int, Fraction]):
-        """The element of a clean map: radicands of this sort to nonzero Fractions."""
+    def _row(cls, d: int, n: dict[int, int]):
+        """The element of a canonical row; the map is shared, so it is never changed."""
         e = object.__new__(cls)
-        e._coeffs = coeffs
+        e._d = d
+        e._n = n
         e._hash = None
-        e._ints = None
         return e
 
-    def __reduce__(self):  # stored hash and numerators are rebuilt, not copied
-        return self._make, (self._coeffs,)
+    @classmethod
+    def _reduced(cls, d: int, n: dict[int, int]):
+        """The element of the row (d, n) with d > 0 and no zero in n, made canonical."""
+        if d != 1:
+            g = math.gcd(d, *n.values())
+            if g != 1:
+                return cls._row(d // g, {k: m // g for k, m in n.items()})
+        return cls._row(d, n)
+
+    def __reduce__(self):  # the stored hash is rebuilt, not copied
+        return self._row, (self._d, self._n)
 
     @classmethod
     def _from_numerators(cls, d: int, nums: Mapping[int, int]):
         """The element sum(n_k * sqrt(k)) / d, sqrt(0) read as 1, for d > 0 and
         integers n_k of radicands of this sort; zero numerators are dropped."""
-        return cls._make({k: Fraction(n, d) for k, n in nums.items() if n})
+        return cls._reduced(d, {k: n for k, n in nums.items() if n})
 
-    def _numerators(self) -> tuple[int, dict[int, int]]:
-        """(d, {k: n_k}): the value is sum(n_k * sqrt(k)) / d with d > 0 and
-        every n_k a nonzero integer (sqrt(0) read as 1).  Made once per
-        element; the map is shared, so it is never changed."""
-        ints = self._ints
-        if ints is None:
-            coeffs = self._coeffs
-            d = math.lcm(*[q.denominator for q in coeffs.values()])
-            nums = {k: q.numerator * (d // q.denominator) for k, q in coeffs.items()}
-            ints = self._ints = (d, nums)
-        return ints
+    def _terms(self) -> list[tuple[int, int, int]]:
+        """(k, n, d) per radicand k, by radicand: the coefficient n/d in lowest terms."""
+        d = self._d
+        return [(k, n // g, d // g) for k, n in sorted(self._n.items()) for g in [math.gcd(n, d)]]
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return {k: Fraction(n, self._d) for k, n in self._n.items()}
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._coeffs.items()))
+        return iter([(k, Fraction(n, self._d)) for k, n in sorted(self._n.items())])
 
     def coeff(self, radicand: int) -> Fraction:
-        return self._coeffs.get(radicand, ZERO)
+        n = self._n.get(radicand)
+        return ZERO if n is None else Fraction(n, self._d)
 
     def radicands(self) -> frozenset[int]:
-        return frozenset(self._coeffs)
+        return frozenset(self._n)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._coeffs == other._coeffs
+        return type(self) is type(other) and self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((type(self).__name__, tuple(sorted(self._coeffs.items()))))
+            self._hash = hash((type(self).__name__, self._d, frozenset(self._n.items())))
         return self._hash
 
     def _merge(self, other, flip: int):
+        """self + flip * other over the common denominator lcm(d, e)."""
         if type(self) is not type(other):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        return self._make(add_scaled(dict(self._coeffs), other._coeffs, flip))
+        if not other._n:
+            return self
+        d, e = self._d, other._d
+        if d == e:
+            return self._reduced(d, add_scaled(dict(self._n), other._n, flip))
+        g = math.gcd(d, e)
+        out = {k: n * (e // g) for k, n in self._n.items()}
+        return self._reduced(d // g * e, add_scaled(out, other._n, flip * (d // g)))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -223,22 +240,23 @@ class _SpanElement:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return self._make({k: -v for k, v in self._coeffs.items()})
+        return self._row(self._d, {k: -n for k, n in self._n.items()})
 
     def scale(self, q) -> "_SpanElement":
-        if q == 1:
+        if q == 1 or not self._n:
             return self
-        if not isinstance(q, Fraction):
+        if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        if q == 0:
-            return self._make({})
-        return self._make({k: q * v for k, v in self._coeffs.items()})
+        if not q:
+            return self._row(1, {})
+        a = q.numerator
+        return self._reduced(self._d * q.denominator, {k: a * n for k, n in self._n.items()})
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._coeffs!r})"
+        return f"{type(self).__name__}({self.coeffs!r})"
 
     def to_json(self) -> dict[str, str]:
-        return {str(k): str(v) for k, v in sorted(self._coeffs.items())}
+        return {str(k): str(n) if d == 1 else f"{n}/{d}" for k, n, d in self._terms()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]):
@@ -257,26 +275,28 @@ class ModelElement(_SpanElement):
 
     @classmethod
     def from_rational(cls, q) -> "ModelElement":
-        return cls({0: Fraction(q)})
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return cls._row(q.denominator, {0: q.numerator} if q else {})
 
     def rational(self) -> Fraction | None:
         """The value as a Fraction when it lies on the rational line."""
         if self.in_q():
-            return self._coeffs.get(0, ZERO)
+            return Fraction(self._n.get(0, 0), self._d)
         return None
 
     def in_q(self) -> bool:
         """Membership in the distinguished subspace (support on key 0 only)."""
-        return self._coeffs.keys() <= _RATIONAL_SUPPORT
+        return self._n.keys() <= _RATIONAL_SUPPORT
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Dyadic bounds lo <= value <= hi of width sum(|q_k|, k > 0) * 2**-bits."""
-        d, nums = self._numerators()
-        lo, hi = _bounds(nums.items(), bits)
-        return Fraction(lo, d << bits), Fraction(hi, d << bits)
+        lo, hi = _bounds(self._n.items(), bits)
+        d = self._d << bits
+        return Fraction(lo, d), Fraction(hi, d)
 
     def sign(self) -> int:
-        return int_sign(self._numerators()[1].items())
+        return int_sign(self._n.items())
 
     def decimal_str(self, digits: int = 12) -> str:
         """The value correctly rounded, half up, to `digits` places.
@@ -314,9 +334,7 @@ class ModelElement(_SpanElement):
         return compare(self, other) >= 0
 
     def __str__(self) -> str:
-        return render_combination(
-            [(q, None if k == 0 else f"r{k}") for k, q in self.items()]
-        )
+        return render_combination([(n, d, None if k == 0 else f"r{k}") for k, n, d in self._terms()])
 
 
 class QuotientElement(_SpanElement):
@@ -326,10 +344,10 @@ class QuotientElement(_SpanElement):
 
     def lex_sign(self) -> int:
         """Sign under the lexicographic order on coefficients over 2 < 3 < 5 < ..."""
-        return lead_sign(self._coeffs)
+        return lead_sign(self._n)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._n:
             return "0"
         return f"pi({section(self)})"
 
@@ -337,9 +355,9 @@ class QuotientElement(_SpanElement):
 def compare(a: ModelElement, b: ModelElement) -> int:
     """Exact sign of a - b under the real embedding: -1, 0, or 1.  With
     a = sum(m_k * sqrt(k)) / da and b = sum(n_k * sqrt(k)) / db, it is the
-    sign of sum((m_k * db - n_k * da) * sqrt(k)), on the cached numerators."""
-    da, na = a._ints or a._numerators()
-    db, nb = b._ints or b._numerators()
+    sign of sum((m_k * db - n_k * da) * sqrt(k)), on the two rows."""
+    da, na = a._d, a._n
+    db, nb = b._d, b._n
     if na.keys() <= _RATIONAL_SUPPORT and nb.keys() <= _RATIONAL_SUPPORT:
         diff = na.get(0, 0) * db - nb.get(0, 0) * da
         return (diff > 0) - (diff < 0)
@@ -360,19 +378,22 @@ def lex_compare(a: QuotientElement, b: QuotientElement) -> int:
 
 def project(a: ModelElement) -> QuotientElement:
     """The linear quotient map: kill the rational part, keep the rest."""
-    return QuotientElement._make({k: v for k, v in a._coeffs.items() if k != 0})
+    n = a._n
+    if 0 not in n:
+        return QuotientElement._row(a._d, n)
+    return QuotientElement._reduced(a._d, {k: m for k, m in n.items() if k})
 
 
 def section(w: QuotientElement) -> ModelElement:
     """Canonical right inverse of `project`: the representative with zero rational part."""
-    return ModelElement._make(dict(w._coeffs))
+    return ModelElement._row(w._d, w._n)
 
 
-def render_combination(items: list[tuple[Fraction, str | None]]) -> str:
-    """Render nonzero (coefficient, symbol or None for 1) pairs like ``3/2 + 1/3*r2 - r5``."""
+def render_combination(items: list[tuple[int, int, str | None]]) -> str:
+    """Render (n, d, symbol or None for 1) triples, each a nonzero coefficient
+    n/d in lowest terms with d > 0, like ``3/2 + 1/3*r2 - r5``."""
     parts = []
-    for q, sym in items:
-        n, d = q.numerator, q.denominator  # |q| is written from these, as str(abs(q)) would
+    for n, d, sym in items:
         mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if sym is None:
             body = mag

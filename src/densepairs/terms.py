@@ -110,18 +110,19 @@ class _Term:
         return self._make, (self._coeffs, self._constant)
 
     def _compile(self) -> tuple:
-        """The integer form: the lcm L of the denominators; per variable v,
-        (v, L * coeff, the class of v's values, whether v is read under pi);
-        and {k: L * constant_k}."""
-        coeffs, const = self._coeffs, self._constant._coeffs
-        scale = lcm(*[q.denominator for q in (*coeffs.values(), *const.values())])
+        """The integer form: the lcm L of the coefficients' denominators and
+        of the constant's row denominator d; per variable v, (v, L * coeff,
+        the class of v's values, whether v is read under pi); and the
+        constant's row numerators times L / d."""
+        coeffs, d, const = self._coeffs, self._constant._d, self._constant._n
+        scale = lcm(d, *[q.denominator for q in coeffs.values()])
         quotient = self.sort is Sort.QUOTIENT
         terms = tuple(
             (v, q.numerator * (scale // q.denominator), VALUE_CLASS[v.sort],
              quotient and v.sort is Sort.HOME)
             for v, q in coeffs.items()
         )
-        return scale, terms, {k: q.numerator * (scale // q.denominator) for k, q in const.items()}
+        return scale, terms, {k: n * (scale // d) for k, n in const.items()}
 
     def form(self) -> tuple:
         """The integer form, compiled on the first call and kept."""
@@ -133,11 +134,10 @@ class _Term:
         """(D, {k: n_k}) with the value under the assignment sum(n_k * sqrt(k)) / D,
         sqrt(0) read as 1, for D > 0 and integers n_k, some of them maybe 0.
 
-        The form is the term's `form()`; each value's cached
-        numerators are brought to one common denominator d and added in, so
-        D = L * d.  An unbound home variable is reported at once, an unbound
-        quotient variable after the rest, and a value of the wrong sort
-        raises TypeError.  The map may be the form's own: never change it.
+        The form is the term's `form()`; each value's row is brought to one
+        common denominator d and added in, so D = L * d.  An unbound home
+        variable is reported at once, an unbound quotient variable after the
+        rest, and a value of the wrong sort raises TypeError.  The map may be the form's own: never change it.
         """
         scale, terms, nums = self._form or self.form()
         if not terms:
@@ -155,16 +155,16 @@ class _Term:
                 continue
             if type(x) is not want:
                 raise TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
-            ints = x._ints or x._numerators()  # no call once cached
-            d = lcm(d, ints[0])
-            values.append((c, ints, under_pi))
+            if x._d != d:
+                d = lcm(d, x._d)
+            values.append((c, x, under_pi))
         if unbound is not None:
             raise UnboundVariableError(f"{unbound} is unbound")
         # not model.add_scaled: leaving a cancelled coefficient as 0 costs less
         nums = dict(nums) if d == 1 else {k: n * d for k, n in nums.items()}
-        for c, (dx, xs), under_pi in values:
-            c *= d // dx
-            for k, n in xs.items():
+        for c, x, under_pi in values:
+            c *= d // x._d
+            for k, n in x._n.items():
                 if k or not under_pi:  # pi kills the rational part, key 0
                     nums[k] = nums.get(k, 0) + c * n
         return scale * d, nums
@@ -241,11 +241,11 @@ class _Term:
         c = self._constant
         pos = self._make(
             {v: q for v, q in self._coeffs.items() if q > 0},
-            c._make({k: q for k, q in c.items() if q > 0}),
+            c._reduced(c._d, {k: n for k, n in c._n.items() if n > 0}),
         )
         neg = self._make(
             {v: -q for v, q in self._coeffs.items() if q < 0},
-            c._make({k: -q for k, q in c.items() if q < 0}),
+            c._reduced(c._d, {k: -n for k, n in c._n.items() if n < 0}),
         )
         return pos, neg
 
@@ -287,11 +287,11 @@ class HomeTerm(_Term):
         return f"HomeTerm({self._coeffs!r}, {self._constant!r})"
 
     def __str__(self) -> str:
-        items: list[tuple[Fraction, str | None]] = [
-            (q, v.name)
+        items: list[tuple[int, int, str | None]] = [
+            (q.numerator, q.denominator, v.name)
             for v, q in sorted(self._coeffs.items(), key=lambda kv: kv[0].index)
         ]
-        items += [(q, None if k == 0 else f"r{k}") for k, q in self._constant.items()]
+        items += [(n, d, None if k == 0 else f"r{k}") for k, n, d in self._constant._terms()]
         return render_combination(items)
 
 
@@ -342,13 +342,13 @@ class QuotientTerm(_Term):
         return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self._constant!r})"
 
     def __str__(self) -> str:
-        items: list[tuple[Fraction, str | None]] = [
-            (q, v.name)
+        items: list[tuple[int, int, str | None]] = [
+            (q.numerator, q.denominator, v.name)
             for v, q in sorted(self.coeffs.items(), key=lambda kv: kv[0].index)
         ]
         inner = self.pushed + HomeTerm.from_element(section(self._constant))
         if not inner.is_zero():
-            items.append((Fraction(1), f"pi({inner})"))
+            items.append((1, 1, f"pi({inner})"))
         return render_combination(items)
 
 

@@ -376,21 +376,19 @@ objects = (
     ModelElement({0: "1/3", 3: "-2/7"}),
 )
 [hash(o) for o in objects]
-# the last two carry what evaluation caches: plans on the nodes it reached,
-# forms on their payloads, and an element's integer numerators; so does the
-# evaluated home term
+# the formula carries what evaluation caches, plans on the nodes it reached
+# and forms on their payloads, and so does the evaluated home term; an
+# element keeps its row and no cache beside its hash
 assert eval_formula(objects[5], {hvar(1): objects[6], hvar(2): home}) is False
 assert objects[1].evaluate({hvar(1): home}) == ModelElement({0: 3, 2: -9})
 assert objects[6].sign() == -1
 
 
-def cached(o):  # whether o, or a node or payload below it, keeps a plan, form or numerators
+def cached(o):  # whether o, or a node or payload below it, keeps a plan or form
     stack = [o]
     while stack:
         g = stack.pop()
-        if getattr(g, "_plan", None) is not None or getattr(g, "_ints", None) is not None:
-            return True
-        if getattr(g, "_form", None) is not None:
+        if getattr(g, "_plan", None) is not None or getattr(g, "_form", None) is not None:
             return True
         stack.extend(getattr(g, "children", ()))
         stack.extend([g.sub] if hasattr(g, "sub") else [])
@@ -398,7 +396,7 @@ def cached(o):  # whether o, or a node or payload below it, keeps a plan, form o
     return False
 
 
-assert cached(objects[1]) and cached(objects[5]) and cached(objects[6])
+assert cached(objects[1]) and cached(objects[5]) and objects[6]._hash is not None
 """
 
 

@@ -18,6 +18,7 @@ from densepairs.measure import (
     BucketEntry,
     BucketReport,
     bucket_index,
+    _unit_window,
     bucket_partition,
     measure,
 )
@@ -25,7 +26,7 @@ from densepairs.model import Model, ModelElement, QuotientElement, compare
 from densepairs.parser import parse, parse_element
 from densepairs.qe import qe
 from densepairs.randgen import random_element, random_qf_formula, random_quotient_element
-from densepairs.terms import hvar, qvar
+from densepairs.terms import HomeTerm, hvar, qvar
 
 MODEL = Model(3)
 X = hvar(1)
@@ -39,6 +40,19 @@ def test_normalization():
     assert mval("0 < x1 & x1 < 1") == ModelElement.from_rational(1)
     assert mval("x1 < x1") == ModelElement()
     assert measure(FALSE, X).value == ModelElement()
+
+
+def test_unit_window_bounds_are_the_home_lt_atoms():
+    # the window's bounds are built directly, in the normal form home_lt gives
+    f = parse("x2 < x1 | Q(x1)")
+    for v in (hvar(1), hvar(2), hvar(7)):
+        x = HomeTerm.from_variable(v)
+        one = HomeTerm.from_element(ModelElement.from_rational(1))
+        want = make_and([f, formulas.home_lt(-x), formulas.home_lt(x - one)])
+        got = _unit_window(f, v)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    with pytest.raises(SortError, match="variable u1 is not of sort home"):
+        _unit_window(f, qvar(1))
 
 
 def test_small_sets_are_null():

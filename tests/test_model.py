@@ -381,7 +381,8 @@ def test_compare_over_unequal_denominators():
 
 def test_compare_is_the_sign_of_the_difference_on_seeded_pairs():
     # rational, mixed and irrational pairs, with unlike denominators, and
-    # equal values whose numerators are cached, fresh or unreduced
+    # equal values that are one object, rebuilt from Fractions or made from
+    # unreduced numerators
     rng = random.Random(4040)
 
     def element(radicands):
@@ -395,25 +396,28 @@ def test_compare_is_the_sign_of_the_difference_on_seeded_pairs():
         if i % 7 == 0:
             b = a if i % 2 else ModelElement(a.coeffs)
         elif i % 7 == 1:
-            d, nums = a._numerators()
-            b = ModelElement._from_numerators(3 * d, {k: 3 * n for k, n in nums.items()})
+            b = ModelElement._from_numerators(3 * a._d, {k: 3 * n for k, n in a._n.items()})
         equal += a == b
         assert compare(a, b) == (a - b).sign() and compare(b, a) == (b - a).sign(), (a, b)
     assert equal > 1500
 
 
-def test_from_numerators_gives_the_numerators_a_copy_recomputes():
+def test_from_numerators_gives_the_reduced_row_a_copy_keeps():
     # numerators and a denominator with a common factor, and zero numerators,
-    # come back reduced, as a pickled copy, which keeps no numerators, makes them
+    # come back as the reduced row of the Fraction value, and a pickled copy
+    # carries that row and hashes alike
     rng = random.Random(4141)
     for i in range(2000):
         cls = ModelElement if i % 2 else QuotientElement
         factor = rng.randint(1, 12)
         nums = {k: factor * rng.randint(-20, 20) for k in (0, 2, 3) if rng.random() < 0.7 and k >= cls._min_key}
-        e = cls._from_numerators(factor * rng.randint(1, 60), nums)
+        d = factor * rng.randint(1, 60)
+        e = cls._from_numerators(d, nums)
+        assert e == cls({k: Fraction(n, d) for k, n in nums.items()})
+        assert e._d > 0 and 0 not in e._n.values() and math.gcd(e._d, *e._n.values()) == 1
         copy = pickle.loads(pickle.dumps(e))
-        assert copy._ints is None and copy == e
-        assert e._numerators() == copy._numerators()
+        assert copy == e and hash(copy) == hash(e)
+        assert (copy._d, copy._n) == (e._d, e._n)
 
 
 def test_radicands_are_supported_primes_or_the_unit():
@@ -435,3 +439,133 @@ def test_radicands_are_supported_primes_or_the_unit():
         QuotientElement({9: 1})
     assert ModelElement({0: 1, 7907: -1}).sign() == -1
     assert QuotientElement({7907: 1}).lex_sign() == 1
+
+
+def _reference_text(ref: dict) -> str:
+    # the reference rendering, written on Fractions
+    parts = []
+    for k, q in sorted(ref.items()):
+        mag, sym = str(abs(q)), None if k == 0 else f"r{k}"
+        body = mag if sym is None else sym if mag == "1" else f"{mag}*{sym}"
+        parts.append(("-" if q < 0 else "+", body))
+    if not parts:
+        return "0"
+    return ("-" if parts[0][0] == "-" else "") + parts[0][1] + "".join(f" {s} {b}" for s, b in parts[1:])
+
+
+def _assert_row_is(e, ref: dict):
+    # e is the canonical row of the clean Fraction map ref, in every reading
+    cls = type(e)
+    assert type(e._d) is int and e._d > 0 and math.gcd(e._d, *e._n.values()) == 1
+    assert all(type(n) is int and n and k >= cls._min_key for k, n in e._n.items())
+    want = cls(ref)
+    assert e == want and hash(e) == hash(want) and e.coeffs == ref
+    text = _reference_text(ref)
+    assert str(e) == (text if cls is ModelElement or not ref else f"pi({text})")
+    assert e.to_json() == {str(k): str(q) for k, q in sorted(ref.items())}
+
+
+def _add_refs(*scaled) -> dict:
+    out = {}
+    for c, ref in scaled:
+        for k, q in ref.items():
+            out[k] = out.get(k, 0) + c * q
+    return {k: q for k, q in out.items() if q}
+
+
+def test_rows_match_a_fraction_reference_on_seeded_mixed_operations():
+    # 3,000 operations of every kind that builds an element, each result
+    # checked against the same value computed on plain Fractions
+    from densepairs.terms import HomeTerm, QuotientTerm, hvar, qvar
+
+    rng = random.Random(2525)
+
+    def fraction():
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 9, 10, 35, 36)))
+
+    def fresh(cls):
+        ref = {k: fraction() for k in (0, 2, 3, 5) if k >= cls._min_key and rng.random() < 0.6}
+        return {k: q for k, q in ref.items() if q}
+
+    pools = {ModelElement: [(ModelElement(), {})], QuotientElement: [(QuotientElement(), {})]}
+    ops = ("init", "json", "numerators", "add", "sub", "neg", "scale", "project", "section", "evaluate")
+    for i in range(3000):
+        cls = ModelElement if i % 2 else QuotientElement
+        a, ra = rng.choice(pools[cls])
+        b, rb = rng.choice(pools[cls])
+        op = ops[i % len(ops)]
+        if op == "init":
+            ref = fresh(cls)
+            e = cls(ref)
+        elif op == "json":
+            ref = fresh(cls)
+            e = cls.from_json({str(k): str(q) for k, q in ref.items()})
+        elif op == "numerators":
+            factor, d = rng.randint(1, 30), rng.randint(1, 40)
+            nums = {k: rng.randint(-40, 40) for k in (0, 2, 3, 5) if k >= cls._min_key and rng.random() < 0.7}
+            e = cls._from_numerators(factor * d, {k: factor * n for k, n in nums.items()})
+            ref = {k: Fraction(n, d) for k, n in nums.items() if n}
+        elif op in ("add", "sub"):
+            flip = 1 if op == "add" else -1
+            e = a + b if op == "add" else a - b
+            ref = _add_refs((1, ra), (flip, rb))
+        elif op == "neg":
+            e, ref = -a, _add_refs((-1, ra))
+        elif op == "scale":
+            q = -abs(fraction()) if rng.random() < 0.7 else fraction()
+            e, ref = a.scale(q), _add_refs((q, ra))
+        elif op == "project":
+            m, rm = rng.choice(pools[ModelElement])
+            e, ref = project(m), {k: q for k, q in rm.items() if k}
+        elif op == "section":
+            w, rw = rng.choice(pools[QuotientElement])
+            e, ref = section(w), dict(rw)
+        else:
+            (x, rx), (y, ry) = rng.choice(pools[ModelElement]), rng.choice(pools[ModelElement])
+            (w, rw), (c, rc) = rng.choice(pools[QuotientElement]), rng.choice(pools[cls])
+            s, t, u = fraction(), fraction(), fraction()
+            if cls is ModelElement:
+                term = HomeTerm({hvar(1): s, hvar(2): t}, c)
+                ref = _add_refs((s, rx), (t, ry), (1, rc))
+            else:
+                term = QuotientTerm({qvar(1): u}, HomeTerm({hvar(1): s, hvar(2): t}), c)
+                ref = _add_refs((u, rw), (s, rx), (t, ry), (1, rc))
+                ref.pop(0, None)
+            e = term.evaluate({hvar(1): x, hvar(2): y, qvar(1): w})
+        _assert_row_is(e, ref)
+        pools[type(e)].append((e, ref))
+        if len(pools[type(e)]) > 40:
+            pools[type(e)].pop(rng.randrange(40))
+    assert len(pools[ModelElement]) > 30 and len(pools[QuotientElement]) > 30
+
+
+def test_element_arithmetic_builds_no_fraction(monkeypatch):
+    # sums, differences, scalings, negations, the quotient map and its
+    # section, comparisons, signs and term evaluation all stay on integer rows
+    from densepairs.terms import HomeTerm, hvar
+
+    rng = random.Random(2525)
+    elements = [
+        ModelElement({k: Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for k in (0, 2, 3, 5) if rng.random() < 0.7})
+        for _ in range(40)
+    ]
+    scalars = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(40)]
+    term = HomeTerm({hvar(1): Fraction(3, 4), hvar(2): Fraction(-5, 6)}, elements[0])
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for i in range(399):
+        a, b, q = elements[i % 40], elements[(7 * i + 3) % 40], scalars[(3 * i) % 40]
+        s, t, u, n = a + b, a - b, a.scale(q), -a
+        w = project(s)
+        assert project(section(w)) == w and project(s - section(w)).is_zero()
+        assert compare(s, t) == b.sign() and (u + n.scale(q)).sign() == 0
+        assert term.evaluate({hvar(1): a, hvar(2): b}) == term.evaluate({hvar(2): b, hvar(1): a})
+    monkeypatch.undo()
+    assert built == 0
