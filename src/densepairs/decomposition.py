@@ -141,9 +141,6 @@ class NearInterval:
             hi.side > 0 if hi.value is None else compare(m, hi.value) < 0
         )
 
-    def is_large(self) -> bool:
-        return self.cosets.cofinite
-
     def meets(self, other: "NearInterval") -> bool:
         """Whether the two pieces share a point: their open intervals overlap
         and their coset sets share a coset, which is dense in the overlap."""
@@ -224,15 +221,7 @@ def decompose(
     """The canonical decomposition of the set defined by f in the variable v."""
     if v.sort is not Sort.HOME:
         raise ArityError(f"{v} is not a home-sort variable")
-    return reading(qe(ground(f, {v}, assignment), TheoryMode.POVS), v)({})
-
-
-def reading(g: Formula, v: Variable) -> Callable[[Assignment], Decomposition]:
-    """The decomposer of a quantifier-free g in the home variable v: it maps
-    an assignment of g's other free variables to the canonical decomposition
-    of the set g then defines in v, the sweep of its sign table."""
-    table = sign_table(g, v)
-    return lambda assignment: _sweep(*table(assignment))
+    return _sweep(*sign_table(qe(ground(f, {v}, assignment), TheoryMode.POVS), v)({}))
 
 
 def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
@@ -249,8 +238,8 @@ def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
     order = (AtomKind.HOME_EQ, AtomKind.HOME_LT)
     on_v, off_v = [], []  # the distinct atoms with and without v
     for atom in dict.fromkeys(atoms(g)):
-        if a := atom.payload.coeff(v):
-            on_v.append((atom, atom.kind, atom.payload.root(v), a > 0))
+        if sign := atom.payload.coeff_sign(v):
+            on_v.append((atom, atom.kind, atom.payload.root(v), sign > 0))
         else:
             off_v.append(atom)
 

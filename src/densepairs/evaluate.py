@@ -9,7 +9,7 @@ disjunction), so evaluation stops where the walk over the tree would.
 A quantifier or a non-formula compiles to an instruction that raises when
 it is reached, and not before.  The loop (`run`) asks a given function for
 each atom's truth, so evaluation under an assignment and a reading of
-truths from a table (`decomposition.reading`) share it.  The plan's atom
+truths from a table (`decomposition.sign_table`) share it.  The plan's atom
 instructions also list the formula's atoms, for readers that need them
 without another walk.
 """

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator
 
@@ -55,8 +54,8 @@ class Formula:
     at construction, from its fields, a child by the hash it stored; so a
     hash costs one step per node however deep the tree is.  The `_plan`
     slot stays empty until the node is first evaluated, then holds what
-    evaluation compiled from it (see `evaluate.eval_formula`; an atom
-    keeps its compiled form on its payload instead).  An atom's `_reading`
+    evaluation compiled from it (see `evaluate.eval_formula`; an atom's
+    payload is evaluated straight from its row).  An atom's `_reading`
     slot likewise stays empty until a witness oracle first solves it for a
     bound variable, then holds what the search reads off it for that
     variable (see `oracles._read`).  Equality, hashing and copies ignore
@@ -260,47 +259,26 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-def _lead_coeff(t: Term) -> Fraction | None:
-    """First nonzero coefficient: quotient variables by index, then home
-    variables by index, then the constant by radicand."""
-    variables = t.variables()
-    if variables:
-        return t.coeff(min(variables, key=lambda w: (w.sort is Sort.HOME, w.index)))
-    c = t.constant
-    return Fraction(c._n[min(c._n)], c._d) if c._n else None
-
-
-def _normalize(t: Term, sign_free: bool) -> Term:
-    """Rescale so the leading coefficient is a unit.
-
-    Equations and membership atoms are invariant under any nonzero
-    rational rescaling, so their lead becomes +1; order atoms only admit
-    positive rescaling, so their lead becomes +1 or -1.
-    """
-    lead = _lead_coeff(t)
-    if lead is None:
-        return t
-    return t.scale(1 / lead if sign_free else 1 / abs(lead))
-
-
+# An equation or membership atom may be rescaled by any nonzero rational, so its
+# lead coefficient becomes +1; an order atom by a positive one, so it becomes +1 or -1.
 def home_eq(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.HOME_EQ, _normalize(t, sign_free=True))
+    return Atom(AtomKind.HOME_EQ, t.normalized(sign_free=True))
 
 
 def home_lt(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.HOME_LT, _normalize(t, sign_free=False))
+    return Atom(AtomKind.HOME_LT, t.normalized(sign_free=False))
 
 
 def in_q(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.IN_Q, _normalize(t, sign_free=True))
+    return Atom(AtomKind.IN_Q, t.normalized(sign_free=True))
 
 
 def quot_eq(s: QuotientTerm) -> Atom:
-    return Atom(AtomKind.QUOT_EQ, _normalize(s, sign_free=True))
+    return Atom(AtomKind.QUOT_EQ, s.normalized(sign_free=True))
 
 
 def quot_prec(s: QuotientTerm) -> Atom:
-    return Atom(AtomKind.QUOT_PREC, _normalize(s, sign_free=False))
+    return Atom(AtomKind.QUOT_PREC, s.normalized(sign_free=False))
 
 
 _ATOM_FACTORY = {
@@ -445,7 +423,7 @@ def substitute(f: Formula, v: Variable, t: Term) -> Formula:
         raise CaptureError(f"substitution would capture {sorted(x.name for x in captured)}")
 
     def atom(a):
-        return a if a.payload.coeff(v) == 0 else _ATOM_FACTORY[a.kind](a.payload.substitute(v, t))
+        return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
 
     return rewrite(f, atom, lambda g: g if g.var == v else rebuild(g))
 

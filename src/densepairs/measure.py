@@ -15,20 +15,18 @@ measure values are exact model elements rather than approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .decomposition import sign_table
-from .errors import InternalError, SortError
+from .errors import InternalError
 from .evaluate import Assignment
 from .formulas import Atom, AtomKind, Formula, TheoryMode, check_parameters, free_variables, ground, make_and
 from .model import ModelElement, compare, int_sign
 from .qe import qe
-from .terms import HomeTerm, Sort, Variable
+from .terms import HomeTerm, Variable
 
 
 ONE = ModelElement.from_rational(1)
-_ZERO, _MINUS_ONE = ModelElement(), -ONE
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,9 @@ class MeasureValue:
 def _unit_window(f: Formula, v: Variable) -> Formula:
     """f & 0 < v & v < 1.  The bounds are the atoms `home_lt` would make of
     -v and v - 1, built directly: their leads -1 and +1 are already units."""
-    if v.sort is not Sort.HOME:
-        raise SortError(f"variable {v} is not of sort home")
-    above = Atom(AtomKind.HOME_LT, HomeTerm._make({v: Fraction(-1)}, _ZERO))
-    below = Atom(AtomKind.HOME_LT, HomeTerm._make({v: Fraction(1)}, _MINUS_ONE))
+    x = HomeTerm.from_variable(v)
+    above = Atom(AtomKind.HOME_LT, -x)
+    below = Atom(AtomKind.HOME_LT, x - HomeTerm.from_element(ONE))
     return make_and([f, above, below])
 
 

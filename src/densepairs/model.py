@@ -129,6 +129,15 @@ def add_scaled(out: dict, coeffs: Mapping, q=1) -> dict:
     return out
 
 
+def add_rows(d: int, n: Mapping, e: int, m: Mapping, a: int = 1) -> tuple[int, dict]:
+    """(D, numerators) of the rows n/d + a * m/e, for an integer a != 0, over
+    their common denominator D = lcm(d, e); cancelled keys are dropped."""
+    if d == e:
+        return d, add_scaled(dict(n), m, a)
+    g = math.gcd(d, e)
+    return d // g * e, add_scaled({k: x * (e // g) for k, x in n.items()}, m, a * (d // g))
+
+
 def _clean(coeffs: Coeffs) -> dict[int, int | Fraction]:
     out = {}
     for k, v in dict(coeffs).items():
@@ -221,17 +230,12 @@ class _SpanElement:
         return self._hash
 
     def _merge(self, other, flip: int):
-        """self + flip * other over the common denominator lcm(d, e)."""
+        """self + flip * other."""
         if type(self) is not type(other):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if not other._n:
             return self
-        d, e = self._d, other._d
-        if d == e:
-            return self._reduced(d, add_scaled(dict(self._n), other._n, flip))
-        g = math.gcd(d, e)
-        out = {k: n * (e // g) for k, n in self._n.items()}
-        return self._reduced(d // g * e, add_scaled(out, other._n, flip * (d // g)))
+        return self._reduced(*add_rows(self._d, self._n, other._d, other._n, flip))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -415,25 +419,24 @@ def rational_between(a: ModelElement, b: ModelElement) -> Fraction:
     """Some rational strictly between a and b; raises ValueError unless a < b."""
     if a == b:
         raise ValueError("rational_between needs a < b, got a = b")
+    da, db = a._d, b._d
     bits = 32
     while True:
-        a_lo, a_hi = a.enclosure(bits)
-        b_lo, b_hi = b.enclosure(bits)
-        if a_hi < b_lo:
-            return (a_hi + b_lo) / 2
-        if b_hi <= a_lo:
+        a_lo, a_hi = _bounds(a._n.items(), bits)  # a's bounds times da * 2**bits
+        b_lo, b_hi = _bounds(b._n.items(), bits)  # b's times db * 2**bits
+        if a_hi * db < b_lo * da:
+            return Fraction(a_hi * db + b_lo * da, (da * db) << (bits + 1))
+        if b_hi * da <= a_lo * db:
             raise ValueError("rational_between needs a < b, got a > b")
         bits *= 2
 
 
 def rational_below(a: ModelElement) -> Fraction:
-    lo = a.enclosure(32)[0]
-    return Fraction(lo.numerator // lo.denominator - 1)
+    return Fraction(_bounds(a._n.items(), 32)[0] // (a._d << 32) - 1)
 
 
 def rational_above(a: ModelElement) -> Fraction:
-    hi = a.enclosure(32)[1]
-    return Fraction(-((-hi).numerator // hi.denominator) + 1)
+    return Fraction(1 - _bounds(a._n.items(), 32)[1] // -(a._d << 32))
 
 
 MAX_DIM = 1000

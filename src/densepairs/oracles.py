@@ -20,13 +20,13 @@ back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalError, ModeError, SortError
 from .evaluate import Assignment, eval_formula
 from .formulas import Atom, AtomKind, Formula, Not, check_parameters, literal_parts, quot_eq, quot_prec
 from .model import (
+    HALF,
     ModelElement,
     QuotientElement,
     compare,
@@ -64,7 +64,7 @@ def _holds(literals: Sequence[Formula], binding: Assignment) -> bool:
     return all(eval_formula(lit, binding) for lit in literals)
 
 
-_QUNIT = QuotientElement({2: Fraction(1)})
+_QUNIT = QuotientElement({2: 1})
 
 
 def _quotient_candidates(
@@ -78,7 +78,7 @@ def _quotient_candidates(
     if lower is not None and upper is not None:
         lo, hi = lower.value, upper.value
         for _ in range(count):
-            mid = (lo + hi).scale(Fraction(1, 2))
+            mid = (lo + hi).scale(HALF)
             yield mid
             hi = mid
     elif lower is not None:
@@ -132,30 +132,27 @@ def _read(atom: Atom, v: Variable) -> tuple:
     (v, the parameters in reporting order, the root of an equation or order
     atom on v, the side it bounds v from when positive (0 for an equation),
     the coset atom and its negation for a membership or quotient atom on a
-    home v).  Made on the first call for v, with every form the search will
-    evaluate compiled, and kept on the atom; another v reads it afresh."""
+    home v).  Made on the first call for v and kept on the atom; another v
+    reads it afresh."""
     reading = getattr(atom, "_reading", None)
     if reading is not None and reading[0] == v:
         return reading
     payload = atom.payload
     params = tuple(sorted(payload.variables() - {v}, key=Variable.sort_key))
-    payload.form()
-    coeff = payload.coeff(v)
+    sign = payload.coeff_sign(v)
     root = side = coset = None
-    if coeff:
+    if sign:
         eq_kind, order_kind = _KINDS[v.sort]
         if atom.kind is eq_kind or atom.kind is order_kind:
             root = payload.root(v)
-            root.form()
             # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0
-            side = 0 if atom.kind is eq_kind else 1 if coeff > 0 else -1
+            side = 0 if atom.kind is eq_kind else sign
         else:
             # a membership or quotient literal on v: a literal on its coset
-            rest = payload.without(v)
             if atom.kind is AtomKind.IN_Q:
-                rest = QuotientTerm.project_term(rest)
+                payload = QuotientTerm.project_term(payload)
             factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
-            watom = factory(QuotientTerm({_COSET: coeff}) + rest)
+            watom = factory(payload.rename({v: _COSET}))
             _read(watom, _COSET)
             coset = (Not(watom), watom)
     reading = (v, params, root, side, coset)

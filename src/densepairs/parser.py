@@ -44,7 +44,7 @@ from .formulas import (
     quot_prec,
     render,  # parser.render, the inverse of parse up to normalization
 )
-from .model import MAX_DIGITS, ModelElement, QuotientElement, project, radicand_problem
+from .model import MAX_DIGITS, ModelElement, QuotientElement, radicand_problem
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 _DIGITS = "0123456789"
@@ -121,11 +121,14 @@ class _ParsedTerm(NamedTuple):  # a term as it is read
     pos: int  # where the term starts
 
 
-def _home_term(term: _ParsedTerm) -> HomeTerm:
+def _home_only(term: _ParsedTerm) -> _ParsedTerm:
     if Sort.QUOTIENT in term.sorts:
         raise SortError(f"quotient-sort material in a home-sort term (position {term.pos})")
-    coeffs = {v: Fraction(q) for v, q in term.coeffs.items() if q}
-    return HomeTerm._make(coeffs, ModelElement(term.const))
+    return term
+
+
+def _home_term(term: _ParsedTerm) -> HomeTerm:
+    return HomeTerm._of(_home_only(term).coeffs, term.const)
 
 
 def _quotient_term(term: _ParsedTerm) -> QuotientTerm:
@@ -138,8 +141,8 @@ def _quotient_term(term: _ParsedTerm) -> QuotientTerm:
             f"nonzero home-sort constant in a quotient-sort term (position {term.pos}); "
             "wrap it in pi(...)"
         )
-    coeffs = {v: Fraction(q) for v, q in term.coeffs.items() if q}
-    return QuotientTerm._make(coeffs, project(ModelElement(term.pi_const)))
+    # pi kills the rational part of the constant, key 0
+    return QuotientTerm._of(term.coeffs, {k: q for k, q in term.pi_const.items() if k})
 
 
 class _Parser:
@@ -291,12 +294,12 @@ class _Parser:
                 if not enclosing:
                     return term
                 self.expect_op(")")
-                inner = _home_term(term)
+                inner = _home_only(term)
                 term, q = enclosing.pop()
                 term.sorts.add(Sort.QUOTIENT)
                 for v, c in inner.coeffs.items():
                     term.coeffs[v] = term.coeffs.get(v, 0) + q * c
-                for k, c in inner.constant.items():
+                for k, c in inner.const.items():
                     term.pi_const[k] = term.pi_const.get(k, 0) + q * c
             sign = 1 if self.next().text == "+" else -1
 

@@ -78,12 +78,12 @@ def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential v of either sort from one strict-literal clause."""
     eq, order, order_atom = _SORTS[v.sort]
     keep: list[Formula] = []
-    vlits = []  # (literal, atom, positive, coeff of v)
+    vlits = []  # (literal, atom, positive, sign of v's coefficient)
     for lit in literals:
         atom, positive = literal_parts(lit)
-        coeff = atom.payload.coeff(v)
-        if coeff:
-            vlits.append((lit, atom, positive, coeff))
+        sign = atom.payload.coeff_sign(v)
+        if sign:
+            vlits.append((lit, atom, positive, sign))
         else:
             keep.append(lit)
     for lit, atom, positive, _ in vlits:
@@ -95,22 +95,22 @@ def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     uppers: list[HomeTerm | QuotientTerm] = []
     wlits: list[Formula] = []
     w = None  # a quotient-sort stand-in for pi(v), made when the coset of v is constrained
-    for lit, atom, positive, coeff in vlits:
+    for lit, atom, positive, sign in vlits:
         if atom.kind is eq:
             continue  # a disequation excludes one point of a dense, infinite space
         if atom.kind is order:
             if not positive:
                 raise NotConjunctionError(_WEAK_ORDER)
-            (uppers if coeff > 0 else lowers).append(atom.payload.root(v))
+            (uppers if sign > 0 else lowers).append(atom.payload.root(v))
             continue
         # v is home-sort: a membership or quotient literal constrains pi(v)
         if w is None:
             taken = [u for o in literals for u in literal_parts(o)[0].payload.variables()]
             w = fresh_variable(Sort.QUOTIENT, taken)
-        rest = atom.payload.without(v)
+        s = atom.payload
         if atom.kind is AtomKind.IN_Q:
-            rest = QuotientTerm.project_term(rest)
-        s = QuotientTerm({w: coeff}) + rest
+            s = QuotientTerm.project_term(s)
+        s = s.rename({v: w})  # pi(v) is w
         watom = quot_prec(s) if atom.kind is AtomKind.QUOT_PREC else quot_eq(s)
         wlits.append(watom if positive else make_not(watom))
 
@@ -189,7 +189,7 @@ def _mentions(f: Formula, v: Variable) -> bool:
     while pending:
         g = pending.pop()
         if isinstance(g, Atom):
-            if g.payload.coeff(v):
+            if g.payload.coeff_sign(v):
                 return True
         elif isinstance(g, Not):
             pending.append(g.sub)

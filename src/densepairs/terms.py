@@ -1,14 +1,19 @@
 """Linear terms over the two sorts, kept in normal form.
 
-A term is one rational coefficient map over variables plus a constant.
-A home term maps home variables and has a home constant.  A quotient term
-maps quotient variables and, in the same map, home variables read under
-the quotient map pi: since pi is linear, ``u1 + pi(2*x1) + pi(x2 + r3)``
-is the form ``u1 + 2*pi(x1) + pi(x2)`` plus the quotient constant
-``pi(r3)``, so nested and repeated applications fold into one.  Every
-constructor normalizes, so two terms denote the same affine function
-exactly when they are structurally equal.  Both sorts share one
-implementation of the linear operations and of `substitute`.
+A term is one canonical integer row: a denominator d > 0 and integer
+numerators over its variables and over its constant's radicands, sharing
+no factor with d, for the affine form (sum(a_x * x) + sum(n_k * sqrt(k))) / d
+with sqrt(0) read as 1.  A home term has home variables and a home
+constant.  A quotient term has quotient variables and, in the same row,
+home variables read under the quotient map pi: since pi is linear,
+``u1 + pi(2*x1) + pi(x2 + r3)`` is the form ``u1 + 2*pi(x1) + pi(x2)``
+plus the quotient constant ``pi(r3)``, so nested and repeated applications
+fold into one.  The row is unique, so two terms denote the same affine
+function exactly when they are equal.  Both sorts share one implementation
+of the linear operations and of `substitute`, which build rows with no
+Fraction and merge them as model elements do (`model.add_rows`); Fractions
+are made only at the public accessors (`coeffs`, `coeff`, `constant`,
+`pushed`, `repr`) and read by the constructors.
 """
 
 from __future__ import annotations
@@ -16,19 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
-from .model import (
-    ZERO,
-    ModelElement,
-    QuotientElement,
-    add_scaled,
-    project,
-    render_combination,
-    section,
-)
+from .model import ZERO, ModelElement, QuotientElement, add_rows, render_combination
 
 
 class Sort(Enum):
@@ -41,9 +38,11 @@ class Variable:
     sort: Sort
     index: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _element: type = field(init=False, repr=False, compare=False)  # the class of its values
 
     def __post_init__(self):  # hash once, not on every lookup
         object.__setattr__(self, "_hash", hash((self.sort, self.index)))
+        object.__setattr__(self, "_element", ModelElement if self.sort is _HOME else QuotientElement)
 
     def __hash__(self) -> int:
         return self._hash
@@ -53,7 +52,7 @@ class Variable:
 
     @property
     def name(self) -> str:
-        return ("x" if self.sort is Sort.HOME else "u") + str(self.index)
+        return ("x" if self.sort is _HOME else "u") + str(self.index)
 
     def sort_key(self) -> tuple[str, int]:
         return (self.sort.value, self.index)
@@ -70,195 +69,236 @@ def qvar(index: int) -> Variable:
     return Variable(Sort.QUOTIENT, index)
 
 
-def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, Fraction]:
-    out = {}
-    for v, q in dict(coeffs).items():
+def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, int | Fraction]:
+    out = dict(coeffs)
+    for v, q in out.items():
         if v.sort is not sort:
             raise SortError(f"variable {v} is not of sort {sort.value}")
-        q = Fraction(q)
-        if q != 0:
-            out[v] = q
+        if not isinstance(q, (int, Fraction)):
+            out[v] = Fraction(q)
     return out
 
 
 VALUE_CLASS: dict[Sort, type] = {Sort.HOME: ModelElement, Sort.QUOTIENT: QuotientElement}
+_HOME, _QUOTIENT = Sort.HOME, Sort.QUOTIENT  # reading an Enum member off its class is slow
+
+
+def _items(d: int, v: Mapping, n: Mapping) -> list[tuple[int, int, str | None]]:
+    """The `render_combination` triples of a row: the variables by index,
+    then the radicands, each coefficient in lowest terms."""
+    parts = [(v[x], x.name) for x in sorted(v, key=lambda x: x.index)]
+    parts += [(n[k], f"r{k}" if k else None) for k in sorted(n)]
+    return [(m // g, d // g, symbol) for m, symbol in parts for g in [gcd(m, d)]]
 
 
 class _Term:
-    """A linear form: one coefficient map over variables plus a constant.
+    """A linear form: one canonical integer row.
 
-    Subclasses fix the sort of the value and of the constant.  Operations
-    build results with `_make`, which trusts its map to be clean already:
-    variables of the right sorts mapped to nonzero Fractions.  The `_form`
-    slot stays empty until the term is first evaluated, then holds the
-    integer form `numerators` runs; equality, hashing and copies ignore it.
+    The row is the denominator `_d` > 0 and the numerators `_v` =
+    {variable: nonzero int} and `_n` = {radicand: nonzero int}, with
+    gcd(d, all numerators) = 1, so (d, _n) is the constant's row before
+    reduction.  Subclasses fix the sort of the value and of the constant.
+    Every operation builds its result as a row; evaluation reads the row.
     """
 
-    __slots__ = ("_coeffs", "_constant", "_hash", "_form")
+    __slots__ = ("_d", "_v", "_n", "_hash")
     sort: Sort
 
     @classmethod
-    def _make(cls, coeffs: dict[Variable, Fraction], constant):
+    def _row(cls, d: int, v: dict, n: dict):
+        """The term of a canonical row; the maps are shared, so they are never changed."""
         t = object.__new__(cls)
-        t._coeffs = coeffs
-        t._constant = constant
+        t._d = d
+        t._v = v
+        t._n = n
         t._hash = None
-        t._form = None
         return t
 
-    def __reduce__(self):  # stored hash and form are rebuilt, not copied
-        return self._make, (self._coeffs, self._constant)
+    @classmethod
+    def _of(cls, v: Mapping, n: Mapping):
+        """The term of maps to ints and Fractions, zeros allowed: over the lcm
+        of the reduced denominators the numerators share no factor with it."""
+        d = lcm(*[q.denominator for q in v.values()], *[q.denominator for q in n.values()])
+        v = {x: q.numerator * (d // q.denominator) for x, q in v.items() if q}
+        return cls._row(d, v, {k: q.numerator * (d // q.denominator) for k, q in n.items() if q})
 
-    def _compile(self) -> tuple:
-        """The integer form: the lcm L of the coefficients' denominators and
-        of the constant's row denominator d; per variable v, (v, L * coeff,
-        the class of v's values, whether v is read under pi); and the
-        constant's row numerators times L / d."""
-        coeffs, d, const = self._coeffs, self._constant._d, self._constant._n
-        scale = lcm(d, *[q.denominator for q in coeffs.values()])
-        quotient = self.sort is Sort.QUOTIENT
-        terms = tuple(
-            (v, q.numerator * (scale // q.denominator), VALUE_CLASS[v.sort],
-             quotient and v.sort is Sort.HOME)
-            for v, q in coeffs.items()
-        )
-        return scale, terms, {k: n * (scale // d) for k, n in const.items()}
+    @classmethod
+    def _reduced(cls, d: int, v: dict, n: dict):
+        """The term of the row (d, v, n) with d > 0 and no zero in v or n, made canonical."""
+        if d != 1:
+            g = gcd(d, *v.values(), *n.values())
+            if g != 1:
+                return cls._row(
+                    d // g, {x: m // g for x, m in v.items()}, {k: m // g for k, m in n.items()}
+                )
+        return cls._row(d, v, n)
 
-    def form(self) -> tuple:
-        """The integer form, compiled on the first call and kept."""
-        if self._form is None:
-            self._form = self._compile()
-        return self._form
+    def __reduce__(self):  # the stored hash is rebuilt, not copied
+        return self._row, (self._d, self._v, self._n)
 
     def numerators(self, assignment) -> tuple[int, dict[int, int]]:
         """(D, {k: n_k}) with the value under the assignment sum(n_k * sqrt(k)) / D,
         sqrt(0) read as 1, for D > 0 and integers n_k, some of them maybe 0.
 
-        The form is the term's `form()`; each value's row is brought to one
-        common denominator d and added in, so D = L * d.  An unbound home
-        variable is reported at once, an unbound quotient variable after the
-        rest, and a value of the wrong sort raises TypeError.  The map may be the form's own: never change it.
-        """
-        scale, terms, nums = self._form or self.form()
-        if not terms:
-            return scale, nums
-        d = 1
+        The values' rows are added into the row's numerators over their common
+        denominator e, so D = d * e.  An unbound home variable is reported at
+        once, an unbound quotient variable after the rest, and a value of the
+        wrong sort raises TypeError.  The map may be the row's own: never change it."""
+        if not self._v:
+            return self._d, self._n
+        e = 1
         values = []
         unbound = None  # the first unbound quotient variable, reported last
-        for v, c, want, under_pi in terms:
+        quotient = self.sort is _QUOTIENT
+        for v, c in self._v.items():
+            want = v._element
             try:
                 x = assignment[v]
             except KeyError:
-                if want is not QuotientElement:
+                if want is ModelElement:
                     raise UnboundVariableError(f"{v} is unbound") from None
                 unbound = unbound or v
                 continue
             if type(x) is not want:
                 raise TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
-            if x._d != d:
-                d = lcm(d, x._d)
-            values.append((c, x, under_pi))
+            if x._d != e:
+                e = lcm(e, x._d)
+            values.append((c, x, quotient and want is ModelElement))
         if unbound is not None:
             raise UnboundVariableError(f"{unbound} is unbound")
         # not model.add_scaled: leaving a cancelled coefficient as 0 costs less
-        nums = dict(nums) if d == 1 else {k: n * d for k, n in nums.items()}
+        nums = dict(self._n) if e == 1 else {k: n * e for k, n in self._n.items()}
         for c, x, under_pi in values:
-            c *= d // x._d
+            c *= e // x._d
             for k, n in x._n.items():
                 if k or not under_pi:  # pi kills the rational part, key 0
                     nums[k] = nums.get(k, 0) + c * n
-        return scale * d, nums
+        return self._d * e, nums
 
     @classmethod
     def from_variable(cls, v: Variable):
-        return cls({v: Fraction(1)})
+        if v.sort is not cls.sort:
+            raise SortError(f"variable {v} is not of sort {cls.sort.value}")
+        return cls._row(1, {v: 1}, {})
 
     @property
     def coeffs(self) -> dict[Variable, Fraction]:
-        return {v: q for v, q in self._coeffs.items() if v.sort is self.sort}
+        d, sort = self._d, self.sort
+        return {v: Fraction(a, d) for v, a in self._v.items() if v.sort is sort}
 
     @property
     def constant(self):
-        return self._constant
+        return (ModelElement if self.sort is _HOME else QuotientElement)._reduced(self._d, self._n)
 
     def coeff(self, v: Variable) -> Fraction:
-        return self._coeffs.get(v, ZERO)
+        a = self._v.get(v)
+        return ZERO if a is None else Fraction(a, self._d)
+
+    def coeff_sign(self, v: Variable) -> int:
+        """The sign of coeff(v), read off the row: 0 exactly when v does not occur."""
+        a = self._v.get(v)
+        return 0 if a is None else 1 if a > 0 else -1
 
     def variables(self) -> frozenset[Variable]:
-        return frozenset(self._coeffs)
+        return frozenset(self._v)
 
     def is_ground(self) -> bool:
-        return not self._coeffs
+        return not self._v
 
     def is_zero(self) -> bool:
-        return not self._coeffs and self._constant.is_zero()
+        return not self._v and not self._n
 
     def without(self, v: Variable):
-        return self._make({w: q for w, q in self._coeffs.items() if w != v}, self._constant)
+        if v not in self._v:
+            return self
+        rest = dict(self._v)
+        del rest[v]
+        return self._reduced(self._d, rest, self._n)
 
     def root(self, v: Variable):
         """The term r with self == coeff(v) * (v - r); v must occur in self.
-        It is where self vanishes, so it solves a literal for v."""
-        return self.without(v).scale(-1 / self._coeffs[v])
+        It is where self vanishes, so it solves a literal for v: the rest of
+        the row over v's numerator a, negated."""
+        rest = dict(self._v)
+        a = rest.pop(v)
+        if a < 0:
+            return self._reduced(-a, rest, self._n)
+        return self._reduced(a, *({k: -m for k, m in p.items()} for p in (rest, self._n)))
+
+    def _merge(self, other, a: int = 1, b: int = 1):
+        """self + a/b * other for integers a != 0 and b > 0."""
+        if type(self) is not type(other):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if not (other._v or other._n):
+            return self
+        d, e = self._d, other._d * b
+        big, v = add_rows(d, self._v, e, other._v, a)
+        return self._reduced(big, v, add_rows(d, self._n, e, other._n, a)[1])
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
-        out = add_scaled(dict(self._coeffs), other._coeffs)
-        return self._make(out, self._constant + other._constant)
+        return self._merge(other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._row(self._d, *({k: -m for k, m in p.items()} for p in (self._v, self._n)))
 
     def scale(self, q):
         if q == 1:
             return self
-        q = Fraction(q)
-        coeffs = {v: q * c for v, c in self._coeffs.items()} if q else {}
-        return self._make(coeffs, self._constant.scale(q))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if not q:
+            return self._row(1, {}, {})
+        a = q.numerator
+        v, n = ({k: a * m for k, m in p.items()} for p in (self._v, self._n))
+        return self._reduced(self._d * q.denominator, v, n)
 
     def substitute(self, v: Variable, t: "_Term"):
         """Replace v by a term of its sort; a home term goes under pi in a quotient term."""
         if t.sort is not v.sort:
             raise TypeError(f"cannot substitute {type(t).__name__} for {v}")
-        a = self._coeffs.get(v)
+        a = self._v.get(v)
         if a is None:
             return self
         if t.sort is not self.sort:
             t = QuotientTerm.project_term(t)
-        return self.without(v) + t.scale(a)
+        return self.without(v)._merge(t, a, self._d)
 
     def rename(self, names: Mapping[Variable, Variable]):
-        """Replace each variable v by names.get(v, v), of the same sort; the
-        renaming must be one-to-one on the variables of the term."""
-        return self._make({names.get(v, v): q for v, q in self._coeffs.items()}, self._constant)
+        """Replace each variable v by names.get(v, v); the renaming must be
+        one-to-one on the variables of the term, and may take the home
+        variables of a quotient term to quotient ones."""
+        return self._row(self._d, {names.get(v, v): a for v, a in self._v.items()}, self._n)
+
+    def normalized(self, sign_free: bool):
+        """The term over its lead coefficient (the first of the quotient variables
+        by index, the home variables by index and the radicands), so the lead is
+        1; unless sign_free, over the lead's absolute value, so the lead is 1 or -1."""
+        v, n = self._v, self._n
+        if v:
+            lead = v[min(v, key=lambda x: (x.sort is _HOME, x.index))]
+        elif n:
+            lead = n[min(n)]
+        else:
+            return self
+        t = -self if lead < 0 and sign_free else self
+        return t if abs(lead) == t._d else t._reduced(abs(lead), t._v, t._n)
 
     def halves(self):
         """The positive and the negated negative part: self == pos - neg."""
-        c = self._constant
-        pos = self._make(
-            {v: q for v, q in self._coeffs.items() if q > 0},
-            c._reduced(c._d, {k: n for k, n in c._n.items() if n > 0}),
-        )
-        neg = self._make(
-            {v: -q for v, q in self._coeffs.items() if q < 0},
-            c._reduced(c._d, {k: -n for k, n in c._n.items() if n < 0}),
-        )
-        return pos, neg
+        v, n = ({k: m for k, m in p.items() if m > 0} for p in (self._v, self._n))
+        pos = self._reduced(self._d, v, n)
+        return pos, pos - self
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self._coeffs == other._coeffs
-            and self._constant == other._constant
-        )
+        same = type(other) is type(self) and self._d == other._d
+        return same and self._v == other._v and self._n == other._n
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.sort, frozenset(self._coeffs.items()), self._constant))
+            self._hash = hash((self._d, frozenset(self._v.items()), frozenset(self._n.items())))
         return self._hash
 
 
@@ -268,85 +308,75 @@ class HomeTerm(_Term):
     __slots__ = ()
     sort = Sort.HOME
 
-    def __init__(self, coeffs=(), constant: ModelElement | Fraction | int = 0):
-        self._coeffs = _clean_varmap(coeffs, Sort.HOME)
-        if not isinstance(constant, ModelElement):
-            constant = ModelElement.from_rational(Fraction(constant))
-        self._constant = constant
-        self._hash = None
-        self._form = None
+    def __new__(cls, coeffs=(), constant: ModelElement | Fraction | int = 0):
+        return cls._of(_clean_varmap(coeffs, _HOME), {}) + cls.from_element(constant)
 
     @classmethod
-    def from_element(cls, a: ModelElement) -> "HomeTerm":
-        return cls((), a)
+    def from_element(cls, a: ModelElement | Fraction | int) -> "HomeTerm":
+        if not isinstance(a, ModelElement):
+            a = ModelElement.from_rational(a)
+        return cls._row(a._d, {}, a._n)
 
     def evaluate(self, assignment: Mapping[Variable, ModelElement]) -> ModelElement:
         return ModelElement._from_numerators(*self.numerators(assignment))
 
     def __repr__(self) -> str:
-        return f"HomeTerm({self._coeffs!r}, {self._constant!r})"
+        return f"HomeTerm({self.coeffs!r}, {self.constant!r})"
 
     def __str__(self) -> str:
-        items: list[tuple[int, int, str | None]] = [
-            (q.numerator, q.denominator, v.name)
-            for v, q in sorted(self._coeffs.items(), key=lambda kv: kv[0].index)
-        ]
-        items += [(n, d, None if k == 0 else f"r{k}") for k, n, d in self._constant._terms()]
-        return render_combination(items)
+        return render_combination(_items(self._d, self._v, self._n))
 
 
 class QuotientTerm(_Term):
     """b1*u_{j1} + ... + bm*u_{jm} + pi(a1*x_{i1} + ... + an*x_{in}) + quotient constant.
 
-    The home variables sit in the same coefficient map as the quotient
-    ones, read under pi.  The home part carries no constant: pi kills
-    rational constants and moves the rest into the quotient constant.
+    The home variables sit in the same row as the quotient ones, read
+    under pi.  The home part carries no constant: pi kills rational
+    constants and moves the rest into the quotient constant.
     """
 
     __slots__ = ()
     sort = Sort.QUOTIENT
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         coeffs=(),
         pushed: HomeTerm | None = None,
         constant: QuotientElement | None = None,
     ):
-        self._coeffs = _clean_varmap(coeffs, Sort.QUOTIENT)
-        pushed = pushed if pushed is not None else HomeTerm()
-        constant = constant if constant is not None else QuotientElement()
-        self._coeffs.update(_clean_varmap(pushed.coeffs, Sort.HOME))
-        self._constant = constant + project(pushed.constant)
-        self._hash = None
-        self._form = None
+        t = cls._of(_clean_varmap(coeffs, _QUOTIENT), {})
+        if constant is not None:
+            t = t + cls.from_element(constant)
+        return t if pushed is None else t + cls.project_term(pushed)
 
     @classmethod
     def from_element(cls, w: QuotientElement) -> "QuotientTerm":
-        return cls((), None, w)
+        if type(w) is not QuotientElement:
+            raise TypeError(f"a QuotientTerm constant is a QuotientElement, not {type(w).__name__}")
+        return cls._row(w._d, {}, w._n)
 
     @classmethod
     def project_term(cls, t: HomeTerm) -> "QuotientTerm":
-        """The image of a home term under the quotient map."""
-        return cls._make(dict(t._coeffs), project(t.constant))
+        """The image of a home term under the quotient map, which kills key 0."""
+        if type(t) is not HomeTerm:
+            raise SortError(f"cannot project a {type(t).__name__}, only a HomeTerm")
+        return cls._reduced(t._d, t._v, {k: m for k, m in t._n.items() if k})
 
     @property
     def pushed(self) -> HomeTerm:
         """The home variables under pi, as a home term with zero constant."""
-        home = {v: q for v, q in self._coeffs.items() if v.sort is Sort.HOME}
-        return HomeTerm._make(home, ModelElement())
+        return HomeTerm._reduced(self._d, {v: a for v, a in self._v.items() if v.sort is _HOME}, {})
 
     def evaluate(self, assignment) -> QuotientElement:
         return QuotientElement._from_numerators(*self.numerators(assignment))
 
     def __repr__(self) -> str:
-        return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self._constant!r})"
+        return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self.constant!r})"
 
     def __str__(self) -> str:
-        items: list[tuple[int, int, str | None]] = [
-            (q.numerator, q.denominator, v.name)
-            for v, q in sorted(self.coeffs.items(), key=lambda kv: kv[0].index)
-        ]
-        inner = self.pushed + HomeTerm.from_element(section(self._constant))
+        d, v = self._d, self._v
+        items = _items(d, {x: a for x, a in v.items() if x.sort is _QUOTIENT}, {})
+        inner = HomeTerm._reduced(d, {x: a for x, a in v.items() if x.sort is _HOME}, self._n)
         if not inner.is_zero():
             items.append((1, 1, f"pi({inner})"))
         return render_combination(items)

@@ -81,7 +81,7 @@ def test_code_examples():
     c = code_unary_set(parse("Q(x1)"), X)
     assert c.points == ()
     assert len(c.pieces) == 1
-    assert not c.pieces[0].is_large()
+    assert not c.pieces[0].cosets.cofinite
 
     same = code_unary_set(parse("Q(x1) | (Q(x1) & x1 = x1)"), X)
     assert codes_equal(c, same)
@@ -156,8 +156,8 @@ def test_function_code_piecewise_example():
         ("2", "0"),
     ]
     by_slope = {p.slope: p for p in fc.pieces}
-    assert not by_slope[Fraction(2)].domain.pieces[0].is_large()  # the subspace
-    assert by_slope[Fraction(1)].domain.pieces[0].is_large()  # its complement
+    assert not by_slope[Fraction(2)].domain.pieces[0].cosets.cofinite  # the subspace
+    assert by_slope[Fraction(1)].domain.pieces[0].cosets.cofinite  # its complement
 
 
 def test_function_code_identity_and_finite_graph():
@@ -248,7 +248,7 @@ def test_function_piece_domains_are_disjoint():
                         pa.lo.compare(pb.hi) < 0
                         and pb.lo.compare(pa.hi) < 0
                     )
-                    if overlap and not pa.is_large() and not pb.is_large():
+                    if overlap and not pa.cosets.cofinite and not pb.cosets.cofinite:
                         assert not (pa.cosets.members & pb.cosets.members)
 
 

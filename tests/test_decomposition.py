@@ -18,10 +18,11 @@ from densepairs.decomposition import (
     Decomposition,
     Endpoint,
     NearInterval,
+    _sweep,
     decompose,
     generic_type_contains,
     is_small,
-    reading,
+    sign_table,
 )
 from densepairs.errors import ArityError, InternalError, ModeError, NotGroundError
 from densepairs.evaluate import atoms, eval_formula
@@ -658,8 +659,15 @@ def test_decompose_builds_no_dnf_and_meets_its_time_gate(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def reading(g, v):
+    """The decomposer of a quantifier-free g in the home variable v: it maps
+    an assignment of g's other free variables to the sweep of its sign table."""
+    table = sign_table(g, v)
+    return lambda assignment: _sweep(*table(assignment))
+
+
 def reference_reading(g, v):
-    """decomposition.reading before it read atom truths from root ranks:
+    """The sign-table reading before it read atom truths from root ranks:
     the sweep evaluates g at the endpoints and, in each cell, at a sample
     point in each named coset and in the first coset of r2, 2*r2, ... that
     no atom names."""
@@ -802,7 +810,7 @@ def test_the_reading_builds_no_sample_point(monkeypatch):
     want = []
     for f in sets:
         length = sum(
-            (p.hi.value - p.lo.value for p in reference_decompose(make_and([f, window]), X).pieces if p.is_large()),
+            (p.hi.value - p.lo.value for p in reference_decompose(make_and([f, window]), X).pieces if p.cosets.cofinite),
             ModelElement(),
         )
         want.append((reference_decompose(f, X), length))

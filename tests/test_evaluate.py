@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from densepairs import terms
 from densepairs.errors import QuantifiedInputError
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
@@ -221,8 +222,16 @@ def test_unbound_and_wrong_sort_variables_raise_as_the_reference_does():
     assert ("raises", TypeError) in seen
 
 
-def test_a_plan_is_kept_on_the_node_and_reused():
+def test_a_plan_is_kept_on_the_node_and_reused(monkeypatch):
     lt, eq = home_lt(HomeTerm({X1: 1})), home_eq(HomeTerm({X1: 3, X2: -1}))
+    evaluated = []  # the payloads evaluation reads, in order
+    numerators = terms._Term.numerators
+
+    def counted(self, assignment):
+        evaluated.append(self)
+        return numerators(self, assignment)
+
+    monkeypatch.setattr(terms._Term, "numerators", counted)
 
     def tree():
         return And((Or((lt, Not(eq))), Not(lt)))
@@ -232,17 +241,18 @@ def test_a_plan_is_kept_on_the_node_and_reused():
     assert eval_formula(f, SIGMA) is False
     plan = f._plan
     assert isinstance(plan, tuple) and eval_formula(f, SIGMA) is False and f._plan is plan
-    assert lt.payload._form is not None and eq.payload._form is None  # eq is never reached
+    assert lt.payload in evaluated and eq.payload not in evaluated  # eq is never reached
     assert f == tree() and hash(f) == hash(tree()) and not hasattr(tree(), "_plan")
 
 
 def test_a_term_compiles_once_for_evaluate_and_eval_atom():
+    # the term's row is its evaluation form: evaluation compiles and keeps nothing
     t = HomeTerm({X1: Fraction(1, 2), X2: -3}, ModelElement({0: 1, 3: Fraction(-2, 5)}))
     value = t.evaluate(SIGMA)
-    form = t._form
-    assert form is not None
+    assert not hasattr(t, "_form") and t._hash is None
+    d, nums = t.numerators(SIGMA)
+    assert value == ModelElement({k: Fraction(n, d) for k, n in nums.items()})
     assert eval_atom(Atom(AtomKind.HOME_LT, t), SIGMA) is (value < ModelElement())
-    assert t._form is form
 
 
 _PLANS = """
@@ -260,7 +270,7 @@ for i in range(150):
     f = random_qf_formula(rng, variables, Model(3), TheoryMode.POVS_PREC, depth=3)
     eval_formula(f, random_assignment(rng, variables, Model(3)))
     plan = f._plan if not isinstance(f, Atom) else ((0, f),)
-    atoms = [arg.payload._form for op, arg in plan if isinstance(arg, Atom)]
+    atoms = [(arg.payload._d, arg.payload._v, arg.payload._n) for op, arg in plan if isinstance(arg, Atom)]
     digest.update(repr([plan] + atoms).encode())
 print(digest.hexdigest())
 """

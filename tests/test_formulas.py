@@ -376,19 +376,18 @@ objects = (
     ModelElement({0: "1/3", 3: "-2/7"}),
 )
 [hash(o) for o in objects]
-# the formula carries what evaluation caches, plans on the nodes it reached
-# and forms on their payloads, and so does the evaluated home term; an
-# element keeps its row and no cache beside its hash
+# the formula carries what evaluation caches, plans on the nodes it reached;
+# a term or an element keeps its row and no cache beside its hash
 assert eval_formula(objects[5], {hvar(1): objects[6], hvar(2): home}) is False
 assert objects[1].evaluate({hvar(1): home}) == ModelElement({0: 3, 2: -9})
 assert objects[6].sign() == -1
 
 
-def cached(o):  # whether o, or a node or payload below it, keeps a plan or form
+def cached(o):  # whether o, or a node below it, keeps a plan
     stack = [o]
     while stack:
         g = stack.pop()
-        if getattr(g, "_plan", None) is not None or getattr(g, "_form", None) is not None:
+        if getattr(g, "_plan", None) is not None:
             return True
         stack.extend(getattr(g, "children", ()))
         stack.extend([g.sub] if hasattr(g, "sub") else [])
@@ -396,7 +395,7 @@ def cached(o):  # whether o, or a node or payload below it, keeps a plan or form
     return False
 
 
-assert cached(objects[1]) and cached(objects[5]) and objects[6]._hash is not None
+assert cached(objects[5]) and objects[1]._hash is not None and objects[6]._hash is not None
 """
 
 

@@ -288,27 +288,22 @@ def test_oracle_calls_after_the_first_compile_and_build_no_term(monkeypatch, mod
     rng = random.Random(2020)
     bound = hvar(0) if sort is Sort.HOME else qvar(0)
     context = [hvar(1), hvar(2), qvar(1), qvar(2)]
-    counts = {"compile": 0, "init": 0}
-    compile_, init = terms._Term._compile, terms.QuotientTerm.__init__
+    counts = {"term": 0}
+    row = terms._Term._row.__func__
 
-    def counted_compile(self):
-        counts["compile"] += 1
-        return compile_(self)
+    def counted_row(cls, *parts):  # every term is built as a row
+        counts["term"] += 1
+        return row(cls, *parts)
 
-    def counted_init(self, *args, **kwargs):
-        counts["init"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(terms._Term, "_compile", counted_compile)
-    monkeypatch.setattr(terms.QuotientTerm, "__init__", counted_init)
+    monkeypatch.setattr(terms._Term, "_row", classmethod(counted_row))
     for _ in range(5):
         literals = random_conjunction(rng, bound, context, MODEL, mode, 6)
         sigmas = [random_assignment(rng, context, MODEL) for _ in range(20)]
         _call_oracle(literals, bound, sigmas[0], mode)
-        counts.update(compile=0, init=0)
+        counts.update(term=0)
         for sigma in sigmas[1:]:
             _call_oracle(literals, bound, sigma, mode)
-        assert counts == {"compile": 0, "init": 0}, [str(lit) for lit in literals]
+        assert counts == {"term": 0}, [str(lit) for lit in literals]
 
 
 # Oracle outputs pinned at the commit before the two witness searches became

@@ -4,6 +4,7 @@ idempotence, mode conservativity, and atom splitting."""
 import importlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -612,3 +613,46 @@ def test_conjuncts_pulled_out_of_a_scope_get_no_evaluation_plan(monkeypatch):
     pulled = parse("Q(x1 - r2) | x1 = 2/3*r3")
     assert pulled in seen
     assert all(getattr(c, "_plan", None) is None for c in seen), [str(c) for c in seen]
+
+
+def count_fractions(monkeypatch) -> list[int]:
+    """A one-item counter of the Fractions built from now on."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+ builds arithmetic results here
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    return made
+
+
+def test_elimination_and_evaluation_build_no_fraction(monkeypatch):
+    # the eleven ladder shapes, and seeded random formulas of every mode; the
+    # inputs and assignments are built before counting starts
+    rng = random.Random(2626)
+    cases = [(parse(chain_text(n)), TheoryMode.POVS) for n in range(2, 6)]
+    cases += [(parse(alt_text(n)), TheoryMode.POVS) for n in (1, 2)]
+    cases += [(parse(prec_chain_text(n), TheoryMode.POVS_PREC), TheoryMode.POVS_PREC) for n in range(1, 6)]
+    for mode in TheoryMode:
+        cases += [(random_quantified_formula(rng, MODEL, mode, quantifiers=1 + i % 3), mode) for i in range(60)]
+    sigmas = [
+        [random_assignment(rng, sorted(free_variables(f), key=lambda v: v.sort_key()), MODEL) for _ in range(3)]
+        for f, _ in cases
+    ]
+    made = count_fractions(monkeypatch)
+    assert Fraction(1, 3) * 3 == 1 and made[0] == 2  # the counter sees both ways of building
+    made[0] = 0
+    answers = [qe(f, mode) for f, mode in cases]
+    truths = [eval_formula(g, sigma) for g, ss in zip(answers, sigmas) for sigma in ss]
+    assert made[0] == 0
+    assert any(truths) and not all(truths)

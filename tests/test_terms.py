@@ -1,5 +1,7 @@
 """Linear normal form of terms over both sorts."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densepairs.errors import SortError, UnboundVariableError
-from densepairs.formulas import _lead_coeff
 from densepairs.model import ModelElement, QuotientElement, project, section
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, Variable, hvar, qvar
 
@@ -136,18 +137,21 @@ def test_quotient_term_keeps_its_public_views():
 
 
 def test_lead_coefficient_order_across_sorts():
-    # quotient variables by index, then home variables by index, then radicands
+    # quotient variables by index, then home variables by index, then radicands:
+    # normalization divides by the lead, or by its absolute value for an order atom
     s = QuotientTerm(
         {qvar(2): Fraction(2), qvar(1): Fraction(-1, 3)},
         HomeTerm({hvar(1): 5}),
     )
-    assert _lead_coeff(s) == Fraction(-1, 3)
+    assert s.normalized(sign_free=True) == s.scale(-3)
+    assert s.normalized(sign_free=False) == s.scale(3)
     pushed_only = QuotientTerm.project_term(
         HomeTerm({hvar(3): 4, hvar(2): Fraction(-2, 3)}, ModelElement({2: 7}))
     )
-    assert _lead_coeff(pushed_only) == Fraction(-2, 3)
-    assert _lead_coeff(QuotientTerm.from_element(QuotientElement({3: -2, 5: 1}))) == -2
-    assert _lead_coeff(QuotientTerm()) is None
+    assert pushed_only.normalized(sign_free=True) == pushed_only.scale(Fraction(-3, 2))
+    ground = QuotientTerm.from_element(QuotientElement({3: -2, 5: 1}))
+    assert ground.normalized(sign_free=True) == ground.scale(Fraction(-1, 2))
+    assert QuotientTerm().normalized(sign_free=True) == QuotientTerm()
 
 
 def test_mixing_sorts_is_a_type_error():
@@ -273,3 +277,159 @@ def test_evaluate_checks_the_sort_of_each_value():
         s.evaluate({qvar(1): ModelElement({2: 1}), hvar(1): ModelElement()})
     with pytest.raises(TypeError, match="x1 is assigned a QuotientElement"):
         s.evaluate({qvar(1): QuotientElement(), hvar(1): QuotientElement({2: 1})})
+
+
+# ---------------------------------------------------------------------------
+# Rows against a plain-Fraction model of the same linear form
+# ---------------------------------------------------------------------------
+
+_HOME_VARS = [hvar(i) for i in range(1, 4)]
+_QUOTIENT_VARS = [qvar(i) for i in range(1, 3)]
+
+
+def _ref_key(key):  # quotient variables by index, then home variables, then radicands
+    return (2, key) if isinstance(key, int) else (key.sort is Sort.HOME, key.index)
+
+
+def _ref_text(items):
+    """(Fraction, symbol or None for 1) pairs as the term language writes them."""
+    parts = []
+    for q, symbol in items:
+        mag = str(abs(q))
+        body = mag if symbol is None else symbol if mag == "1" else f"{mag}*{symbol}"
+        parts.append(("-" if q < 0 else "") + body if not parts else f" {'-' if q < 0 else '+'} {body}")
+    return "".join(parts) or "0"
+
+
+class _Ref:
+    """A term as a Fraction map over variables and radicands (key 0 is 1)."""
+
+    def __init__(self, sort, form):
+        self.sort, self.form = sort, {k: q for k, q in form.items() if q}
+
+    def plus(self, other, a=Fraction(1)):
+        out = dict(self.form)
+        for k, q in other.form.items():
+            out[k] = out.get(k, 0) + a * q
+        return _Ref(self.sort, out)
+
+    def scale(self, q):
+        return _Ref(self.sort, {k: q * c for k, c in self.form.items()})
+
+    def projected(self):
+        return _Ref(Sort.QUOTIENT, {k: q for k, q in self.form.items() if k != 0})
+
+    def lead(self):
+        return self.form[min(self.form, key=_ref_key)] if self.form else None
+
+    def variables(self, sort):
+        return {k: q for k, q in self.form.items() if isinstance(k, Variable) and k.sort is sort}
+
+    def radicands(self):
+        return {k: q for k, q in self.form.items() if isinstance(k, int)}
+
+    def text(self):
+        def symbols(form):
+            keys = sorted((k for k in form if isinstance(k, Variable)), key=lambda v: v.index)
+            keys += sorted(k for k in form if isinstance(k, int))
+            return [(form[k], k.name if isinstance(k, Variable) else f"r{k}" if k else None) for k in keys]
+
+        if self.sort is Sort.HOME:
+            return _ref_text(symbols(self.form))
+        inner = _ref_text(symbols({**self.variables(Sort.HOME), **self.radicands()}))
+        items = symbols(self.variables(Sort.QUOTIENT))
+        return _ref_text(items + ([(Fraction(1), f"pi({inner})")] if inner != "0" else []))
+
+
+def _term_of(ref):
+    if ref.sort is Sort.HOME:
+        return HomeTerm(ref.variables(Sort.HOME), ModelElement(ref.radicands()))
+    pushed = HomeTerm(ref.variables(Sort.HOME))
+    return QuotientTerm(ref.variables(Sort.QUOTIENT), pushed, QuotientElement(ref.radicands()))
+
+
+def _check_row(t, ref):
+    assert t.sort is ref.sort
+    d = math.lcm(*[q.denominator for q in ref.form.values()])
+    assert t._d == d
+    assert t._v == {k: q.numerator * (d // q.denominator) for k, q in ref.form.items() if isinstance(k, Variable)}
+    assert t._n == {k: q.numerator * (d // q.denominator) for k, q in ref.form.items() if isinstance(k, int)}
+    assert math.gcd(d, *t._v.values(), *t._n.values()) == 1 and all(t._v.values()) and all(t._n.values())
+    built = _term_of(ref)  # the public constructors on the reference's Fractions
+    assert t == built and hash(t) == hash(built)
+    assert str(t) == ref.text()
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t) and (copy._d, copy._v, copy._n) == (t._d, t._v, t._n)
+
+
+def _random_ref(rng, sort):
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    form = {v: q() for v in _HOME_VARS if rng.random() < 0.5}
+    form.update({k: q() for k in (0, 2, 3) if rng.random() < 0.5})
+    if sort is Sort.QUOTIENT:
+        form.pop(0, None)
+        form.update({v: q() for v in _QUOTIENT_VARS if rng.random() < 0.5})
+    return _Ref(sort, form)
+
+
+def test_rows_match_a_fraction_reference_on_seeded_mixed_operations():
+    rng = random.Random(2626)
+    pools = {sort: [(_term_of(r), r) for r in (_random_ref(rng, sort) for _ in range(8))] for sort in Sort}
+    ops = ["add", "sub", "neg", "scale", "root", "without", "substitute", "rename", "halves", "project", "normalize"]
+    done = dict.fromkeys(ops, 0)
+    while sum(done.values()) < 3000:
+        op = rng.choice(ops)
+        t, ref = rng.choice(pools[rng.choice(list(Sort))])
+        if rng.random() < 0.1:  # fresh material keeps the pool from running to zero
+            ref = _random_ref(rng, ref.sort)
+            t = _term_of(ref)
+        variables = [k for k in ref.form if isinstance(k, Variable)]
+        if op in ("add", "sub"):
+            s, r = rng.choice(pools[ref.sort])
+            out = [(t + s, ref.plus(r)) if op == "add" else (t - s, ref.plus(r, Fraction(-1)))]
+        elif op == "neg":
+            out = [(-t, ref.scale(Fraction(-1)))]
+        elif op == "scale":
+            q = rng.choice([0, 1, -1, 2, Fraction(-3, 4), Fraction(5, 6)])
+            out = [(t.scale(q), ref.scale(Fraction(q)))]
+        elif op in ("root", "without") and variables:
+            v = rng.choice(variables)
+            rest = _Ref(ref.sort, {k: q for k, q in ref.form.items() if k != v})
+            out = [(t.root(v), rest.scale(-1 / ref.form[v])) if op == "root" else (t.without(v), rest)]
+        elif op == "substitute":
+            v = rng.choice(_HOME_VARS + (_QUOTIENT_VARS if ref.sort is Sort.QUOTIENT else []))
+            s, r = rng.choice(pools[v.sort])
+            a = ref.form.get(v, 0)
+            rest = _Ref(ref.sort, {k: q for k, q in ref.form.items() if k != v})
+            r = r.projected() if r.sort is not ref.sort else r
+            out = [(t.substitute(v, s), rest.plus(r, a) if a else ref)]
+        elif op == "rename" and variables:
+            v = rng.choice(variables)
+            if ref.sort is Sort.QUOTIENT and v.sort is Sort.HOME and rng.random() < 0.5:
+                w = qvar(9)  # a home variable under pi becomes a quotient variable
+            else:
+                w = rng.choice(_HOME_VARS if v.sort is Sort.HOME else _QUOTIENT_VARS)
+            names = {v: w, w: v} if w in ref.form else {v: w}
+            out = [(t.rename(names), _Ref(ref.sort, {names.get(k, k): q for k, q in ref.form.items()}))]
+        elif op == "halves":
+            pos, neg = t.halves()
+            out = [
+                (pos, _Ref(ref.sort, {k: q for k, q in ref.form.items() if q > 0})),
+                (neg, _Ref(ref.sort, {k: -q for k, q in ref.form.items() if q < 0})),
+            ]
+        elif op == "project" and ref.sort is Sort.HOME:
+            out = [(QuotientTerm.project_term(t), ref.projected())]
+        elif op == "normalize":
+            sign_free = rng.random() < 0.5
+            lead = ref.lead()
+            out = [(t.normalized(sign_free), ref.scale(1 / (lead if sign_free else abs(lead))) if lead else ref)]
+        else:
+            continue
+        done[op] += 1
+        for s, r in out:
+            _check_row(s, r)
+            if not s.is_zero():
+                pools[r.sort][rng.randrange(8)] = (s, r)
+    assert min(done.values()) > 100, done
