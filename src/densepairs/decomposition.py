@@ -51,6 +51,9 @@ from .model import (
 from .qe import qe
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
+# reading an Enum member off its class is slow, so the sign table reads these
+_HOME_EQ, _HOME_LT, _IN_Q = AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q
+
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -235,7 +238,7 @@ def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
     by whether v lies in the one coset the root names.  Each assignment then
     evaluates only the roots and the atoms without v and sorts the endpoints;
     holds runs g's one evaluation plan over the truth table this gives."""
-    order = (AtomKind.HOME_EQ, AtomKind.HOME_LT)
+    order = (_HOME_EQ, _HOME_LT)
     on_v, off_v = [], []  # the distinct atoms with and without v
     for atom in dict.fromkeys(atoms(g)):
         if sign := atom.payload.coeff_sign(v):
@@ -252,12 +255,12 @@ def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
         # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
         table = {atom: (-1, top) if eval_atom(atom, assignment) else (0, 0) for atom in off_v}
         for atom, kind, r, up in roots:
-            if kind is AtomKind.HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
+            if kind is _HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
                 table[atom] = (-1, rank[r]) if up else (rank[r], top)
-            elif kind is AtomKind.HOME_EQ:
+            elif kind is _HOME_EQ:
                 table[atom] = (rank[r] - 1, rank[r] + 1)
             else:
-                table[atom] = project(r) if kind is AtomKind.IN_Q else r
+                table[atom] = project(r) if kind is _IN_Q else r
         named = {t for t in table.values() if type(t) is not tuple}
 
         def truth(atom, at) -> bool:

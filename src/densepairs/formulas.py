@@ -26,7 +26,7 @@ from .errors import (
     SortError,
 )
 from .model import int_sign, lead_sign
-from .terms import TERM_CLASS, VALUE_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
+from .terms import TERM_CLASS, HomeTerm, QuotientTerm, Sort, Term, Variable
 
 if TYPE_CHECKING:
     from .evaluate import Assignment
@@ -46,7 +46,10 @@ class AtomKind(Enum):
     QUOT_PREC = "quot_prec"
 
 
-_ORDER_TEXT = {AtomKind.HOME_LT: "<", AtomKind.QUOT_PREC: "prec"}
+# reading an Enum member off its class is slow, so hot paths read these aliases
+_HOME_EQ, _HOME_LT, _IN_Q = AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q
+_QUOT_EQ, _QUOT_PREC = AtomKind.QUOT_EQ, AtomKind.QUOT_PREC
+_HOME_KINDS = (_HOME_EQ, _HOME_LT, _IN_Q)
 
 
 class Formula:
@@ -122,21 +125,23 @@ class Atom(Formula):
     _reading: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        want_home = self.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q)
-        if want_home != isinstance(self.payload, HomeTerm):
+        if (self.kind in _HOME_KINDS) != isinstance(self.payload, HomeTerm):
             raise SortError(f"{self.kind.value} atom with {type(self.payload).__name__} payload")
         Formula.__post_init__(self)
 
     def text(self, positive: bool = True) -> str:
-        """The atom or its negation as `parser.parse` reads it."""
-        if self.kind is AtomKind.IN_Q:
+        """The atom or its negation as `parser.parse` reads it, written from
+        the payload row (`Term.sides`): the positive summands left of the
+        relation, the negated negative ones right of it."""
+        kind = self.kind
+        if kind is _IN_Q:
             return f"{'' if positive else '!'}Q({self.payload})"
-        if self.kind is AtomKind.QUOT_EQ and self.payload.is_zero():
-            pos, neg = "pi(0)", "0"  # the home-sort "0 = 0" would not read back
+        if kind is _QUOT_EQ and self.payload.is_zero():
+            left, right = "pi(0)", "0"  # the home-sort "0 = 0" would not read back
         else:
-            pos, neg = self.payload.halves()
-        rel = _ORDER_TEXT.get(self.kind) or ("=" if positive else "!=")
-        return f"{pos} {rel} {neg}"
+            left, right = self.payload.sides()
+        rel = "<" if kind is _HOME_LT else "prec" if kind is _QUOT_PREC else "=" if positive else "!="
+        return f"{left} {rel} {right}"
 
 
 @_node
@@ -221,7 +226,15 @@ def rebuild(g: Formula) -> Generator:
 # how tightly each connective binds (others: 3); looser children get parentheses
 _BINDING = {Exists: 0, Forall: 0, Or: 1, And: 2}
 # the negated atoms with a text of their own; others render as !(...)
-_NEGATED_TEXT = (AtomKind.QUOT_EQ, AtomKind.IN_Q)
+_NEGATED_TEXT = (_QUOT_EQ, _IN_Q)
+
+
+def literal_text(lit: Formula) -> str:
+    """The text `render` writes for a literal, read off its atom alone."""
+    if type(lit) is Atom:
+        return lit.text()
+    atom = lit.sub
+    return atom.text(positive=False) if atom.kind in _NEGATED_TEXT else f"!({atom.text()})"
 
 
 def render(f: Formula) -> str:
@@ -248,10 +261,8 @@ def render(f: Formula) -> str:
     def step(g):
         if isinstance(g, BoolConst):
             out.append("true" if g.value else "false")
-        elif isinstance(g, Atom):
-            out.append(g.text())
-        elif isinstance(g, Not) and isinstance(g.sub, Atom) and g.sub.kind in _NEGATED_TEXT:
-            out.append(g.sub.text(positive=False))
+        elif is_literal(g):
+            out.append(literal_text(g))
         else:
             return connective(g)
 
@@ -262,31 +273,31 @@ def render(f: Formula) -> str:
 # An equation or membership atom may be rescaled by any nonzero rational, so its
 # lead coefficient becomes +1; an order atom by a positive one, so it becomes +1 or -1.
 def home_eq(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.HOME_EQ, t.normalized(sign_free=True))
+    return Atom(_HOME_EQ, t.normalized(sign_free=True))
 
 
 def home_lt(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.HOME_LT, t.normalized(sign_free=False))
+    return Atom(_HOME_LT, t.normalized(sign_free=False))
 
 
 def in_q(t: HomeTerm) -> Atom:
-    return Atom(AtomKind.IN_Q, t.normalized(sign_free=True))
+    return Atom(_IN_Q, t.normalized(sign_free=True))
 
 
 def quot_eq(s: QuotientTerm) -> Atom:
-    return Atom(AtomKind.QUOT_EQ, s.normalized(sign_free=True))
+    return Atom(_QUOT_EQ, s.normalized(sign_free=True))
 
 
 def quot_prec(s: QuotientTerm) -> Atom:
-    return Atom(AtomKind.QUOT_PREC, s.normalized(sign_free=False))
+    return Atom(_QUOT_PREC, s.normalized(sign_free=False))
 
 
 _ATOM_FACTORY = {
-    AtomKind.HOME_EQ: home_eq,
-    AtomKind.HOME_LT: home_lt,
-    AtomKind.IN_Q: in_q,
-    AtomKind.QUOT_EQ: quot_eq,
-    AtomKind.QUOT_PREC: quot_prec,
+    _HOME_EQ: home_eq,
+    _HOME_LT: home_lt,
+    _IN_Q: in_q,
+    _QUOT_EQ: quot_eq,
+    _QUOT_PREC: quot_prec,
 }
 
 
@@ -298,11 +309,11 @@ def eval_atom(atom: Atom, assignment: Assignment) -> bool:
     `prec`.  `fold_ground` and `eval_formula` use it."""
     nums = atom.payload.numerators(assignment)[1]
     kind = atom.kind
-    if kind is AtomKind.HOME_LT:
+    if kind is _HOME_LT:
         return int_sign(nums.items()) < 0
-    if kind is AtomKind.QUOT_PREC:
+    if kind is _QUOT_PREC:
         return lead_sign(nums) < 0
-    if kind is AtomKind.IN_Q:
+    if kind is _IN_Q:
         return not any(n for k, n in nums.items() if k)
     return not any(nums.values())
 
@@ -436,7 +447,7 @@ def check_parameters(variables: Iterable[Variable], assignment: Assignment) -> l
     for var in ordered:
         if var not in assignment:
             raise NotGroundError(f"{var} is not bound by the assignment")
-        value, want = assignment[var], VALUE_CLASS[var.sort]
+        value, want = assignment[var], var._element
         if type(value) is not want:
             raise TypeError(f"{var} is assigned a {type(value).__name__}, not a {want.__name__}")
     return ordered
@@ -457,13 +468,13 @@ def _foreign_symbol(g: Formula, mode: TheoryMode) -> str | None:
     """The symbol of node g, as written, that the language of `mode` lacks, if any."""
     if isinstance(g, (Exists, Forall)):
         return g.var.name if mode is TheoryMode.OVS and g.var.sort is Sort.QUOTIENT else None
-    if not isinstance(g, Atom) or g.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+    if not isinstance(g, Atom) or g.kind in (_HOME_EQ, _HOME_LT):
         return None
-    if g.kind is AtomKind.QUOT_PREC:
+    if g.kind is _QUOT_PREC:
         return "prec"
     if mode is not TheoryMode.OVS:
         return None
-    if g.kind is AtomKind.IN_Q:
+    if g.kind is _IN_Q:
         return "Q"
     # a quotient equation, named by its first symbol as rendered
     indices = sorted(v.index for v in g.payload.variables() if v.sort is Sort.QUOTIENT)
@@ -534,9 +545,9 @@ def nnf(f: Formula) -> Formula:
             return connective(g, positive)
         if positive:
             return g
-        if g.kind is AtomKind.HOME_LT:
+        if g.kind is _HOME_LT:
             return make_or([home_lt(-g.payload), home_eq(g.payload)])
-        if g.kind is AtomKind.QUOT_PREC:
+        if g.kind is _QUOT_PREC:
             return make_or([quot_prec(-g.payload), quot_eq(g.payload)])
         return Not(g)
 
@@ -575,7 +586,8 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
     Absorbing after every conjunct gives the same final clauses as
     absorbing once at the end: if a is a subset of a' and a' | b is
     consistent, so is a | b, and it is a subset of a' | b.  Literals
-    and clauses are ordered by their text, each literal rendered once.
+    and clauses are ordered by their text as `render` writes it, each
+    literal's written once by `literal_text` straight from its atom's row.
     """
     g = nnf(f)
     ids: dict[Formula, int] = {}
@@ -626,7 +638,7 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
 
     kept = _absorb(traverse(step, g))
     if len(literals) > 1:  # with one literal there is at most one clause, and nothing to order
-        text = [str(lit) for lit in literals]
+        text = [literal_text(lit) for lit in literals]
         kept = sorted(
             (sorted(clause, key=text.__getitem__) for clause in kept),
             key=lambda clause: [text[i] for i in clause],

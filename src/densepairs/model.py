@@ -338,7 +338,8 @@ class ModelElement(_SpanElement):
         return compare(self, other) >= 0
 
     def __str__(self) -> str:
-        return render_combination([(n, d, None if k == 0 else f"r{k}") for k, n, d in self._terms()])
+        d = self._d
+        return sum_text([summand_text(n, d, f"r{k}" if k else None) for k, n in sorted(self._n.items())])
 
 
 class QuotientElement(_SpanElement):
@@ -393,26 +394,17 @@ def section(w: QuotientElement) -> ModelElement:
     return ModelElement._row(w._d, w._n)
 
 
-def render_combination(items: list[tuple[int, int, str | None]]) -> str:
-    """Render (n, d, symbol or None for 1) triples, each a nonzero coefficient
-    n/d in lowest terms with d > 0, like ``3/2 + 1/3*r2 - r5``."""
-    parts = []
-    for n, d, sym in items:
-        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
-        if sym is None:
-            body = mag
-        elif mag == "1":
-            body = sym
-        else:
-            body = f"{mag}*{sym}"
-        parts.append(("-" if n < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for s, b in parts[1:]:
-        out += f" {s} {b}"
-    return out
+def summand_text(m: int, d: int, symbol: str | None) -> tuple[bool, str]:
+    """(m < 0, the text of |m|/d in lowest terms times symbol, None for 1)."""
+    g = math.gcd(m, d)
+    mag = str(abs(m) // g) if g == d else f"{abs(m) // g}/{d // g}"
+    return m < 0, mag if symbol is None else symbol if mag == "1" else f"{mag}*{symbol}"
+
+
+def sum_text(summands: list[tuple[bool, str]]) -> str:
+    """The text of a sum of `summand_text`s, like ``3/2 + 1/3*r2 - r5``; 0 for none."""
+    text = "".join((" - " if negative else " + ") + t for negative, t in summands)
+    return ("-" if text[1:2] == "-" else "") + text[3:] or "0"
 
 
 def rational_between(a: ModelElement, b: ModelElement) -> Fraction:

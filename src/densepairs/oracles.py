@@ -120,10 +120,11 @@ def _home_candidates(
 # the unknown coset pi(v) of a home-sort search, at an index that no parsed
 # or fresh variable has, so the caller's assignment stays in force around it
 _COSET = Variable(Sort.QUOTIENT, -1)
-# v's sort -> (equation kind, order kind) of its own literals
+# the class of v's values -> (equation kind, order kind) of its own literals;
+# keyed by class, since an Enum hashes in Python code
 _KINDS = {
-    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
-    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
+    ModelElement: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
+    QuotientElement: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
 }
 
 
@@ -142,7 +143,7 @@ def _read(atom: Atom, v: Variable) -> tuple:
     sign = payload.coeff_sign(v)
     root = side = coset = None
     if sign:
-        eq_kind, order_kind = _KINDS[v.sort]
+        eq_kind, order_kind = _KINDS[v._element]
         if atom.kind is eq_kind or atom.kind is order_kind:
             root = payload.root(v)
             # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0

@@ -61,22 +61,24 @@ from .formulas import (
     simplify,
     substitute,
 )
+from .model import ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 
 _WEAK_ORDER = "weak order literal reached the eliminator; normalize to strict form first"
 
 
-# Sort -> (equation kind, order kind, order-atom factory) of the clause step
+# the class of v's values -> (equation kind, order kind, order-atom factory) of
+# the clause step; keyed by class, since an Enum hashes in Python code
 _SORTS = {
-    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT, home_lt),
-    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, quot_prec),
+    ModelElement: (AtomKind.HOME_EQ, AtomKind.HOME_LT, home_lt),
+    QuotientElement: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, quot_prec),
 }
 
 
 def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential v of either sort from one strict-literal clause."""
-    eq, order, order_atom = _SORTS[v.sort]
+    eq, order, order_atom = _SORTS[v._element]
     keep: list[Formula] = []
     vlits = []  # (literal, atom, positive, sign of v's coefficient)
     for lit in literals:

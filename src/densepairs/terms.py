@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
-from .model import ZERO, ModelElement, QuotientElement, add_rows, render_combination
+from .model import ZERO, ModelElement, QuotientElement, add_rows, sum_text, summand_text
 
 
 class Sort(Enum):
@@ -39,20 +40,19 @@ class Variable:
     index: int
     _hash: int = field(init=False, repr=False, compare=False)
     _element: type = field(init=False, repr=False, compare=False)  # the class of its values
+    name: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):  # hash once, not on every lookup
+    def __post_init__(self):  # hash and name once, not on every lookup
+        home = self.sort is _HOME
         object.__setattr__(self, "_hash", hash((self.sort, self.index)))
-        object.__setattr__(self, "_element", ModelElement if self.sort is _HOME else QuotientElement)
+        object.__setattr__(self, "_element", ModelElement if home else QuotientElement)
+        object.__setattr__(self, "name", ("x" if home else "u") + str(self.index))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):  # a stored hash is only valid in the process that made it
         return Variable, (self.sort, self.index)
-
-    @property
-    def name(self) -> str:
-        return ("x" if self.sort is _HOME else "u") + str(self.index)
 
     def sort_key(self) -> tuple[str, int]:
         return (self.sort.value, self.index)
@@ -79,16 +79,8 @@ def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, int | Fraction]:
     return out
 
 
-VALUE_CLASS: dict[Sort, type] = {Sort.HOME: ModelElement, Sort.QUOTIENT: QuotientElement}
 _HOME, _QUOTIENT = Sort.HOME, Sort.QUOTIENT  # reading an Enum member off its class is slow
-
-
-def _items(d: int, v: Mapping, n: Mapping) -> list[tuple[int, int, str | None]]:
-    """The `render_combination` triples of a row: the variables by index,
-    then the radicands, each coefficient in lowest terms."""
-    parts = [(v[x], x.name) for x in sorted(v, key=lambda x: x.index)]
-    parts += [(n[k], f"r{k}" if k else None) for k in sorted(n)]
-    return [(m // g, d // g, symbol) for m, symbol in parts for g in [gcd(m, d)]]
+_by_index = attrgetter("index")
 
 
 class _Term:
@@ -286,11 +278,37 @@ class _Term:
         t = -self if lead < 0 and sign_free else self
         return t if abs(lead) == t._d else t._reduced(abs(lead), t._v, t._n)
 
-    def halves(self):
-        """The positive and the negated negative part: self == pos - neg."""
-        v, n = ({k: m for k, m in p.items() if m > 0} for p in (self._v, self._n))
-        pos = self._reduced(self._d, v, n)
-        return pos, pos - self
+    def _summands(self) -> tuple[list, list]:
+        """The `summand_text` of each entry of the row in the order the term is
+        written, the variables by index and then the radicands: those outside
+        pi, and a quotient term's home variables and radicands, under pi."""
+        d, v, n = self._d, self._v, self._n
+        outer, inner = [], []
+        under = inner if self.sort is _QUOTIENT else outer
+        for x in sorted(v, key=_by_index) if len(v) > 1 else v:
+            (under if x.sort is _HOME else outer).append(summand_text(v[x], d, x.name))
+        for k in sorted(n) if len(n) > 1 else n:
+            under.append(summand_text(n[k], d, f"r{k}" if k else None))
+        return outer, inner
+
+    def sides(self) -> list[str]:
+        """The texts of the positive part and of the negated negative part,
+        self == left - right, read off the row: each a sum of positive
+        summands, each coefficient in lowest terms."""
+        outer, inner = self._summands()
+        texts = []
+        for negative in (False, True):
+            parts = [t for n, t in outer if n is negative]
+            if under := [t for n, t in inner if n is negative]:
+                parts.append(f"pi({' + '.join(under)})")
+            texts.append(" + ".join(parts) or "0")
+        return texts
+
+    def __str__(self) -> str:
+        outer, inner = self._summands()
+        if inner:
+            outer.append((False, f"pi({sum_text(inner)})"))
+        return sum_text(outer)
 
     def __eq__(self, other) -> bool:
         same = type(other) is type(self) and self._d == other._d
@@ -322,9 +340,6 @@ class HomeTerm(_Term):
 
     def __repr__(self) -> str:
         return f"HomeTerm({self.coeffs!r}, {self.constant!r})"
-
-    def __str__(self) -> str:
-        return render_combination(_items(self._d, self._v, self._n))
 
 
 class QuotientTerm(_Term):
@@ -372,14 +387,6 @@ class QuotientTerm(_Term):
 
     def __repr__(self) -> str:
         return f"QuotientTerm({self.coeffs!r}, {self.pushed!r}, {self.constant!r})"
-
-    def __str__(self) -> str:
-        d, v = self._d, self._v
-        items = _items(d, {x: a for x, a in v.items() if x.sort is _QUOTIENT}, {})
-        inner = HomeTerm._reduced(d, {x: a for x, a in v.items() if x.sort is _HOME}, self._n)
-        if not inner.is_zero():
-            items.append((1, 1, f"pi({inner})"))
-        return render_combination(items)
 
 
 Term = Union[HomeTerm, QuotientTerm]
