@@ -106,95 +106,164 @@ HALF = Fraction(1, 2)
 _RATIONAL_SUPPORT = frozenset({0})
 
 
-def add_scaled(out: dict, coeffs: Mapping, q=1) -> dict:
-    """Add q * coeffs into the clean map `out` in place and return it.
-
-    q is a nonzero rational, or a nonzero integer for maps to integers; keys
-    whose sum cancels are dropped, so `out` stays clean.  A key new to `out`
-    costs no addition, q = 1 no multiplication, q = -1 a negation.
-    """
-    items = coeffs.items()
-    if q != 1:
-        items = [(k, -v) for k, v in items] if q == -1 else [(k, q * v) for k, v in items]
-    for k, v in items:
+def add_rows(d: int, n: Mapping, e: int, m: Mapping, a: int = 1) -> tuple[int, dict]:
+    """(D, numerators) of the rows n/d + a * m/e, for an integer a != 0, over
+    their common denominator D = lcm(d, e).  Cancelled keys are dropped; a key
+    new to n costs no addition, a = 1 no multiplication, a = -1 a negation."""
+    if d == e:
+        out = dict(n)
+    else:
+        g = math.gcd(d, e)
+        out = {k: x * (e // g) for k, x in n.items()}
+        d, a = d // g * e, a * (d // g)
+    items = m.items()
+    if a != 1:
+        items = [(k, -x) for k, x in items] if a == -1 else [(k, a * x) for k, x in items]
+    for k, x in items:
         w = out.get(k)
         if w is None:
-            out[k] = v
+            out[k] = x
         else:
-            w += v
+            w += x
             if w:
                 out[k] = w
             else:
                 del out[k]
-    return out
+    return d, out
 
 
-def add_rows(d: int, n: Mapping, e: int, m: Mapping, a: int = 1) -> tuple[int, dict]:
-    """(D, numerators) of the rows n/d + a * m/e, for an integer a != 0, over
-    their common denominator D = lcm(d, e); cancelled keys are dropped."""
-    if d == e:
-        return d, add_scaled(dict(n), m, a)
-    g = math.gcd(d, e)
-    return d // g * e, add_scaled({k: x * (e // g) for k, x in n.items()}, m, a * (d // g))
-
-
-def _clean(coeffs: Coeffs) -> dict[int, int | Fraction]:
+def _clean(coeffs: Coeffs, key=int) -> dict:
+    """The nonzero entries of coeffs as ints and Fractions; every key goes through `key` first."""
     out = {}
-    for k, v in dict(coeffs).items():
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
-        if v:
-            out[int(k)] = v
+    for k, q in dict(coeffs).items():
+        k = key(k)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if q:
+            out[k] = q
     return out
 
 
-class _SpanElement:
-    """Shared machinery of home-sort and quotient-sort elements: the row
-    `_d` > 0, `_n` = {k: nonzero n_k} with gcd(d, n_k...) = 1 of the value
-    sum(n_k * sqrt(k)) / d, sqrt(0) read as 1; Fractions are built on demand."""
+_NO_VARIABLES: dict = {}  # the variable map of every element: shared, so never changed
 
-    __slots__ = ("_d", "_n", "_hash")
+
+class _Row:
+    """One canonical integer row: the denominator `_d` > 0 and the numerators
+    `_v` = {variable: nonzero int} and `_n` = {radicand: nonzero int}, with
+    gcd(d, all numerators) = 1, of the affine form
+    (sum(a_x * x) + sum(n_k * sqrt(k))) / d, sqrt(0) read as 1.  A model
+    element is a row with no variable (`_v` is `_NO_VARIABLES`) and a term a
+    row over variables; subclasses fix what the row denotes, and two rows
+    are equal only when their classes are.  Rows are never changed, so
+    results share maps with their operands; Fractions are built on demand."""
+
+    __slots__ = ("_d", "_v", "_n", "_hash")
+
+    @classmethod
+    def _row(cls, d: int, v: dict, n: dict):
+        """The row (d, v, n), already canonical; its maps are shared, so never changed."""
+        r = object.__new__(cls)
+        r._d = d
+        r._v = v
+        r._n = n
+        r._hash = None
+        return r
+
+    @classmethod
+    def _of(cls, v: Mapping, n: Mapping):
+        """The row of maps to nonzero ints and Fractions (`_clean` maps): over the
+        lcm of the reduced denominators the numerators share no factor with it."""
+        d = math.lcm(*[q.denominator for m in (v, n) for q in m.values()])
+        if v:
+            v = {x: q.numerator * (d // q.denominator) for x, q in v.items()}
+        return cls._row(d, v, {k: q.numerator * (d // q.denominator) for k, q in n.items()})
+
+    @classmethod
+    def _reduced(cls, d: int, v: dict, n: dict):
+        """The row (d, v, n) with d > 0 and no zero in v or n, made canonical."""
+        if d != 1:
+            g = math.gcd(d, *n.values())
+            if v and g != 1:  # an element's row skips the variables
+                g = math.gcd(g, *v.values())
+            if g != 1:
+                v = {x: a // g for x, a in v.items()} if v else v
+                return cls._row(d // g, v, {k: m // g for k, m in n.items()})
+        return cls._row(d, v, n)
+
+    def __reduce__(self):  # the stored hash is rebuilt, not copied
+        return self._row, (self._d, self._v, self._n)
+
+    def is_zero(self) -> bool:
+        return not self._v and not self._n
+
+    def _merge(self, other, a: int = 1, b: int = 1):
+        """self + a/b * other for integers a != 0 and b > 0."""
+        if type(self) is not type(other):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if not (other._v or other._n):
+            return self
+        d, e = self._d, other._d * b
+        big, n = add_rows(d, self._n, e, other._n, a)
+        v = self._v
+        if v or other._v:
+            v = add_rows(d, v, e, other._v, a)[1]
+        return self._reduced(big, v, n)
+
+    def __add__(self, other):
+        return self._merge(other)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        v = self._v
+        v = {x: -a for x, a in v.items()} if v else v
+        return self._row(self._d, v, {k: -m for k, m in self._n.items()})
+
+    def scale(self, q):
+        if q == 1 or not (self._v or self._n):
+            return self
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if not q:
+            return self._row(1, _NO_VARIABLES, {})
+        a, v = q.numerator, self._v
+        v = {x: a * c for x, c in v.items()} if v else v
+        return self._reduced(self._d * q.denominator, v, {k: a * m for k, m in self._n.items()})
+
+    def __eq__(self, other) -> bool:
+        same = type(self) is type(other) and self._d == other._d
+        return same and self._n == other._n and self._v == other._v
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            v = self._v  # an element's row hashes no variable map
+            self._hash = hash((self._d, frozenset(self._n.items()), frozenset(v.items()) if v else None))
+        return self._hash
+
+
+class _SpanElement(_Row):
+    """Shared machinery of home-sort and quotient-sort elements: the row of
+    the value sum(n_k * sqrt(k)) / d, sqrt(0) read as 1, with no variable."""
+
+    __slots__ = ()
     _min_key = 0
 
-    def __init__(self, coeffs: Coeffs = ()):
+    def __new__(cls, coeffs: Coeffs = ()):
         cleaned = _clean(coeffs)
-        if any(k < self._min_key for k in cleaned):
-            raise ValueError(f"radicand below {self._min_key} in {cleaned}")
+        if any(k < cls._min_key for k in cleaned):
+            raise ValueError(f"radicand below {cls._min_key} in {cleaned}")
         for k in cleaned:
             problem = k and radicand_problem(k)
             if problem:
                 raise ValueError(f"r{k} {problem}")
-        # over the lcm of reduced denominators the numerators share no factor with it
-        d = self._d = math.lcm(*[q.denominator for q in cleaned.values()])
-        self._n = {k: q.numerator * (d // q.denominator) for k, q in cleaned.items()}
-        self._hash = None
-
-    @classmethod
-    def _row(cls, d: int, n: dict[int, int]):
-        """The element of a canonical row; the map is shared, so it is never changed."""
-        e = object.__new__(cls)
-        e._d = d
-        e._n = n
-        e._hash = None
-        return e
-
-    @classmethod
-    def _reduced(cls, d: int, n: dict[int, int]):
-        """The element of the row (d, n) with d > 0 and no zero in n, made canonical."""
-        if d != 1:
-            g = math.gcd(d, *n.values())
-            if g != 1:
-                return cls._row(d // g, {k: m // g for k, m in n.items()})
-        return cls._row(d, n)
-
-    def __reduce__(self):  # the stored hash is rebuilt, not copied
-        return self._row, (self._d, self._n)
+        return cls._of(_NO_VARIABLES, cleaned)
 
     @classmethod
     def _from_numerators(cls, d: int, nums: Mapping[int, int]):
         """The element sum(n_k * sqrt(k)) / d, sqrt(0) read as 1, for d > 0 and
         integers n_k of radicands of this sort; zero numerators are dropped."""
-        return cls._reduced(d, {k: n for k, n in nums.items() if n})
+        return cls._reduced(d, _NO_VARIABLES, {k: n for k, n in nums.items() if n})
 
     def _terms(self) -> list[tuple[int, int, int]]:
         """(k, n, d) per radicand k, by radicand: the coefficient n/d in lowest terms."""
@@ -215,46 +284,8 @@ class _SpanElement:
     def radicands(self) -> frozenset[int]:
         return frozenset(self._n)
 
-    def is_zero(self) -> bool:
-        return not self._n
-
     def __bool__(self) -> bool:
         return bool(self._n)
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._d == other._d and self._n == other._n
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self._d, frozenset(self._n.items())))
-        return self._hash
-
-    def _merge(self, other, flip: int):
-        """self + flip * other."""
-        if type(self) is not type(other):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if not other._n:
-            return self
-        return self._reduced(*add_rows(self._d, self._n, other._d, other._n, flip))
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return self._row(self._d, {k: -n for k, n in self._n.items()})
-
-    def scale(self, q) -> "_SpanElement":
-        if q == 1 or not self._n:
-            return self
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        if not q:
-            return self._row(1, {})
-        a = q.numerator
-        return self._reduced(self._d * q.denominator, {k: a * n for k, n in self._n.items()})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.coeffs!r})"
@@ -264,7 +295,10 @@ class _SpanElement:
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]):
-        return cls({int(k): Fraction(v) for k, v in data.items()})
+        try:  # the constructor reads the keys as ints and the values as Fractions
+            return cls(data)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {data}") from None
 
 
 # CPython refuses to convert integers of more than 4300 digits to text
@@ -275,13 +309,11 @@ MAX_DIGITS = 4300
 class ModelElement(_SpanElement):
     """A home-sort value: a rational combination of 1 and sqrt(p)'s."""
 
-    _min_key = 0
-
     @classmethod
     def from_rational(cls, q) -> "ModelElement":
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        return cls._row(q.denominator, {0: q.numerator} if q else {})
+        return cls._row(q.denominator, _NO_VARIABLES, {0: q.numerator} if q else {})
 
     def rational(self) -> Fraction | None:
         """The value as a Fraction when it lies on the rational line."""
@@ -385,13 +417,13 @@ def project(a: ModelElement) -> QuotientElement:
     """The linear quotient map: kill the rational part, keep the rest."""
     n = a._n
     if 0 not in n:
-        return QuotientElement._row(a._d, n)
-    return QuotientElement._reduced(a._d, {k: m for k, m in n.items() if k})
+        return QuotientElement._row(a._d, a._v, n)
+    return QuotientElement._reduced(a._d, a._v, {k: m for k, m in n.items() if k})
 
 
 def section(w: QuotientElement) -> ModelElement:
     """Canonical right inverse of `project`: the representative with zero rational part."""
-    return ModelElement._row(w._d, w._n)
+    return ModelElement._row(w._d, w._v, w._n)
 
 
 def summand_text(m: int, d: int, symbol: str | None) -> tuple[bool, str]:

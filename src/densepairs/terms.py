@@ -9,11 +9,11 @@ home variables read under the quotient map pi: since pi is linear,
 ``u1 + pi(2*x1) + pi(x2 + r3)`` is the form ``u1 + 2*pi(x1) + pi(x2)``
 plus the quotient constant ``pi(r3)``, so nested and repeated applications
 fold into one.  The row is unique, so two terms denote the same affine
-function exactly when they are equal.  Both sorts share one implementation
-of the linear operations and of `substitute`, which build rows with no
-Fraction and merge them as model elements do (`model.add_rows`); Fractions
-are made only at the public accessors (`coeffs`, `coeff`, `constant`,
-`pushed`, `repr`) and read by the constructors.
+function exactly when they are equal.  Both sorts share with model
+elements one row class (`model._Row`: the linear operations, equality and
+hashing) and share one `substitute`, all of which build rows with no
+Fraction; Fractions are made only at the public accessors (`coeffs`,
+`coeff`, `constant`, `pushed`, `repr`) and read by the constructors.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
-from .model import ZERO, ModelElement, QuotientElement, add_rows, sum_text, summand_text
+from .model import _NO_VARIABLES, ZERO, ModelElement, QuotientElement, _clean, _Row, sum_text, summand_text
 
 
 class Sort(Enum):
@@ -70,63 +70,25 @@ def qvar(index: int) -> Variable:
 
 
 def _clean_varmap(coeffs, sort: Sort) -> dict[Variable, int | Fraction]:
-    out = dict(coeffs)
-    for v, q in out.items():
+    def checked(v: Variable) -> Variable:
         if v.sort is not sort:
             raise SortError(f"variable {v} is not of sort {sort.value}")
-        if not isinstance(q, (int, Fraction)):
-            out[v] = Fraction(q)
-    return out
+        return v
+
+    return _clean(coeffs, checked)
 
 
 _HOME, _QUOTIENT = Sort.HOME, Sort.QUOTIENT  # reading an Enum member off its class is slow
 _by_index = attrgetter("index")
 
 
-class _Term:
-    """A linear form: one canonical integer row.
+class _Term(_Row):
+    """A linear form: a row (`model._Row`) over variables, whose (d, _n) is the
+    constant's row before reduction.  Subclasses fix the sort of the value
+    and of the constant; every operation builds its result as a row."""
 
-    The row is the denominator `_d` > 0 and the numerators `_v` =
-    {variable: nonzero int} and `_n` = {radicand: nonzero int}, with
-    gcd(d, all numerators) = 1, so (d, _n) is the constant's row before
-    reduction.  Subclasses fix the sort of the value and of the constant.
-    Every operation builds its result as a row; evaluation reads the row.
-    """
-
-    __slots__ = ("_d", "_v", "_n", "_hash")
+    __slots__ = ()
     sort: Sort
-
-    @classmethod
-    def _row(cls, d: int, v: dict, n: dict):
-        """The term of a canonical row; the maps are shared, so they are never changed."""
-        t = object.__new__(cls)
-        t._d = d
-        t._v = v
-        t._n = n
-        t._hash = None
-        return t
-
-    @classmethod
-    def _of(cls, v: Mapping, n: Mapping):
-        """The term of maps to ints and Fractions, zeros allowed: over the lcm
-        of the reduced denominators the numerators share no factor with it."""
-        d = lcm(*[q.denominator for q in v.values()], *[q.denominator for q in n.values()])
-        v = {x: q.numerator * (d // q.denominator) for x, q in v.items() if q}
-        return cls._row(d, v, {k: q.numerator * (d // q.denominator) for k, q in n.items() if q})
-
-    @classmethod
-    def _reduced(cls, d: int, v: dict, n: dict):
-        """The term of the row (d, v, n) with d > 0 and no zero in v or n, made canonical."""
-        if d != 1:
-            g = gcd(d, *v.values(), *n.values())
-            if g != 1:
-                return cls._row(
-                    d // g, {x: m // g for x, m in v.items()}, {k: m // g for k, m in n.items()}
-                )
-        return cls._row(d, v, n)
-
-    def __reduce__(self):  # the stored hash is rebuilt, not copied
-        return self._row, (self._d, self._v, self._n)
 
     def numerators(self, assignment) -> tuple[int, dict[int, int]]:
         """(D, {k: n_k}) with the value under the assignment sum(n_k * sqrt(k)) / D,
@@ -158,7 +120,7 @@ class _Term:
             values.append((c, x, quotient and want is ModelElement))
         if unbound is not None:
             raise UnboundVariableError(f"{unbound} is unbound")
-        # not model.add_scaled: leaving a cancelled coefficient as 0 costs less
+        # not model.add_rows: leaving a cancelled coefficient as 0 costs less
         nums = dict(self._n) if e == 1 else {k: n * e for k, n in self._n.items()}
         for c, x, under_pi in values:
             c *= e // x._d
@@ -180,7 +142,8 @@ class _Term:
 
     @property
     def constant(self):
-        return (ModelElement if self.sort is _HOME else QuotientElement)._reduced(self._d, self._n)
+        cls = ModelElement if self.sort is _HOME else QuotientElement
+        return cls._reduced(self._d, _NO_VARIABLES, self._n)
 
     def coeff(self, v: Variable) -> Fraction:
         a = self._v.get(v)
@@ -196,9 +159,6 @@ class _Term:
 
     def is_ground(self) -> bool:
         return not self._v
-
-    def is_zero(self) -> bool:
-        return not self._v and not self._n
 
     def without(self, v: Variable):
         if v not in self._v:
@@ -216,36 +176,6 @@ class _Term:
         if a < 0:
             return self._reduced(-a, rest, self._n)
         return self._reduced(a, *({k: -m for k, m in p.items()} for p in (rest, self._n)))
-
-    def _merge(self, other, a: int = 1, b: int = 1):
-        """self + a/b * other for integers a != 0 and b > 0."""
-        if type(self) is not type(other):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if not (other._v or other._n):
-            return self
-        d, e = self._d, other._d * b
-        big, v = add_rows(d, self._v, e, other._v, a)
-        return self._reduced(big, v, add_rows(d, self._n, e, other._n, a)[1])
-
-    def __add__(self, other):
-        return self._merge(other)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __neg__(self):
-        return self._row(self._d, *({k: -m for k, m in p.items()} for p in (self._v, self._n)))
-
-    def scale(self, q):
-        if q == 1:
-            return self
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        if not q:
-            return self._row(1, {}, {})
-        a = q.numerator
-        v, n = ({k: a * m for k, m in p.items()} for p in (self._v, self._n))
-        return self._reduced(self._d * q.denominator, v, n)
 
     def substitute(self, v: Variable, t: "_Term"):
         """Replace v by a term of its sort; a home term goes under pi in a quotient term."""
@@ -310,15 +240,6 @@ class _Term:
             outer.append((False, f"pi({sum_text(inner)})"))
         return sum_text(outer)
 
-    def __eq__(self, other) -> bool:
-        same = type(other) is type(self) and self._d == other._d
-        return same and self._v == other._v and self._n == other._n
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._d, frozenset(self._v.items()), frozenset(self._n.items())))
-        return self._hash
-
 
 class HomeTerm(_Term):
     """An affine combination a1*x_{i1} + ... + an*x_{in} + c over the home sort."""
@@ -333,7 +254,7 @@ class HomeTerm(_Term):
     def from_element(cls, a: ModelElement | Fraction | int) -> "HomeTerm":
         if not isinstance(a, ModelElement):
             a = ModelElement.from_rational(a)
-        return cls._row(a._d, {}, a._n)
+        return cls._row(a._d, a._v, a._n)
 
     def evaluate(self, assignment: Mapping[Variable, ModelElement]) -> ModelElement:
         return ModelElement._from_numerators(*self.numerators(assignment))
@@ -368,7 +289,7 @@ class QuotientTerm(_Term):
     def from_element(cls, w: QuotientElement) -> "QuotientTerm":
         if type(w) is not QuotientElement:
             raise TypeError(f"a QuotientTerm constant is a QuotientElement, not {type(w).__name__}")
-        return cls._row(w._d, {}, w._n)
+        return cls._row(w._d, w._v, w._n)
 
     @classmethod
     def project_term(cls, t: HomeTerm) -> "QuotientTerm":

@@ -6,9 +6,10 @@ import sys
 import time
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
-from densepairs import formulas
+from densepairs import formulas, schemas
 from densepairs.coding import code_function, code_unary_set
 from densepairs.decomposition import decompose, is_small
 from densepairs.errors import InternalError, ModeError, NotGroundError, SortError
@@ -193,9 +194,15 @@ def test_report_serialization():
         parse("0 < x1 & x1 < x2"), X, [{hvar(2): parse_element("1/4")}], 10
     )
     data = report.to_json()
+    jsonschema.validate(data, schemas.BUCKET_REPORT_SCHEMA)
     assert data["k"] == 10
     assert data["assignments"][0]["params"] == {"x2": {"0": "1/4"}}
     assert data["assignments"][0]["bucket"] == 3
+    params = [{hvar(2): parse_element("1/3 + 1/4*r2"), qvar(1): QuotientElement({2: 1})}]
+    data = bucket_partition(parse("0 < x1 & x1 < x2 & pi(x1) != u1"), X, params, 10).to_json()
+    jsonschema.validate(data, schemas.BUCKET_REPORT_SCHEMA)
+    assert data["assignments"][0]["params"] == {"u1": {"2": "1"}, "x2": {"0": "1/3", "2": "1/4"}}
+    assert data["assignments"][0]["measure"] == {"0": "1/3", "2": "1/4"}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from densepairs.model import (
     MAX_DIM,
     MAX_RADICAND,
+    _NO_VARIABLES,
     Model,
     ModelElement,
     QuotientElement,
@@ -214,6 +215,13 @@ def test_json_round_trip():
     assert ModelElement.from_json(a.to_json()) == a
     w = project(a)
     assert QuotientElement.from_json(w.to_json()) == w
+
+
+def test_from_json_refuses_malformed_entries_with_value_error():
+    for data in ({"0": "1/0"}, {"2": "3/0"}, {"0": "x"}, {"a": "1"}, {"4": "1"}):
+        for cls in (ModelElement, QuotientElement):
+            with pytest.raises(ValueError):
+                cls.from_json(data)
 
 
 def test_model_membership():
@@ -454,12 +462,18 @@ def _reference_text(ref: dict) -> str:
 
 
 def _assert_row_is(e, ref: dict):
-    # e is the canonical row of the clean Fraction map ref, in every reading
+    # e is the canonical row of the clean Fraction map ref, in every reading,
+    # with the one shared empty variable map of every element
     cls = type(e)
     assert type(e._d) is int and e._d > 0 and math.gcd(e._d, *e._n.values()) == 1
     assert all(type(n) is int and n and k >= cls._min_key for k, n in e._n.items())
+    assert e._v is _NO_VARIABLES and not _NO_VARIABLES
+    d = math.lcm(*[q.denominator for q in ref.values()])
+    assert e._d == d and e._n == {k: q.numerator * (d // q.denominator) for k, q in ref.items()}
     want = cls(ref)
     assert e == want and hash(e) == hash(want) and e.coeffs == ref
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and hash(copy) == hash(e) and (copy._d, copy._v, copy._n) == (e._d, e._v, e._n)
     text = _reference_text(ref)
     assert str(e) == (text if cls is ModelElement or not ref else f"pi({text})")
     assert e.to_json() == {str(k): str(q) for k, q in sorted(ref.items())}
@@ -569,3 +583,35 @@ def test_element_arithmetic_builds_no_fraction(monkeypatch):
         assert term.evaluate({hvar(1): a, hvar(2): b}) == term.evaluate({hvar(2): b, hvar(1): a})
     monkeypatch.undo()
     assert built == 0
+
+
+def test_elements_and_ground_terms_share_rows_but_not_identity():
+    # a sum of ground terms has the sum of their constants, the quotient map
+    # of a ground term has the image of its constant, and a ModelElement, a
+    # QuotientElement and a ground term with one row are pairwise unequal
+    from densepairs.terms import HomeTerm, QuotientTerm
+
+    rng = random.Random(2828)
+
+    def element(cls):
+        keys = [k for k in (0, 2, 3, 5) if k >= cls._min_key and rng.random() < 0.6]
+        return cls({k: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for k in keys})
+
+    for _ in range(500):
+        a, b = element(ModelElement), element(ModelElement)
+        ta, tb = HomeTerm.from_element(a), HomeTerm.from_element(b)
+        assert (ta + tb).constant == a + b and (ta - tb).constant == a - b
+        assert (-ta).constant == -a and ta.scale(Fraction(-2, 3)).constant == a.scale(Fraction(-2, 3))
+        assert QuotientTerm.project_term(ta).constant == project(a)
+        w = element(QuotientElement)
+        assert (QuotientTerm.from_element(w) + QuotientTerm.project_term(tb)).constant == w + project(b)
+        tw = QuotientTerm.from_element(w)
+        same = [section(w), w, HomeTerm.from_element(section(w)), tw]
+        assert len({(x._d, tuple(x._v), tuple(sorted(x._n.items()))) for x in same}) == 1
+        for i, x in enumerate(same):
+            for j, y in enumerate(same):
+                assert (x == y) is (i == j) and (x != y) is (i != j), (x, y)
+        with pytest.raises(TypeError):
+            a + w
+        with pytest.raises(TypeError):
+            ta + a
