@@ -7,7 +7,9 @@ form additionally rewrites negated order atoms into positive ones
 (``not (t < 0)`` becomes ``-t < 0 or t = 0``), so after DNF a
 conjunction carries only strict bounds, (dis)equations, and subspace
 membership literals -- the shape the elimination and decomposition
-passes consume.
+passes consume.  DNF reads each node's polarity as it walks the formula
+and builds no negation normal form tree; it keeps that tree's shape as
+integer keys, for the one rule of its construction that changes clauses.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ class Formula:
     payload is evaluated straight from its row).  An atom's `_reading`
     slot likewise stays empty until a witness oracle first solves it for a
     bound variable, then holds what the search reads off it for that
-    variable (see `oracles._read`).  Equality, hashing and copies ignore
-    both."""
+    variable (see `oracles._read`).  The `_mode` slot holds the theory mode
+    that `admit` returned the node for, so admitting it to that mode again
+    is free.  Equality, hashing and copies ignore all three."""
 
-    __slots__ = ("_hash", "_plan")
+    __slots__ = ("_hash", "_plan", "_mode")
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))
@@ -125,9 +128,10 @@ class Atom(Formula):
     _reading: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.kind in _HOME_KINDS) != isinstance(self.payload, HomeTerm):
-            raise SortError(f"{self.kind.value} atom with {type(self.payload).__name__} payload")
-        Formula.__post_init__(self)
+        kind, payload = self.kind, self.payload
+        if (kind in _HOME_KINDS) != isinstance(payload, HomeTerm):
+            raise SortError(f"{kind.value} atom with {type(payload).__name__} payload")
+        object.__setattr__(self, "_hash", hash((Atom, kind, payload)))
 
     def text(self, positive: bool = True) -> str:
         """The atom or its negation as `parser.parse` reads it, written from
@@ -148,14 +152,18 @@ class Atom(Formula):
 class Not(Formula):
     sub: Formula
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Not, self.sub)))
+
 
 @_node
 class _Junction(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self):
-        assert len(self.children) >= 2, f"{type(self).__name__} requires at least two children"
-        Formula.__post_init__(self)
+        children = self.children
+        assert len(children) >= 2, f"{type(self).__name__} requires at least two children"
+        object.__setattr__(self, "_hash", hash((type(self), children)))
 
 
 class And(_Junction):
@@ -300,6 +308,15 @@ _ATOM_FACTORY = {
     _QUOT_PREC: quot_prec,
 }
 
+# an order kind -> the factories of the two atoms its negation is:
+# not (t < 0) is -t < 0 or t = 0, and not (s prec 0) is -s prec 0 or s = 0
+_NEGATED_ORDER = {_HOME_LT: (home_lt, home_eq), _QUOT_PREC: (quot_prec, quot_eq)}
+
+
+def substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
+    """a with t for v, renormalized; a itself when v does not occur in it."""
+    return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
+
 
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:
     """Truth of an atom under an assignment, decided on the integer
@@ -331,17 +348,21 @@ def _junction(cls: type, children: Iterable[Formula], absorbing: BoolConst) -> F
     constant; `absorbing` (false for And) if it or a complementary pair occurs."""
     flat: list[Formula] = []
     seen = set()
+    negated = []  # g for each kept child Not(g)
     for c in children:
-        for item in c.children if isinstance(c, cls) else (c,):
-            if isinstance(item, BoolConst):
+        for item in c.children if type(c) is cls else (c,):
+            kind = type(item)
+            if kind is BoolConst:
                 if item.value is absorbing.value:
                     return absorbing
                 continue
             if item not in seen:
                 seen.add(item)
                 flat.append(item)
+                if kind is Not:
+                    negated.append(item.sub)
     # a complementary pair always has a member Not(g) with g in seen
-    if any(isinstance(item, Not) and item.sub in seen for item in flat):
+    if any(g in seen for g in negated):
         return absorbing
     if not flat:
         return make_not(absorbing)
@@ -433,10 +454,7 @@ def substitute(f: Formula, v: Variable, t: Term) -> Formula:
     if captured:
         raise CaptureError(f"substitution would capture {sorted(x.name for x in captured)}")
 
-    def atom(a):
-        return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
-
-    return rewrite(f, atom, lambda g: g if g.var == v else rebuild(g))
+    return rewrite(f, lambda a: substitute_atom(a, v, t), lambda g: g if g.var == v else rebuild(g))
 
 
 def check_parameters(variables: Iterable[Variable], assignment: Assignment) -> list[Variable]:
@@ -488,14 +506,19 @@ def admit(f: Formula, mode: TheoryMode) -> Formula:
     check of a formula against a mode; the parser reads every symbol and
     the eliminator is mode-free.  A binder whose variable is taken (bound
     again, or free) gets the next untaken index of its sort; atoms read
-    each bound variable's name from its innermost binder.
+    each bound variable's name from its innermost binder.  The node
+    returned is marked with the mode, and admitting a node so marked to
+    that mode returns it at once: it is admitted already.
     """
+    if getattr(f, "_mode", None) is mode:
+        return f
     nodes, used, binders = _scan(f)
     if mode is not TheoryMode.POVS_PREC:
         for g in nodes:
             if symbol := _foreign_symbol(g, mode):
                 raise ModeError(f"{symbol} is not in the language of theory mode {mode.value}")
     if len(set(binders)) == len(binders) and used.isdisjoint(binders):
+        object.__setattr__(f, "_mode", mode)
         return f  # nothing to rename
     next_index = {sort: fresh_variable(sort, used).index for sort in Sort}
     names: dict[Variable, Variable] = {}
@@ -517,7 +540,9 @@ def admit(f: Formula, mode: TheoryMode) -> Formula:
         names[var] = outer
         return type(g)(new, body)
 
-    return rewrite(f, rename, binder)
+    g = rewrite(f, rename, binder)
+    object.__setattr__(g, "_mode", mode)
+    return g
 
 
 def nnf(f: Formula) -> Formula:
@@ -545,10 +570,8 @@ def nnf(f: Formula) -> Formula:
             return connective(g, positive)
         if positive:
             return g
-        if g.kind is _HOME_LT:
-            return make_or([home_lt(-g.payload), home_eq(g.payload)])
-        if g.kind is _QUOT_PREC:
-            return make_or([quot_prec(-g.payload), quot_eq(g.payload)])
+        if pair := _NEGATED_ORDER.get(g.kind):
+            return make_or([pair[0](-g.payload), pair[1](g.payload)])
         return Not(g)
 
     return traverse(step, (f, True))
@@ -580,63 +603,109 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
     """Disjunctive normal form as a list of literal tuples.
 
     [] encodes false and [()] encodes true; contradictory clauses are
-    pruned and clauses absorbed by a subset clause are dropped.
-    Distribution works over interned literal ids, so the set algebra
-    runs on integers rather than on structural formula comparisons.
-    Absorbing after every conjunct gives the same final clauses as
-    absorbing once at the end: if a is a subset of a' and a' | b is
-    consistent, so is a | b, and it is a subset of a' | b.  Literals
-    and clauses are ordered by their text as `render` writes it, each
-    literal's written once by `literal_text` straight from its atom's row.
+    pruned and clauses absorbed by a subset clause are dropped.  One walk
+    reads each node with its polarity, as `nnf` does, and builds no tree.
+    Distribution works over interned literal ids.  Absorbing after every
+    conjunct gives the same final clauses as absorbing once at the end:
+    if a is a subset of a' and a' | b is consistent, so is a | b, and it
+    is a subset of a' | b.  So of the rules `nnf`'s tree is built by, one
+    changes clauses: a disjunction holding a literal and its complement is
+    true.  For it the walk keeps that tree's shape as integer keys: a
+    literal's id, or ~the index in `parts` of a junction's kind and
+    members.  Literals and clauses are ordered by the text `literal_text`
+    writes, which is the text `render` writes.
     """
-    g = nnf(f)
-    ids: dict[Formula, int] = {}
     literals: list[Formula] = []
-    negation: list[int] = []  # id of the complementary literal, or -1
+    ids: tuple[dict[Atom, int], dict[Atom, int]] = ({}, {})  # by polarity: atom -> literal id
+    negation: list[int | None] = []  # id of the complementary literal
+    units: list[list[frozenset[int]]] = []  # each literal's clauses
+    keys: dict[tuple[bool, tuple[int, ...]], int] = {}  # (is an Or, children's keys) -> key
+    parts: list[tuple[bool, tuple[int, ...]]] = []  # the same, by ~key
 
-    def intern(lit: Formula) -> int:
-        got = ids.get(lit)
+    def literal(atom: Atom, positive: bool, lit: Formula | None) -> tuple[list, int]:
+        """The clauses and key of atom's literal of that polarity, `lit` if given."""
+        table = ids[positive]
+        got = table.get(atom)
         if got is None:
-            got = len(literals)
-            ids[lit] = got
-            literals.append(lit)
-            partner = ids.get(make_not(lit))
-            negation.append(-1 if partner is None else partner)
+            got = table[atom] = len(literals)
+            literals.append(lit if lit is not None else atom if positive else Not(atom))
+            partner = ids[not positive].get(atom)
+            negation.append(partner)
             if partner is not None:
                 negation[partner] = got
-        return got
+            units.append([frozenset((got,))])
+        return units[got], got
 
-    def connective(h):
-        if isinstance(h, Or):
-            out: dict[frozenset[int], None] = {}  # the children's clauses, first copies only
-            for c in h.children:
-                out.update(dict.fromkeys((yield c)))
-            return list(out)
-        acc: list[frozenset[int]] = [frozenset()]  # an And: nnf has refused any quantifier
-        for c in h.children:
-            branch = yield c
+    def constant(value: bool) -> tuple[list, BoolConst]:
+        return ([frozenset()], TRUE) if value else ([], FALSE)
+
+    def shape(is_or: bool, members: tuple[int, ...]) -> int:
+        key = keys.get((is_or, members))
+        if key is None:
+            key = keys[is_or, members] = ~len(parts)
+            parts.append((is_or, members))
+        return key
+
+    def junction(children, is_or: bool, positive: bool, full: bool):
+        """The clauses and key of the Or (the And unless is_or) of children read
+        at polarity `positive`, as `_junction` would build it; the clauses
+        are [] unless `full`, which a contradictory conjunction turns off."""
+        members: list[int] = []
+        seen: set[int] = set()
+        out: dict[frozenset[int], None] = {}  # an Or: the children's clauses, first copies only
+        acc: list[frozenset[int]] = [frozenset()]  # an And: the clauses so far
+        for c in children:
+            clauses, key = yield c, positive, full
+            if type(key) is not int:  # a constant: absorbing, or dropped
+                if key.value is is_or:
+                    return constant(is_or)
+                continue
+            for k in parts[~key][1] if key < 0 and parts[~key][0] is is_or else (key,):
+                if k not in seen:
+                    seen.add(k)
+                    members.append(k)
+            if not full:
+                continue
+            if is_or:
+                out.update(dict.fromkeys(clauses))
+                continue
             merged = set()
             for a in acc:
-                for b in branch:
+                for b in clauses:
                     u = a | b
-                    if u in merged:
-                        continue
-                    if any(negation[i] in u for i in b if negation[i] >= 0):
-                        continue
-                    merged.add(u)
+                    if u not in merged and not any(negation[i] in u for i in b):
+                        merged.add(u)
             acc = _absorb(merged)
-            if not acc:
-                return []
-        return acc
+            full = bool(acc)
+        clauses = list(out) if is_or else acc
+        if any(negation[k] in seen for k in members if k >= 0):  # a complementary pair
+            return constant(is_or)
+        if len(members) > 1:
+            return clauses, shape(is_or, tuple(members))
+        return (clauses, members[0]) if members else constant(not is_or)
 
-    def step(h):
-        if isinstance(h, BoolConst):
-            return [frozenset()] if h.value else []
-        if is_literal(h):
-            return [frozenset([intern(h)])]
-        return connective(h)
+    def step(item):
+        g, positive, full = item
+        lit = None  # the Not right above g, which is g's negated literal
+        while type(g) is Not:
+            lit, g, positive = g, g.sub, not positive
+        kind = type(g)
+        if kind is Atom:
+            if positive:
+                return literal(g, True, None)
+            pair = _NEGATED_ORDER.get(g.kind)
+            if pair is None:
+                return literal(g, False, lit)
+            (a,), i = literal(pair[0](-g.payload), True, None)
+            (b,), j = literal(pair[1](g.payload), True, None)
+            return [a, b], shape(True, (i, j))
+        if kind is And or kind is Or:
+            return junction(g.children, (kind is Or) is positive, positive, full)
+        if kind is BoolConst:
+            return constant(g.value is positive)
+        raise QuantifiedInputError("disjunctive normal form requires a quantifier-free formula")
 
-    kept = _absorb(traverse(step, g))
+    kept = _absorb(traverse(step, (f, True, True))[0])
     if len(literals) > 1:  # with one literal there is at most one clause, and nothing to order
         text = [literal_text(lit) for lit in literals]
         kept = sorted(

@@ -133,12 +133,16 @@ def add_rows(d: int, n: Mapping, e: int, m: Mapping, a: int = 1) -> tuple[int, d
 
 
 def _clean(coeffs: Coeffs, key=int) -> dict:
-    """The nonzero entries of coeffs as ints and Fractions; every key goes through `key` first."""
+    """The nonzero entries of coeffs as ints and Fractions; every key goes through
+    `key` first, and a value with a zero denominator raises ValueError."""
     out = {}
     for k, q in dict(coeffs).items():
         k = key(k)
         if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+            try:
+                q = Fraction(q)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {q!r}") from None
         if q:
             out[k] = q
     return out
@@ -295,10 +299,7 @@ class _SpanElement(_Row):
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]):
-        try:  # the constructor reads the keys as ints and the values as Fractions
-            return cls(data)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {data}") from None
+        return cls(data)  # the constructor reads the keys as ints and the values as Fractions
 
 
 # CPython refuses to convert integers of more than 4300 digits to text
@@ -308,6 +309,8 @@ MAX_DIGITS = 4300
 
 class ModelElement(_SpanElement):
     """A home-sort value: a rational combination of 1 and sqrt(p)'s."""
+
+    __slots__ = ()
 
     @classmethod
     def from_rational(cls, q) -> "ModelElement":
@@ -377,6 +380,7 @@ class ModelElement(_SpanElement):
 class QuotientElement(_SpanElement):
     """A quotient-sort value: a home element with the rational part erased."""
 
+    __slots__ = ()
     _min_key = 2
 
     def lex_sign(self) -> int:

@@ -9,17 +9,19 @@ each conjunction of it loses the bound variable separately, by one
 clause step for both sorts.  A table gives the step its sort's equation
 kind, order kind and order-atom factory: `=` and `<` with `home_lt` at
 home, `=` and `prec` with `quot_prec` in the quotient.  An equation on
-the variable lets us substitute its root.  Otherwise disequations are
-dropped, since finitely many excluded points never empty a dense,
-infinite space, and the strict bounds combine by Fourier-Motzkin, which
-is exact because both orders are dense without endpoints.  A home
-variable also meets membership and quotient literals, which only
-constrain its coset pi(v): every coset of the rational line is dense, so
-a nonempty open interval meets whichever coset they require.  They become
-literals on a quotient-sort stand-in for pi(v), and the same step, run on
-the stand-in, eliminates it.  The pulled-out conjuncts then meet the
-result, which may be all there is, under the absorption and contradiction
-rules that the normal form would have applied to them.
+the variable lets us substitute its root, atom by atom.  Otherwise
+disequations are dropped, since finitely many excluded points never
+empty a dense, infinite space, and the strict bounds combine by
+Fourier-Motzkin, which is exact because both orders are dense without
+endpoints.  A home variable also meets membership and quotient literals,
+which only constrain its coset pi(v): every coset of the rational line
+is dense, so a nonempty open interval meets whichever coset they
+require.  They become literals on a quotient-sort stand-in for pi(v),
+and the same step, run on the stand-in, eliminates it.  The step folds
+each ground atom it makes, a substituted literal or a bound pair, so the
+clauses' disjunction is simplified as built.  The pulled-out conjuncts
+then meet the result, which may be all there is, under the absorption
+and contradiction rules that the normal form would have applied to them.
 
 Universal quantifiers are rewritten through their existential duals.
 Truth of a sentence is then read off the reference model, which is
@@ -34,6 +36,7 @@ from typing import Sequence
 from .errors import FreeVariableError, NotConjunctionError, SortError
 from .evaluate import eval_formula
 from .formulas import (
+    _NEGATED_ORDER,
     TRUE,
     Atom,
     AtomKind,
@@ -58,8 +61,7 @@ from .formulas import (
     quot_eq,
     quot_prec,
     rewrite,
-    simplify,
-    substitute,
+    substitute_atom,
 )
 from .model import ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -91,7 +93,11 @@ def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     for lit, atom, positive, _ in vlits:
         if atom.kind is eq and positive:
             witness = atom.payload.root(v)
-            return make_and(keep + [substitute(o, v, witness) for o, *_ in vlits if o is not lit])
+            for o, a, pos, _ in vlits:
+                if o is not lit:
+                    b = fold_ground(substitute_atom(a, v, witness))
+                    keep.append(b if pos else make_not(b))
+            return make_and(keep)
 
     lowers: list[HomeTerm | QuotientTerm] = []
     uppers: list[HomeTerm | QuotientTerm] = []
@@ -116,7 +122,7 @@ def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
         watom = quot_prec(s) if atom.kind is AtomKind.QUOT_PREC else quot_eq(s)
         wlits.append(watom if positive else make_not(watom))
 
-    pairs = [order_atom(lo - up) for lo in lowers for up in uppers]
+    pairs = [fold_ground(order_atom(lo - up)) for lo in lowers for up in uppers]
     return make_and(keep + pairs + ([_eliminate_clause(wlits, w)] if wlits else []))
 
 
@@ -125,8 +131,9 @@ _eliminate_home_clause = _eliminate_quotient_clause = _eliminate_clause
 
 
 def _eliminate(f: Formula, v: Variable) -> Formula:
-    """Eliminate an existential v from f, one DNF clause at a time."""
-    return simplify(make_or([_eliminate_clause(clause, v) for clause in dnf_clauses(f)]))
+    """Eliminate an existential v from f, one DNF clause at a time.  The clause
+    step folds each ground atom it makes, so the result is simplified."""
+    return make_or([_eliminate_clause(clause, v) for clause in dnf_clauses(f)])
 
 
 def _eliminate_exists(
@@ -165,7 +172,7 @@ def _prune(conjuncts: list[Formula]) -> list[Formula]:
         if isinstance(c, Atom):
             kept.append(c)
             continue
-        n = nnf(c)
+        n = c if _in_nnf(c) else nnf(c)
         ds = n.children if isinstance(n, Or) else ()
         parts = [
             [lit for lit in (d.children if isinstance(d, And) else (d,)) if lit not in given]
@@ -182,6 +189,20 @@ def _prune(conjuncts: list[Formula]) -> list[Formula]:
         ]
         kept.append(c if live == list(ds) else make_or(live))
     return kept
+
+
+def _in_nnf(f: Formula) -> bool:
+    """Whether the quantifier-free f, built by `make_and`/`make_or`, is its own
+    negation normal form: whether it negates only equation and membership atoms."""
+    pending = [f]
+    while pending:
+        g = pending.pop()
+        if type(g) is Not:
+            if type(g.sub) is not Atom or g.sub.kind in _NEGATED_ORDER:
+                return False
+        elif type(g) is And or type(g) is Or:
+            pending.extend(g.children)
+    return True
 
 
 def _mentions(f: Formula, v: Variable) -> bool:
@@ -219,7 +240,8 @@ def _qe(f: Formula) -> Formula:
 
 
 def qe(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> Formula:
-    """A quantifier-free formula equivalent to f in every model of the theory."""
+    """A quantifier-free formula equivalent to f in every model of the theory;
+    f is admitted to `mode` first, at no cost if `parse` admitted it to it."""
     return _qe(admit(f, mode))
 
 

@@ -224,6 +224,26 @@ def test_from_json_refuses_malformed_entries_with_value_error():
                 cls.from_json(data)
 
 
+def test_constructors_refuse_a_zero_denominator_with_value_error():
+    from densepairs.terms import HomeTerm, QuotientTerm, hvar, qvar
+
+    for make in (
+        lambda: ModelElement({0: "1/0"}),
+        lambda: QuotientElement({2: "3/0"}),
+        lambda: HomeTerm({hvar(1): "1/0"}),
+        lambda: QuotientTerm({qvar(1): "1/0"}),
+    ):
+        with pytest.raises(ValueError, match="^zero denominator in '[13]/0'$"):
+            make()
+
+
+def test_elements_carry_no_instance_dict():
+    for e in (mel(rat=1, r2=Fraction(1, 3)), ModelElement(), QuotientElement({3: 2})):
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(AttributeError):
+            e.cached = 1
+
+
 def test_model_membership():
     assert MODEL.contains(mel(rat=1, r2=1, r3=1))
     assert not MODEL.contains(mel(r5=1))

@@ -212,29 +212,30 @@ def test_every_entry_point_refuses_a_mode_in_one_wording(capsys, theory, text, m
     ],
 )
 def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
-    # `parse` and `qe` each admit the formula with one scan.  The inputs
-    # solve no equation: a substitution scans its formula for binders too.
+    # `parse` admits the formula with one scan and marks it admitted to the
+    # mode, so `qe` scans it no more.
     calls = []
     scan = formulas._scan
     monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
     mode = TheoryMode(theory)
     qe(parse(text, mode), mode)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     "argv,scans",
     [
-        (["qe", "E x1. x2 < x1 & x1 < 1"], 3),
-        (["decide", "E x1. 0 < x1 & x1 < r2"], 4),
-        (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 4),
-        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 12),
+        (["qe", "E x1. x2 < x1 & x1 < 1"], 2),
+        (["decide", "E x1. 0 < x1 & x1 < r2"], 3),
+        (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 3),
+        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 11),
     ],
 )
 def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, scans):
-    # Besides the two admissions of `parse` and `qe`, the CLI reads the
-    # constants and free variables from one scan; `decide_sentence` checks
-    # for free variables and `decompose` grounds the others, one scan each.
+    # Besides the one admission of `parse`, which `qe` reads off the node,
+    # the CLI reads the constants and free variables from one scan;
+    # `decide_sentence` checks for free variables and `decompose` grounds
+    # the others, one scan each.
     calls = []
     scan = formulas._scan
     monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
