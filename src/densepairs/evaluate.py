@@ -6,12 +6,16 @@ right with a single truth value in hand.  A junction's children run in
 order, each but the last followed by a jump to the junction's end taken
 when the value decides it (false for a conjunction, true for a
 disjunction), so evaluation stops where the walk over the tree would.
-A quantifier or a non-formula compiles to an instruction that raises when
-it is reached, and not before.  The loop (`run`) asks a given function for
-each atom's truth, so evaluation under an assignment and a reading of
-truths from a table (`decomposition.sign_table`) share it.  The plan's atom
-instructions also list the formula's atoms, for readers that need them
-without another walk.
+A ground atom is decided when the plan is compiled, and constants fold
+through the connectives with the same left-to-right meaning: a neutral
+constant is dropped, a deciding one ends its junction, and the junction
+is that constant only when no child before it reads the assignment or
+raises.  A quantifier or a non-formula compiles to an instruction that
+raises when it is reached, and not before.  The loop (`run`) asks a given
+function for each atom's truth, so evaluation under an assignment and a
+reading of truths from a table (`decomposition.sign_table`) share it.  The
+plan's atom instructions also list the atoms it can read, for readers
+that need them without another walk; a ground atom is not among them.
 """
 
 from __future__ import annotations
@@ -58,9 +62,8 @@ def run(f: Formula, truth: Callable[[Atom, object], bool], at) -> bool:
 
 
 def atoms(f: Formula) -> list[Atom]:
-    """The atoms of a quantifier-free formula, in the order its plan reads them."""
-    if type(f) is Atom:
-        return [f]
+    """The atoms of a quantifier-free formula that its plan can read, in the
+    order it reads them: ground atoms are decided when the plan is compiled."""
     return [arg for op, arg in _plan(f) if op is _ATOM]
 
 
@@ -75,29 +78,46 @@ def _plan(f) -> tuple:
 
 
 def _compile(f) -> tuple:
-    """The plan of f, from one walk over it."""
+    """The plan of f, from one walk over it.  A step appends the code of its
+    node and returns None, or appends nothing and returns the node's truth
+    when no assignment can change it and reaching it raises nothing: a
+    ground atom, decided here once, a constant, or a connective of these."""
     code: list = []
 
     def negation(g):
-        yield g.sub
+        value = yield g.sub
+        if value is not None:
+            return not value
         code.append((_NOT, None))
 
     def junction(g):
         decisive = isinstance(g, Or)
         jumps = []
-        for c in g.children[:-1]:
-            yield c
-            jumps.append(len(code))
-            code.append(None)  # the jump, once the end is known
-        yield g.children[-1]
+        decided = False
+        for c in g.children:
+            value = yield c
+            if value is None:
+                jumps.append(len(code))
+                code.append(None)  # the jump, once the end is known
+            elif value is decisive:
+                decided = True  # the children after a deciding constant are never reached
+                break
+        if not jumps:
+            return decisive if decided else not decisive
+        code.pop()  # the last child's value is the junction's, or the constant follows it
+        jumps.pop()
+        if decided:
+            code.append((_CONST, decisive))
         for j in jumps:
             code[j] = (_JUMP, (decisive, len(code)))
 
     def step(g):
         if isinstance(g, Atom):
+            if g.payload.is_ground():
+                return eval_atom(g, {})
             code.append((_ATOM, g))
         elif isinstance(g, BoolConst):
-            code.append((_CONST, bool(g.value)))
+            return bool(g.value)
         elif isinstance(g, Not):
             return negation(g)
         elif isinstance(g, (And, Or)):
@@ -108,5 +128,5 @@ def _compile(f) -> tuple:
         else:
             code.append((_FAIL, (TypeError, f"not a formula: {g!r}")))
 
-    traverse(step, f)
-    return tuple(code)
+    value = traverse(step, f)
+    return tuple(code) if value is None else ((_CONST, value),)

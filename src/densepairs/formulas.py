@@ -300,13 +300,11 @@ def quot_prec(s: QuotientTerm) -> Atom:
     return Atom(_QUOT_PREC, s.normalized(sign_free=False))
 
 
-_ATOM_FACTORY = {
-    _HOME_EQ: home_eq,
-    _HOME_LT: home_lt,
-    _IN_Q: in_q,
-    _QUOT_EQ: quot_eq,
-    _QUOT_PREC: quot_prec,
-}
+def _remade(kind: AtomKind, t: Term) -> Atom:
+    """The atom of kind on t, rescaled as its factory above rescales it; read
+    off two identity tests, since an Enum hashes in Python code."""
+    return Atom(kind, t.normalized(sign_free=kind is not _HOME_LT and kind is not _QUOT_PREC))
+
 
 # an order kind -> the factories of the two atoms its negation is:
 # not (t < 0) is -t < 0 or t = 0, and not (s prec 0) is -s prec 0 or s = 0
@@ -315,7 +313,7 @@ _NEGATED_ORDER = {_HOME_LT: (home_lt, home_eq), _QUOT_PREC: (quot_prec, quot_eq)
 
 def substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
     """a with t for v, renormalized; a itself when v does not occur in it."""
-    return _ATOM_FACTORY[a.kind](a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
+    return _remade(a.kind, a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
 
 
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:
@@ -478,7 +476,7 @@ def ground(
     each checked by `check_parameters` first."""
     assignment = assignment or {}
     for var in check_parameters(free_variables(f).difference(keep), assignment):
-        f = substitute(f, var, TERM_CLASS[var.sort].from_element(assignment[var]))
+        f = substitute(f, var, TERM_CLASS[var._element].from_element(assignment[var]))
     return f
 
 
@@ -526,7 +524,7 @@ def admit(f: Formula, mode: TheoryMode) -> Formula:
     def rename(a):
         if all(names.get(w, w) == w for w in a.payload.variables()):
             return a
-        return _ATOM_FACTORY[a.kind](a.payload.rename(names))
+        return _remade(a.kind, a.payload.rename(names))
 
     def binder(g):
         var = new = g.var

@@ -15,7 +15,8 @@ Density does the rest -- the rational line and every one of its cosets
 is dense in the model, and only finitely many points are ever excluded,
 so a witness can be found whenever one exists.  Every returned witness
 is re-checked by evaluating the caller's literals before it is handed
-back.
+back.  A call reads each literal's atom and reading once, into the parts
+that drive its parameter check, its mode check and its search.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _tighten(current: _Bound | None, new: _Bound, cmp, side: int) -> _Bound:
     return current
 
 
-def _holds(literals: Sequence[Formula], binding: Assignment) -> bool:
-    return all(eval_formula(lit, binding) for lit in literals)
+def _holds(parts: list[tuple], binding: Assignment) -> bool:
+    return all(eval_formula(part[0], binding) for part in parts)
 
 
 _QUNIT = QuotientElement({2: 1})
@@ -126,15 +127,17 @@ _KINDS = {
     ModelElement: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
     QuotientElement: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
 }
+_QUOT_PREC = AtomKind.QUOT_PREC  # reading an Enum member off its class is slow
 
 
 def _read(atom: Atom, v: Variable) -> tuple:
     """What the search for v needs of an atom, independent of the assignment:
     (v, the parameters in reporting order, the root of an equation or order
     atom on v, the side it bounds v from when positive (0 for an equation),
-    the coset atom and its negation for a membership or quotient atom on a
-    home v).  Made on the first call for v and kept on the atom; another v
-    reads it afresh."""
+    for a membership or quotient atom on a home v the parts of the negated
+    and the positive coset literal, as `_parts` makes them for the stand-in).
+    Made on the first call for v and kept on the atom; another v reads it
+    afresh."""
     reading = getattr(atom, "_reading", None)
     if reading is not None and reading[0] == v:
         return reading
@@ -154,28 +157,27 @@ def _read(atom: Atom, v: Variable) -> tuple:
                 payload = QuotientTerm.project_term(payload)
             factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
             watom = factory(payload.rename({v: _COSET}))
-            _read(watom, _COSET)
-            coset = (Not(watom), watom)
+            wreading = _read(watom, _COSET)
+            coset = ((Not(watom), watom, False, wreading), (watom, watom, True, wreading))
     reading = (v, params, root, side, coset)
     object.__setattr__(atom, "_reading", reading)
     return reading
 
 
 def _solve(
-    literals: Sequence[Formula], v: Variable, assignment: Assignment
+    parts: list[tuple], v: Variable, assignment: Assignment
 ) -> tuple[bool, ModelElement | QuotientElement | None]:
-    """Search for a value of v satisfying literals whose parameters are bound."""
+    """Search for a value of v satisfying the literals of parts (see `_parts`)
+    whose parameters are bound."""
     home = v.sort is Sort.HOME
     cmp = compare if home else lex_compare
     pinned = None
     bounds: dict[int, _Bound | None] = {-1: None, 1: None}
     excluded = set()
-    coset_literals: list[Formula] = []
-    for lit in literals:
-        atom, positive = literal_parts(lit)
-        _, _, root, side, coset = _read(atom, v)
+    coset_parts: list[tuple] = []
+    for lit, _, positive, (_, _, root, side, coset) in parts:
         if coset is not None:
-            coset_literals.append(coset[positive])
+            coset_parts.append(coset[positive])
             continue
         if root is None:
             if not eval_formula(lit, assignment):
@@ -199,11 +201,11 @@ def _solve(
         if c == 0:
             pinned = lower.value
     if pinned is not None:
-        ok = _holds(literals, {**assignment, v: pinned})
+        ok = _holds(parts, {**assignment, v: pinned})
         return (True, pinned) if ok else (False, None)
 
     if home:
-        ok, coset = _solve(coset_literals, _COSET, assignment)
+        ok, coset = _solve(coset_parts, _COSET, assignment)
         if not ok:
             return False, None
         excluded = {p for p in excluded if project(p) == coset}
@@ -212,19 +214,28 @@ def _solve(
         candidates = _quotient_candidates(lower, upper, len(excluded) + 1)
     for candidate in candidates:
         if candidate not in excluded:
-            if not _holds(literals, {**assignment, v: candidate}):
+            if not _holds(parts, {**assignment, v: candidate}):
                 raise InternalError(f"{v.sort.value} witness failed re-evaluation")
             return True, candidate
     raise InternalError(f"{v.sort.value} candidate enumeration exhausted")
 
 
-def _check_literals(
+def _parts(
     literals: Sequence[Formula], v: Variable, assignment: Assignment
-) -> None:
-    """Reject a non-literal, then a parameter the assignment leaves unbound
-    or binds to a value not of its sort (`check_parameters`)."""
-    params = {var for lit in literals for var in _read(literal_parts(lit)[0], v)[1]}
-    check_parameters(params, assignment)
+) -> list[tuple]:
+    """(literal, atom, positive, reading for v) for each literal, read in one
+    pass that rejects a non-literal; then a parameter the assignment leaves
+    unbound or binds to a value not of its sort is rejected as
+    `check_parameters` rejects the first of all of them."""
+    parts = []
+    for lit in literals:
+        atom, positive = literal_parts(lit)
+        parts.append((lit, atom, positive, _read(atom, v)))
+    for *_, reading in parts:
+        for var in reading[1]:
+            if type(assignment.get(var)) is not var._element:
+                check_parameters({p for *_, r in parts for p in r[1]}, assignment)
+    return parts
 
 
 def oracle_exists_quotient(
@@ -242,12 +253,10 @@ def oracle_exists_quotient(
     if v.sort is not Sort.QUOTIENT:
         raise SortError(f"{v} is not a quotient-sort variable")
     assignment = assignment or {}
-    _check_literals(literals, v, assignment)
-    if not ordered and any(
-        literal_parts(lit)[0].kind is AtomKind.QUOT_PREC for lit in literals
-    ):
+    parts = _parts(literals, v, assignment)
+    if not ordered and any(part[1].kind is _QUOT_PREC for part in parts):
         raise ModeError("prec literals require the ordered quotient oracle")
-    return _solve(literals, v, assignment)
+    return _solve(parts, v, assignment)
 
 
 def oracle_exists_home(
@@ -265,5 +274,4 @@ def oracle_exists_home(
     if v.sort is not Sort.HOME:
         raise SortError(f"{v} is not a home-sort variable")
     assignment = assignment or {}
-    _check_literals(literals, v, assignment)
-    return _solve(literals, v, assignment)
+    return _solve(_parts(literals, v, assignment), v, assignment)

@@ -31,6 +31,7 @@ legitimate because each supported theory is complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Sequence
 
 from .errors import FreeVariableError, NotConjunctionError, SortError
@@ -174,20 +175,18 @@ def _prune(conjuncts: list[Formula]) -> list[Formula]:
             continue
         n = c if _in_nnf(c) else nnf(c)
         ds = n.children if isinstance(n, Or) else ()
-        parts = [
-            [lit for lit in (d.children if isinstance(d, And) else (d,)) if lit not in given]
-            for d in ds
-        ]
+        lits = [d.children if isinstance(d, And) else (d,) for d in ds]
+        parts = [[lit for lit in ls if lit not in given] for ls in lits]
         if n == TRUE or not all(parts):
             continue
         sets = [set(p) for p in parts]
         live = [
-            make_and(p)
-            for p, s in zip(parts, sets)
+            d if len(p) == len(ls) else make_and(p)  # a disjunct that lost no literal stays as it is
+            for d, ls, p, s in zip(ds, lits, parts, sets)
             if not any(lit.sub in given if type(lit) is Not else lit in negated for lit in p)
             and not any(t < s for t in sets)
         ]
-        kept.append(c if live == list(ds) else make_or(live))
+        kept.append(c if len(live) == len(ds) and all(map(is_, live, ds)) else make_or(live))
     return kept
 
 

@@ -312,4 +312,6 @@ class QuotientTerm(_Term):
 
 Term = Union[HomeTerm, QuotientTerm]
 
-TERM_CLASS: dict[Sort, type[_Term]] = {Sort.HOME: HomeTerm, Sort.QUOTIENT: QuotientTerm}
+# the class of a variable's values -> the class of its terms; keyed by class,
+# since an Enum hashes in Python code
+TERM_CLASS: dict[type, type[_Term]] = {ModelElement: HomeTerm, QuotientElement: QuotientTerm}

@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from densepairs import terms
-from densepairs.errors import QuantifiedInputError
-from densepairs.evaluate import eval_formula
+from densepairs.errors import QuantifiedInputError, UnboundVariableError
+from densepairs.evaluate import atoms, eval_formula
 from densepairs.formulas import (
     FALSE,
     TRUE,
@@ -38,6 +38,7 @@ from densepairs.formulas import (
     traverse,
 )
 from densepairs.model import Model, ModelElement, QuotientElement
+from densepairs.parser import parse
 from densepairs.randgen import random_assignment, random_element, random_literal, random_qf_formula
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
 
@@ -253,6 +254,98 @@ def test_a_term_compiles_once_for_evaluate_and_eval_atom():
     d, nums = t.numerators(SIGMA)
     assert value == ModelElement({k: Fraction(n, d) for k, n in nums.items()})
     assert eval_atom(Atom(AtomKind.HOME_LT, t), SIGMA) is (value < ModelElement())
+
+
+def test_ground_atoms_are_decided_when_the_plan_is_compiled():
+    # a constant folds where it stands: what runs before it still runs
+    unbound = ("raises", UnboundVariableError, "x1 is unbound")
+    quantified = ("raises", QuantifiedInputError, "eval_formula requires a quantifier-free formula")
+    cases = [
+        ("x1 < 0 | 1 < r2", unbound, 2),  # the atom reads x1 before the constant decides
+        ("1 < r2 | x1 < 0", ("value", True), 1),  # the constant decides first
+        ("(E x2. x1 < x2) & 1 < 0", quantified, 2),  # the quantifier is reached first
+        ("1 < 0 & (E x2. x1 < x2)", ("value", False), 1),  # and here it is not
+        ("!(1 < r2 | x1 < 0)", ("value", False), 1),  # a not over a folded junction
+        ("!(x1 < 0 | 2 < 1)", unbound, 2),  # one child is left: atom, not
+        ("x1 < 0 & 0 < 1 & x1 = 2*x2", unbound, 3),  # a neutral constant between two atoms
+        ("!(1 = r2 + 1/2*r3) | !Q(x1) | Q(x1 + 1/2 - 1/2*r2)", ("value", True), 1),
+    ]
+    for text, want, size in cases:
+        f = parse(text)
+        assert assert_agree(f, {}) == want, text
+        assert len(f._plan) == size, (text, f._plan)
+        assert all(a.payload.variables() for a in atoms(f)), text
+    f = parse("x1 < 0 & 0 < 1 & x1 = 2*x2")
+    assert [str(a) for a in atoms(f)] == ["x1 < 0", "x1 = 2*x2"]
+    for sigma in (SIGMA, {X1: NEG, X2: POS}, {X1: POS}, {X1: NEG}):
+        assert_agree(f, sigma)
+    assert atoms(parse("1 < r2")) == [] and atoms(parse("x1 < 0 | 1 < 0")) == [LT]
+
+
+def test_constants_fold_through_a_chain_20000_deep():
+    depth = 20_000
+    ground = home_lt(HomeTerm({}, ModelElement({0: 1, 2: -1})))  # 1 < r2: true
+    folded = ground
+    for _ in range(depth):  # (((1 < r2 | x1 < 0) | x1 < 0) ...): true before x1 is read
+        folded = Or((folded, LT))
+    assert assert_agree(folded, {}) == ("value", True)
+    assert len(folded._plan) == 1 and atoms(folded) == []
+    mixed = ground
+    for k in range(depth):  # the constant innermost, behind atoms that read x1 and x2
+        mixed = Not(mixed) if k % 3 == 0 else And((EQ, mixed)) if k % 3 == 1 else Or((LT, mixed))
+    for sigma in (SIGMA, {X1: POS, X2: POS}, {X1: NEG}, {}):
+        assert_agree(mixed, sigma)
+    assert ground not in atoms(mixed) and len(mixed._plan) < 3 * depth
+
+
+def test_no_ground_payload_is_evaluated_after_the_first_call(monkeypatch):
+    rng = random.Random(515)
+    formulas = [random_qf_formula(rng, [X1], MODEL, TheoryMode.POVS, depth=3) for _ in range(300)]
+    formulas += [parse(t) for t in ("x1 < 0 | 1 < r2", "!(1 = r2) & (Q(x1) | 2 < r3) & !(x1 = 1/2)")]
+    formulas = [f for f in formulas if not isinstance(f, Atom)]  # a bare atom is not compiled
+    ground = sum(not a.payload.variables() for f in formulas for a in all_atoms(f))
+    sigmas = [random_assignment(rng, [X1], MODEL) for _ in range(4)]
+    want = [[outcome(reference_eval, f, sigma) for sigma in sigmas] for f in formulas]
+    for f in formulas:
+        eval_formula(f, sigmas[0])
+    evaluated = []  # the payloads evaluation reads from now on
+    numerators = terms._Term.numerators
+
+    def counted(self, assignment):
+        evaluated.append(self)
+        return numerators(self, assignment)
+
+    monkeypatch.setattr(terms._Term, "numerators", counted)
+    assert [[outcome(eval_formula, f, sigma) for sigma in sigmas] for f in formulas] == want
+    assert ground > 200 and len(evaluated) > 500
+    assert all(t.variables() for t in evaluated)
+    assert all(a.payload.variables() for f in formulas for a in atoms(f))
+
+
+def test_plans_match_the_reference_on_20000_pairs_rich_in_ground_atoms():
+    # formulas over one or two of the variables, so that many atoms are ground,
+    # under assignments of those variables, sound, at roots or broken
+    rng = random.Random(2121)
+    pairs = raised = held = grounded = 0
+    for i in range(2520):
+        mode = list(TheoryMode)[i % 3]
+        pool = HOME if mode is TheoryMode.OVS else HOME + QUOT
+        variables = rng.sample(pool, rng.randint(1, 2))
+        f = random_qf_formula(rng, variables, MODEL, mode, depth=rng.randint(1, 4))
+        for j in range(8):
+            if j < 3:
+                sigma = random_assignment(rng, variables, MODEL)
+            elif j < 6:
+                sigma = _root_assignment(rng, f, variables)
+            else:
+                sigma = _broken(rng, random_assignment(rng, variables, MODEL))
+            result = assert_agree(f, sigma)
+            pairs += 1
+            raised += result[0] == "raises"
+            held += result == ("value", True)
+        grounded += any(not a.payload.variables() for a in all_atoms(f))
+    assert pairs >= 20_000 and grounded > 1000
+    assert 1000 < raised < pairs // 2 and pairs // 5 < held < pairs - pairs // 5
 
 
 _PLANS = """
