@@ -7,9 +7,8 @@ form additionally rewrites negated order atoms into positive ones
 (``not (t < 0)`` becomes ``-t < 0 or t = 0``), so after DNF a
 conjunction carries only strict bounds, (dis)equations, and subspace
 membership literals -- the shape the elimination and decomposition
-passes consume.  DNF reads each node's polarity as it walks the formula
-and builds no negation normal form tree; it keeps that tree's shape as
-integer keys, for the one rule of its construction that changes clauses.
+passes consume.  DNF distributes over the tree `nnf` builds, so
+`make_and` and `make_or` are the one place the junction rules apply.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ class AtomKind(Enum):
     IN_Q = "in_q"
     QUOT_EQ = "quot_eq"
     QUOT_PREC = "quot_prec"
+
+    # hash by identity, in C: `Enum.__hash__` is Python code that each atom built would run
+    __hash__ = object.__hash__
 
 
 # reading an Enum member off its class is slow, so hot paths read these aliases
@@ -601,72 +603,42 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
     """Disjunctive normal form as a list of literal tuples.
 
     [] encodes false and [()] encodes true; contradictory clauses are
-    pruned and clauses absorbed by a subset clause are dropped.  One walk
-    reads each node with its polarity, as `nnf` does, and builds no tree.
-    Distribution works over interned literal ids.  Absorbing after every
-    conjunct gives the same final clauses as absorbing once at the end:
-    if a is a subset of a' and a' | b is consistent, so is a | b, and it
-    is a subset of a' | b.  So of the rules `nnf`'s tree is built by, one
-    changes clauses: a disjunction holding a literal and its complement is
-    true.  For it the walk keeps that tree's shape as integer keys: a
-    literal's id, or ~the index in `parts` of a junction's kind and
-    members.  Literals and clauses are ordered by the text `literal_text`
-    writes, which is the text `render` writes.
+    pruned and clauses absorbed by a subset clause are dropped.  The
+    clauses distribute over the tree `nnf` builds, so `make_and` and
+    `make_or` have applied their rules (a disjunction holding a literal
+    and its complement is true) before any clause is made.  Distribution
+    works over literal ids, interned by atom and polarity.  Absorbing
+    after every conjunct gives the same final clauses as absorbing once
+    at the end: if a is a subset of a' and a' | b is consistent, so is
+    a | b, and it is a subset of a' | b.  Literals and clauses are ordered
+    by the text `literal_text` writes, which is the text `render` writes.
     """
     literals: list[Formula] = []
     ids: tuple[dict[Atom, int], dict[Atom, int]] = ({}, {})  # by polarity: atom -> literal id
     negation: list[int | None] = []  # id of the complementary literal
-    units: list[list[frozenset[int]]] = []  # each literal's clauses
-    keys: dict[tuple[bool, tuple[int, ...]], int] = {}  # (is an Or, children's keys) -> key
-    parts: list[tuple[bool, tuple[int, ...]]] = []  # the same, by ~key
 
-    def literal(atom: Atom, positive: bool, lit: Formula | None) -> tuple[list, int]:
-        """The clauses and key of atom's literal of that polarity, `lit` if given."""
+    def literal(lit: Formula) -> list[frozenset[int]]:
+        atom, positive = (lit, True) if type(lit) is Atom else (lit.sub, False)
         table = ids[positive]
         got = table.get(atom)
         if got is None:
             got = table[atom] = len(literals)
-            literals.append(lit if lit is not None else atom if positive else Not(atom))
+            literals.append(lit)
             partner = ids[not positive].get(atom)
             negation.append(partner)
             if partner is not None:
                 negation[partner] = got
-            units.append([frozenset((got,))])
-        return units[got], got
+        return [frozenset((got,))]
 
-    def constant(value: bool) -> tuple[list, BoolConst]:
-        return ([frozenset()], TRUE) if value else ([], FALSE)
-
-    def shape(is_or: bool, members: tuple[int, ...]) -> int:
-        key = keys.get((is_or, members))
-        if key is None:
-            key = keys[is_or, members] = ~len(parts)
-            parts.append((is_or, members))
-        return key
-
-    def junction(children, is_or: bool, positive: bool, full: bool):
-        """The clauses and key of the Or (the And unless is_or) of children read
-        at polarity `positive`, as `_junction` would build it; the clauses
-        are [] unless `full`, which a contradictory conjunction turns off."""
-        members: list[int] = []
-        seen: set[int] = set()
-        out: dict[frozenset[int], None] = {}  # an Or: the children's clauses, first copies only
-        acc: list[frozenset[int]] = [frozenset()]  # an And: the clauses so far
+    def connective(children, is_or: bool):
+        if is_or:
+            out: dict[frozenset[int], None] = {}  # the children's clauses, first copies only
+            for c in children:
+                out.update(dict.fromkeys((yield c)))
+            return list(out)
+        acc: list[frozenset[int]] = [frozenset()]  # the clauses so far
         for c in children:
-            clauses, key = yield c, positive, full
-            if type(key) is not int:  # a constant: absorbing, or dropped
-                if key.value is is_or:
-                    return constant(is_or)
-                continue
-            for k in parts[~key][1] if key < 0 and parts[~key][0] is is_or else (key,):
-                if k not in seen:
-                    seen.add(k)
-                    members.append(k)
-            if not full:
-                continue
-            if is_or:
-                out.update(dict.fromkeys(clauses))
-                continue
+            clauses = yield c
             merged = set()
             for a in acc:
                 for b in clauses:
@@ -674,36 +646,19 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
                     if u not in merged and not any(negation[i] in u for i in b):
                         merged.add(u)
             acc = _absorb(merged)
-            full = bool(acc)
-        clauses = list(out) if is_or else acc
-        if any(negation[k] in seen for k in members if k >= 0):  # a complementary pair
-            return constant(is_or)
-        if len(members) > 1:
-            return clauses, shape(is_or, tuple(members))
-        return (clauses, members[0]) if members else constant(not is_or)
+            if not acc:
+                break
+        return acc
 
-    def step(item):
-        g, positive, full = item
-        lit = None  # the Not right above g, which is g's negated literal
-        while type(g) is Not:
-            lit, g, positive = g, g.sub, not positive
+    def step(g):
         kind = type(g)
-        if kind is Atom:
-            if positive:
-                return literal(g, True, None)
-            pair = _NEGATED_ORDER.get(g.kind)
-            if pair is None:
-                return literal(g, False, lit)
-            (a,), i = literal(pair[0](-g.payload), True, None)
-            (b,), j = literal(pair[1](g.payload), True, None)
-            return [a, b], shape(True, (i, j))
         if kind is And or kind is Or:
-            return junction(g.children, (kind is Or) is positive, positive, full)
+            return connective(g.children, kind is Or)
         if kind is BoolConst:
-            return constant(g.value is positive)
-        raise QuantifiedInputError("disjunctive normal form requires a quantifier-free formula")
+            return [frozenset()] if g.value else []
+        return literal(g)
 
-    kept = _absorb(traverse(step, (f, True, True))[0])
+    kept = _absorb(traverse(step, nnf(f)))
     if len(literals) > 1:  # with one literal there is at most one clause, and nothing to order
         text = [literal_text(lit) for lit in literals]
         kept = sorted(
@@ -715,8 +670,6 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
 
 def to_dnf(f: Formula) -> Formula:
     """An equivalent disjunction of conjunctions of literals."""
-    if not is_quantifier_free(f):
-        raise QuantifiedInputError("to_dnf requires a quantifier-free formula")
     return make_or(make_and(clause) for clause in dnf_clauses(f))
 
 

@@ -1,8 +1,8 @@
-"""One walk per quantifier step: DNF reads polarity as it walks the formula
-and the clause step substitutes per literal, with the same outputs as the
-code they replace -- DNF over the tree `nnf` builds (`reference_dnf`), and
-`formulas.substitute` on each literal followed by `simplify`.  A parsed
-formula is admitted once."""
+"""DNF and the clause step against independent references: `dnf_clauses`
+gives the clauses, in the order, of `reference_dnf` (a second distribution
+over the tree `nnf` builds), and the clause step substitutes per literal
+with the outputs of `formulas.substitute` on each literal followed by
+`simplify`.  A parsed formula is admitted once."""
 
 import copy
 import pickle
