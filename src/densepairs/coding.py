@@ -11,7 +11,8 @@ A definable partial function with a piecewise-linear graph is coded by
 its finite slope/intercept inventory: for every line that the graph
 follows on an infinite locus, the (coset-pattern) domain on which it
 does, plus the finitely many leftover graph points.  Where the graph
-follows each candidate line is a decomposition, its line set.  One
+follows each candidate line is a decomposition, its line set, swept from
+the graph's own sign table with the line put into each atom.  One
 sentence asks whether any graph point lies off every line; if none does,
 the domain is the union of the line sets.  Two line sets share infinitely
 many points exactly when a piece of one meets a piece of the other, so
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition, _sweep, decompose, sign_table
 from .errors import ArityError, InternalError, NotFunctionalError
 from .evaluate import Assignment, atoms
 from .formulas import (
@@ -37,7 +39,7 @@ from .formulas import (
     home_eq,
     make_and,
     make_not,
-    substitute,
+    substitute_atom,
 )
 from .model import ModelElement
 from .qe import decide_sentence, qe
@@ -153,7 +155,7 @@ def code_function(
     off_lines = make_and([g, *(make_not(home_eq(HomeTerm.from_variable(y) - t)) for t in terms)])
     if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):
         raise NotFunctionalError(NOT_FUNCTIONAL)
-    line_sets = [decompose(substitute(g, y, t), x) for t in terms]
+    line_sets = [_sweep(*sign_table(g, x, partial(substitute_atom, v=y, t=t))({})) for t in terms]
     # check (b) on the pieces: two that meet share infinitely many points
     for i, (line, d) in enumerate(zip(lines, line_sets)):
         for other, d2 in zip(lines[i + 1:], line_sets[i + 1:]):

@@ -14,7 +14,9 @@ coset, if any, holds the variable, and a truth table built from the
 ranks (`sign_table`) is read at each named coset and at a coset outside
 them all: the outside reading decides finite or cofinite, and the named
 cosets that differ from it are the members.  No normal form and no point
-is built; `measure` reads cell lengths off the same table.
+is built; `measure` reads cell lengths off the same table and `coding`
+its line sets, with the line put into each atom.  The generic type
+needs no table: a coset outside every named point fails every atom.
 One left-to-right sweep over the cells reads each pattern and, at each
 endpoint, decides whether the endpoint is a listed point and whether its
 cell coalesces with the previous piece (whenever that preserves the
@@ -31,16 +33,7 @@ from typing import Callable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, run
-from .formulas import (
-    AtomKind,
-    Formula,
-    TheoryMode,
-    all_variables,
-    eval_atom,
-    fresh_variable,
-    ground,
-    substitute,
-)
+from .formulas import Atom, AtomKind, Formula, TheoryMode, eval_atom, ground
 from .model import (
     ModelElement,
     QuotientElement,
@@ -49,7 +42,7 @@ from .model import (
     project,
 )
 from .qe import qe
-from .terms import HomeTerm, QuotientTerm, Sort, Variable
+from .terms import Sort, Variable
 
 # reading an Enum member off its class is slow, so the sign table reads these
 _HOME_EQ, _HOME_LT, _IN_Q = AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q
@@ -227,24 +220,29 @@ def decompose(
     return _sweep(*sign_table(qe(ground(f, {v}, assignment), TheoryMode.POVS), v)({}))
 
 
-def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
+def sign_table(
+    g: Formula, v: Variable, atom_map: Callable[[Atom], Atom] = lambda atom: atom
+) -> Callable[[Assignment], tuple]:
     """The sign table of a quantifier-free g in the home variable v: it maps
     an assignment of g's other free variables to (holds, ends, named), the
     test, sorted endpoints and named cosets that `_sweep` reads.
 
-    The atoms of g are read once.  An atom on v holds or fails by where v
-    sits against its root in the other variables: an order atom by the rank
-    of v against that endpoint and the sign of v's coefficient, a coset atom
-    by whether v lies in the one coset the root names.  Each assignment then
-    evaluates only the roots and the atoms without v and sorts the endpoints;
-    holds runs g's one evaluation plan over the truth table this gives."""
+    Each atom of g is read once, as atom_map makes it (`coding` puts a line
+    in for a second variable; an atom that becomes ground reads as a
+    constant).  An atom on v holds or fails by where v sits against its root
+    in the other variables: an order atom by the rank of v against that
+    endpoint and the sign of v's coefficient, a coset atom by whether v lies
+    in the one coset the root names.  Each assignment then evaluates only the
+    roots and the atoms without v and sorts the endpoints; holds runs g's one
+    evaluation plan, keyed by g's own atoms, over the truth table this gives."""
     order = (_HOME_EQ, _HOME_LT)
-    on_v, off_v = [], []  # the distinct atoms with and without v
+    on_v, off_v = [], []  # the distinct atoms with and without v, with their readings
     for atom in dict.fromkeys(atoms(g)):
-        if sign := atom.payload.coeff_sign(v):
-            on_v.append((atom, atom.kind, atom.payload.root(v), sign > 0))
+        read = atom_map(atom)
+        if sign := read.payload.coeff_sign(v):
+            on_v.append((atom, read.kind, read.payload.root(v), sign > 0))
         else:
-            off_v.append(atom)
+            off_v.append((atom, read))
 
     def table_at(assignment: Assignment) -> tuple:
         roots = [(atom, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
@@ -253,7 +251,7 @@ def sign_table(g: Formula, v: Variable) -> Callable[[Assignment], tuple]:
         rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
         top = 2 * len(ends) + 1
         # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
-        table = {atom: (-1, top) if eval_atom(atom, assignment) else (0, 0) for atom in off_v}
+        table = {atom: (-1, top) if eval_atom(read, assignment) else (0, 0) for atom, read in off_v}
         for atom, kind, r, up in roots:
             if kind is _HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
                 table[atom] = (-1, rank[r]) if up else (rank[r], top)
@@ -326,10 +324,11 @@ def is_small(d: Decomposition) -> bool:
 def generic_type_contains(
     f: Formula, v: Variable, assignment: Assignment | None = None
 ) -> bool:
-    """Membership of a unary quotient-sort formula in the generic type:
-    true exactly when the pullback along the quotient map is large."""
+    """Membership of a unary quotient-sort formula in the generic type, the
+    type of a coset outside every point the parameters name: true exactly
+    when the pullback along the quotient map is large.  With the parameters
+    put in, every atom the eliminated formula reads is an equation naming
+    one coset for v, so at a generic coset every atom fails."""
     if v.sort is not Sort.QUOTIENT:
         raise ArityError(f"{v} is not a quotient-sort variable")
-    x = fresh_variable(Sort.HOME, all_variables(f))
-    pullback = substitute(f, v, QuotientTerm.project_term(HomeTerm.from_variable(x)))
-    return not is_small(decompose(pullback, x, assignment))
+    return run(qe(ground(f, {v}, assignment), TheoryMode.POVS), lambda atom, at: False, None)

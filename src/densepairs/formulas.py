@@ -423,12 +423,6 @@ def is_quantifier_free(f: Formula) -> bool:
     return not _scan(f)[2]
 
 
-def all_variables(f: Formula) -> set[Variable]:
-    """The free and the bound variables of f, from one scan."""
-    _, free, bound = _scan(f)
-    return free.union(bound)
-
-
 def fresh_variable(sort: Sort, taken: Iterable[Variable]) -> Variable:
     """The variable of `sort` one index above every variable of that sort in `taken`."""
     return Variable(sort, max((v.index for v in taken if v.sort is sort), default=-1) + 1)

@@ -33,6 +33,9 @@ class Sort(Enum):
     HOME = "home"
     QUOTIENT = "quotient"
 
+    # hash by identity, in C: `Enum.__hash__` is Python code that each variable built would run
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Variable:

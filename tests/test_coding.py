@@ -33,7 +33,8 @@ from densepairs.formulas import (
     Not,
     Or,
     TheoryMode,
-    all_variables,
+    bound_variables,
+    free_variables,
     fresh_variable,
     ground,
     home_eq,
@@ -341,7 +342,7 @@ def reference_code_function(f, x, y, assignment=None) -> FunctionCode:
     the sentence that no x has two values y, y2 first, then take the domain
     from decompose(E y. graph, x) and sweep it against the line pieces."""
     g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
-    y2 = fresh_variable(Sort.HOME, all_variables(g) | {x, y})
+    y2 = fresh_variable(Sort.HOME, free_variables(g) | bound_variables(g) | {x, y})
     both = make_and([g, substitute(g, y, HomeTerm.from_variable(y2))])
     same = home_eq(HomeTerm.from_variable(y) - HomeTerm.from_variable(y2))
     if not decide_sentence(Forall(x, Forall(y, Forall(y2, make_or([make_not(both), same])))), TheoryMode.POVS):

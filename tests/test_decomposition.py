@@ -31,12 +31,16 @@ from densepairs.formulas import (
     Exists,
     TheoryMode,
     all_atoms,
+    bound_variables,
     dnf_clauses,
+    free_variables,
+    fresh_variable,
     ground,
     literal_parts,
     make_and,
     make_not,
     make_or,
+    substitute,
 )
 from densepairs.measure import bucket_index, bucket_partition, measure
 from densepairs.model import (
@@ -51,7 +55,7 @@ from densepairs.model import (
 from densepairs.parser import parse, parse_element, parse_quotient_element
 from densepairs.qe import qe
 from densepairs.randgen import random_assignment, random_qf_formula, random_quotient_element
-from densepairs.terms import hvar, qvar
+from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
 
 from reference_sweep import _sample_inside, sweep
 
@@ -342,9 +346,6 @@ def test_ultrafilter_property_for_invariant_sets():
     rng = random.Random(2718)
     for _ in range(60):
         g = random_qf_formula(rng, [qvar(1)], MODEL, TheoryMode.POVS, depth=2)
-        from densepairs.formulas import substitute
-        from densepairs.terms import HomeTerm, QuotientTerm
-
         pullback = substitute(
             g, qvar(1), QuotientTerm.project_term(HomeTerm.from_variable(X))
         )
@@ -404,6 +405,17 @@ def test_eliminated_ground_formulas_keep_only_atoms_on_the_variable():
         f = random_qf_formula(rng, variables, MODEL, TheoryMode.POVS, depth=2)
         g = qe(ground(f, {X}, random_assignment(rng, variables[1:], MODEL)), TheoryMode.POVS)
         assert all(atom.payload.coeff(X) != 0 for atom in all_atoms(g)), str(g)
+    # a quotient variable: every atom left is an equation naming one coset
+    # for it, which is what `generic_type_contains` reads at a generic coset
+    u, x3 = qvar(1), hvar(3)
+    variables = [u, hvar(2), qvar(2), x3]
+    for i in range(60):
+        f = random_qf_formula(rng, variables, MODEL, TheoryMode.POVS, depth=2)
+        f = Exists(x3, f) if i % 2 else f
+        g = qe(ground(f, {u}, random_assignment(rng, variables[1:], MODEL)), TheoryMode.POVS)
+        assert all(
+            atom.kind is AtomKind.QUOT_EQ and atom.payload.coeff(u) != 0 for atom in all_atoms(g)
+        ), str(g)
 
 
 # Function graphs whose codes the unary-set corpus pins: pieces on coset
@@ -557,10 +569,10 @@ def coded_domain(code) -> Decomposition:
 
 
 def test_sweep_agrees_with_the_reference_on_the_golden_corpus(monkeypatch):
-    # every decompose the corpus runs (its sets, the pullbacks of its
-    # quotient formulas and the line sets of its function codes), every
-    # measure it runs, and the domain of every function code it runs
-    recorded = {"decompose": [], "measure": [], "code_function": []}
+    # every decompose the corpus runs (its sets), every measure, every
+    # generic-type verdict and every function code it runs, with the line
+    # sets of each code: the sign tables that coding reads a line into
+    recorded = {"decompose": [], "measure": [], "generic_type_contains": [], "code_function": [], "sign_table": []}
     for module in (__name__, "densepairs.decomposition", "densepairs.coding", "densepairs.measure"):
         for name, calls in recorded.items():
             if real := getattr(sys.modules[module], name, None):
@@ -568,14 +580,25 @@ def test_sweep_agrees_with_the_reference_on_the_golden_corpus(monkeypatch):
                 monkeypatch.setattr(sys.modules[module], name, recording)
     unary_corpus_text()
     monkeypatch.undo()
-    decomposes, measures, codes = recorded.values()
-    assert (len(decomposes), len(measures), len(codes)) == (289, 180, 10)  # 479 cases
+    decomposes, measures, generics, codes, tables = recorded.values()
+    line_sets = [args for args in tables if len(args) == 3]  # the tables read with a line
+    counts = (len(decomposes), len(measures), len(codes), len(line_sets), len(generics))
+    assert counts == (180, 180, 10, 19, 90)  # 479 cases
     for f, v, *assignment in decomposes:
         assert decompose(f, v, *assignment) == reference_decompose(f, v, *assignment), str(f)
     for f, v, *assignment in measures:
         assert measure(f, v, *assignment).value == reference_measure(f, v, *assignment), str(f)
     for f, x, y in codes:
         assert coded_domain(code_function(f, x, y)) == reference_domain(f, x, y), str(f)
+    for g, x, atom_map in line_sets:
+        y, t = atom_map.keywords["v"], atom_map.keywords["t"]
+        line_set = _sweep(*sign_table(g, x, atom_map)({}))
+        assert line_set == reference_decompose(substitute(g, y, t), x), f"{g} on y = {t}"
+    for f, v, *assignment in generics:
+        x = fresh_variable(Sort.HOME, free_variables(f) | bound_variables(f))
+        pullback = substitute(f, v, QuotientTerm.project_term(HomeTerm.from_variable(x)))
+        large = not is_small(reference_decompose(pullback, x, *assignment))
+        assert generic_type_contains(f, v, *assignment) == large, str(f)
 
 
 DNF_HEAVY_CONSTANTS = ["0", "1", "1/2", "r2", "2*r2", "r3", "1 - r2", "r2 + r3", "1/2*r3"]

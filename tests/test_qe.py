@@ -228,14 +228,16 @@ def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
         (["qe", "E x1. x2 < x1 & x1 < 1"], 2),
         (["decide", "E x1. 0 < x1 & x1 < r2"], 3),
         (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 3),
-        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 11),
+        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 5),
+        (["generic", "u1 != pi(r2)"], 3),
     ],
 )
 def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, scans):
     # Besides the one admission of `parse`, which `qe` reads off the node,
     # the CLI reads the constants and free variables from one scan;
-    # `decide_sentence` checks for free variables and `decompose` grounds
-    # the others, one scan each.
+    # `decide_sentence` checks for free variables and `decompose`,
+    # `generic` and `code-fn` ground the others, one scan each.  code-fn's
+    # sentence is built, so its `qe` admits it; its line sets scan nothing.
     calls = []
     scan = formulas._scan
     monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
