@@ -234,35 +234,45 @@ def sign_table(
     endpoint and the sign of v's coefficient, a coset atom by whether v lies
     in the one coset the root names.  Each assignment then evaluates only the
     roots and the atoms without v and sorts the endpoints; holds runs g's one
-    evaluation plan, keyed by g's own atoms, over the truth table this gives."""
+    evaluation plan over the truth table this gives.  The plan may list equal
+    atoms as distinct objects: they share one reading, found by equality once
+    per table, and the table is keyed by the plan's own objects, by identity,
+    so reading it compares no formulas."""
     order = (_HOME_EQ, _HOME_LT)
-    on_v, off_v = [], []  # the distinct atoms with and without v, with their readings
-    for atom in dict.fromkeys(atoms(g)):
+    plan = atoms(g)
+    slots: dict[Atom, int] = {}  # each distinct atom -> the slot of its reading
+    at_slot = [slots.setdefault(atom, len(slots)) for atom in plan]
+    keys = [id(atom) for atom in plan]
+    on_v, off_v = [], []  # the slots of the atoms with and without v, with their readings
+    for k, atom in enumerate(slots):
         read = atom_map(atom)
         if sign := read.payload.coeff_sign(v):
-            on_v.append((atom, read.kind, read.payload.root(v), sign > 0))
+            on_v.append((k, read.kind, read.payload.root(v), sign > 0))
         else:
-            off_v.append((atom, read))
+            off_v.append((k, read))
 
     def table_at(assignment: Assignment) -> tuple:
-        roots = [(atom, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
-                 for atom, kind, r, up in on_v]
+        roots = [(k, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
+                 for k, kind, r, up in on_v]
         ends = sorted({r for _, kind, r, _ in roots if kind in order})
         rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
         top = 2 * len(ends) + 1
         # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
-        table = {atom: (-1, top) if eval_atom(read, assignment) else (0, 0) for atom, read in off_v}
-        for atom, kind, r, up in roots:
+        value = [None] * len(slots)
+        for k, read in off_v:
+            value[k] = (-1, top) if eval_atom(read, assignment) else (0, 0)
+        for k, kind, r, up in roots:
             if kind is _HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
-                table[atom] = (-1, rank[r]) if up else (rank[r], top)
+                value[k] = (-1, rank[r]) if up else (rank[r], top)
             elif kind is _HOME_EQ:
-                table[atom] = (rank[r] - 1, rank[r] + 1)
+                value[k] = (rank[r] - 1, rank[r] + 1)
             else:
-                table[atom] = project(r) if kind is _IN_Q else r
-        named = {t for t in table.values() if type(t) is not tuple}
+                value[k] = project(r) if kind is _IN_Q else r
+        named = {t for t in value if type(t) is not tuple}
+        table = dict(zip(keys, map(value.__getitem__, at_slot)))
 
         def truth(atom, at) -> bool:
-            t = table[atom]
+            t = table[id(atom)]
             return t[0] < at[0] < t[1] if type(t) is tuple else t == at[1]
 
         return (lambda i, w: run(g, truth, (i, w))), ends, named

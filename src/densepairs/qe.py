@@ -4,9 +4,13 @@ The eliminator works innermost-first, by one step for every existential,
 which `eliminate_exists_home` and `eliminate_exists_quotient` run too.
 The conjuncts of the body that do not mention the bound variable are
 pulled out of its scope, so independent disjunctions are never
-multiplied out; only the rest is put in disjunctive normal form, and
-each conjunction of it loses the bound variable separately, by one
-clause step for both sorts.  A table gives the step its sort's equation
+multiplied out.  The rest is first read at the test points -inf and +inf
+(Loos & Weispfenning): past every root an order atom on the variable
+takes its limit and an equation on it fails, and when the conjunction
+then holds at either end, whatever its other atoms are, the step is true.
+Otherwise the rest is put in disjunctive normal form, and each
+conjunction of it loses the bound variable separately, by one clause
+step for both sorts.  A table gives the step its sort's equation
 kind, order kind and order-atom factory: `=` and `<` with `home_lt` at
 home, `=` and `prec` with `quot_prec` in the quotient.  An equation on
 the variable lets us substitute its root, atom by atom.  Otherwise
@@ -42,6 +46,7 @@ from .formulas import (
     Atom,
     AtomKind,
     And,
+    BoolConst,
     Exists,
     Forall,
     Formula,
@@ -63,6 +68,7 @@ from .formulas import (
     quot_prec,
     rewrite,
     substitute_atom,
+    traverse,
 )
 from .model import ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -220,6 +226,57 @@ def _mentions(f: Formula, v: Variable) -> bool:
     return False
 
 
+# A reading at infinity is a mask of what each end allows: bit 0 that the formula
+# may hold as v -> -inf, bit 1 that it may fail there, bits 2 and 3 the same at +inf
+_HOLD, _FAIL, _UNKNOWN = 0b0101, 0b1010, 0b1111
+_BELOW, _ABOVE = 0b1001, 0b0110  # an order atom that holds below every root, above every root
+
+
+def _negated(m: int) -> int:
+    return (m & _HOLD) << 1 | (m & _FAIL) >> 1
+
+
+def _holds_at_infinity(conjuncts: Sequence[Formula], v: Variable) -> bool:
+    """Whether the conjunction holds for every v below all the roots of its
+    atoms on v, or for every v above them, whatever the parameters; if so,
+    ∃v is true.  Past every root an order atom on v takes its limit, by the
+    sign of v's coefficient, and an equation on v fails; every other atom,
+    a coset atom on a home v or one without v, is unknown, and the
+    connectives read three values.  One walk on `traverse`, building
+    nothing; it stops at the first conjunct after which both ends may fail."""
+    eq, order, _ = _SORTS[v._element]
+
+    def connective(g):
+        if type(g) is Not:
+            return _negated((yield g.sub))
+        is_or = type(g) is Or  # an Or is the negated And of its negated children
+        can_hold, can_fail = _HOLD, 0
+        for c in g.children:
+            m = yield c
+            m = _negated(m) if is_or else m
+            can_hold &= m
+            can_fail |= m & _FAIL
+        return _negated(can_hold | can_fail) if is_or else can_hold | can_fail
+
+    def step(g):
+        kind = type(g)
+        if kind is Atom:
+            sign = g.payload.coeff_sign(v)
+            if sign and g.kind is order:
+                return _BELOW if sign > 0 else _ABOVE
+            return _FAIL if sign and g.kind is eq else _UNKNOWN
+        if kind is BoolConst:
+            return _HOLD if g.value else _FAIL
+        return connective(g)
+
+    can_fail = 0
+    for c in conjuncts:
+        can_fail |= traverse(step, c) & _FAIL
+        if can_fail == _FAIL:
+            return False
+    return True
+
+
 def _qe(f: Formula) -> Formula:
     """Eliminate quantifiers innermost first.  Atoms are folded and connectives rebuilt
     on the way up as `simplify` does, so every body and the result are simplified."""
@@ -233,6 +290,8 @@ def _qe(f: Formula) -> Formula:
             (inside if _mentions(c, v) else pulled).append(c)
         if not inside:
             inside, pulled = pulled, inside  # a vacuous quantifier still puts its body in DNF
+        if _holds_at_infinity(inside, v):
+            return make_and(_prune(pulled))  # the DNF would hold a clause that eliminates to true
         return make_and(_prune(pulled + [_eliminate(make_and(inside), v)]))
 
     return rewrite(f, fold_ground, quantifier)

@@ -29,6 +29,7 @@ from densepairs.evaluate import atoms, eval_formula
 from densepairs.formulas import (
     AtomKind,
     Exists,
+    Formula,
     TheoryMode,
     all_atoms,
     bound_variables,
@@ -806,6 +807,24 @@ def parse_variable(name):
 def parse_value(name, text):
     value = parse_element(text)
     return value if name[0] == "x" else project(value)
+
+
+def test_a_built_table_is_read_without_comparing_formulas(monkeypatch):
+    # the plan lists each copy of a repeated atom as its own object; the
+    # table is keyed by those objects, so reading it runs no Formula.__eq__
+    g = parse("(x1 < x2 | Q(x1)) & (x1 < x2 | 2 < x1) & (Q(x1) | x1 = x2)")
+    plan = atoms(g)
+    assert len(plan) == 6 and len(set(plan)) == 4 and len(set(map(id, plan))) == 6
+    sigmas = [{hvar(2): parse_element(value)} for value in ("1", "3", "r2")]
+    expected = [reference_reading(g, X)(sigma) for sigma in sigmas]
+    table = sign_table(g, X)
+    calls = []
+    eq = Formula.__eq__
+    monkeypatch.setattr(Formula, "__eq__", lambda self, other: calls.append(self) or eq(self, other))
+    got = [_sweep(*table(sigma)) for sigma in sigmas]
+    assert calls == []
+    assert got == expected
+    assert str(got[0]) == "(-inf, 1) in cosets {0}\n(2, +inf) in cosets {0}"
 
 
 def test_the_pinned_cases_have_the_shapes_they_pin():

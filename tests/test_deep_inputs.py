@@ -15,6 +15,8 @@ from densepairs.parser import parse, render
 from densepairs.qe import decide_sentence, qe
 from densepairs.terms import hvar
 
+from census import time_cap
+
 DEPTH = 20_000
 
 
@@ -76,3 +78,15 @@ def test_distinct_deep_trees_compare_equal(capsys):
     assert qe(parse(both)) == f
     assert run(["qe", both]) == 0
     assert capsys.readouterr().out == render(f) + "\n"
+
+
+def test_a_deep_matrix_that_holds_below_every_root_reads_true_at_infinity():
+    # x0 < 0 holds as x0 -> -inf whatever the alternation reads, so the ∃
+    # step is true; the alternation's DNF would hold about DEPTH / 2 clauses
+    # of up to DEPTH / 2 literals each
+    text = f"E x0. (({_alternation(DEPTH)}) | x0 < 0)"
+    start = time.perf_counter()
+    with time_cap(15):  # the DNF route would grow without bound here
+        assert render(qe(parse(text))) == "true"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"the alternation under E x0 at depth {DEPTH} took {elapsed:.1f} s"

@@ -47,6 +47,8 @@ from densepairs.randgen import (
 )
 from densepairs.terms import Sort, hvar, qvar
 
+from census import census, time_cap
+
 MODEL = Model(3)
 qe_module = importlib.import_module("densepairs.qe")  # `densepairs.qe` is also the function
 
@@ -446,6 +448,55 @@ def test_alternation_eliminates_within_time_gate(n):
     elapsed = time.perf_counter() - start
     assert g == TRUE
     assert elapsed < 5.0, f"alternation n={n} took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_alternation_reads_true_at_infinity_without_its_dnf(monkeypatch, n):
+    # each conjunct of the ∃x1 body holds x1 < a_i, so the body holds as
+    # x1 -> -inf; the product of its DNF grew as 64, 224 and 784 clauses at
+    # n = 3, 4 and 5, and took 0.47 s at n=5
+    f = parse(alt_text(n))
+    start = time.perf_counter()
+    with time_cap(30):
+        g = qe(f, TheoryMode.POVS)
+    elapsed = time.perf_counter() - start
+    assert g == TRUE
+    assert elapsed < {6: 0.5, 7: 1.0}.get(n, 5.0), f"alternation n={n} took {elapsed:.2f} s"
+    steps = []
+    eliminate = qe_module._eliminate
+    monkeypatch.setattr(qe_module, "_eliminate", lambda h, v: steps.append(v) or eliminate(h, v))
+    assert qe(f, TheoryMode.POVS) == TRUE
+    assert steps == [hvar(2)]  # only the ∀x2 step puts its matrix in DNF
+
+
+def test_a_matrix_read_true_at_infinity_eliminates_to_true(monkeypatch):
+    # the DNF route is the reference: collect the ∃ steps of seeded randgen
+    # formulas and of the census formulas the product finishes, in all three
+    # modes; wherever a reading says a step is true, its full elimination
+    # holds under every seeded assignment
+    read = qe_module._holds_at_infinity
+    pairs = []
+    monkeypatch.setattr(
+        qe_module, "_holds_at_infinity", lambda cs, v: pairs.append((cs, v, read(cs, v))) or pairs[-1][2]
+    )
+    rng = random.Random(4646)
+    with time_cap(120):
+        for mode in TheoryMode:
+            for i in range(150):
+                qe(random_quantified_formula(rng, MODEL, mode, quantifiers=1 + i % 3), mode)
+            for i, f in enumerate(census(mode, 3, 60)):
+                if mode is not TheoryMode.OVS or i not in (1, 11, 30, 53):  # stalls of the product
+                    qe(f, mode)
+    fired = [(make_and(cs), v) for cs, v, holds in pairs if holds]
+    assert (len(pairs), len(fired)) == (1428, 553)
+    assert {v.sort for _, v in fired} == {Sort.HOME, Sort.QUOTIENT}
+    rng = random.Random(77)
+    for matrix, v in fired:
+        g = qe_module._eliminate(matrix, v)
+        context = sorted(free_variables(matrix) - {v}, key=lambda w: w.sort_key())
+        for _ in range(50):
+            sigma = random_assignment(rng, context, MODEL)
+            assert eval_formula(g, sigma), f"E {v}. {matrix} read true at infinity, but {g} fails at {sigma}"
 
 
 # ---------------------------------------------------------------------------
