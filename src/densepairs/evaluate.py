@@ -16,6 +16,9 @@ function for each atom's truth, so evaluation under an assignment and a
 reading of truths from a table (`decomposition.sign_table`) share it.  The
 plan's atom instructions also list the atoms it can read, for readers
 that need them without another walk; a ground atom is not among them.
+An atom is read by `formulas.eval_atom`: an atom in one variable against
+its root, which the atom keeps from its first reading, so a probe builds
+no numerator map; any other atom on the integer numerators of its value.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import gcd
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator
 
@@ -65,9 +66,11 @@ class Formula:
     payload is evaluated straight from its row).  An atom's `_reading`
     slot likewise stays empty until a witness oracle first solves it for a
     bound variable, then holds what the search reads off it for that
-    variable (see `oracles._read`).  The `_mode` slot holds the theory mode
-    that `admit` returned the node for, so admitting it to that mode again
-    is free.  Equality, hashing and copies ignore all three."""
+    variable (see `oracles._read`), and its `_root` slot until it is first
+    evaluated, then holds the root of an atom in one variable, or None
+    (see `eval_atom`).  The `_mode` slot holds the theory mode that `admit`
+    returned the node for, so admitting it to that mode again is free.
+    Equality, hashing and copies ignore all four."""
 
     __slots__ = ("_hash", "_plan", "_mode")
 
@@ -128,6 +131,7 @@ class Atom(Formula):
     kind: AtomKind
     payload: Term
     _reading: tuple = field(init=False, repr=False)
+    _root: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         kind, payload = self.kind, self.payload
@@ -319,11 +323,47 @@ def substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
 
 
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:
-    """Truth of an atom under an assignment, decided on the integer
-    numerators of its payload's value (`Term.numerators`; their positive
-    denominator keeps zero pattern and sign): by a zero test for `=` and
-    `Q`, the integer sign for `<` and the lowest radicand's coefficient for
-    `prec`.  `fold_ground` and `eval_formula` use it."""
+    """Truth of an atom under an assignment.  An atom in one variable v, on
+    the payload (a*v + n)/d, is read against its root -n/a (`_root_of`):
+    `=` by equal canonical rows, `Q` and a quotient equation on a home v by
+    equal irrational parts, `<` by the sign of v - root and `prec` by the
+    sign of its lowest radicand's coefficient, each matched against the
+    sign of a.  Any other atom, and one whose v is unbound or bound to a
+    value of the wrong class, is decided on the integer numerators of its
+    payload's value (`Term.numerators`, which raises the error; their
+    positive denominator keeps zero pattern and sign): by a zero test for
+    `=` and `Q`, the integer sign for `<` and the lowest radicand's
+    coefficient for `prec`.  `fold_ground` and `eval_formula` use it."""
+    try:
+        root = atom._root
+    except AttributeError:
+        root = _root_of(atom)
+    if root is not None:
+        v, test, side, d, n = root
+        try:
+            x = assignment[v]
+        except KeyError:
+            x = None
+        if type(x) is v._element:
+            e, m = x._d, x._n
+            if test is _HOME_EQ:
+                return e == d and m == n
+            if test is _IN_Q:  # n has no key 0: compare the irrational parts
+                if len(m) - (0 in m) != len(n):
+                    return False
+                for k, c in n.items():
+                    if m.get(k, 0) * d != c * e:
+                        return False
+                return True
+            diff = {}  # x - root over e * d, cross-multiplied
+            for k, c in m.items():
+                diff[k] = c * d
+            for k, c in n.items():
+                diff[k] = diff.get(k, 0) - c * e
+            if test is _HOME_LT:
+                return int_sign(diff.items()) == side
+            diff.pop(0, None)  # pi kills the rational part
+            return lead_sign(diff) == side
     nums = atom.payload.numerators(assignment)[1]
     kind = atom.kind
     if kind is _HOME_LT:
@@ -333,6 +373,31 @@ def eval_atom(atom: Atom, assignment: Assignment) -> bool:
     if kind is _IN_Q:
         return not any(n for k, n in nums.items() if k)
     return not any(nums.values())
+
+
+def _root_of(atom: Atom) -> tuple | None:
+    """What `eval_atom` reads an atom in one variable v against, kept on the
+    atom: (v, the kind whose test decides it, the sign of v - root under
+    which it holds, the canonical row (d, n) of the root -n/a of its payload
+    (a*v + n)/d), the row computed on integers; for `Q` and a quotient
+    equation on a home v, whose test is equal irrational parts, n keeps only
+    those.  None for an atom with no variable or with several."""
+    payload = atom.payload
+    root = None
+    if len(payload._v) == 1:
+        ((v, a),) = payload._v.items()
+        n = payload._n
+        g = gcd(a, *n.values())
+        s = -1 if a > 0 else 1  # a * (v - root) < 0 exactly when v - root has sign s
+        n = {k: s * c // g for k, c in n.items()}
+        test = atom.kind
+        if test is _QUOT_EQ:
+            test = _HOME_EQ if v.sort is Sort.QUOTIENT else _IN_Q
+        if test is _IN_Q:
+            n.pop(0, None)
+        root = (v, test, s, abs(a) // g, n)
+    object.__setattr__(atom, "_root", root)
+    return root
 
 
 def make_not(f: Formula) -> Formula:

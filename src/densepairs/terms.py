@@ -14,11 +14,13 @@ elements one row class (`model._Row`: the linear operations, equality and
 hashing) and share one `substitute`, all of which build rows with no
 Fraction; Fractions are made only at the public accessors (`coeffs`,
 `coeff`, `constant`, `pushed`, `repr`) and read by the constructors.
+Variables are hash-consed: there is one object per sort and index, so
+the rows and assignments they key look them up by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -33,35 +35,53 @@ class Sort(Enum):
     HOME = "home"
     QUOTIENT = "quotient"
 
-    # hash by identity, in C: `Enum.__hash__` is Python code that each variable built would run
+    # hash by identity, in C: `Enum.__hash__` is Python code that each `Variable` call would run
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
 class Variable:
+    """A variable of a sort, hash-consed: `Variable(sort, index)` returns the
+    one object made for that pair, so variables, the keys of every
+    assignment and term row, hash and compare by identity, in C.  The table
+    only grows; a formula names few variables.  Its fields are read-only,
+    and pickling or copying one returns the object of its pair."""
+
+    __slots__ = ("sort", "index", "_element", "name")  # _element: the class of its values
     sort: Sort
     index: int
-    _hash: int = field(init=False, repr=False, compare=False)
-    _element: type = field(init=False, repr=False, compare=False)  # the class of its values
-    name: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):  # hash and name once, not on every lookup
-        home = self.sort is _HOME
-        object.__setattr__(self, "_hash", hash((self.sort, self.index)))
-        object.__setattr__(self, "_element", ModelElement if home else QuotientElement)
-        object.__setattr__(self, "name", ("x" if home else "u") + str(self.index))
+    def __new__(cls, sort: Sort, index: int):
+        v = _VARIABLES.get((sort, index))
+        if v is None:
+            v = object.__new__(cls)
+            home = sort is _HOME
+            object.__setattr__(v, "sort", sort)
+            object.__setattr__(v, "index", index)
+            object.__setattr__(v, "_element", ModelElement if home else QuotientElement)
+            object.__setattr__(v, "name", ("x" if home else "u") + str(index))
+            v = _VARIABLES.setdefault((sort, index), v)
+        return v
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __reduce__(self):  # a stored hash is only valid in the process that made it
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy return the interned object
         return Variable, (self.sort, self.index)
+
+    def __repr__(self) -> str:
+        return f"Variable(sort={self.sort!r}, index={self.index!r})"
 
     def sort_key(self) -> tuple[str, int]:
         return (self.sort.value, self.index)
 
     def __str__(self) -> str:
         return self.name
+
+
+_VARIABLES: dict[tuple[Sort, int], Variable] = {}
 
 
 def hvar(index: int) -> Variable:

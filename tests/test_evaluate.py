@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from densepairs import terms
+from densepairs import evaluate
 from densepairs.errors import QuantifiedInputError, UnboundVariableError
 from densepairs.evaluate import atoms, eval_formula
 from densepairs.formulas import (
@@ -37,7 +37,7 @@ from densepairs.formulas import (
     quot_prec,
     traverse,
 )
-from densepairs.model import Model, ModelElement, QuotientElement
+from densepairs.model import Model, ModelElement, QuotientElement, int_sign, lead_sign, project
 from densepairs.parser import parse
 from densepairs.randgen import random_assignment, random_element, random_literal, random_qf_formula
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
@@ -226,13 +226,13 @@ def test_unbound_and_wrong_sort_variables_raise_as_the_reference_does():
 def test_a_plan_is_kept_on_the_node_and_reused(monkeypatch):
     lt, eq = home_lt(HomeTerm({X1: 1})), home_eq(HomeTerm({X1: 3, X2: -1}))
     evaluated = []  # the payloads evaluation reads, in order
-    numerators = terms._Term.numerators
+    read = evaluate.eval_atom
 
-    def counted(self, assignment):
-        evaluated.append(self)
-        return numerators(self, assignment)
+    def counted(atom, assignment):
+        evaluated.append(atom.payload)
+        return read(atom, assignment)
 
-    monkeypatch.setattr(terms._Term, "numerators", counted)
+    monkeypatch.setattr(evaluate, "eval_atom", counted)
 
     def tree():
         return And((Or((lt, Not(eq))), Not(lt)))
@@ -254,6 +254,74 @@ def test_a_term_compiles_once_for_evaluate_and_eval_atom():
     d, nums = t.numerators(SIGMA)
     assert value == ModelElement({k: Fraction(n, d) for k, n in nums.items()})
     assert eval_atom(Atom(AtomKind.HOME_LT, t), SIGMA) is (value < ModelElement())
+
+
+def by_numerators(atom, assignment):
+    """An atom's truth read off the integer numerators of its payload's value,
+    as `eval_atom` reads every atom with no variable or several."""
+    nums = atom.payload.numerators(assignment)[1]
+    if atom.kind is AtomKind.HOME_LT:
+        return int_sign(nums.items()) < 0
+    if atom.kind is AtomKind.QUOT_PREC:
+        return lead_sign(nums) < 0
+    if atom.kind is AtomKind.IN_Q:
+        return not any(n for k, n in nums.items() if k)
+    return not any(nums.values())
+
+
+def test_one_variable_atoms_read_against_their_root_agree_with_the_numerators():
+    # raw atoms, their payloads not rescaled, of each kind on x1 and, for the
+    # quotient kinds, on u1 too; each read at its root, in the root's coset,
+    # a hair either side of it, off its coset and at random, then unbound
+    # and at a value of the other sort, which must raise as the numerators do
+    rng = random.Random(3535)
+    kinds = list(AtomKind)
+    home_kinds = (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q)
+    seen = set()
+    pairs = 0
+    for i in range(2600):
+        kind = kinds[i % 5]
+        v = X1 if kind in home_kinds or i % 10 < 5 else U1
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+        c = random_element(rng, MODEL)
+        if kind in home_kinds:
+            payload = HomeTerm({v: a}, c)
+        elif v is X1:  # pi(a*x1) + pi(c)
+            payload = QuotientTerm({}, HomeTerm({v: a}), project(c))
+        else:
+            payload = QuotientTerm({v: a}, None, project(c))
+        atom = Atom(kind, payload)
+        root = c.scale(-1 / a)  # a home root; its image is the quotient one
+        hair = ModelElement({0: Fraction(1, 10**9)})
+        values = [
+            root,
+            root + ModelElement({0: Fraction(rng.randint(-9, 9), rng.randint(1, 9))}),
+            root + hair,
+            root - hair,
+            root + random_element(rng, MODEL).scale(Fraction(1, 7)),
+            random_element(rng, MODEL),
+        ]
+        wrong = random_element(rng, MODEL) if v is U1 else QuotientElement({3: rng.randint(1, 4)})
+        sigmas = [{v: x if v is X1 else project(x), X2: POS} for x in values] + [{X2: POS}, {v: wrong}]
+        for sigma in sigmas:
+            want = outcome(by_numerators, atom, sigma)
+            assert outcome(eval_atom, atom, sigma) == want, (str(atom), sigma)
+            seen.add((kind, v, want[:2]))
+            pairs += 1
+        assert atom._root[0] is v  # read against its root
+    assert pairs >= 20_000
+    for kind in kinds:
+        for v in (X1,) if kind in home_kinds else (X1, U1):
+            assert {("value", True), ("value", False)} < {r[2] for r in seen if r[:2] == (kind, v)}
+    assert {r[2][1] for r in seen if r[2][0] == "raises"} == {UnboundVariableError, TypeError}
+    home_atom, quotient_atom = parse("x1 = 1 + r2"), parse("u1 prec pi(r2)", TheoryMode.POVS_PREC)
+    assert outcome(eval_atom, home_atom, {}) == ("raises", UnboundVariableError, "x1 is unbound")
+    assert outcome(eval_atom, home_atom, {X1: QuotientElement({2: 1})}) == (
+        "raises", TypeError, "x1 is assigned a QuotientElement, not a ModelElement"
+    )
+    assert outcome(eval_atom, quotient_atom, {U1: ModelElement({2: 1})}) == (
+        "raises", TypeError, "u1 is assigned a ModelElement, not a QuotientElement"
+    )
 
 
 def test_ground_atoms_are_decided_when_the_plan_is_compiled():
@@ -309,13 +377,13 @@ def test_no_ground_payload_is_evaluated_after_the_first_call(monkeypatch):
     for f in formulas:
         eval_formula(f, sigmas[0])
     evaluated = []  # the payloads evaluation reads from now on
-    numerators = terms._Term.numerators
+    read = evaluate.eval_atom
 
-    def counted(self, assignment):
-        evaluated.append(self)
-        return numerators(self, assignment)
+    def counted(atom, assignment):
+        evaluated.append(atom.payload)
+        return read(atom, assignment)
 
-    monkeypatch.setattr(terms._Term, "numerators", counted)
+    monkeypatch.setattr(evaluate, "eval_atom", counted)
     assert [[outcome(eval_formula, f, sigma) for sigma in sigmas] for f in formulas] == want
     assert ground > 200 and len(evaluated) > 500
     assert all(t.variables() for t in evaluated)

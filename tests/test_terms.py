@@ -1,8 +1,10 @@
 """Linear normal form of terms over both sorts."""
 
+import copy
 import math
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,23 @@ def test_variable_naming():
     assert hvar(3).name == "x3"
     assert qvar(0).name == "u0"
     assert hvar(1) != qvar(1)
+
+
+def test_a_variable_is_one_object_per_sort_and_index():
+    # hash-consed: equal variables are identical, so lookups hash and compare by identity
+    x = Variable(Sort.HOME, 1)
+    assert x is hvar(1) and Variable(Sort.QUOTIENT, 1) is qvar(1) and x is not qvar(1)
+    assert type(x).__hash__ is object.__hash__ and type(x).__eq__ is object.__eq__
+    t = HomeTerm({x: 2, hvar(2): 1})
+    loaded = pickle.loads(pickle.dumps(t))
+    assert len(loaded._v) == 2 and all(a is b for a, b in zip(loaded._v, t._v))
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x), *copy.deepcopy({x: 0})):
+        assert clone is x
+    for attempt in (lambda: setattr(x, "index", 2), lambda: setattr(x, "other", 0), lambda: delattr(x, "sort")):
+        with pytest.raises(FrozenInstanceError):
+            attempt()
+    assert (x.sort, x.index, x.name, x.sort_key(), str(x)) == (Sort.HOME, 1, "x1", ("home", 1), "x1")
+    assert repr(x) == "Variable(sort=<Sort.HOME: 'home'>, index=1)"
 
 
 def test_zero_coefficients_dropped():
