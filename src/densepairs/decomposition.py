@@ -33,7 +33,7 @@ from typing import Callable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, run
-from .formulas import Atom, AtomKind, Formula, TheoryMode, eval_atom, ground
+from .formulas import _HOME_EQ, _HOME_LT, _IN_Q, Atom, Formula, TheoryMode, eval_atom, ground
 from .model import (
     ModelElement,
     QuotientElement,
@@ -43,9 +43,6 @@ from .model import (
 )
 from .qe import qe
 from .terms import Sort, Variable
-
-# reading an Enum member off its class is slow, so the sign table reads these
-_HOME_EQ, _HOME_LT, _IN_Q = AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q
 
 
 @dataclass(frozen=True)
@@ -234,17 +231,12 @@ def sign_table(
     endpoint and the sign of v's coefficient, a coset atom by whether v lies
     in the one coset the root names.  Each assignment then evaluates only the
     roots and the atoms without v and sorts the endpoints; holds runs g's one
-    evaluation plan over the truth table this gives.  The plan may list equal
-    atoms as distinct objects: they share one reading, found by equality once
-    per table, and the table is keyed by the plan's own objects, by identity,
-    so reading it compares no formulas."""
+    evaluation plan over the truth table this gives.  The plan lists equal
+    atoms as one object, so the table is keyed by identity, and neither
+    building nor reading it compares formulas."""
     order = (_HOME_EQ, _HOME_LT)
-    plan = atoms(g)
-    slots: dict[Atom, int] = {}  # each distinct atom -> the slot of its reading
-    at_slot = [slots.setdefault(atom, len(slots)) for atom in plan]
-    keys = [id(atom) for atom in plan]
-    on_v, off_v = [], []  # the slots of the atoms with and without v, with their readings
-    for k, atom in enumerate(slots):
+    on_v, off_v = [], []  # the ids of the atoms with and without v, with their readings
+    for k, atom in {id(atom): atom for atom in atoms(g)}.items():
         read = atom_map(atom)
         if sign := read.payload.coeff_sign(v):
             on_v.append((k, read.kind, read.payload.root(v), sign > 0))
@@ -258,7 +250,7 @@ def sign_table(
         rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
         top = 2 * len(ends) + 1
         # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
-        value = [None] * len(slots)
+        value = {}
         for k, read in off_v:
             value[k] = (-1, top) if eval_atom(read, assignment) else (0, 0)
         for k, kind, r, up in roots:
@@ -268,11 +260,10 @@ def sign_table(
                 value[k] = (rank[r] - 1, rank[r] + 1)
             else:
                 value[k] = project(r) if kind is _IN_Q else r
-        named = {t for t in value if type(t) is not tuple}
-        table = dict(zip(keys, map(value.__getitem__, at_slot)))
+        named = {t for t in value.values() if type(t) is not tuple}
 
         def truth(atom, at) -> bool:
-            t = table[id(atom)]
+            t = value[id(atom)]
             return t[0] < at[0] < t[1] if type(t) is tuple else t == at[1]
 
         return (lambda i, w: run(g, truth, (i, w))), ends, named

@@ -15,7 +15,10 @@ raises when it is reached, and not before.  The loop (`run`) asks a given
 function for each atom's truth, so evaluation under an assignment and a
 reading of truths from a table (`decomposition.sign_table`) share it.  The
 plan's atom instructions also list the atoms it can read, for readers
-that need them without another walk; a ground atom is not among them.
+that need them without another walk; a ground atom is not among them,
+and equal atoms are listed as one object, the first the walk meets, so
+a reader keys them by identity and whatever an atom keeps from its first
+reading serves each of its copies.
 An atom is read by `formulas.eval_atom`: an atom in one variable against
 its root, which the atom keeps from its first reading, so a probe builds
 no numerator map; any other atom on the integer numerators of its value.
@@ -66,7 +69,8 @@ def run(f: Formula, truth: Callable[[Atom, object], bool], at) -> bool:
 
 def atoms(f: Formula) -> list[Atom]:
     """The atoms of a quantifier-free formula that its plan can read, in the
-    order it reads them: ground atoms are decided when the plan is compiled."""
+    order it reads them: ground atoms are decided when the plan is compiled.
+    Equal atoms are one object, the first met, so `id` tells atoms apart."""
     return [arg for op, arg in _plan(f) if op is _ATOM]
 
 
@@ -86,6 +90,7 @@ def _compile(f) -> tuple:
     when no assignment can change it and reaching it raises nothing: a
     ground atom, decided here once, a constant, or a connective of these."""
     code: list = []
+    shared: dict = {}  # each distinct atom -> the first equal atom the walk met
 
     def negation(g):
         value = yield g.sub
@@ -118,7 +123,7 @@ def _compile(f) -> tuple:
         if isinstance(g, Atom):
             if g.payload.is_ground():
                 return eval_atom(g, {})
-            code.append((_ATOM, g))
+            code.append((_ATOM, shared.setdefault(g, g)))
         elif isinstance(g, BoolConst):
             return bool(g.value)
         elif isinstance(g, Not):

@@ -307,8 +307,7 @@ def quot_prec(s: QuotientTerm) -> Atom:
 
 
 def _remade(kind: AtomKind, t: Term) -> Atom:
-    """The atom of kind on t, rescaled as its factory above rescales it; read
-    off two identity tests, since an Enum hashes in Python code."""
+    """The atom of kind on t, rescaled as its factory above rescales it."""
     return Atom(kind, t.normalized(sign_free=kind is not _HOME_LT and kind is not _QUOT_PREC))
 
 
@@ -537,7 +536,7 @@ def ground(
     each checked by `check_parameters` first."""
     assignment = assignment or {}
     for var in check_parameters(free_variables(f).difference(keep), assignment):
-        f = substitute(f, var, TERM_CLASS[var._element].from_element(assignment[var]))
+        f = substitute(f, var, TERM_CLASS[var.sort].from_element(assignment[var]))
     return f
 
 
@@ -666,27 +665,23 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
     clauses distribute over the tree `nnf` builds, so `make_and` and
     `make_or` have applied their rules (a disjunction holding a literal
     and its complement is true) before any clause is made.  Distribution
-    works over literal ids, interned by atom and polarity.  Absorbing
-    after every conjunct gives the same final clauses as absorbing once
-    at the end: if a is a subset of a' and a' | b is consistent, so is
-    a | b, and it is a subset of a' | b.  Literals and clauses are ordered
-    by the text `literal_text` writes, which is the text `render` writes.
+    works over literal ids: atoms are numbered as first met, the k-th
+    atom's literal has id 2k and its negation 2k + 1, so a complement is
+    `id ^ 1`.  Absorbing after every conjunct gives the same final clauses
+    as absorbing once at the end: if a is a subset of a' and a' | b is
+    consistent, so is a | b, and it is a subset of a' | b.  Literals and
+    clauses are ordered by the text `literal_text` writes, which is the
+    text `render` writes.
     """
-    literals: list[Formula] = []
-    ids: tuple[dict[Atom, int], dict[Atom, int]] = ({}, {})  # by polarity: atom -> literal id
-    negation: list[int | None] = []  # id of the complementary literal
+    numbers: dict[Atom, int] = {}  # each atom -> its number, in the order met
+    literals: dict[int, Formula] = {}  # literal id -> the first literal met with it
 
     def literal(lit: Formula) -> list[frozenset[int]]:
-        atom, positive = (lit, True) if type(lit) is Atom else (lit.sub, False)
-        table = ids[positive]
-        got = table.get(atom)
-        if got is None:
-            got = table[atom] = len(literals)
-            literals.append(lit)
-            partner = ids[not positive].get(atom)
-            negation.append(partner)
-            if partner is not None:
-                negation[partner] = got
+        if type(lit) is Atom:
+            got = 2 * numbers.setdefault(lit, len(numbers))
+        else:
+            got = 2 * numbers.setdefault(lit.sub, len(numbers)) + 1
+        literals.setdefault(got, lit)
         return [frozenset((got,))]
 
     def connective(children, is_or: bool):
@@ -702,7 +697,7 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
             for a in acc:
                 for b in clauses:
                     u = a | b
-                    if u not in merged and not any(negation[i] in u for i in b):
+                    if u not in merged and not any(i ^ 1 in u for i in b):
                         merged.add(u)
             acc = _absorb(merged)
             if not acc:
@@ -719,7 +714,7 @@ def dnf_clauses(f: Formula) -> list[tuple[Formula, ...]]:
 
     kept = _absorb(traverse(step, nnf(f)))
     if len(literals) > 1:  # with one literal there is at most one clause, and nothing to order
-        text = [literal_text(lit) for lit in literals]
+        text = {i: literal_text(lit) for i, lit in literals.items()}
         kept = sorted(
             (sorted(clause, key=text.__getitem__) for clause in kept),
             key=lambda clause: [text[i] for i in clause],

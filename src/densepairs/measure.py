@@ -20,7 +20,7 @@ from typing import Sequence
 from .decomposition import sign_table
 from .errors import InternalError
 from .evaluate import Assignment
-from .formulas import Atom, AtomKind, Formula, TheoryMode, check_parameters, free_variables, ground, make_and
+from .formulas import Formula, TheoryMode, check_parameters, free_variables, ground, home_lt, make_and
 from .model import ModelElement, compare, int_sign
 from .qe import qe
 from .terms import HomeTerm, Variable
@@ -47,12 +47,9 @@ class MeasureValue:
 
 
 def _unit_window(f: Formula, v: Variable) -> Formula:
-    """f & 0 < v & v < 1.  The bounds are the atoms `home_lt` would make of
-    -v and v - 1, built directly: their leads -1 and +1 are already units."""
+    """f & 0 < v & v < 1."""
     x = HomeTerm.from_variable(v)
-    above = Atom(AtomKind.HOME_LT, -x)
-    below = Atom(AtomKind.HOME_LT, x - HomeTerm.from_element(ONE))
-    return make_and([f, above, below])
+    return make_and([f, home_lt(-x), home_lt(x - HomeTerm.from_element(ONE))])
 
 
 def measure(f: Formula, v: Variable, assignment: Assignment | None = None) -> MeasureValue:

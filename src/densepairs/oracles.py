@@ -121,11 +121,10 @@ def _home_candidates(
 # the unknown coset pi(v) of a home-sort search, at an index that no parsed
 # or fresh variable has, so the caller's assignment stays in force around it
 _COSET = Variable(Sort.QUOTIENT, -1)
-# the class of v's values -> (equation kind, order kind) of its own literals;
-# keyed by class, since an Enum hashes in Python code
+# the sort of v -> (equation kind, order kind) of its own literals
 _KINDS = {
-    ModelElement: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
-    QuotientElement: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
+    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
+    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
 }
 _QUOT_PREC = AtomKind.QUOT_PREC  # reading an Enum member off its class is slow
 
@@ -146,7 +145,7 @@ def _read(atom: Atom, v: Variable) -> tuple:
     sign = payload.coeff_sign(v)
     root = side = coset = None
     if sign:
-        eq_kind, order_kind = _KINDS[v._element]
+        eq_kind, order_kind = _KINDS[v.sort]
         if atom.kind is eq_kind or atom.kind is order_kind:
             root = payload.root(v)
             # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0

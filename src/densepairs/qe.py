@@ -70,24 +70,22 @@ from .formulas import (
     substitute_atom,
     traverse,
 )
-from .model import ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
 
 _WEAK_ORDER = "weak order literal reached the eliminator; normalize to strict form first"
 
 
-# the class of v's values -> (equation kind, order kind, order-atom factory) of
-# the clause step; keyed by class, since an Enum hashes in Python code
+# the sort of v -> (equation kind, order kind, order-atom factory) of the clause step
 _SORTS = {
-    ModelElement: (AtomKind.HOME_EQ, AtomKind.HOME_LT, home_lt),
-    QuotientElement: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, quot_prec),
+    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT, home_lt),
+    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, quot_prec),
 }
 
 
 def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential v of either sort from one strict-literal clause."""
-    eq, order, order_atom = _SORTS[v._element]
+    eq, order, order_atom = _SORTS[v.sort]
     keep: list[Formula] = []
     vlits = []  # (literal, atom, positive, sign of v's coefficient)
     for lit in literals:
@@ -244,7 +242,7 @@ def _holds_at_infinity(conjuncts: Sequence[Formula], v: Variable) -> bool:
     a coset atom on a home v or one without v, is unknown, and the
     connectives read three values.  One walk on `traverse`, building
     nothing; it stops at the first conjunct after which both ends may fail."""
-    eq, order, _ = _SORTS[v._element]
+    eq, order, _ = _SORTS[v.sort]
 
     def connective(g):
         if type(g) is Not:

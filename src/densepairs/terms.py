@@ -335,6 +335,5 @@ class QuotientTerm(_Term):
 
 Term = Union[HomeTerm, QuotientTerm]
 
-# the class of a variable's values -> the class of its terms; keyed by class,
-# since an Enum hashes in Python code
-TERM_CLASS: dict[type, type[_Term]] = {ModelElement: HomeTerm, QuotientElement: QuotientTerm}
+# the sort of a variable -> the class of its terms
+TERM_CLASS: dict[Sort, type[_Term]] = {Sort.HOME: HomeTerm, Sort.QUOTIENT: QuotientTerm}

@@ -7,6 +7,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 import pytest
@@ -42,6 +43,7 @@ from densepairs.formulas import (
     make_not,
     make_or,
     substitute,
+    substitute_atom,
 )
 from densepairs.measure import bucket_index, bucket_partition, measure
 from densepairs.model import (
@@ -810,11 +812,12 @@ def parse_value(name, text):
 
 
 def test_a_built_table_is_read_without_comparing_formulas(monkeypatch):
-    # the plan lists each copy of a repeated atom as its own object; the
-    # table is keyed by those objects, so reading it runs no Formula.__eq__
+    # the plan lists each distinct atom as one object, however often it
+    # occurs; the table is keyed by those objects, so reading it runs no
+    # Formula.__eq__
     g = parse("(x1 < x2 | Q(x1)) & (x1 < x2 | 2 < x1) & (Q(x1) | x1 = x2)")
     plan = atoms(g)
-    assert len(plan) == 6 and len(set(plan)) == 4 and len(set(map(id, plan))) == 6
+    assert len(plan) == 6 and len(set(plan)) == 4 and len(set(map(id, plan))) == 4
     sigmas = [{hvar(2): parse_element(value)} for value in ("1", "3", "r2")]
     expected = [reference_reading(g, X)(sigma) for sigma in sigmas]
     table = sign_table(g, X)
@@ -825,6 +828,27 @@ def test_a_built_table_is_read_without_comparing_formulas(monkeypatch):
     assert calls == []
     assert got == expected
     assert str(got[0]) == "(-inf, 1) in cosets {0}\n(2, +inf) in cosets {0}"
+
+
+def test_sign_tables_of_one_plan_are_built_and_read_without_comparing_formulas(monkeypatch):
+    # as code_function reads g: once as it stands and once per line put in for
+    # x2.  The atoms repeat, and x1 < 1 and x1 < 2 differ only in a -1 against
+    # a -2, whose hashes CPython makes equal: a table keyed by atoms would
+    # compare formulas on building it, and again on reading it
+    y = hvar(2)
+    g = parse("(x1 < 1 | x2 = x1) & (x1 < 2 | x2 = 2*x1) & (x1 < 1 | Q(x1)) & (x1 < 2 | !(x2 = x1))")
+    lines = [HomeTerm({X: 1}), HomeTerm({X: 2})]
+    sigma = {y: parse_element("3/2")}
+    expected = [decompose(g, X, sigma)] + [decompose(substitute(g, y, t), X) for t in lines]
+    plan = atoms(g)
+    assert len(plan) == 8 and len(set(map(id, plan))) == 5
+    calls = []
+    eq = Formula.__eq__
+    monkeypatch.setattr(Formula, "__eq__", lambda self, other: calls.append(self) or eq(self, other))
+    got = [_sweep(*sign_table(g, X)(sigma))]
+    got += [_sweep(*sign_table(g, X, partial(substitute_atom, v=y, t=t))({})) for t in lines]
+    assert calls == []
+    assert got == expected
 
 
 def test_the_pinned_cases_have_the_shapes_they_pin():

@@ -350,6 +350,19 @@ def test_ground_atoms_are_decided_when_the_plan_is_compiled():
     assert atoms(parse("1 < r2")) == [] and atoms(parse("x1 < 0 | 1 < 0")) == [LT]
 
 
+def test_a_plan_lists_one_object_per_distinct_atom_in_occurrence_order():
+    g = parse("(x1 < x2 | Q(x1)) & (x1 < x2 | 2 < x1) & (Q(x1) | x1 = x2) & (x1 < 1 | x1 < 2)")
+    texts = ["x1 < x2", "Q(x1)", "x1 < x2", "2 < x1", "Q(x1)", "x1 = x2", "x1 < 1", "x1 < 2"]
+    plan = atoms(g)
+    assert plan == [parse(text) for text in texts]  # the walk's order and length
+    first = {}  # each atom -> its first occurrence in the tree
+    for junction in g.children:
+        for atom in junction.children:
+            first.setdefault(atom, atom)
+    assert all(atom is first[atom] for atom in plan)
+    assert len(set(map(id, plan))) == len(set(plan)) == 6
+
+
 def test_constants_fold_through_a_chain_20000_deep():
     depth = 20_000
     ground = home_lt(HomeTerm({}, ModelElement({0: 1, 2: -1})))  # 1 < r2: true
