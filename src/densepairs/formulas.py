@@ -370,7 +370,10 @@ def eval_atom(atom: Atom, assignment: Assignment) -> bool:
     if kind is _QUOT_PREC:
         return lead_sign(nums) < 0
     if kind is _IN_Q:
-        return not any(n for k, n in nums.items() if k)
+        for k, n in nums.items():
+            if k and n:
+                return False
+        return True
     return not any(nums.values())
 
 

@@ -17,6 +17,15 @@ coefficient vector over radicands 2 < 3 < 5 < ...; that order is dense,
 has no endpoints, and is compatible with addition and positive rational
 scaling, which is everything the engine relies on (and which the test
 suite checks rather than assumes).
+
+The row kernel, and every function on the per-call paths of element and
+term arithmetic, term evaluation, atom reads and the witness search, is
+written with plain loops: no comprehension, generator expression or
+`*`-unpacking into a list runs per call.  Python 3.10 and 3.11 build a
+function object for every comprehension; PEP 709 inlines list, dict and
+set comprehensions from 3.12 on, but generator expressions still
+allocate one.  Cold code (rendering, JSON, the constructors) keeps the
+comprehension idiom.
 """
 
 from __future__ import annotations
@@ -86,14 +95,17 @@ def _bounds(nums: list[tuple[int, int]], bits: int) -> tuple[int, int]:
 def int_sign(nums: Iterable[tuple[int, int]]) -> int:
     """Sign of sum(n_k * sqrt(k)) over distinct radicands, key 0 read as 1,
     for integers n_k: refines dyadic bounds until they exclude 0."""
-    nums = [(k, n) for k, n in nums if n]
-    if not nums:
+    kept = []
+    for k, n in nums:
+        if n:
+            kept.append((k, n))
+    if not kept:
         return 0
-    if len(nums) == 1:
-        return 1 if nums[0][1] > 0 else -1
+    if len(kept) == 1:
+        return 1 if kept[0][1] > 0 else -1
     bits = 32
     while True:
-        lo, hi = _bounds(nums, bits)
+        lo, hi = _bounds(kept, bits)
         if lo > 0:
             return 1
         if hi < 0:
@@ -106,20 +118,35 @@ HALF = Fraction(1, 2)
 _RATIONAL_SUPPORT = frozenset({0})
 
 
+def _scaled(m: Mapping, a: int) -> dict:
+    """A new map of m's keys to their values times a."""
+    out = {}
+    for k, x in m.items():
+        out[k] = x * a
+    return out
+
+
+def _divided(m: Mapping, g: int) -> dict:
+    """A new map of m's keys to their values floor-divided by g."""
+    out = {}
+    for k, x in m.items():
+        out[k] = x // g
+    return out
+
+
 def add_rows(d: int, n: Mapping, e: int, m: Mapping, a: int = 1) -> tuple[int, dict]:
     """(D, numerators) of the rows n/d + a * m/e, for an integer a != 0, over
     their common denominator D = lcm(d, e).  Cancelled keys are dropped; a key
-    new to n costs no addition, a = 1 no multiplication, a = -1 a negation."""
+    new to n costs no addition, and a = 1 no multiplication."""
     if d == e:
         out = dict(n)
     else:
         g = math.gcd(d, e)
-        out = {k: x * (e // g) for k, x in n.items()}
+        out = _scaled(n, e // g)
         d, a = d // g * e, a * (d // g)
-    items = m.items()
-    if a != 1:
-        items = [(k, -x) for k, x in items] if a == -1 else [(k, a * x) for k, x in items]
-    for k, x in items:
+    for k, x in m.items():
+        if a != 1:
+            x *= a
         w = out.get(k)
         if w is None:
             out[k] = x
@@ -190,8 +217,9 @@ class _Row:
             if v and g != 1:  # an element's row skips the variables
                 g = math.gcd(g, *v.values())
             if g != 1:
-                v = {x: a // g for x, a in v.items()} if v else v
-                return cls._row(d // g, v, {k: m // g for k, m in n.items()})
+                if v:
+                    v = _divided(v, g)
+                return cls._row(d // g, v, _divided(n, g))
         return cls._row(d, v, n)
 
     def __reduce__(self):  # the stored hash is rebuilt, not copied
@@ -221,8 +249,9 @@ class _Row:
 
     def __neg__(self):
         v = self._v
-        v = {x: -a for x, a in v.items()} if v else v
-        return self._row(self._d, v, {k: -m for k, m in self._n.items()})
+        if v:
+            v = _scaled(v, -1)
+        return self._row(self._d, v, _scaled(self._n, -1))
 
     def scale(self, q):
         if q == 1 or not (self._v or self._n):
@@ -232,8 +261,9 @@ class _Row:
         if not q:
             return self._row(1, _NO_VARIABLES, {})
         a, v = q.numerator, self._v
-        v = {x: a * c for x, c in v.items()} if v else v
-        return self._reduced(self._d * q.denominator, v, {k: a * m for k, m in self._n.items()})
+        if v:
+            v = _scaled(v, a)
+        return self._reduced(self._d * q.denominator, v, _scaled(self._n, a))
 
     def __eq__(self, other) -> bool:
         same = type(self) is type(other) and self._d == other._d
@@ -264,10 +294,19 @@ class _SpanElement(_Row):
         return cls._of(_NO_VARIABLES, cleaned)
 
     @classmethod
-    def _from_numerators(cls, d: int, nums: Mapping[int, int]):
+    def _from_numerators(cls, d: int, nums: dict[int, int]):
         """The element sum(n_k * sqrt(k)) / d, sqrt(0) read as 1, for d > 0 and
-        integers n_k of radicands of this sort; zero numerators are dropped."""
-        return cls._reduced(d, _NO_VARIABLES, {k: n for k, n in nums.items() if n})
+        integers n_k of radicands of this sort; zero numerators are dropped.
+        With no zero the element keeps nums itself, which is sound only
+        because every caller passes a fresh map or a row's own, and neither
+        is changed afterwards."""
+        if not all(nums.values()):
+            kept = {}
+            for k, n in nums.items():
+                if n:
+                    kept[k] = n
+            nums = kept
+        return cls._reduced(d, _NO_VARIABLES, nums)
 
     def _terms(self) -> list[tuple[int, int, int]]:
         """(k, n, d) per radicand k, by radicand: the coefficient n/d in lowest terms."""
@@ -360,16 +399,26 @@ class ModelElement(_SpanElement):
             return f"{sign}{whole}"
         return f"{sign}{whole}.{frac:0{digits}d}"
 
+    # the order is between ModelElements only: any other operand gets NotImplemented,
+    # so Python raises TypeError as `+` does (`compare` itself checks nothing)
     def __lt__(self, other) -> bool:
+        if type(other) is not ModelElement:
+            return NotImplemented
         return compare(self, other) < 0
 
     def __le__(self, other) -> bool:
+        if type(other) is not ModelElement:
+            return NotImplemented
         return compare(self, other) <= 0
 
     def __gt__(self, other) -> bool:
+        if type(other) is not ModelElement:
+            return NotImplemented
         return compare(self, other) > 0
 
     def __ge__(self, other) -> bool:
+        if type(other) is not ModelElement:
+            return NotImplemented
         return compare(self, other) >= 0
 
     def __str__(self) -> str:
@@ -402,14 +451,20 @@ def compare(a: ModelElement, b: ModelElement) -> int:
     if na.keys() <= _RATIONAL_SUPPORT and nb.keys() <= _RATIONAL_SUPPORT:
         diff = na.get(0, 0) * db - nb.get(0, 0) * da
         return (diff > 0) - (diff < 0)
-    return int_sign([(k, na.get(k, 0) * db - nb.get(k, 0) * da) for k in na.keys() | nb.keys()])
+    diff = []
+    for k in na.keys() | nb.keys():
+        diff.append((k, na.get(k, 0) * db - nb.get(k, 0) * da))
+    return int_sign(diff)
 
 
 def lead_sign(coeffs: Mapping[int, Fraction | int]) -> int:
     """The quotient order, written once: a coefficient map over radicands
     2 < 3 < 5 < ... has the sign of its lowest radicand's nonzero coefficient."""
-    lead = min((k for k, n in coeffs.items() if n), default=None)
-    return 0 if lead is None else 1 if coeffs[lead] > 0 else -1
+    lead = None
+    for k, n in coeffs.items():
+        if n and (lead is None or k < lead):
+            lead, sign = k, n
+    return 0 if lead is None else 1 if sign > 0 else -1
 
 
 def lex_compare(a: QuotientElement, b: QuotientElement) -> int:
@@ -422,7 +477,9 @@ def project(a: ModelElement) -> QuotientElement:
     n = a._n
     if 0 not in n:
         return QuotientElement._row(a._d, a._v, n)
-    return QuotientElement._reduced(a._d, a._v, {k: m for k, m in n.items() if k})
+    n = dict(n)
+    del n[0]
+    return QuotientElement._reduced(a._d, a._v, n)
 
 
 def section(w: QuotientElement) -> ModelElement:

@@ -62,7 +62,10 @@ def _tighten(current: _Bound | None, new: _Bound, cmp, side: int) -> _Bound:
 
 
 def _holds(parts: list[tuple], binding: Assignment) -> bool:
-    return all(eval_formula(part[0], binding) for part in parts)
+    for part in parts:
+        if not eval_formula(part[0], binding):
+            return False
+    return True
 
 
 _QUNIT = QuotientElement({2: 1})
@@ -207,7 +210,11 @@ def _solve(
         ok, coset = _solve(coset_parts, _COSET, assignment)
         if not ok:
             return False, None
-        excluded = {p for p in excluded if project(p) == coset}
+        on_coset = set()
+        for p in excluded:
+            if project(p) == coset:
+                on_coset.add(p)
+        excluded = on_coset
         candidates = _home_candidates(lower, upper, section(coset), len(excluded) + 1)
     else:
         candidates = _quotient_candidates(lower, upper, len(excluded) + 1)
@@ -230,8 +237,8 @@ def _parts(
     for lit in literals:
         atom, positive = literal_parts(lit)
         parts.append((lit, atom, positive, _read(atom, v)))
-    for *_, reading in parts:
-        for var in reading[1]:
+    for part in parts:
+        for var in part[3][1]:
             if type(assignment.get(var)) is not var._element:
                 check_parameters({p for *_, r in parts for p in r[1]}, assignment)
     return parts
@@ -253,8 +260,10 @@ def oracle_exists_quotient(
         raise SortError(f"{v} is not a quotient-sort variable")
     assignment = assignment or {}
     parts = _parts(literals, v, assignment)
-    if not ordered and any(part[1].kind is _QUOT_PREC for part in parts):
-        raise ModeError("prec literals require the ordered quotient oracle")
+    if not ordered:
+        for part in parts:
+            if part[1].kind is _QUOT_PREC:
+                raise ModeError("prec literals require the ordered quotient oracle")
     return _solve(parts, v, assignment)
 
 

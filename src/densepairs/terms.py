@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import SortError, UnboundVariableError
-from .model import _NO_VARIABLES, ZERO, ModelElement, QuotientElement, _clean, _Row, sum_text, summand_text
+from .model import _NO_VARIABLES, ZERO, ModelElement, QuotientElement, _clean, _Row, _scaled, sum_text, summand_text
 
 
 class Sort(Enum):
@@ -144,7 +144,7 @@ class _Term(_Row):
         if unbound is not None:
             raise UnboundVariableError(f"{unbound} is unbound")
         # not model.add_rows: leaving a cancelled coefficient as 0 costs less
-        nums = dict(self._n) if e == 1 else {k: n * e for k, n in self._n.items()}
+        nums = dict(self._n) if e == 1 else _scaled(self._n, e)
         for c, x, under_pi in values:
             c *= e // x._d
             for k, n in x._n.items():
@@ -198,7 +198,7 @@ class _Term(_Row):
         a = rest.pop(v)
         if a < 0:
             return self._reduced(-a, rest, self._n)
-        return self._reduced(a, *({k: -m for k, m in p.items()} for p in (rest, self._n)))
+        return self._reduced(a, _scaled(rest, -1), _scaled(self._n, -1))
 
     def substitute(self, v: Variable, t: "_Term"):
         """Replace v by a term of its sort; a home term goes under pi in a quotient term."""
@@ -319,7 +319,11 @@ class QuotientTerm(_Term):
         """The image of a home term under the quotient map, which kills key 0."""
         if type(t) is not HomeTerm:
             raise SortError(f"cannot project a {type(t).__name__}, only a HomeTerm")
-        return cls._reduced(t._d, t._v, {k: m for k, m in t._n.items() if k})
+        n = t._n
+        if 0 in n:
+            n = dict(n)
+            del n[0]
+        return cls._reduced(t._d, t._v, n)
 
     @property
     def pushed(self) -> HomeTerm:

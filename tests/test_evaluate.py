@@ -7,12 +7,15 @@ and message of the exception raised, on seeded random formulas of every
 theory mode and on hand-built trees the parser never makes.
 """
 
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from densepairs import evaluate
 from densepairs.errors import QuantifiedInputError, UnboundVariableError
@@ -37,10 +40,16 @@ from densepairs.formulas import (
     quot_prec,
     traverse,
 )
-from densepairs.model import Model, ModelElement, QuotientElement, int_sign, lead_sign, project
+from densepairs.model import Model, ModelElement, QuotientElement, _Row, int_sign, lead_sign, project
 from densepairs.parser import parse
-from densepairs.randgen import random_assignment, random_element, random_literal, random_qf_formula
-from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
+from densepairs.randgen import (
+    random_assignment,
+    random_element,
+    random_literal,
+    random_qf_formula,
+    random_quotient_element,
+)
+from densepairs.terms import HomeTerm, QuotientTerm, Sort, _Term, hvar, qvar
 
 MODEL = Model(4)
 HOME = [hvar(1), hvar(2), hvar(3)]
@@ -322,6 +331,174 @@ def test_one_variable_atoms_read_against_their_root_agree_with_the_numerators():
     assert outcome(eval_atom, quotient_atom, {U1: ModelElement({2: 1})}) == (
         "raises", TypeError, "u1 is assigned a ModelElement, not a QuotientElement"
     )
+
+
+MORE_HOME = [hvar(1), hvar(2), hvar(3), hvar(4)]
+MORE_QUOT = [qvar(1), qvar(2), qvar(3)]
+
+
+def fraction_sign(value):
+    """The sign of sum(q_k * sqrt(k)), sqrt(0) read as 1, for a map of nonzero
+    Fractions: each sqrt(k) is bracketed by Fractions 2**-bits apart, and
+    bits doubles until the bracketed sum excludes 0, which it does for any
+    nonempty map since 1 and the square roots of primes are independent."""
+    if not value:
+        return 0
+    bits = 8
+    while True:
+        lo = hi = Fraction(0)
+        for k, q in value.items():
+            if k == 0:
+                below = above = Fraction(1)
+            else:
+                r = math.isqrt(k << (2 * bits))
+                below, above = Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+            lo += q * (below if q > 0 else above)
+            hi += q * (above if q > 0 else below)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def _linear(payload):
+    """(variable, Fraction coefficient) of the payload from its accessors: a
+    quotient term's quotient variables, then its home ones from `pushed`."""
+    linear = list(payload.coeffs.items())
+    if payload.sort is Sort.QUOTIENT:
+        linear += payload.pushed.coeffs.items()
+    return linear
+
+
+def fraction_value(payload, assignment):
+    """The payload's value under the assignment as {radicand: nonzero Fraction},
+    read off the Fraction accessors alone: the coefficients (a quotient term's
+    home variables from `pushed`, read under pi, which drops key 0), the
+    constant and the values' `coeffs`.  The variables are met in row order,
+    which the tests' construction makes the order these accessors list them
+    in: an unbound home variable or a value of the wrong class raises where it
+    is met, an unbound quotient variable once all of them have been met."""
+    value = dict(payload.constant.coeffs)
+    unbound = None
+    for v, c in _linear(payload):
+        under_pi = v.sort is not payload.sort
+        want = ModelElement if v.sort is Sort.HOME else QuotientElement
+        if v not in assignment:
+            if want is ModelElement:
+                raise UnboundVariableError(f"{v} is unbound")
+            unbound = unbound or v
+            continue
+        x = assignment[v]
+        if type(x) is not want:
+            raise TypeError(f"{v} is assigned a {type(x).__name__}, not a {want.__name__}")
+        for k, q in x.coeffs.items():
+            if k or not under_pi:
+                value[k] = value.get(k, 0) + c * q
+    if unbound is not None:
+        raise UnboundVariableError(f"{unbound} is unbound")
+    return {k: q for k, q in value.items() if q}
+
+
+def fraction_truth(atom, assignment):
+    value = fraction_value(atom.payload, assignment)
+    if atom.kind is AtomKind.HOME_LT:
+        return fraction_sign(value) < 0
+    if atom.kind is AtomKind.IN_Q:
+        return value.keys() <= {0}
+    if atom.kind is AtomKind.QUOT_PREC:  # the lowest radicand's coefficient
+        return bool(value) and value[min(value)] < 0
+    return not value
+
+
+def _multi_variable_atom(rng, kind):
+    """A raw atom of the kind in 2-4 variables, its payload not rescaled: a
+    quotient term lists its quotient variables first and its home ones, under
+    pi, after them, so that its row keeps the order `fraction_value` reads."""
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
+
+    count = rng.randint(2, 4)
+    if kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q):
+        coeffs = {v: coefficient() for v in rng.sample(MORE_HOME, count)}
+        return Atom(kind, HomeTerm(coeffs, random_element(rng, MODEL) if rng.random() < 0.8 else 0))
+    chosen = rng.sample(MORE_HOME + MORE_QUOT, count)
+    quotient = {v: coefficient() for v in chosen if v.sort is Sort.QUOTIENT}
+    home = {v: coefficient() for v in chosen if v.sort is Sort.HOME}
+    constant = random_quotient_element(rng, MODEL) if rng.random() < 0.8 else None
+    return Atom(kind, QuotientTerm(quotient, HomeTerm(home) if home else None, constant))
+
+
+def _moved_to_zero(rng, atom, sigma):
+    """sigma with one variable v of the atom moved so that its payload's value
+    is 0 (for `Q` a rational; for a home v under pi, one of its coset), then
+    maybe nudged by 10**-9 either way, all in Fractions: v is moved by the
+    value over its coefficient."""
+    payload = atom.payload
+    v, c = rng.choice(_linear(payload))
+    value = fraction_value(payload, sigma)
+    if atom.kind is AtomKind.IN_Q or (payload.sort is Sort.QUOTIENT and v.sort is Sort.HOME):
+        value[0] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    moved = dict(sigma[v].coeffs)
+    for k, q in value.items():
+        moved[k] = moved.get(k, 0) - q / c
+    nudge = rng.choice((0, 0, 1, -1))
+    if nudge and v.sort is Sort.HOME:
+        moved[0] = moved.get(0, 0) + Fraction(nudge, 10**9)
+    return {**sigma, v: type(sigma[v])(moved)}
+
+
+def test_multi_variable_atoms_agree_with_a_fraction_reference():
+    # atoms in 2-4 variables of each kind, read at random, at exact zeros of
+    # their payload (a hair off them for home variables), with a variable
+    # unbound, with one bound to the other sort and with both: `eval_atom` and the
+    # payload's `evaluate` must give the reference's truth and value, or raise
+    # its class and message; the reference runs first, with `numerators`,
+    # `evaluate` and the row operations made to fail, so it reads nothing else
+    rng = random.Random(6161)
+    kinds = list(AtomKind)
+    cases = []
+    for i in range(3000):
+        atom = _multi_variable_atom(rng, kinds[i % 5])
+        variables = sorted(atom.payload.variables(), key=lambda w: w.sort_key())
+        sigma = {}
+        for v in variables:
+            sigma[v] = random_element(rng, MODEL) if v.sort is Sort.HOME else random_quotient_element(rng, MODEL)
+        zero = _moved_to_zero(rng, atom, sigma)
+        dropped, wrong = dict(sigma), dict(zero)
+        del dropped[rng.choice(variables)]
+        v = rng.choice(variables)
+        wrong[v] = QuotientElement({3: rng.randint(1, 4)}) if v.sort is Sort.HOME else random_element(rng, MODEL)
+        both = dict(wrong)  # one variable unbound and another of the wrong sort: which is reported
+        del both[rng.choice([w for w in variables if w is not v])]
+        for s in (sigma, zero, _moved_to_zero(rng, atom, sigma), _moved_to_zero(rng, atom, zero), dropped, wrong, both):
+            cases.append((atom, s))
+
+    def fail(*args):
+        raise AssertionError("the reference used the arithmetic under test")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name in [(_Term, "numerators"), (HomeTerm, "evaluate"), (QuotientTerm, "evaluate")]:
+            patch.setattr(cls, name, fail)
+        for name in ("_merge", "__neg__", "scale", "__add__", "__sub__"):
+            patch.setattr(_Row, name, fail)
+        want = [(outcome(fraction_truth, a, s), outcome(fraction_value, a.payload, s)) for a, s in cases]
+
+    seen = set()
+    for (atom, sigma), (truth, value) in zip(cases, want):
+        assert outcome(eval_atom, atom, sigma) == truth, (str(atom), sigma)
+        got = outcome(atom.payload.evaluate, sigma)
+        if value[0] == "value":
+            cls = ModelElement if atom.payload.sort is Sort.HOME else QuotientElement
+            assert got[0] == "value" and type(got[1]) is cls and got[1].coeffs == value[1], (str(atom), sigma)
+        else:
+            assert got == value, (str(atom), sigma)
+        seen.add((atom.kind, truth[:2]))
+    assert len(cases) >= 20_000
+    for kind in kinds:
+        assert {("value", True), ("value", False)} < {r for k, r in seen if k is kind}
+    assert {r[1] for k, r in seen if r[0] == "raises"} == {UnboundVariableError, TypeError}
+    assert all(len(a.payload.variables()) >= 2 and a._root is None for a, _ in cases)
 
 
 def test_ground_atoms_are_decided_when_the_plan_is_compiled():

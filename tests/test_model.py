@@ -1,6 +1,7 @@
 """Exact arithmetic, ordering, and quotient structure of the reference model."""
 
 import math
+import operator
 import pickle
 import random
 import time
@@ -635,3 +636,18 @@ def test_elements_and_ground_terms_share_rows_but_not_identity():
             a + w
         with pytest.raises(TypeError):
             ta + a
+
+
+def test_order_operators_refuse_an_operand_of_another_class():
+    # the order is between home elements: a quotient element or a plain
+    # number raises TypeError, as `+` does, in both operand positions
+    one, w = ModelElement({0: 1}), QuotientElement({2: 1})
+    for other in (w, 1, Fraction(1, 2)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="not supported between instances of"):
+                op(one, other)
+            with pytest.raises(TypeError, match="not supported between instances of"):
+                op(other, one)
+    with pytest.raises(TypeError):
+        one + w
+    assert one < ModelElement({2: 1}) and ModelElement({2: 1}) >= one and not one > one and one <= one
