@@ -12,13 +12,16 @@ its finite slope/intercept inventory: for every line that the graph
 follows on an infinite locus, the (coset-pattern) domain on which it
 does, plus the finitely many leftover graph points.  Where the graph
 follows each candidate line is a decomposition, its line set, swept from
-the graph's own sign table with the line put into each atom.  One
-sentence asks whether any graph point lies off every line; if none does,
-the domain is the union of the line sets.  Two line sets share infinitely
-many points exactly when a piece of one meets a piece of the other, so
-the pieces and the listed points of the line sets decide functionality
-and give the leftover points, with no formula rebuilt from them and no
-domain decomposed.
+the graph's own sign table with the line put into each atom.  Whether a
+graph point lies off every line is first read off the graph's disjuncts:
+all points of one with a conjunct y = L(x), for a listed line L, lie on
+L, so dropping it is exact.  A sentence asks the question of the
+disjuncts left, and none is built when none is left.  If no point lies
+off every line, the domain is the union of the line sets.  Two line sets
+share infinitely many points exactly when a piece of one meets a piece
+of the other, so the pieces and the listed points of the line sets
+decide functionality and give the leftover points, with no formula
+rebuilt from them and no domain decomposed.
 """
 
 from __future__ import annotations
@@ -31,14 +34,18 @@ from .decomposition import Decomposition, _sweep, decompose, sign_table
 from .errors import ArityError, InternalError, NotFunctionalError
 from .evaluate import Assignment, atoms
 from .formulas import (
+    And,
+    Atom,
     AtomKind,
     Exists,
     Formula,
+    Or,
     TheoryMode,
     ground,
     home_eq,
     make_and,
     make_not,
+    make_or,
     substitute_atom,
 )
 from .model import ModelElement
@@ -126,6 +133,17 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
     return sorted(candidates, key=lambda sc: (sc[0], tuple(sorted(sc[1].coeffs.items()))))
 
 
+def _pinned(d: Formula, x: Variable, y: Variable, lines: list) -> bool:
+    """Whether a conjunct of d is an equation putting y on a listed line:
+    then every point of d lies on that line."""
+    for c in d.children if type(d) is And else (d,):
+        if type(c) is Atom and c.kind is AtomKind.HOME_EQ and c.payload.coeff_sign(y):
+            line = c.payload.root(y)
+            if (line.coeff(x), line.constant) in lines:
+                return True
+    return False
+
+
 def code_function(
     f: Formula,
     x: Variable,
@@ -152,9 +170,12 @@ def code_function(
     g = qe(ground(f, {x, y}, assignment), TheoryMode.POVS)
     lines = _line_candidates(g, x, y)
     terms = [HomeTerm.from_variable(x).scale(s) + HomeTerm.from_element(c) for s, c in lines]
-    off_lines = make_and([g, *(make_not(home_eq(HomeTerm.from_variable(y) - t)) for t in terms)])
-    if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):
-        raise NotFunctionalError(NOT_FUNCTIONAL)
+    # check (a): a pinned disjunct has no point off every line
+    rest = [d for d in (g.children if type(g) is Or else (g,)) if not _pinned(d, x, y, lines)]
+    if rest:
+        off_lines = make_and([make_or(rest), *(make_not(home_eq(HomeTerm.from_variable(y) - t)) for t in terms)])
+        if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):
+            raise NotFunctionalError(NOT_FUNCTIONAL)
     line_sets = [_sweep(*sign_table(g, x, partial(substitute_atom, v=y, t=t))({})) for t in terms]
     # check (b) on the pieces: two that meet share infinitely many points
     for i, (line, d) in enumerate(zip(lines, line_sets)):

@@ -26,6 +26,7 @@ from .qe import qe
 from .terms import HomeTerm, Variable
 
 
+ZERO = ModelElement.from_rational(0)
 ONE = ModelElement.from_rational(1)
 
 
@@ -65,7 +66,7 @@ def _cell_lengths(table: tuple) -> MeasureValue:
     coset-coverable, hence null.  Summed cell by cell, this is the length
     of the cofinite pieces the sweep would merge the cells into."""
     holds, ends, _ = table
-    total = ModelElement()
+    total = ZERO
     for i in range(len(ends) + 1):
         if holds(2 * i, None):
             if not 0 < i < len(ends):

@@ -433,6 +433,9 @@ def test_code_function_agrees_with_the_universal_sentence_on_seeded_relations():
         # open y-cells of graph points, on no line or on none at all
         "x1 < x2 & x2 < x1 + 1",
         "Q(x2)",
+        # the second disjunct holds x2 = x1 only inside a nested |, so it
+        # pins nothing, and its other case is an open y-cell
+        "(x1 < 0 & x2 = x1) | (0 < x1 & (x2 = x1 | x1 < x2))",
     ],
 )
 def test_relations_that_are_not_functional(text):
@@ -453,3 +456,76 @@ def test_lines_that_meet_at_a_graph_point_leave_it_exceptional():
 def test_an_empty_relation_has_the_empty_code():
     fc = code_function(parse("Q(x2) & x1 < x1"), X, Y)
     assert fc.exceptional == () and fc.pieces == ()
+
+
+# ---------------------------------------------------------------------------
+# Check (a) read off the pinned disjuncts
+# ---------------------------------------------------------------------------
+
+
+def spy_sentences(monkeypatch) -> list:
+    """The sentences code_function hands to decide_sentence from now on."""
+    sentences = []
+    decide = coding.decide_sentence
+    monkeypatch.setattr(coding, "decide_sentence", lambda f, mode: sentences.append(f) or decide(f, mode))
+    return sentences
+
+
+def off_every_line(g: Formula, lines) -> Formula:
+    """E x1. E x2. g & AND_i x2 != L_i(x1)."""
+    x, y = HomeTerm.from_variable(X), HomeTerm.from_variable(Y)
+    off = [make_not(home_eq(y - x.scale(a) - HomeTerm.from_element(b))) for a, b in lines]
+    return Exists(X, Exists(Y, make_and([g, *off])))
+
+
+@pytest.mark.parametrize("text", ["x2 = 2*x1", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"])
+def test_a_graph_whose_every_disjunct_is_pinned_builds_no_sentence(monkeypatch, text):
+    sentences = spy_sentences(monkeypatch)
+    code_function(parse(text), X, Y)
+    assert sentences == []
+
+
+def test_the_sentence_holds_only_the_disjuncts_that_are_not_pinned(monkeypatch):
+    # the second disjunct puts x2 on a line only inside its nested |
+    sentences = spy_sentences(monkeypatch)
+    text = "(x1 < 0 & x2 = x1) | (0 < x1 & (Q(x1) & x2 = x1 | !Q(x1) & x2 = 2*x1))"
+    code_function(parse(text), X, Y)
+    g = qe(parse(text), TheoryMode.POVS)
+    second = g.children[1]
+    assert sentences == [off_every_line(second, coding._line_candidates(g, X, Y))]
+
+
+def pinned_graph(rng: random.Random) -> Formula:
+    """A graph like the benchmark's function formulas, with one to three
+    lines, each case a selector on x1 (or its negation) and an equation
+    putting x2 on the case's line."""
+    def line():
+        slope = rng.randint(-3, 3)
+        intercept = ModelElement({k: rng.randint(-2, 2) for k in (0, 2) if rng.random() < 0.7})
+        return home_eq(HomeTerm.from_variable(Y) - HomeTerm.from_variable(X).scale(slope) - HomeTerm.from_element(intercept))
+
+    def selector():
+        cut = f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+        return parse(rng.choice(["Q(x1)", f"x1 < {cut}", f"pi(x1) = pi({rng.randint(-2, 2)}*r2)"]))
+
+    n = rng.randint(1, 3)
+    if n == 1:
+        return line()
+    s = selector()
+    if n == 2:
+        return make_or([make_and([s, line()]), make_and([make_not(s), line()])])
+    t = selector()
+    return make_or([
+        make_and([s, line()]),
+        make_and([make_not(s), t, line()]),
+        make_and([make_not(s), make_not(t), line()]),
+    ])
+
+
+def test_no_point_of_a_pinned_graph_lies_off_every_line():
+    # code_function builds no sentence for such graphs; the one it would build is false
+    rng = random.Random(3939)
+    for _ in range(2000):
+        g = qe(pinned_graph(rng), TheoryMode.POVS)
+        sentence = off_every_line(g, coding._line_candidates(g, X, Y))
+        assert not decide_sentence(sentence, TheoryMode.POVS), str(g)
