@@ -230,8 +230,9 @@ def test_parse_and_qe_scan_a_formula_once_each(monkeypatch, theory, text):
         (["qe", "E x1. x2 < x1 & x1 < 1"], 2),
         (["decide", "E x1. 0 < x1 & x1 < r2"], 3),
         (["decompose", "0 < x1 & x1 < r2 & !Q(x1)"], 3),
-        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 3),
+        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 <= x1 & x1 <= x2)"], 5),
         (["generic", "u1 != pi(r2)"], 3),
+        (["code-fn", "(Q(x1) & x2 = 2*x1) | (!Q(x1) & x2 = x1)"], 3),
     ],
 )
 def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, scans):
@@ -240,8 +241,9 @@ def test_cli_commands_scan_a_formula_a_fixed_number_of_times(monkeypatch, argv, 
     # `decide_sentence` checks for free variables and `decompose`,
     # `generic` and `code-fn` ground the others, one scan each.  code-fn's
     # sentence is built only over disjuncts that pin no x2 to a listed
-    # line; here every one does, so nothing more is scanned, and its line
-    # sets scan nothing.
+    # line: in the first graph one does not, so the sentence is built and
+    # its `qe` admits it; in the last every one does, so nothing more is
+    # scanned.  Its line sets scan nothing.
     calls = []
     scan = formulas._scan
     monkeypatch.setattr(formulas, "_scan", lambda f: calls.append(f) or scan(f))
