@@ -27,8 +27,6 @@ from .qe import decide_sentence, qe, split_atom
 from .selfcheck import selfcheck
 from .terms import Sort, Variable
 
-_MODES = {"ovs": TheoryMode.OVS, "povs": TheoryMode.POVS, "povs-prec": TheoryMode.POVS_PREC}
-
 # the sorts of a command's free variables in index order, and their name in an arity error
 _HOME = ((Sort.HOME,), "exactly one free home variable")
 _QUOTIENT = ((Sort.QUOTIENT,), "exactly one free quotient variable")
@@ -128,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--theory", choices=sorted(_MODES), default="povs", help="theory mode")
+        p.add_argument("--theory", choices=[m.value for m in TheoryMode], default="povs", help="theory mode")
         p.add_argument("--model-dim", type=int, default=3, help="reference model dimension")
         p.add_argument("--format", choices=["text", "json"], default="text")
         if name == "oracle-check":
@@ -170,7 +168,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        mode = _MODES[args.theory]
+        mode = TheoryMode(args.theory)
         f, free = _read_formula(args, command.free, mode) if "formula" in args else (None, [])
         text, data = command.act(args, f, free, mode)
     except PreconditionError as exc:

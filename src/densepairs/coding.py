@@ -126,20 +126,19 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
     """
     candidates: set[tuple[Fraction, ModelElement]] = set()
     for atom in atoms(g):
-        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT) and atom.payload.coeff(y) != 0:
+        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT) and atom.payload.coeff_sign(y):
             line = atom.payload.root(y)
             candidates.add((line.coeff(x), line.constant))
     # distinct candidates have distinct keys, so the set's order never shows
     return sorted(candidates, key=lambda sc: (sc[0], tuple(sorted(sc[1].coeffs.items()))))
 
 
-def _pinned(d: Formula, x: Variable, y: Variable, lines: list) -> bool:
-    """Whether a conjunct of d is an equation putting y on a listed line:
+def _pinned(d: Formula, y: Variable, terms: list) -> bool:
+    """Whether a conjunct of d is an equation putting y on a listed line term:
     then every point of d lies on that line."""
     for c in d.children if type(d) is And else (d,):
         if type(c) is Atom and c.kind is AtomKind.HOME_EQ and c.payload.coeff_sign(y):
-            line = c.payload.root(y)
-            if (line.coeff(x), line.constant) in lines:
+            if c.payload.root(y) in terms:
                 return True
     return False
 
@@ -171,7 +170,7 @@ def code_function(
     lines = _line_candidates(g, x, y)
     terms = [HomeTerm.from_variable(x).scale(s) + HomeTerm.from_element(c) for s, c in lines]
     # check (a): a pinned disjunct has no point off every line
-    rest = [d for d in (g.children if type(g) is Or else (g,)) if not _pinned(d, x, y, lines)]
+    rest = [d for d in (g.children if type(g) is Or else (g,)) if not _pinned(d, y, terms)]
     if rest:
         off_lines = make_and([make_or(rest), *(make_not(home_eq(HomeTerm.from_variable(y) - t)) for t in terms)])
         if decide_sentence(Exists(x, Exists(y, off_lines)), TheoryMode.POVS):

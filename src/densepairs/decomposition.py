@@ -85,11 +85,7 @@ class Endpoint:
         return str(self.value)
 
     def to_json(self):
-        if self.side < 0:
-            return "-inf"
-        if self.side > 0:
-            return "+inf"
-        return self.value.to_json()
+        return str(self) if self.side else self.value.to_json()
 
 
 @dataclass(frozen=True)
@@ -244,8 +240,7 @@ def sign_table(
             off_v.append((k, read))
 
     def table_at(assignment: Assignment) -> tuple:
-        roots = [(k, kind, r.constant if r.is_ground() else r.evaluate(assignment), up)
-                 for k, kind, r, up in on_v]
+        roots = [(k, kind, r.evaluate(assignment), up) for k, kind, r, up in on_v]
         ends = sorted({r for _, kind, r, _ in roots if kind in order})
         rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
         top = 2 * len(ends) + 1

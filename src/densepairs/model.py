@@ -31,22 +31,12 @@ comprehension idiom.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Coeffs = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
-
-
-def nth_primes(n: int) -> list[int]:
-    """The first n primes, by trial division (n stays tiny here)."""
-    primes: list[int] = []
-    k = 2
-    while len(primes) < n:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    return primes
 
 
 # The largest prime of a Model(MAX_DIM) basis: no radicand beyond it can
@@ -56,6 +46,12 @@ MAX_RADICAND = 7907
 
 def is_prime(k: int) -> bool:
     return k >= 2 and all(k % p for p in range(2, math.isqrt(k) + 1))
+
+
+def nth_primes(n: int) -> list[int]:
+    """The first n primes, each found by `is_prime`: below MAX_RADICAND, the
+    largest prime a model names, that is a few dozen divisions per number."""
+    return list(itertools.islice(filter(is_prime, itertools.count(2)), n))
 
 
 def radicand_problem(k: int) -> str | None:
@@ -346,6 +342,7 @@ class _SpanElement(_Row):
 MAX_DIGITS = 4300
 
 
+@functools.total_ordering
 class ModelElement(_SpanElement):
     """A home-sort value: a rational combination of 1 and sqrt(p)'s."""
 
@@ -400,26 +397,12 @@ class ModelElement(_SpanElement):
         return f"{sign}{whole}.{frac:0{digits}d}"
 
     # the order is between ModelElements only: any other operand gets NotImplemented,
-    # so Python raises TypeError as `+` does (`compare` itself checks nothing)
+    # so Python raises TypeError as `+` does (`compare` itself checks nothing);
+    # total_ordering derives <=, > and >= from this guard and the row equality
     def __lt__(self, other) -> bool:
         if type(other) is not ModelElement:
             return NotImplemented
         return compare(self, other) < 0
-
-    def __le__(self, other) -> bool:
-        if type(other) is not ModelElement:
-            return NotImplemented
-        return compare(self, other) <= 0
-
-    def __gt__(self, other) -> bool:
-        if type(other) is not ModelElement:
-            return NotImplemented
-        return compare(self, other) > 0
-
-    def __ge__(self, other) -> bool:
-        if type(other) is not ModelElement:
-            return NotImplemented
-        return compare(self, other) >= 0
 
     def __str__(self) -> str:
         d = self._d

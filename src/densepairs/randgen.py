@@ -32,20 +32,17 @@ def random_rational(rng: random.Random, span: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 
 
+def _random_coeffs(rng: random.Random, keys, span: int) -> dict[int, Fraction]:
+    """A random rational on each key with probability 0.6, drawn key by key."""
+    return {k: random_rational(rng, span) for k in keys if rng.random() < 0.6}
+
+
 def random_element(rng: random.Random, model: Model, span: int = 3) -> ModelElement:
-    coeffs = {}
-    for k in model.radicands:
-        if rng.random() < 0.6:
-            coeffs[k] = random_rational(rng, span)
-    return ModelElement(coeffs)
+    return ModelElement(_random_coeffs(rng, model.radicands, span))
 
 
 def random_quotient_element(rng: random.Random, model: Model, span: int = 3) -> QuotientElement:
-    coeffs = {}
-    for k in model.primes:
-        if rng.random() < 0.6:
-            coeffs[k] = random_rational(rng, span)
-    return QuotientElement(coeffs)
+    return QuotientElement(_random_coeffs(rng, model.primes, span))
 
 
 def random_assignment(rng: random.Random, variables: Sequence[Variable], model: Model):

@@ -485,6 +485,20 @@ def test_a_graph_whose_every_disjunct_is_pinned_builds_no_sentence(monkeypatch, 
     assert sentences == []
 
 
+def test_a_pinned_disjunct_is_matched_by_its_line_term_whatever_the_scaling(monkeypatch):
+    # the first two equations keep x1 as their lead and scale x2 (x1 - 1/2*x2 + 1/2),
+    # the last leads with x2, yet each solves x2 for a listed line term, so every
+    # disjunct is pinned
+    sentences = spy_sentences(monkeypatch)
+    f = parse("(x1 < 0 & 2*x2 = 4*x1 + 2) | (0 < x1 & 3*x2 = 3*x1 + 3) | (x1 = 0 & x2 = 1)")
+    fc = code_function(f, X, Y)
+    assert sentences == []
+    assert fc.to_json()["exceptional"] == [[{}, {"0": "1"}]]
+    assert sorted(p.slope for p in fc.pieces) == [1, 2]
+    assert {p.intercept for p in fc.pieces} == {ModelElement.from_rational(1)}
+    assert coding_outcome(code_function, f) == coding_outcome(reference_code_function, f)
+
+
 def test_the_sentence_holds_only_the_disjuncts_that_are_not_pinned(monkeypatch):
     # the second disjunct puts x2 on a line only inside its nested |
     sentences = spy_sentences(monkeypatch)

@@ -651,3 +651,31 @@ def test_order_operators_refuse_an_operand_of_another_class():
     with pytest.raises(TypeError):
         one + w
     assert one < ModelElement({2: 1}) and ModelElement({2: 1}) >= one and not one > one and one <= one
+
+
+def test_the_derived_order_agrees_with_compare_and_the_primes_with_a_sieve():
+    # <=, > and >= are derived from __lt__ and the row equality, so on every
+    # pair, equal rows built two ways among them, they must read compare's sign
+    rng = random.Random(40)
+
+    def element():
+        return ModelElement({k: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for k in (0, 2) if rng.random() < 0.6})
+
+    pairs = [
+        (ModelElement({0: Fraction(1, 2)}), ModelElement.from_rational(Fraction(2, 4))),
+        (ModelElement(), ModelElement.from_rational(0)),
+    ]
+    for _ in range(300):
+        a, b = element(), element()
+        pairs += [(a, b), (a, ModelElement(a.coeffs))]
+    assert len(pairs) >= 500
+    assert sum(a is not b and compare(a, b) == 0 for a, b in pairs) >= 300
+    for a, b in pairs:
+        c = compare(a, b)
+        assert (a < b, a <= b, a > b, a >= b) == (c < 0, c <= 0, c > 0, c >= 0)
+    # the primes up to 7907, the largest radicand, by the sieve of Eratosthenes
+    flags = [False, False] + [True] * 7906
+    for p in range(2, math.isqrt(7907) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(flags[p * p :: p])
+    assert nth_primes(MAX_DIM - 1) == [p for p, prime in enumerate(flags) if prime]
