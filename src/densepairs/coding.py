@@ -34,6 +34,7 @@ from .decomposition import Decomposition, _sweep, decompose, sign_table
 from .errors import ArityError, InternalError, NotFunctionalError
 from .evaluate import Assignment, atoms
 from .formulas import (
+    KINDS,
     And,
     Atom,
     AtomKind,
@@ -125,8 +126,9 @@ def _line_candidates(g: Formula, x: Variable, y: Variable):
     piece on an extra line, and `code_function` skips it.
     """
     candidates: set[tuple[Fraction, ModelElement]] = set()
+    order = KINDS[Sort.HOME]
     for atom in atoms(g):
-        if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT) and atom.payload.coeff_sign(y):
+        if atom.kind in order and atom.payload.coeff_sign(y):
             line = atom.payload.root(y)
             candidates.add((line.coeff(x), line.constant))
     # distinct candidates have distinct keys, so the set's order never shows

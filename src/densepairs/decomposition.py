@@ -33,7 +33,7 @@ from typing import Callable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, run
-from .formulas import _HOME_EQ, _HOME_LT, _IN_Q, Atom, Formula, TheoryMode, eval_atom, ground
+from .formulas import _HOME_EQ, _HOME_LT, _IN_Q, KINDS, Atom, Formula, TheoryMode, eval_atom, ground
 from .model import (
     ModelElement,
     QuotientElement,
@@ -230,7 +230,7 @@ def sign_table(
     evaluation plan over the truth table this gives.  The plan lists equal
     atoms as one object, so the table is keyed by identity, and neither
     building nor reading it compares formulas."""
-    order = (_HOME_EQ, _HOME_LT)
+    order = KINDS[Sort.HOME]
     on_v, off_v = [], []  # the ids of the atoms with and without v, with their readings
     for k, atom in {id(atom): atom for atom in atoms(g)}.items():
         read = atom_map(atom)

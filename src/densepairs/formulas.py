@@ -2,7 +2,9 @@
 
 Atoms are stored one-sided: ``t = 0``, ``t < 0``, ``t in Q`` for home
 terms and ``s = 0``, ``s prec 0`` for quotient terms, with the payload
-rescaled so that its leading coefficient is a unit.  Negation normal
+rescaled so that its leading coefficient is a unit (`make_atom`).  Two
+tables state the language: `KINDS` each sort's equation and order kinds,
+`LANGUAGE` each theory mode's atom kinds.  Negation normal
 form additionally rewrites negated order atoms into positive ones
 (``not (t < 0)`` becomes ``-t < 0 or t = 0``), so after DNF a
 conjunction carries only strict bounds, (dis)equations, and subspace
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from math import gcd
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator
@@ -39,6 +42,9 @@ class TheoryMode(Enum):
     POVS = "povs"
     POVS_PREC = "povs-prec"
 
+    # hash by identity, in C, as `AtomKind` does: `LANGUAGE[mode]` then runs no Python code
+    __hash__ = object.__hash__
+
 
 class AtomKind(Enum):
     HOME_EQ = "home_eq"
@@ -55,6 +61,18 @@ class AtomKind(Enum):
 _HOME_EQ, _HOME_LT, _IN_Q = AtomKind.HOME_EQ, AtomKind.HOME_LT, AtomKind.IN_Q
 _QUOT_EQ, _QUOT_PREC = AtomKind.QUOT_EQ, AtomKind.QUOT_PREC
 _HOME_KINDS = (_HOME_EQ, _HOME_LT, _IN_Q)
+
+# each sort's (equation kind, order kind); the other kinds, Q and the quotient
+# kinds on a home variable, constrain only its coset
+KINDS = {Sort.HOME: (_HOME_EQ, _HOME_LT), Sort.QUOTIENT: (_QUOT_EQ, _QUOT_PREC)}
+# an order kind -> its sort's equation kind: not (t < 0) is -t < 0 or t = 0
+_ORDER = {order: eq for eq, order in KINDS.values()}
+# each theory mode's atom kinds, the symbols its language has
+LANGUAGE = {
+    TheoryMode.OVS: (_HOME_EQ, _HOME_LT),
+    TheoryMode.POVS: (_HOME_EQ, _HOME_LT, _IN_Q, _QUOT_EQ),
+    TheoryMode.POVS_PREC: (_HOME_EQ, _HOME_LT, _IN_Q, _QUOT_EQ, _QUOT_PREC),
+}
 
 
 class Formula:
@@ -284,41 +302,29 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-# An equation or membership atom may be rescaled by any nonzero rational, so its
-# lead coefficient becomes +1; an order atom by a positive one, so it becomes +1 or -1.
-def home_eq(t: HomeTerm) -> Atom:
-    return Atom(_HOME_EQ, t.normalized(sign_free=True))
+def make_atom(kind: AtomKind, t: Term) -> Atom:
+    """The atom of kind on t, rescaled so its lead coefficient is +1: an
+    equation or membership atom may be rescaled by any nonzero rational, an
+    order atom only by a positive one, so its lead becomes +1 or -1."""
+    return Atom(kind, t.normalized(kind not in _ORDER))
 
 
-def home_lt(t: HomeTerm) -> Atom:
-    return Atom(_HOME_LT, t.normalized(sign_free=False))
+# the atom factory of each kind, in the order `AtomKind` lists them
+home_eq, home_lt, in_q, quot_eq, quot_prec = (partial(make_atom, kind) for kind in AtomKind)
 
 
-def in_q(t: HomeTerm) -> Atom:
-    return Atom(_IN_Q, t.normalized(sign_free=True))
-
-
-def quot_eq(s: QuotientTerm) -> Atom:
-    return Atom(_QUOT_EQ, s.normalized(sign_free=True))
-
-
-def quot_prec(s: QuotientTerm) -> Atom:
-    return Atom(_QUOT_PREC, s.normalized(sign_free=False))
-
-
-def _remade(kind: AtomKind, t: Term) -> Atom:
-    """The atom of kind on t, rescaled as its factory above rescales it."""
-    return Atom(kind, t.normalized(sign_free=kind is not _HOME_LT and kind is not _QUOT_PREC))
-
-
-# an order kind -> the factories of the two atoms its negation is:
-# not (t < 0) is -t < 0 or t = 0, and not (s prec 0) is -s prec 0 or s = 0
-_NEGATED_ORDER = {_HOME_LT: (home_lt, home_eq), _QUOT_PREC: (quot_prec, quot_eq)}
+def quotient_atom(a: Atom, names: dict[Variable, Variable]) -> Atom:
+    """The quotient-sort atom that says what the coset atom a says, its
+    variables renamed by names: Q(t) is pi(t) = 0, and a quotient atom
+    says it already."""
+    if a.kind is _IN_Q:
+        return make_atom(_QUOT_EQ, QuotientTerm.project_term(a.payload).rename(names))
+    return make_atom(a.kind, a.payload.rename(names))
 
 
 def substitute_atom(a: Atom, v: Variable, t: Term) -> Atom:
     """a with t for v, renormalized; a itself when v does not occur in it."""
-    return _remade(a.kind, a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
+    return make_atom(a.kind, a.payload.substitute(v, t)) if a.payload.coeff_sign(v) else a
 
 
 def eval_atom(atom: Atom, assignment: Assignment) -> bool:
@@ -513,7 +519,8 @@ def substitute(f: Formula, v: Variable, t: Term) -> Formula:
         raise SortError(f"cannot substitute {t.sort.value} term for {v}")
     captured = bound_variables(f) & t.variables()
     if captured:
-        raise CaptureError(f"substitution would capture {sorted(x.name for x in captured)}")
+        names = [x.name for x in sorted(captured, key=Variable.sort_key)]
+        raise CaptureError(f"substitution would capture {names}")
 
     return rewrite(f, lambda a: substitute_atom(a, v, t), lambda g: g if g.var == v else rebuild(g))
 
@@ -547,12 +554,10 @@ def _foreign_symbol(g: Formula, mode: TheoryMode) -> str | None:
     """The symbol of node g, as written, that the language of `mode` lacks, if any."""
     if isinstance(g, (Exists, Forall)):
         return g.var.name if mode is TheoryMode.OVS and g.var.sort is Sort.QUOTIENT else None
-    if not isinstance(g, Atom) or g.kind in (_HOME_EQ, _HOME_LT):
+    if not isinstance(g, Atom) or g.kind in LANGUAGE[mode]:
         return None
     if g.kind is _QUOT_PREC:
         return "prec"
-    if mode is not TheoryMode.OVS:
-        return None
     if g.kind is _IN_Q:
         return "Q"
     # a quotient equation, named by its first symbol as rendered
@@ -587,7 +592,7 @@ def admit(f: Formula, mode: TheoryMode) -> Formula:
     def rename(a):
         if all(names.get(w, w) == w for w in a.payload.variables()):
             return a
-        return _remade(a.kind, a.payload.rename(names))
+        return make_atom(a.kind, a.payload.rename(names))
 
     def binder(g):
         var = new = g.var
@@ -631,8 +636,8 @@ def nnf(f: Formula) -> Formula:
             return connective(g, positive)
         if positive:
             return g
-        if pair := _NEGATED_ORDER.get(g.kind):
-            return make_or([pair[0](-g.payload), pair[1](g.payload)])
+        if eq := _ORDER.get(g.kind):
+            return make_or([make_atom(g.kind, -g.payload), make_atom(eq, g.payload)])
         return Not(g)
 
     return traverse(step, (f, True))

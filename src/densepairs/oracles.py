@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import InternalError, ModeError, SortError
 from .evaluate import Assignment, eval_formula
-from .formulas import Atom, AtomKind, Formula, Not, check_parameters, literal_parts, quot_eq, quot_prec
+from .formulas import _QUOT_PREC, KINDS, Atom, Formula, Not, check_parameters, literal_parts, quotient_atom
 from .model import (
     HALF,
     ModelElement,
@@ -38,7 +38,7 @@ from .model import (
     rational_between,
     section,
 )
-from .terms import QuotientTerm, Sort, Variable
+from .terms import Sort, Variable
 
 
 class _Bound:
@@ -124,12 +124,6 @@ def _home_candidates(
 # the unknown coset pi(v) of a home-sort search, at an index that no parsed
 # or fresh variable has, so the caller's assignment stays in force around it
 _COSET = Variable(Sort.QUOTIENT, -1)
-# the sort of v -> (equation kind, order kind) of its own literals
-_KINDS = {
-    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT),
-    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC),
-}
-_QUOT_PREC = AtomKind.QUOT_PREC  # reading an Enum member off its class is slow
 
 
 def _read(atom: Atom, v: Variable) -> tuple:
@@ -148,17 +142,14 @@ def _read(atom: Atom, v: Variable) -> tuple:
     sign = payload.coeff_sign(v)
     root = side = coset = None
     if sign:
-        eq_kind, order_kind = _KINDS[v.sort]
+        eq_kind, order_kind = KINDS[v.sort]
         if atom.kind is eq_kind or atom.kind is order_kind:
             root = payload.root(v)
             # coeff * v + rest < 0 bounds v strictly, from above when coeff > 0
             side = 0 if atom.kind is eq_kind else sign
         else:
             # a membership or quotient literal on v: a literal on its coset
-            if atom.kind is AtomKind.IN_Q:
-                payload = QuotientTerm.project_term(payload)
-            factory = quot_prec if atom.kind is AtomKind.QUOT_PREC else quot_eq
-            watom = factory(payload.rename({v: _COSET}))
+            watom = quotient_atom(atom, {v: _COSET})
             wreading = _read(watom, _COSET)
             coset = ((Not(watom), watom, False, wreading), (watom, watom, True, wreading))
     reading = (v, params, root, side, coset)

@@ -10,22 +10,23 @@ takes its limit and an equation on it fails, and when the conjunction
 then holds at either end, whatever its other atoms are, the step is true.
 Otherwise the rest is put in disjunctive normal form, and each
 conjunction of it loses the bound variable separately, by one clause
-step for both sorts.  A table gives the step its sort's equation
-kind, order kind and order-atom factory: `=` and `<` with `home_lt` at
-home, `=` and `prec` with `quot_prec` in the quotient.  An equation on
-the variable lets us substitute its root, atom by atom.  Otherwise
-disequations are dropped, since finitely many excluded points never
-empty a dense, infinite space, and the strict bounds combine by
-Fourier-Motzkin, which is exact because both orders are dense without
-endpoints.  A home variable also meets membership and quotient literals,
-which only constrain its coset pi(v): every coset of the rational line
-is dense, so a nonempty open interval meets whichever coset they
-require.  They become literals on a quotient-sort stand-in for pi(v),
-and the same step, run on the stand-in, eliminates it.  The step folds
-each ground atom it makes, a substituted literal or a bound pair, so the
-clauses' disjunction is simplified as built.  The pulled-out conjuncts
-then meet the result, which may be all there is, under the absorption
-and contradiction rules that the normal form would have applied to them.
+step for both sorts.  The table `formulas.KINDS` gives the step its
+sort's equation and order kinds, `=` and `<` at home and `=` and `prec`
+in the quotient, and `make_atom` builds its bound pairs of the order
+kind.  An equation on the variable lets us substitute its root, atom by
+atom.  Otherwise disequations are dropped, since finitely many excluded
+points never empty a dense, infinite space, and the strict bounds
+combine by Fourier-Motzkin, which is exact because both orders are dense
+without endpoints.  A home variable also meets membership and quotient
+literals, which only constrain its coset pi(v): every coset of the
+rational line is dense, so a nonempty open interval meets whichever
+coset they require.  They become literals on a quotient-sort stand-in
+for pi(v), as `quotient_atom` states them, and the same step, run on the
+stand-in, eliminates it.  The step folds each ground atom it makes, a
+substituted literal or a bound pair, so the clauses' disjunction is
+simplified as built.  The pulled-out conjuncts then meet the result,
+which may be all there is, under the absorption and contradiction rules
+that the normal form would have applied to them.
 
 Universal quantifiers are rewritten through their existential duals.
 Truth of a sentence is then read off the reference model, which is
@@ -41,10 +42,10 @@ from typing import Sequence
 from .errors import FreeVariableError, NotConjunctionError, SortError
 from .evaluate import eval_formula
 from .formulas import (
-    _NEGATED_ORDER,
+    _ORDER,
+    KINDS,
     TRUE,
     Atom,
-    AtomKind,
     And,
     BoolConst,
     Exists,
@@ -58,14 +59,13 @@ from .formulas import (
     fold_ground,
     free_variables,
     fresh_variable,
-    home_lt,
     literal_parts,
     make_and,
+    make_atom,
     make_not,
     make_or,
     nnf,
-    quot_eq,
-    quot_prec,
+    quotient_atom,
     rewrite,
     substitute_atom,
     traverse,
@@ -76,16 +76,9 @@ from .terms import HomeTerm, QuotientTerm, Sort, Variable
 _WEAK_ORDER = "weak order literal reached the eliminator; normalize to strict form first"
 
 
-# the sort of v -> (equation kind, order kind, order-atom factory) of the clause step
-_SORTS = {
-    Sort.HOME: (AtomKind.HOME_EQ, AtomKind.HOME_LT, home_lt),
-    Sort.QUOTIENT: (AtomKind.QUOT_EQ, AtomKind.QUOT_PREC, quot_prec),
-}
-
-
 def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
     """Drop an existential v of either sort from one strict-literal clause."""
-    eq, order, order_atom = _SORTS[v.sort]
+    eq, order = KINDS[v.sort]
     keep: list[Formula] = []
     vlits = []  # (literal, atom, positive, sign of v's coefficient)
     for lit in literals:
@@ -120,14 +113,10 @@ def _eliminate_clause(literals: Sequence[Formula], v: Variable) -> Formula:
         if w is None:
             taken = [u for o in literals for u in literal_parts(o)[0].payload.variables()]
             w = fresh_variable(Sort.QUOTIENT, taken)
-        s = atom.payload
-        if atom.kind is AtomKind.IN_Q:
-            s = QuotientTerm.project_term(s)
-        s = s.rename({v: w})  # pi(v) is w
-        watom = quot_prec(s) if atom.kind is AtomKind.QUOT_PREC else quot_eq(s)
+        watom = quotient_atom(atom, {v: w})  # pi(v) is w
         wlits.append(watom if positive else make_not(watom))
 
-    pairs = [fold_ground(order_atom(lo - up)) for lo in lowers for up in uppers]
+    pairs = [fold_ground(make_atom(order, lo - up)) for lo in lowers for up in uppers]
     return make_and(keep + pairs + ([_eliminate_clause(wlits, w)] if wlits else []))
 
 
@@ -201,7 +190,7 @@ def _in_nnf(f: Formula) -> bool:
     while pending:
         g = pending.pop()
         if type(g) is Not:
-            if type(g.sub) is not Atom or g.sub.kind in _NEGATED_ORDER:
+            if type(g.sub) is not Atom or g.sub.kind in _ORDER:
                 return False
         elif type(g) is And or type(g) is Or:
             pending.extend(g.children)
@@ -242,7 +231,7 @@ def _holds_at_infinity(conjuncts: Sequence[Formula], v: Variable) -> bool:
     a coset atom on a home v or one without v, is unknown, and the
     connectives read three values.  One walk on `traverse`, building
     nothing; it stops at the first conjunct after which both ends may fail."""
-    eq, order, _ = _SORTS[v.sort]
+    eq, order = KINDS[v.sort]
 
     def connective(g):
         if type(g) is Not:
@@ -306,7 +295,7 @@ def decide_sentence(f: Formula, mode: TheoryMode = TheoryMode.POVS) -> bool:
     eliminated form over the reference model decides it."""
     free = free_variables(f)
     if free:
-        names = ", ".join(sorted(v.name for v in free))
+        names = ", ".join(v.name for v in sorted(free, key=Variable.sort_key))
         raise FreeVariableError(f"not a sentence; free variables: {names}")
     return eval_formula(qe(f, mode), {})
 
@@ -329,9 +318,6 @@ def split_atom(atom: Atom) -> AtomSplit:
     """
     if not isinstance(atom, Atom):
         raise NotConjunctionError(f"not an atom: {atom}")
-    if atom.kind in (AtomKind.HOME_EQ, AtomKind.HOME_LT):
+    if atom.kind in KINDS[Sort.HOME]:
         return AtomSplit(home=atom, quotient=None)
-    if atom.kind is AtomKind.IN_Q:
-        image = QuotientTerm.project_term(atom.payload)
-        return AtomSplit(home=None, quotient=quot_eq(image))
-    return AtomSplit(home=None, quotient=atom)
+    return AtomSplit(home=None, quotient=quotient_atom(atom, {}))

@@ -11,19 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .formulas import (
-    Atom,
-    Formula,
-    TheoryMode,
-    home_eq,
-    home_lt,
-    in_q,
-    make_and,
-    make_not,
-    make_or,
-    quot_eq,
-    quot_prec,
-)
+from .formulas import KINDS, LANGUAGE, Formula, TheoryMode, make_and, make_atom, make_not, make_or
 from .model import Model, ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
@@ -104,25 +92,17 @@ def random_literal(
     mode: TheoryMode,
     force: Variable | None = None,
 ) -> Formula:
-    """One random literal, optionally guaranteed to mention `force`."""
-    home_kinds = ["home_eq", "home_lt", "in_q"]
-    quot_kinds = ["quot_eq"]
-    if mode is TheoryMode.OVS:
-        kinds = ["home_eq", "home_lt"]
-    elif mode is TheoryMode.POVS:
-        kinds = home_kinds + quot_kinds
-    else:
-        kinds = home_kinds + quot_kinds + ["quot_prec"]
+    """One random literal of a kind in the language of `mode`, optionally
+    guaranteed to mention `force`."""
+    kinds, quotient = LANGUAGE[mode], KINDS[Sort.QUOTIENT]
     if force is not None and force.sort is Sort.QUOTIENT:
-        kinds = [k for k in kinds if k.startswith("quot")]
+        kinds = [k for k in kinds if k in quotient]
     kind = rng.choice(kinds)
-    if kind in ("home_eq", "home_lt", "in_q"):
-        t = _random_home_term(rng, variables, model, force)
-        atom: Atom = {"home_eq": home_eq, "home_lt": home_lt, "in_q": in_q}[kind](t)
+    if kind in quotient:
+        t = _random_quotient_term(rng, variables, model, force)
     else:
-        s = _random_quotient_term(rng, variables, model, force)
-        atom = quot_eq(s) if kind == "quot_eq" else quot_prec(s)
-    lit: Formula = atom
+        t = _random_home_term(rng, variables, model, force)
+    lit: Formula = make_atom(kind, t)
     if rng.random() < 0.35:
         lit = make_not(lit)
     return lit

@@ -136,6 +136,11 @@ def test_exit_code_3_on_precondition_violations(capsys):
     assert invoke(capsys, "generic", "Q(x1)")[0] == 3  # wrong sort
 
 
+def test_decide_lists_free_variables_in_sort_key_order(capsys):
+    message = "error: not a sentence; free variables: x9, x10, u2, u10\n"
+    assert invoke(capsys, "decide", "x9 < x10 & u2 = u10") == (3, "", message)
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

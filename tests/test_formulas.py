@@ -18,9 +18,12 @@ from densepairs.errors import CaptureError, QuantifiedInputError, SortError, Unb
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     FALSE,
+    KINDS,
+    LANGUAGE,
     TRUE,
     And,
     Atom,
+    AtomKind,
     BoolConst,
     Exists,
     Forall,
@@ -30,24 +33,34 @@ from densepairs.formulas import (
     admit,
     bound_variables,
     dnf_clauses,
+    eval_atom,
     free_variables,
     ground,
     home_eq,
     home_lt,
     in_q,
     is_literal,
+    literal_parts,
     make_and,
+    make_atom,
     make_not,
     make_or,
     nnf,
+    quotient_atom,
     simplify,
     substitute,
     to_dnf,
 )
-from densepairs.model import Model, ModelElement, QuotientElement
+from densepairs.model import Model, ModelElement, QuotientElement, project, section
 from densepairs.parser import parse
-from densepairs.randgen import random_assignment, random_qf_formula
-from densepairs.terms import HomeTerm, QuotientTerm, hvar, qvar
+from densepairs.randgen import (
+    _random_home_term,
+    _random_quotient_term,
+    random_assignment,
+    random_literal,
+    random_qf_formula,
+)
+from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
 
 MODEL = Model(3)
 
@@ -155,6 +168,71 @@ def test_substitute_sort_and_capture_errors():
     bound = Exists(hvar(2), parse("x1 < x2"))
     with pytest.raises(CaptureError):
         substitute(bound, hvar(1), x(2))
+
+
+def test_capture_error_lists_variables_in_sort_key_order():
+    bound = Exists(hvar(9), Exists(hvar(10), parse("x9 < x10 & x1 < 0")))
+    with pytest.raises(CaptureError) as caught:
+        substitute(bound, hvar(1), x(9) + x(10))
+    assert str(caught.value) == "substitution would capture ['x9', 'x10']"
+
+
+def test_random_literals_draw_exactly_the_language_of_their_mode():
+    rng = random.Random(4141)
+    variables = [hvar(1), hvar(2), qvar(1)]
+    for mode in TheoryMode:
+        drawn = []
+        for _ in range(3000):
+            lit = random_literal(rng, variables, MODEL, mode)
+            assert admit(lit, mode) is lit
+            drawn.append(literal_parts(lit)[0].kind)
+        assert set(drawn) == set(LANGUAGE[mode])
+        # a quotient-sort variable is mentioned only by the mode's quotient kinds
+        quotient = [k for k in LANGUAGE[mode] if k in KINDS[Sort.QUOTIENT]]
+        if quotient:
+            forced = [random_literal(rng, variables, MODEL, mode, force=qvar(1)) for _ in range(300)]
+            assert {literal_parts(lit)[0].kind for lit in forced} == set(quotient)
+
+
+def test_make_atom_rescales_as_its_kind_allows():
+    # an equation or membership atom is the same under any nonzero rescaling,
+    # an order atom under a positive one, and a negative one turns it around
+    rng = random.Random(4242)
+    variables = [hvar(1), hvar(2), qvar(1), qvar(2)]
+    for sort, draw in ((Sort.HOME, _random_home_term), (Sort.QUOTIENT, _random_quotient_term)):
+        eq, order = KINDS[sort]
+        kinds = [eq, AtomKind.IN_Q] if sort is Sort.HOME else [eq]
+        for _ in range(1000):
+            t = draw(rng, variables, MODEL, None)
+            q = Fraction(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 7))
+            for kind in kinds:
+                assert make_atom(kind, t.scale(q)) == make_atom(kind, t)
+            assert make_atom(order, t.scale(q)) == make_atom(order, t if q > 0 else -t)
+
+
+def test_quotient_atom_says_what_its_coset_atom_says():
+    # the atom on x1 against its stand-in u99 for pi(x1), at x1 on the atom's
+    # own coset and at two seeded points
+    rng = random.Random(4343)
+    x1, u99 = hvar(1), qvar(99)
+    variables = [x1, hvar(2), qvar(1)]
+    coset_kinds = (AtomKind.IN_Q, AtomKind.QUOT_EQ, AtomKind.QUOT_PREC)
+    seen = set()
+    for _ in range(2000):
+        a = literal_parts(random_literal(rng, variables, MODEL, TheoryMode.POVS_PREC, force=x1))[0]
+        if a.kind not in coset_kinds:
+            continue
+        w = quotient_atom(a, {x1: u99})
+        for i in range(3):
+            sigma = random_assignment(rng, variables, MODEL)
+            if i == 0:
+                root = a.payload.root(x1).evaluate(sigma)
+                sigma[x1] = section(root) if isinstance(root, QuotientElement) else root
+            rest = {v: value for v, value in sigma.items() if v != x1}
+            truth = eval_atom(a, sigma)
+            assert truth == eval_atom(w, {**rest, u99: project(sigma[x1])}), (a, w, sigma)
+            seen.add((a.kind, truth))
+    assert seen == {(kind, truth) for kind in coset_kinds for truth in (True, False)}
 
 
 def test_standardize_renames_collisions():
