@@ -13,15 +13,17 @@ with its parameters left symbolic, and the same search solves those
 first, under the same assignment.
 Density does the rest -- the rational line and every one of its cosets
 is dense in the model, and only finitely many points are ever excluded,
-so a witness can be found whenever one exists.  Every returned witness
-is re-checked by evaluating the caller's literals before it is handed
-back.  A call reads each literal's atom and reading once, into the parts
-that drive its parameter check, its mode check and its search.
+so one walk over an open interval of a dense order without endpoints
+finds a witness of either sort whenever one exists; the home search walks
+the rational shifts of its coset.  Every returned witness is re-checked by
+evaluating the caller's literals before it is handed back.  A call reads
+each literal's atom and reading once, into the parts that drive its
+parameter check, its mode check and its search.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalError, ModeError, SortError
 from .evaluate import Assignment, eval_formula
@@ -32,7 +34,6 @@ from .model import (
     QuotientElement,
     compare,
     lex_compare,
-    project,
     rational_above,
     rational_below,
     rational_between,
@@ -41,14 +42,11 @@ from .model import (
 from .terms import Sort, Variable
 
 
-class _Bound:
+class _Bound(NamedTuple):
     """A strict or weak endpoint for an interval intersection."""
 
-    __slots__ = ("value", "strict")
-
-    def __init__(self, value, strict: bool):
-        self.value = value
-        self.strict = strict
+    value: ModelElement | QuotientElement
+    strict: bool
 
 
 def _tighten(current: _Bound | None, new: _Bound, cmp, side: int) -> _Bound:
@@ -68,57 +66,42 @@ def _holds(parts: list[tuple], binding: Assignment) -> bool:
     return True
 
 
+def _candidates(lo, hi, steps: tuple, count: int) -> Iterator:
+    """`count` distinct points strictly inside the open interval (lo, hi) of a
+    dense order without endpoints, an unbounded end given as None.  `steps` is
+    the sort's (point between two ends, point above a lower end, point below
+    an upper end, unit): between two ends each point lies between lo and the
+    one before; from one end, or from 0, the walk steps away by the unit."""
+    between, above, below, unit = steps
+    if lo is not None and hi is not None:
+        for _ in range(count):
+            hi = between(lo, hi)
+            yield hi
+        return
+    if hi is not None:
+        point, unit = below(hi), -unit
+    else:
+        point = unit.scale(0) if lo is None else above(lo)
+    for _ in range(count):
+        yield point
+        point = point + unit
+
+
 _QUNIT = QuotientElement({2: 1})
-
-
-def _quotient_candidates(
-    lower: _Bound | None, upper: _Bound | None, count: int
-) -> Iterator[QuotientElement]:
-    """Distinct candidates inside an open interval of the ordered quotient.
-
-    The order is dense and has no endpoints, so midpoints and unit
-    shifts always stay strictly inside.
-    """
-    if lower is not None and upper is not None:
-        lo, hi = lower.value, upper.value
-        for _ in range(count):
-            mid = (lo + hi).scale(HALF)
-            yield mid
-            hi = mid
-    elif lower is not None:
-        for k in range(1, count + 1):
-            yield lower.value + _QUNIT.scale(k)
-    elif upper is not None:
-        for k in range(1, count + 1):
-            yield upper.value - _QUNIT.scale(k)
-    else:
-        for k in range(count):
-            yield _QUNIT.scale(k)
-
-
-def _home_candidates(
-    lower: _Bound | None, upper: _Bound | None, base: ModelElement, count: int
-) -> Iterator[ModelElement]:
-    """Distinct elements of the coset base + Q inside an open home interval."""
-    shift_lo = None if lower is None else lower.value - base
-    shift_hi = None if upper is None else upper.value - base
-    if shift_lo is not None and shift_hi is not None:
-        hi_bound = shift_hi
-        for _ in range(count):
-            q = rational_between(shift_lo, hi_bound)
-            yield base + ModelElement.from_rational(q)
-            hi_bound = ModelElement.from_rational(q)
-    elif shift_lo is not None:
-        q = rational_above(shift_lo)
-        for k in range(count):
-            yield base + ModelElement.from_rational(q + k)
-    elif shift_hi is not None:
-        q = rational_below(shift_hi)
-        for k in range(count):
-            yield base + ModelElement.from_rational(q - k)
-    else:
-        for k in range(count):
-            yield base + ModelElement.from_rational(k)
+# the quotient is walked by midpoints and shifts by pi(r2); the home search
+# walks the rational shifts of its coset, so its points are rationals
+_QUOTIENT_STEPS = (
+    lambda lo, hi: (lo + hi).scale(HALF),
+    lambda lo: lo + _QUNIT,
+    lambda hi: hi - _QUNIT,
+    _QUNIT,
+)
+_HOME_STEPS = (
+    lambda lo, hi: ModelElement.from_rational(rational_between(lo, hi)),
+    lambda lo: ModelElement.from_rational(rational_above(lo)),
+    lambda hi: ModelElement.from_rational(rational_below(hi)),
+    ModelElement.from_rational(1),
+)
 
 
 # the unknown coset pi(v) of a home-sort search, at an index that no parsed
@@ -197,19 +180,20 @@ def _solve(
         ok = _holds(parts, {**assignment, v: pinned})
         return (True, pinned) if ok else (False, None)
 
+    lo = None if lower is None else lower.value
+    hi = None if upper is None else upper.value
+    steps = _QUOTIENT_STEPS
     if home:
         ok, coset = _solve(coset_parts, _COSET, assignment)
         if not ok:
             return False, None
-        on_coset = set()
-        for p in excluded:
-            if project(p) == coset:
-                on_coset.add(p)
-        excluded = on_coset
-        candidates = _home_candidates(lower, upper, section(coset), len(excluded) + 1)
-    else:
-        candidates = _quotient_candidates(lower, upper, len(excluded) + 1)
-    for candidate in candidates:
+        # the walk stays on the coset, so an excluded point off it is never met
+        base, steps = section(coset), _HOME_STEPS
+        lo = None if lo is None else lo - base
+        hi = None if hi is None else hi - base
+    for candidate in _candidates(lo, hi, steps, len(excluded) + 1):
+        if home:
+            candidate = base + candidate
         if candidate not in excluded:
             if not _holds(parts, {**assignment, v: candidate}):
                 raise InternalError(f"{v.sort.value} witness failed re-evaluation")

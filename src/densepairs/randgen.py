@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import ModeError
 from .formulas import KINDS, LANGUAGE, Formula, TheoryMode, make_and, make_atom, make_not, make_or
 from .model import Model, ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
@@ -97,6 +98,8 @@ def random_literal(
     kinds, quotient = LANGUAGE[mode], KINDS[Sort.QUOTIENT]
     if force is not None and force.sort is Sort.QUOTIENT:
         kinds = [k for k in kinds if k in quotient]
+        if not kinds:
+            raise ModeError(f"{force} has no atom kind in the language of theory mode {mode.value}")
     kind = rng.choice(kinds)
     if kind in quotient:
         t = _random_quotient_term(rng, variables, model, force)

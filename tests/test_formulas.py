@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densepairs.errors import CaptureError, QuantifiedInputError, SortError, UnboundVariableError
+from densepairs.errors import CaptureError, ModeError, QuantifiedInputError, SortError, UnboundVariableError
 from densepairs.evaluate import eval_formula
 from densepairs.formulas import (
     FALSE,
@@ -192,6 +192,27 @@ def test_random_literals_draw_exactly_the_language_of_their_mode():
         if quotient:
             forced = [random_literal(rng, variables, MODEL, mode, force=qvar(1)) for _ in range(300)]
             assert {literal_parts(lit)[0].kind for lit in forced} == set(quotient)
+
+
+def test_a_quotient_force_in_a_mode_without_quotient_kinds_is_a_mode_error():
+    # ovs has no quotient atom kind, so no literal of it mentions u1
+    with pytest.raises(ModeError, match="ovs"):
+        random_literal(random.Random(1), [qvar(1)], MODEL, TheoryMode.OVS, force=qvar(1))
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        (AtomKind.HOME_EQ, QuotientTerm({qvar(1): 1})),
+        (AtomKind.IN_Q, QuotientTerm({qvar(1): 1})),
+        (AtomKind.QUOT_EQ, HomeTerm({hvar(1): 1})),
+        (AtomKind.QUOT_PREC, HomeTerm({hvar(1): 1})),
+    ],
+)
+def test_an_atom_refuses_a_payload_of_the_other_sort(kind, payload):
+    message = f"{kind.value} atom with {type(payload).__name__} payload"
+    with pytest.raises(SortError, match=f"^{message}$"):
+        Atom(kind, payload)
 
 
 def test_make_atom_rescales_as_its_kind_allows():

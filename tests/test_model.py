@@ -176,6 +176,14 @@ def test_rational_between_and_bounds():
     assert compare(a, ModelElement.from_rational(rational_above(a))) < 0
 
 
+def test_rational_between_refines_enclosures_that_overlap():
+    a = mel(r2=1)
+    b = a + mel(rat=Fraction(1, 2**40))
+    assert b.enclosure(32)[0] <= a.enclosure(32)[1]  # 32 bits do not separate them
+    q = ModelElement.from_rational(rational_between(a, b))
+    assert compare(a, q) < 0 and compare(q, b) < 0
+
+
 @pytest.mark.parametrize("a, b", [(mel(r2=1), mel(r2=1)), (mel(rat=2), mel(rat=1))])
 def test_rational_between_refuses_unordered_ends(a, b):
     # no enclosure separates equal values, or puts a below a larger b
@@ -223,6 +231,19 @@ def test_from_json_refuses_malformed_entries_with_value_error():
         for cls in (ModelElement, QuotientElement):
             with pytest.raises(ValueError):
                 cls.from_json(data)
+
+
+def test_quotient_elements_refuse_the_rational_key():
+    with pytest.raises(ValueError, match="radicand below 2"):
+        QuotientElement({0: 1})
+    with pytest.raises(ValueError, match="radicand below 2"):
+        QuotientElement.from_json({"0": "1"})
+
+
+def test_rational_reads_an_element_on_the_rational_line():
+    assert mel(r2=1).rational() is None
+    assert mel(rat=Fraction(3, 4)).rational() == Fraction(3, 4)
+    assert ModelElement().rational() == 0
 
 
 def test_constructors_refuse_a_zero_denominator_with_value_error():

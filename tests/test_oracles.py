@@ -309,6 +309,9 @@ def test_oracle_calls_after_the_first_compile_and_build_no_term(monkeypatch, mod
 # Oracle outputs pinned at the commit before the two witness searches became
 # one.  Witnesses compare by value (`to_json()`, sorted keys): a witness's
 # coefficient dict may be built in another order and still be the same element.
+# The last nine rows, one walk past an excluded point for each sort and each
+# shape of interval, were pinned at the commit before the candidate walks
+# became one.
 GOLDEN_ORACLE_CASES = [
     # (theory, bound, literals, assignment, verdict, witness)
     ("ovs", "x1", ["x1 = 2*x2 + 1", "x1 < 3"],
@@ -339,6 +342,15 @@ GOLDEN_ORACLE_CASES = [
      {"x2": "r2", "u1": "pi(r3)"}, False, None),
     ("povs-prec", "x1", ["u1 prec pi(x1)", "pi(x1) prec u2", "x1 < 0", "x1 != -1"],
      {"u1": "pi(r3)", "u2": "pi(r2)"}, True, {"0": "-3", "2": "1/2", "3": "1/2"}),
+    ("povs", "x1", ["1/3 < x1", "x1 < 1/2", "x1 != 5/12"], {}, True, {"0": "3/8"}),
+    ("povs", "x1", ["r2 < x1", "x1 < r2 + 1", "Q(x1 - r2)", "x1 != r2 + 1/2"], {}, True, {"0": "1/4", "2": "1"}),
+    ("povs", "x1", ["r3 < x1", "!Q(x1)", "pi(x1) != pi(r2)", "x1 != 2*r2"], {}, True, {"0": "1", "2": "2"}),
+    ("povs", "x1", ["x1 < r5", "pi(x1) = pi(r3)", "x1 != r3 - 1"], {}, True, {"0": "-2", "3": "1"}),
+    ("povs", "x1", ["x1 != 0", "x1 != 1", "Q(x1)"], {}, True, {"0": "2"}),
+    ("povs-prec", "u1", ["pi(r3) prec u1", "u1 prec pi(r2)", "u1 != pi(1/2*r2 + 1/2*r3)"], {}, True, {"2": "1/4", "3": "3/4"}),
+    ("povs-prec", "u1", ["pi(r2) prec u1", "u1 != pi(2*r2)"], {}, True, {"2": "3"}),
+    ("povs-prec", "u1", ["u1 prec pi(r3)", "u1 != pi(r3 - r2)"], {}, True, {"2": "-2", "3": "1"}),
+    ("povs", "u1", ["u1 != 0", "u1 != pi(r2)"], {}, True, {"2": "2"}),
 ]
 
 
