@@ -34,10 +34,10 @@ from .decomposition import Decomposition, _sweep, decompose, sign_table
 from .errors import ArityError, InternalError, NotFunctionalError
 from .evaluate import Assignment, atoms
 from .formulas import (
+    _HOME_EQ,
     KINDS,
     And,
     Atom,
-    AtomKind,
     Exists,
     Formula,
     Or,
@@ -139,7 +139,7 @@ def _pinned(d: Formula, y: Variable, terms: list) -> bool:
     """Whether a conjunct of d is an equation putting y on a listed line term:
     then every point of d lies on that line."""
     for c in d.children if type(d) is And else (d,):
-        if type(c) is Atom and c.kind is AtomKind.HOME_EQ and c.payload.coeff_sign(y):
+        if type(c) is Atom and c.kind is _HOME_EQ and c.payload.coeff_sign(y):
             if c.payload.root(y) in terms:
                 return True
     return False

@@ -2,7 +2,9 @@
 
 Everything here draws only from an explicit random.Random, so a fixed
 seed reproduces the same formulas, assignments, and verdicts bit for
-bit across runs and platforms.
+bit across runs and platforms.  One term draw, `_random_term`, serves
+both sorts: a home term on the home variables, a quotient term on all of
+them, the home ones under pi.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ModeError
-from .formulas import KINDS, LANGUAGE, Formula, TheoryMode, make_and, make_atom, make_not, make_or
+from .formulas import (
+    KINDS, LANGUAGE, Exists, Forall, Formula, TheoryMode, make_and, make_atom, make_not, make_or
+)
 from .model import Model, ModelElement, QuotientElement
 from .terms import HomeTerm, QuotientTerm, Sort, Variable
 
@@ -44,46 +48,30 @@ def random_assignment(rng: random.Random, variables: Sequence[Variable], model: 
     return out
 
 
-def _random_home_term(
-    rng: random.Random, variables: Sequence[Variable], model: Model, force: Variable | None
-) -> HomeTerm:
+def _random_term(
+    rng: random.Random,
+    variables: Sequence[Variable],
+    model: Model,
+    force: Variable | None,
+    sort: Sort,
+) -> HomeTerm | QuotientTerm:
+    """A random term of `sort`, mentioning `force` if given."""
+    home = sort is Sort.HOME
     coeffs = {}
     for v in variables:
-        if v.sort is Sort.HOME and rng.random() < 0.5:
+        if (not home or v.sort is Sort.HOME) and rng.random() < 0.5:
             c = rng.randint(-3, 3)
             if c:
                 coeffs[v] = Fraction(c)
     if force is not None:
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
-        coeffs[force] = Fraction(c)
-    constant = random_element(rng, model, 2) if rng.random() < 0.7 else ModelElement()
-    return HomeTerm(coeffs, constant)
-
-
-def _random_quotient_term(
-    rng: random.Random, variables: Sequence[Variable], model: Model, force: Variable | None
-) -> QuotientTerm:
-    coeffs = {}
-    pushed = {}
-    for v in variables:
-        if rng.random() < 0.5:
-            c = rng.randint(-3, 3)
-            if not c:
-                continue
-            if v.sort is Sort.QUOTIENT:
-                coeffs[v] = Fraction(c)
-            else:
-                pushed[v] = Fraction(c)
-    if force is not None:
-        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        if force.sort is Sort.QUOTIENT:
-            coeffs[force] = c
-        else:
-            pushed[force] = c
-    constant = (
-        random_quotient_element(rng, model, 2) if rng.random() < 0.5 else QuotientElement()
-    )
-    return QuotientTerm(coeffs, HomeTerm(pushed), constant)
+        coeffs[force] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    if home:
+        constant = random_element(rng, model, 2) if rng.random() < 0.7 else ModelElement()
+        return HomeTerm(coeffs, constant)
+    constant = random_quotient_element(rng, model, 2) if rng.random() < 0.5 else QuotientElement()
+    own = {v: c for v, c in coeffs.items() if v.sort is Sort.QUOTIENT}
+    pushed = {v: c for v, c in coeffs.items() if v.sort is Sort.HOME}
+    return QuotientTerm(own, HomeTerm(pushed), constant)
 
 
 def random_literal(
@@ -101,11 +89,8 @@ def random_literal(
         if not kinds:
             raise ModeError(f"{force} has no atom kind in the language of theory mode {mode.value}")
     kind = rng.choice(kinds)
-    if kind in quotient:
-        t = _random_quotient_term(rng, variables, model, force)
-    else:
-        t = _random_home_term(rng, variables, model, force)
-    lit: Formula = make_atom(kind, t)
+    sort = Sort.QUOTIENT if kind in quotient else Sort.HOME
+    lit: Formula = make_atom(kind, _random_term(rng, variables, model, force, sort))
     if rng.random() < 0.35:
         lit = make_not(lit)
     return lit
@@ -158,8 +143,6 @@ def random_quantified_formula(
     free_quotient: int = 1,
 ) -> Formula:
     """A prefix of alternating-ish quantifiers over both sorts."""
-    from .formulas import Exists, Forall
-
     if mode is TheoryMode.OVS:
         free_quotient = 0
     bound_vars = []
@@ -171,7 +154,7 @@ def random_quantified_formula(
     ]
     body = random_qf_formula(rng, bound_vars + context, model, mode, depth=2)
     f = body
-    for i, v in enumerate(reversed(bound_vars)):
+    for v in reversed(bound_vars):
         if rng.random() < 0.5:
             f = Exists(v, f)
         else:

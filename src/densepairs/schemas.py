@@ -1,6 +1,23 @@
-"""Published JSON schemas for machine-readable CLI output."""
+"""Published JSON schemas: the CLI's `--format json` output and, in
+`BUCKET_REPORT_SCHEMA`, `BucketReport.to_json`, which no command writes.
+
+Every object is a closed record (`_record`), with exactly its fields, each
+required, save the maps keyed by pattern: an element's basis indices and a
+bucket entry's parameters, which admit no key outside their pattern.
+"""
 
 RATIONAL_PATTERN = r"^-?\d+(/\d+)?$"
+
+
+def _record(**fields) -> dict:
+    """A closed record: an object with exactly these fields, each required."""
+    return {
+        "type": "object",
+        "properties": fields,
+        "required": list(fields),
+        "additionalProperties": False,
+    }
+
 
 ELEMENT_SCHEMA = {
     "type": "object",
@@ -15,138 +32,78 @@ ENDPOINT_SCHEMA = {
     ]
 }
 
-PIECE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "a": ENDPOINT_SCHEMA,
-        "b": ENDPOINT_SCHEMA,
-        "polarity": {"type": "string", "enum": ["finite", "cofinite"]},
-        "cosets": {"type": "array", "items": ELEMENT_SCHEMA},
-    },
-    "required": ["a", "b", "polarity", "cosets"],
-    "additionalProperties": False,
-}
+PIECE_SCHEMA = _record(
+    a=ENDPOINT_SCHEMA,
+    b=ENDPOINT_SCHEMA,
+    polarity={"type": "string", "enum": ["finite", "cofinite"]},
+    cosets={"type": "array", "items": ELEMENT_SCHEMA},
+)
 
-DECOMPOSITION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "points": {"type": "array", "items": ELEMENT_SCHEMA},
-        "pieces": {"type": "array", "items": PIECE_SCHEMA},
-    },
-    "required": ["points", "pieces"],
-    "additionalProperties": False,
-}
+DECOMPOSITION_SCHEMA = _record(
+    points={"type": "array", "items": ELEMENT_SCHEMA},
+    pieces={"type": "array", "items": PIECE_SCHEMA},
+)
 
-UNARY_SET_CODE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "frontier": {"type": "array", "items": ELEMENT_SCHEMA},
-        "pieces": {"type": "array", "items": PIECE_SCHEMA},
-    },
-    "required": ["frontier", "pieces"],
-    "additionalProperties": False,
-}
+UNARY_SET_CODE_SCHEMA = _record(
+    frontier={"type": "array", "items": ELEMENT_SCHEMA},
+    pieces={"type": "array", "items": PIECE_SCHEMA},
+)
 
-FUNCTION_CODE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "exceptional": {
+FUNCTION_CODE_SCHEMA = _record(
+    exceptional={
+        "type": "array",
+        "items": {
             "type": "array",
-            "items": {
-                "type": "array",
-                "items": ELEMENT_SCHEMA,
-                "minItems": 2,
-                "maxItems": 2,
-            },
+            "items": ELEMENT_SCHEMA,
+            "minItems": 2,
+            "maxItems": 2,
         },
-        "pieces": {
-            "type": "array",
-            "items": {
+    },
+    pieces={
+        "type": "array",
+        "items": _record(
+            slope={"type": "string", "pattern": RATIONAL_PATTERN},
+            intercept=ELEMENT_SCHEMA,
+            domain=UNARY_SET_CODE_SCHEMA,
+        ),
+    },
+)
+
+MEASURE_SCHEMA = _record(
+    exact=ELEMENT_SCHEMA,
+    text={"type": "string"},
+    decimal={"type": "string"},
+)
+
+BUCKET_REPORT_SCHEMA = _record(
+    k={"type": "integer", "minimum": 1},
+    assignments={
+        "type": "array",
+        "items": _record(
+            params={
                 "type": "object",
-                "properties": {
-                    "slope": {"type": "string", "pattern": RATIONAL_PATTERN},
-                    "intercept": ELEMENT_SCHEMA,
-                    "domain": UNARY_SET_CODE_SCHEMA,
-                },
-                "required": ["slope", "intercept", "domain"],
+                "patternProperties": {r"^[xu]\d+$": ELEMENT_SCHEMA},
                 "additionalProperties": False,
             },
-        },
+            bucket={"type": "integer", "minimum": 1},
+            measure=ELEMENT_SCHEMA,
+        ),
     },
-    "required": ["exceptional", "pieces"],
-    "additionalProperties": False,
-}
+)
 
-MEASURE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "exact": ELEMENT_SCHEMA,
-        "text": {"type": "string"},
-        "decimal": {"type": "string"},
-    },
-    "required": ["exact", "text", "decimal"],
-    "additionalProperties": False,
-}
+BOOL_RESULT_SCHEMA = _record(result={"type": "boolean"})
 
-BUCKET_REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "k": {"type": "integer", "minimum": 1},
-        "assignments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "params": {
-                        "type": "object",
-                        "patternProperties": {r"^[xu]\d+$": ELEMENT_SCHEMA},
-                        "additionalProperties": False,
-                    },
-                    "bucket": {"type": "integer", "minimum": 1},
-                    "measure": ELEMENT_SCHEMA,
-                },
-                "required": ["params", "bucket", "measure"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["k", "assignments"],
-    "additionalProperties": False,
-}
+FORMULA_RESULT_SCHEMA = _record(formula={"type": "string"})
 
-BOOL_RESULT_SCHEMA = {
-    "type": "object",
-    "properties": {"result": {"type": "boolean"}},
-    "required": ["result"],
-    "additionalProperties": False,
-}
+SPLIT_SCHEMA = _record(
+    home={"type": ["string", "null"]},
+    quotient={"type": ["string", "null"]},
+)
 
-FORMULA_RESULT_SCHEMA = {
-    "type": "object",
-    "properties": {"formula": {"type": "string"}},
-    "required": ["formula"],
-    "additionalProperties": False,
-}
-
-SPLIT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "home": {"type": ["string", "null"]},
-        "quotient": {"type": ["string", "null"]},
-    },
-    "required": ["home", "quotient"],
-    "additionalProperties": False,
-}
-
-ORACLE_CHECK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer"},
-        "count": {"type": "integer", "minimum": 0},
-        "checks": {"type": "integer", "minimum": 0},
-        "agreements": {"type": "integer", "minimum": 0},
-        "disagreements": {"type": "integer", "minimum": 0},
-    },
-    "required": ["seed", "count", "checks", "agreements", "disagreements"],
-    "additionalProperties": False,
-}
+ORACLE_CHECK_SCHEMA = _record(
+    seed={"type": "integer"},
+    count={"type": "integer", "minimum": 0},
+    checks={"type": "integer", "minimum": 0},
+    agreements={"type": "integer", "minimum": 0},
+    disagreements={"type": "integer", "minimum": 0},
+)

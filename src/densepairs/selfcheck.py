@@ -9,6 +9,7 @@ verdict.  This module sits above both, which never import each other.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .evaluate import eval_formula
 from .formulas import TheoryMode
@@ -36,18 +37,15 @@ def selfcheck(seed: int, count: int, mode: TheoryMode, model: Model) -> dict:
             context.append(Variable(Sort.QUOTIENT, 1))
         literals = random_conjunction(rng, bound, context, model, mode)
         if bound_sort is Sort.HOME:
-            eliminated = eliminate_exists_home(literals, bound, mode)
+            eliminate, oracle = eliminate_exists_home, oracle_exists_home
         else:
-            eliminated = eliminate_exists_quotient(literals, bound, mode)
+            eliminate = eliminate_exists_quotient
+            oracle = partial(oracle_exists_quotient, ordered=mode is TheoryMode.POVS_PREC)
+        eliminated = eliminate(literals, bound, mode)
         for _ in range(ASSIGNMENTS_PER_INSTANCE):
             sigma = random_assignment(rng, context, model)
             symbolic = eval_formula(eliminated, sigma)
-            if bound_sort is Sort.HOME:
-                concrete = oracle_exists_home(literals, bound, sigma)[0]
-            else:
-                concrete = oracle_exists_quotient(
-                    literals, bound, sigma, ordered=(mode is TheoryMode.POVS_PREC)
-                )[0]
+            concrete = oracle(literals, bound, sigma)[0]
             checks += 1
             agreements += symbolic == concrete
     return {

@@ -13,6 +13,9 @@ import pytest
 
 from densepairs import schemas
 from densepairs.cli import _build_parser, run
+from densepairs.measure import bucket_partition
+from densepairs.parser import parse, parse_element
+from densepairs.terms import hvar
 
 
 def invoke(capsys, *argv):
@@ -224,6 +227,60 @@ def test_every_command_json_output_validates(capsys):
         code, out, _ = invoke(capsys, argv[0], "--format", "json", *argv[1:])
         assert code == 0, argv
         jsonschema.validate(json.loads(out), schema)
+
+
+def _records(instance, schema):
+    """Each (object, record schema) pair of an instance, outermost first."""
+    if "properties" in schema:
+        yield instance, schema
+        for key, sub in schema["properties"].items():
+            yield from _records(instance[key], sub)
+    elif schema.get("type") == "array":
+        for item in instance:
+            yield from _records(item, schema["items"])
+
+
+def test_every_published_record_is_closed(capsys):
+    # valid output is not enough: at every record of every published schema,
+    # one field too many or one too few must be refused
+    decomposed = "(x1 < 0 | x1 = 1 | Q(x1 - r2)) & !(x1 = -1)"
+    cases = [
+        (["qe", "E x1. x1 < x2"], schemas.FORMULA_RESULT_SCHEMA),
+        (["decide", "Q(1)"], schemas.BOOL_RESULT_SCHEMA),
+        (["decompose", decomposed], schemas.DECOMPOSITION_SCHEMA),
+        (["measure", "0 < x1 & x1 < r2"], schemas.MEASURE_SCHEMA),
+        (["code-set", decomposed], schemas.UNARY_SET_CODE_SCHEMA),
+        (
+            ["code-fn", "(x1 < 0 & x2 = -x1) | (0 < x1 & x2 = x1) | (x1 = 0 & x2 = 5)"],
+            schemas.FUNCTION_CODE_SCHEMA,
+        ),
+        (["split", "Q(2*x1 - x2)"], schemas.SPLIT_SCHEMA),
+        (["oracle-check", "--seed", "1", "--count", "5"], schemas.ORACLE_CHECK_SCHEMA),
+    ]
+    documents = []
+    for argv, schema in cases:
+        code, out, _ = invoke(capsys, argv[0], "--format", "json", *argv[1:])
+        assert code == 0, argv
+        documents.append((json.loads(out), schema))
+    params = [{hvar(2): parse_element("1/4")}, {hvar(2): parse_element("r2 - 1")}]
+    report = bucket_partition(parse("0 < x1 & x1 < x2"), hvar(1), params, 10)
+    documents.append((report.to_json(), schemas.BUCKET_REPORT_SCHEMA))
+    reached = set()
+    for document, schema in documents:
+        jsonschema.validate(document, schema)
+        for obj, record in _records(document, schema):
+            reached.add(id(record))
+            obj["extra"] = True
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(document, schema)
+            del obj["extra"]
+            for field in record["properties"]:
+                value = obj.pop(field)
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(document, schema)
+                obj[field] = value
+        jsonschema.validate(document, schema)
+    assert len(reached) == 12
 
 
 # Exact outputs pinned at the commit before set codes became decompositions:

@@ -54,11 +54,12 @@ from densepairs.formulas import (
 from densepairs.model import Model, ModelElement, QuotientElement, project, section
 from densepairs.parser import parse
 from densepairs.randgen import (
-    _random_home_term,
-    _random_quotient_term,
+    _random_term,
     random_assignment,
+    random_conjunction,
     random_literal,
     random_qf_formula,
+    random_quantified_formula,
 )
 from densepairs.terms import HomeTerm, QuotientTerm, Sort, hvar, qvar
 
@@ -200,6 +201,40 @@ def test_a_quotient_force_in_a_mode_without_quotient_kinds_is_a_mode_error():
         random_literal(random.Random(1), [qvar(1)], MODEL, TheoryMode.OVS, force=qvar(1))
 
 
+# randgen promises the same draws bit for bit across runs and platforms, and
+# every seeded corpus and self-check rests on that: this is their sha256
+SEEDED_DRAWS_SHA256 = "bab0ad1dea587b4bd7a5b2f6e8c859390d2a3ddf554d7f4a2d7b376bfebc7b33"
+
+
+def test_seeded_draws_are_pinned_and_a_forced_literal_mentions_its_force():
+    h = hashlib.sha256()
+    homes, quotients = [hvar(1), hvar(2), hvar(3)], [qvar(1), qvar(2)]
+    variables = homes + quotients
+    for seed in range(100):
+        rng = random.Random(seed)
+        mode = list(TheoryMode)[seed % 3]
+        model = Model(3 + seed % 3)
+        forces = (None, hvar(1)) if mode is TheoryMode.OVS else (None, hvar(1), qvar(1))
+        for force in forces:
+            for _ in range(10):
+                lit = random_literal(rng, variables, model, mode, force)
+                payload = literal_parts(lit)[0].payload
+                assert payload.variables() <= set(variables), lit
+                assert force is None or payload.coeff_sign(force) != 0, lit
+                h.update(f"{lit}|{payload!r}\n".encode())
+        context = homes[1:] + (quotients if mode is not TheoryMode.OVS else [])
+        for lit in random_conjunction(rng, hvar(1), context, model, mode):
+            h.update(f"{lit}\n".encode())
+        for _ in range(3):
+            h.update(f"{random_qf_formula(rng, variables, model, mode)}\n".encode())
+        h.update(f"{random_quantified_formula(rng, model, mode)}\n".encode())
+        for _ in range(2):
+            sigma = random_assignment(rng, variables, model)
+            h.update(f"{[sigma[v] for v in variables]!r}\n".encode())
+        h.update(f"{rng.random()!r}\n".encode())
+    assert h.hexdigest() == SEEDED_DRAWS_SHA256
+
+
 @pytest.mark.parametrize(
     "kind, payload",
     [
@@ -220,11 +255,11 @@ def test_make_atom_rescales_as_its_kind_allows():
     # an order atom under a positive one, and a negative one turns it around
     rng = random.Random(4242)
     variables = [hvar(1), hvar(2), qvar(1), qvar(2)]
-    for sort, draw in ((Sort.HOME, _random_home_term), (Sort.QUOTIENT, _random_quotient_term)):
+    for sort in (Sort.HOME, Sort.QUOTIENT):
         eq, order = KINDS[sort]
         kinds = [eq, AtomKind.IN_Q] if sort is Sort.HOME else [eq]
         for _ in range(1000):
-            t = draw(rng, variables, MODEL, None)
+            t = _random_term(rng, variables, MODEL, None, sort)
             q = Fraction(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 7))
             for kind in kinds:
                 assert make_atom(kind, t.scale(q)) == make_atom(kind, t)
