@@ -10,7 +10,9 @@ order literals cut the line (or the ordered quotient) down to an open
 interval.  For a home-sort v, membership and quotient atoms constrain
 only the coset of v; each is read as an atom on a stand-in for pi(v),
 with its parameters left symbolic, and the same search solves those
-first, under the same assignment.
+first, under the same assignment.  A positive equation on v makes the
+search one check of the point it names: the first in literal order has its
+root evaluated, no other root is, and the caller's literals are read there.
 Density does the rest -- the rational line and every one of its cosets
 is dense in the model, and only finitely many points are ever excluded,
 so one walk over an open interval of a dense order without endpoints
@@ -145,9 +147,13 @@ def _solve(
 ) -> tuple[bool, ModelElement | QuotientElement | None]:
     """Search for a value of v satisfying the literals of parts (see `_parts`)
     whose parameters are bound."""
+    for _, _, positive, (_, _, root, side, _) in parts:
+        if positive and side == 0:
+            # the first equation on v names the one candidate; no other root is read
+            pinned = root.evaluate(assignment)
+            return (True, pinned) if _holds(parts, {**assignment, v: pinned}) else (False, None)
     home = v.sort is Sort.HOME
     cmp = compare if home else lex_compare
-    pinned = None
     bounds: dict[int, _Bound | None] = {-1: None, 1: None}
     excluded = set()
     coset_parts: list[tuple] = []
@@ -164,21 +170,17 @@ def _solve(
             # a negated order literal bounds v weakly from the other side
             side = side if positive else -side
             bounds[side] = _tighten(bounds[side], _Bound(point, positive), cmp, side)
-        elif not positive:
+        else:  # a disequation: an equation on v returned above
             excluded.add(point)
-        elif pinned is None:
-            pinned = point
 
     lower, upper = bounds[-1], bounds[1]
-    if pinned is None and lower is not None and upper is not None:
+    if lower is not None and upper is not None:
         c = cmp(lower.value, upper.value)
         if c > 0 or (c == 0 and (lower.strict or upper.strict)):
             return False, None
         if c == 0:
             pinned = lower.value
-    if pinned is not None:
-        ok = _holds(parts, {**assignment, v: pinned})
-        return (True, pinned) if ok else (False, None)
+            return (True, pinned) if _holds(parts, {**assignment, v: pinned}) else (False, None)
 
     lo = None if lower is None else lower.value
     hi = None if upper is None else upper.value

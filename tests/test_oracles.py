@@ -306,12 +306,46 @@ def test_oracle_calls_after_the_first_compile_and_build_no_term(monkeypatch, mod
         assert counts == {"term": 0}, [str(lit) for lit in literals]
 
 
+@pytest.mark.parametrize(
+    "theory, bound, texts, sigma_texts, roots",
+    [
+        ("povs", "x1", ["x1 = x2 + 1", "x2 < x1", "x1 < x3", "x1 != 0"], {"x2": "1/2", "x3": "2"}, 1),
+        ("povs-prec", "u1", ["u2 prec u1", "u1 = u2 + pi(x2)", "u1 != pi(r3)", "u1 prec u3"],
+         {"u2": "pi(r2)", "x2": "r3", "u3": "pi(r2 + 2*r3)"}, 1),
+        ("povs", "x1", ["x2 < x1", "x1 < x3", "x1 != 0", "x1 != x3 - 1"], {"x2": "0", "x3": "1"}, 4),
+    ],
+    ids=["home pinned", "quotient pinned", "home unpinned"],
+)
+def test_a_pinned_search_evaluates_one_root_and_an_unpinned_one_each_root_once(
+    monkeypatch, theory, bound, texts, sigma_texts, roots
+):
+    # a work count, not a time: an equation on v names the only candidate, so
+    # the search reads its root alone; without one, each root is read once
+    mode = TheoryMode(theory)
+    literals, v = lits(*texts, mode=mode), _var(bound)
+    sigma = {_var(name): _element(name, value) for name, value in sigma_texts.items()}
+    counts = {"evaluate": 0}
+    for cls in (terms.HomeTerm, terms.QuotientTerm):
+        def counted(self, assignment, evaluate=cls.evaluate):
+            counts["evaluate"] += 1
+            return evaluate(self, assignment)
+
+        monkeypatch.setattr(cls, "evaluate", counted)
+    for _ in ("cold", "warm"):
+        counts.update(evaluate=0)
+        ok, w = _call_oracle(literals, v, sigma, mode)
+        assert ok and eval_formula(make_and(literals), {**sigma, v: w})
+        assert counts == {"evaluate": roots}
+
+
 # Oracle outputs pinned at the commit before the two witness searches became
 # one.  Witnesses compare by value (`to_json()`, sorted keys): a witness's
 # coefficient dict may be built in another order and still be the same element.
-# The last nine rows, one walk past an excluded point for each sort and each
-# shape of interval, were pinned at the commit before the candidate walks
-# became one.
+# The last nine rows before the equation cases, one walk past an excluded point
+# for each sort and each shape of interval, were pinned at the commit before the
+# candidate walks became one.  The last six, each with an equation on the bound
+# variable, were pinned at the commit before an equation's point was checked
+# ahead of every other root.
 GOLDEN_ORACLE_CASES = [
     # (theory, bound, literals, assignment, verdict, witness)
     ("ovs", "x1", ["x1 = 2*x2 + 1", "x1 < 3"],
@@ -351,6 +385,13 @@ GOLDEN_ORACLE_CASES = [
     ("povs-prec", "u1", ["pi(r2) prec u1", "u1 != pi(2*r2)"], {}, True, {"2": "3"}),
     ("povs-prec", "u1", ["u1 prec pi(r3)", "u1 != pi(r3 - r2)"], {}, True, {"2": "-2", "3": "1"}),
     ("povs", "u1", ["u1 != 0", "u1 != pi(r2)"], {}, True, {"2": "2"}),
+    ("ovs", "x1", ["x1 = x2 + 1", "x1 = 2*x2"], {"x2": "r2"}, False, None),
+    ("ovs", "x1", ["x2 < 0", "x1 = x2"], {"x2": "1"}, False, None),
+    ("povs", "x1", ["x1 = 1/2*x2", "x3 < x1", "x1 < x2"], {"x2": "1", "x3": "1"}, False, None),
+    ("povs", "x1", ["Q(x1)", "x1 = x2 + 1/2", "x1 < 2"], {"x2": "r3 - 1"}, False, None),
+    ("povs", "x1", ["2*x1 = x2", "x1 < 2", "x1 = x3"], {"x2": "2*r2", "x3": "r2"}, True, {"2": "1"}),
+    ("povs-prec", "u1", ["u2 prec u1", "u1 = u2 + pi(x2)", "u1 != pi(r3)", "u1 prec u3"],
+     {"u2": "pi(r2)", "x2": "r3", "u3": "pi(r2 + 2*r3)"}, True, {"2": "1", "3": "1"}),
 ]
 
 
