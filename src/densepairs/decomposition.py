@@ -33,7 +33,7 @@ from typing import Callable
 
 from .errors import ArityError
 from .evaluate import Assignment, atoms, run
-from .formulas import _HOME_EQ, _HOME_LT, _IN_Q, KINDS, Atom, Formula, TheoryMode, eval_atom, ground
+from .formulas import _HOME_LT, _IN_Q, KINDS, Atom, Formula, TheoryMode, eval_atom, ground
 from .model import (
     ModelElement,
     QuotientElement,
@@ -225,37 +225,62 @@ def sign_table(
     constant).  An atom on v holds or fails by where v sits against its root
     in the other variables: an order atom by the rank of v against that
     endpoint and the sign of v's coefficient, a coset atom by whether v lies
-    in the one coset the root names.  Each assignment then evaluates only the
-    roots and the atoms without v and sorts the endpoints; holds runs g's one
-    evaluation plan over the truth table this gives.  The plan lists equal
-    atoms as one object, so the table is keyed by identity, and neither
-    building nor reading it compares formulas."""
+    in the one coset the root names.  A ground root, such as a bound of the
+    unit window, is evaluated once, as the table is built.  Each assignment
+    then evaluates only the other roots and the atoms without v, and sorts
+    the order atoms' endpoints once, equal neighbours sharing a position;
+    holds runs g's one evaluation plan over the truth table this gives.  The
+    plan lists equal atoms as one object, so the table is keyed by identity,
+    and neither building nor reading it compares formulas."""
     order = KINDS[Sort.HOME]
-    on_v, off_v = [], []  # the ids of the atoms with and without v, with their readings
+    # the atoms with v, each with its root and, when that is ground, the
+    # root's value (its coset for a coset atom); the atoms without v
+    on_order, on_coset, off_v = [], [], []
     for k, atom in {id(atom): atom for atom in atoms(g)}.items():
         read = atom_map(atom)
         if sign := read.payload.coeff_sign(v):
-            on_v.append((k, read.kind, read.payload.root(v), sign > 0))
+            r = read.payload.root(v)
+            fixed = r.evaluate({}) if r.is_ground() else None
+            if read.kind in order:
+                on_order.append((k, read.kind is _HOME_LT, sign > 0, r, fixed))
+            else:
+                under_pi = read.kind is _IN_Q
+                if under_pi and fixed is not None:
+                    fixed = project(fixed)
+                on_coset.append((k, under_pi, r, fixed))
         else:
             off_v.append((k, read))
+    indices = range(len(on_order))
 
     def table_at(assignment: Assignment) -> tuple:
-        roots = [(k, kind, r.evaluate(assignment), up) for k, kind, r, up in on_v]
-        ends = sorted({r for _, kind, r, _ in roots if kind in order})
-        rank = {e: 2 * k + 1 for k, e in enumerate(ends)}  # positions, as _sweep counts them
+        points = []
+        for _, _, _, r, fixed in on_order:
+            points.append(r.evaluate(assignment) if fixed is None else fixed)
+        ends = []
+        rank = [0] * len(points)  # positions, as _sweep counts them
+        for i in sorted(indices, key=points.__getitem__):
+            e = points[i]
+            if not ends or e != ends[-1]:
+                ends.append(e)
+            rank[i] = 2 * len(ends) - 1
         top = 2 * len(ends) + 1
         # an order or constant atom holds at the positions lo < i < hi, a coset atom in its coset
         value = {}
         for k, read in off_v:
             value[k] = (-1, top) if eval_atom(read, assignment) else (0, 0)
-        for k, kind, r, up in roots:
-            if kind is _HOME_LT:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
-                value[k] = (-1, rank[r]) if up else (rank[r], top)
-            elif kind is _HOME_EQ:
-                value[k] = (rank[r] - 1, rank[r] + 1)
+        for (k, lt, up, _, _), pos in zip(on_order, rank):
+            if lt:  # a * (v - r) < 0: v below r if a > 0, above if a < 0
+                value[k] = (-1, pos) if up else (pos, top)
             else:
-                value[k] = project(r) if kind is _IN_Q else r
-        named = {t for t in value.values() if type(t) is not tuple}
+                value[k] = (pos - 1, pos + 1)
+        named = set()
+        for k, under_pi, r, w in on_coset:
+            if w is None:
+                w = r.evaluate(assignment)
+                if under_pi:
+                    w = project(w)
+            value[k] = w
+            named.add(w)
 
         def truth(atom, at) -> bool:
             t = value[id(atom)]

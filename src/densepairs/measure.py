@@ -21,7 +21,7 @@ from .decomposition import sign_table
 from .errors import InternalError
 from .evaluate import Assignment
 from .formulas import Formula, TheoryMode, check_parameters, free_variables, ground, home_lt, make_and
-from .model import ModelElement, compare, int_sign
+from .model import ModelElement, _bounds, compare
 from .qe import qe
 from .terms import HomeTerm, Variable
 
@@ -77,25 +77,28 @@ def _cell_lengths(table: tuple) -> MeasureValue:
 
 def bucket_index(value: ModelElement, k: int) -> int:
     """The least j in 1..k with value <= j/k, so (j-1)/k < value <= j/k on
-    (0, 1], ties going down; found by bisection on integers: with the value
-    sum(n_t * sqrt(t)) / d, value <= j/k is k * n - j * d <= 0."""
-    d, nums = value._d, value._n
-    irrational = [(t, k * n) for t, n in nums.items() if t]
-    rational = k * nums.get(0, 0)
-
-    def above(j: int) -> bool:  # value > j/k
-        return int_sign([(0, rational - j * d), *irrational]) > 0
-
-    if above(k):
+    (0, 1], ties going down: j = max(1, ceil(k * value)).  The ceiling is
+    read off the value's dyadic enclosure, refined until both its ends give
+    the same ceiling, as `ModelElement.decimal_str` rounds: a rational
+    value has a zero-width enclosure, and an irrational k * value is no
+    integer, so the ends part from every integer in the end.  The ends are
+    taken as integers over d * 2**bits (`model._bounds`), not as the
+    enclosure's Fractions, whose normalising gcds would cost several times
+    the rest of this per-tuple read."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    nums, d = value._n.items(), value._d
+    bits = 32
+    while True:
+        lo, hi = _bounds(nums, bits)
+        d_bits = d << bits
+        j = -(-k * lo // d_bits)
+        if j == -(-k * hi // d_bits):
+            break
+        bits *= 2
+    if j > k:
         raise InternalError(f"value {value} above 1")
-    lo, hi = 1, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if above(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return max(1, j)
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,9 @@ def bucket_partition(
 
     Elimination is uniform in the parameters, so the family's unit window
     is eliminated once, with its parameters free, and each tuple costs the
-    roots' evaluation and sort and one outside reading per cell of its sign
-    table (`decomposition.sign_table`).
+    evaluation of the roots that hold a parameter, one sort of the
+    endpoints and one outside reading per cell of its sign table
+    (`decomposition.sign_table`).
     Errors come in the order a per-tuple `measure` would raise them:
     ValueError for k < 1; then, with no tuple, an empty report that never
     looks at f or v; SortError for a v that is not home-sort; NotGroundError

@@ -211,7 +211,7 @@ def test_report_serialization():
 
 
 def reference_bucket_index(value, k):
-    """The linear scan bucket_index ran before it bisected."""
+    """The linear-scan reference for bucket_index: the least j with value <= j/k."""
     for j in range(1, k + 1):
         if compare(value, ModelElement.from_rational(Fraction(j, k))) <= 0:
             return j
@@ -232,6 +232,8 @@ def reference_bucket_partition(f, v, params, k):
 
 
 R2 = parse_element("r2")
+TINY = R2.scale(Fraction(1, 10**15))
+NEAR_ZERO = R2 - ModelElement.from_rational(Fraction(1414213562373095, 10**15))  # about 4.9e-17
 
 
 def test_bucket_index_bisects_like_the_linear_scan():
@@ -253,6 +255,38 @@ def test_bucket_index_bisects_like_the_linear_scan():
         irrationals += [element(Fraction(j, k)) - R2.scale(Fraction(1, 10**6)) for j in (1, k)]
         for value in irrationals:
             assert bucket_index(value, k) == reference_bucket_index(value, k), (k, value)
+        # within 1.4e-15 of a tie, and within 4.9e-17 of it by a near cancellation
+        # whose 32-bit enclosure straddles the tie, so that the bits must grow
+        for j in (1, (k + 1) // 2, k):
+            for offset in (TINY, NEAR_ZERO):
+                for value in (element(Fraction(j, k)) - offset, element(Fraction(j, k)) + offset):
+                    if offset is NEAR_ZERO:
+                        lo, hi = value.enclosure(32)
+                        assert lo * k < j < hi * k, (k, value)
+                    if j == k and value > element(Fraction(1)):
+                        with pytest.raises(InternalError):
+                            bucket_index(value, k)
+                    else:
+                        assert bucket_index(value, k) == reference_bucket_index(value, k), (k, value)
+    # exact ties and their near neighbours at k = 10**6, where the linear
+    # scan is too slow: the bucket j is the one with (j - 1)/k < value <= j/k
+    k = 10**6
+    for j in (1, 2, 3, 499_999, 500_000, 585_786, 999_999, k):
+        tie = element(Fraction(j, k))
+        assert bucket_index(tie, k) == j
+        assert bucket_index(tie - NEAR_ZERO, k) == j
+        if j < k:
+            assert bucket_index(tie + NEAR_ZERO, k) == j + 1
+            assert bucket_index(tie + TINY, k) == j + 1
+
+
+def test_bucket_index_refuses_k_below_one():
+    # before it reads the value, as bucket_partition refuses such a k
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            bucket_index(ModelElement.from_rational(Fraction(1, 2)), k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            bucket_index(None, k)
 
 
 def test_bucket_index_is_fast_for_large_k():
@@ -405,6 +439,67 @@ def test_bucket_partition_scans_the_family_as_often_for_one_tuple_as_for_twenty(
     calls.clear()
     bucket_partition(family, X, params, 10)
     assert len(calls) == 2
+
+
+def test_bucket_partition_evaluates_each_ground_root_once(monkeypatch):
+    # the window's bounds 0 and 1 are evaluated as the table is built, and
+    # each tuple evaluates only its own roots x2 and x3
+    family = parse("x2 < x1 & x1 < x3")
+    params = [
+        {hvar(2): ModelElement.from_rational(Fraction(i, 16)), hvar(3): ModelElement.from_rational(Fraction(i + 6, 16))}
+        for i in range(20)
+    ]
+    calls = []
+    evaluate = HomeTerm.evaluate
+    monkeypatch.setattr(HomeTerm, "evaluate", lambda self, assignment: calls.append(self) or evaluate(self, assignment))
+    report = bucket_partition(family, X, params, 10)
+    assert len(calls) == 2 + 2 * 20
+    assert [e.bucket for e in report.entries][:6] == [4, 4, 4, 4, 4, 4]
+    for i, entry in enumerate(report.entries):
+        length = max(Fraction(0), min(Fraction(i + 6, 16), Fraction(1)) - Fraction(i, 16))
+        assert entry.value == ModelElement.from_rational(length)
+
+
+def union_in_the_window(intervals):
+    """The length of the union of open intervals inside (0, 1), by Fraction
+    arithmetic alone: clip each interval, then merge them in order."""
+    clipped = sorted((max(a, Fraction(0)), min(b, Fraction(1))) for a, b in intervals)
+    total, reach = Fraction(0), Fraction(0)
+    for a, b in clipped:
+        if b > max(a, reach):
+            total += b - max(a, reach)
+            reach = b
+    return total
+
+
+def test_two_interval_family_agrees_with_fraction_arithmetic():
+    # endpoints on a grid of eighths from -1/2 to 3/2, so that they tie, and
+    # intervals that overlap, abut, are empty or lie outside the window;
+    # overlapping and abutting intervals make runs of adjacent holding cells
+    rng = random.Random(4545)
+    family = parse("x2 < x1 & x1 < x3 | x4 < x1 & x1 < x5")
+    names = [hvar(2), hvar(3), hvar(4), hvar(5)]
+    shapes = {"overlap": 0, "abut": 0, "tie": 0, "outside": 0}
+    for k in (1, 3, 8, 10, 100):
+        cases = []
+        for _ in range(400):
+            bounds = [Fraction(rng.randint(-4, 12), 8) for _ in names]
+            if rng.random() < 0.2:  # the second interval starts where the first ends
+                bounds[2] = bounds[1]
+            (a, b), (c, e) = sorted([bounds[:2], bounds[2:]])
+            shapes["overlap"] += a < b and c < e and c < b and c > a
+            shapes["abut"] += a < b < e and b == c
+            shapes["tie"] += len(set(bounds)) < 4
+            shapes["outside"] += min(bounds) < 0 < max(bounds) and max(bounds) > 1
+            cases.append((bounds, union_in_the_window([bounds[:2], bounds[2:]])))
+        params = [{v: ModelElement.from_rational(q) for v, q in zip(names, bounds)} for bounds, _ in cases]
+        report = bucket_partition(family, X, params, k)
+        for (bounds, length), assignment, entry in zip(cases, params, report.entries, strict=True):
+            want = ModelElement.from_rational(length)
+            assert entry.value == want, bounds
+            assert entry.bucket == max(1, -(-length * k // 1)), (bounds, k)  # ceil, ties going down
+            assert measure(family, X, assignment).value == want, bounds
+    assert min(shapes.values()) > 50, shapes
 
 
 def test_every_entry_point_refuses_a_python_number_for_a_home_value():
